@@ -29,10 +29,8 @@ from .instances import (
     SpeedClass,
     TaskGroup,
     SPEED_BASE,
-    dump_instance,
     instance_from_dict,
     instance_to_dict,
-    load_instance,
     make_instance,
     make_job,
     preprocess_raw_speeds,
@@ -68,8 +66,6 @@ from .sim import (
     LivelockError,
     ScheduleSlice,
     Trace,
-    hall_feasibility,
-    read_trace_records,
     realize_slice,
     simulate,
     write_trace,

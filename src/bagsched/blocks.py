@@ -25,7 +25,7 @@ import math
 from dataclasses import dataclass, field
 
 from .instances import Instance, thresholds, validate_ica
-from .numutil import geq, leq
+from .numutil import TIE_REL, geq, leq
 from .report import AnalysisError, CheckRecord
 
 CHEAP_FRACTION = 10      # cheap: w(B) < w(A)/(CHEAP_FRACTION * K)
@@ -67,9 +67,6 @@ class IntervalBlocks:
     def length(self):
         return self.end - self.start
 
-    def weight_of(self, label: str):
-        return sum(b.weight for b in self.blocks if b.label == label)
-
     def block_for_job(self, job_id: int) -> BlockView:
         return self.blocks[self.job_block[job_id]]
 
@@ -85,7 +82,7 @@ class BlockClassification:
         return all(r.ok for r in self.checks if not r.diagnostic)
 
 
-def simple_job_classes(rate, gamma, classes, rel=1e-9):
+def simple_job_classes(rate, gamma, classes):
     """Classes l with rate in [gamma*sigma_l/64, 64*gamma*sigma_l].
 
     Windows of adjacent classes overlap (speeds drop by >= 64), so a rate
@@ -94,8 +91,8 @@ def simple_job_classes(rate, gamma, classes, rel=1e-9):
     out = []
     for li, c in enumerate(classes, start=1):
         center = gamma * c.speed
-        if geq(rate, center / SIMPLE_JOB_WINDOW, rel=rel) and leq(
-            rate, center * SIMPLE_JOB_WINDOW, rel=rel
+        if geq(rate, center / SIMPLE_JOB_WINDOW) and leq(
+            rate, center * SIMPLE_JOB_WINDOW
         ):
             out.append(li)
     return tuple(out)
@@ -114,7 +111,7 @@ def nearest_simple_class(rate, gamma, classes):
     best_gap = math.inf
     for li in qualifying:
         gap = abs(math.log(float(rate)) - math.log(float(gamma * classes[li - 1].speed)))
-        if gap < best_gap - 1e-12 or (abs(gap - best_gap) <= 1e-12 and li < best):
+        if gap < best_gap - TIE_REL or (abs(gap - best_gap) <= TIE_REL and li < best):
             best, best_gap = li, gap
     return best
 

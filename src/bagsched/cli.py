@@ -1,9 +1,9 @@
 """Command-line front end: simulate, verify, emit-lp, gen, bench.
 
 Exit codes are a stable contract: 0 success/feasible certificate,
-1 infeasible certificate, 2 I/O or parse problem, 3 precondition violation
-(bad instance shape, family preconditions, size caps). All randomness flows
-from explicit --seed arguments. Relative output paths honor the
+1 infeasible certificate or failed work check, 2 I/O or parse problem,
+3 precondition violation (bad instance shape, family preconditions, size
+caps). All randomness flows from explicit --seed arguments. Relative output paths honor the
 BAGSCHED_OUT_DIR environment variable.
 """
 from __future__ import annotations
@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import math
 import os
 import sys
 
@@ -19,7 +18,8 @@ from .duals import (
     build_general_duals,
     build_single_job_duals,
     build_weaker_duals,
-    certified_ratio,
+    single_job_threshold,
+    weaker_threshold,
 )
 from .gen import gen_lower_bound, gen_random_ica, gen_raw_speeds
 from .instances import (
@@ -31,9 +31,9 @@ from .instances import (
     with_speedup,
 )
 from .lp import LpError, check_lp_solution, emit_lp, parse_lp_solution, solution_objective
-from .numutil import from_json_number
+from .numutil import WORK_REL, from_json_number
 from .rates import RateError
-from .report import AnalysisError
+from .report import AnalysisError, certified_ratio
 from .sim import realize_slice, simulate, write_trace
 
 EXIT_OK = 0
@@ -110,17 +110,17 @@ def cmd_simulate(args) -> int:
         instance = with_speedup(instance, gamma)
     trace = simulate(instance)
     if args.realize:
-        checked = 0
-        for iv in trace.intervals:
+        for index, iv in enumerate(trace.intervals):
             sl = realize_slice(iv.profile, instance, iv)
             for j in iv.jobs:
                 want = j.rate * iv.length()
                 got = sl.work.get(j.job_id, 0)
-                assert abs(float(got) - float(want)) <= 1e-6 * max(1.0, float(want)), (
-                    f"interval {checked}: job {j.job_id} work {got} != {want}"
-                )
-            checked += 1
-        print(f"realized {checked} intervals")
+                if abs(float(got) - float(want)) > WORK_REL * max(1.0, float(want)):
+                    print(f"realize: interval {index} [{iv.start}, {iv.end}): "
+                          f"job {j.job_id} got work {got}, expected {want}",
+                          file=sys.stderr)
+                    return EXIT_INFEASIBLE
+        print(f"realized {len(trace.intervals)} intervals")
     if args.out:
         fh, close_it = _open_out(args.out)
         write_trace(trace, fh)
@@ -246,17 +246,16 @@ def cmd_bench(args) -> int:
         for k in range(args.k_min, args.k_max + 1):
             instance = gen_lower_bound(k)
             rows.append(_bench_row(
-                instance, 2 * k, build_single_job_duals,
+                instance, single_job_threshold(instance), build_single_job_duals,
                 k, instance.task_count(), "",
             ))
     if args.family in ("random", "both"):
         for k in range(args.k_min, args.k_max + 1):
             for seed in seeds:
                 instance = gen_random_ica(k, args.jobs, args.max_tasks, seed)
-                n = instance.task_count()
-                gamma = 2 * max(k, math.log2(n) if n > 1 else 1)
                 rows.append(_bench_row(
-                    instance, gamma, build_weaker_duals, k, n, seed,
+                    instance, weaker_threshold(instance), build_weaker_duals,
+                    k, instance.task_count(), seed,
                 ))
     rows.sort(key=lambda r: (r["K"], str(r["seed"])))
     fh, close_it = _open_out(args.out)

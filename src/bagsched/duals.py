@@ -20,7 +20,8 @@ DualCertificate whose checks exhaustively scan the dual LP constraints:
 Constraint conventions shared by all families: the machine index collapses
 to the K speed classes; the two-time quantifier (alpha at t', machine credit
 at any t <= t') collapses to a running minimum of the alive weight, which
-for release-free traces equals the current value (asserted); per-task
+for release-free traces equals the current value (checked by the
+alive-weight-monotone CheckRecord); per-task
 quantifiers run over position spans in each job's descending-size order,
 scanning every span boundary, which is exact because all credit functions
 are constant on the spans. Speeds sigma_l in constraints are the original
@@ -35,9 +36,8 @@ from fractions import Fraction
 
 from .blocks import classify_blocks, simple_job_classes, nearest_simple_class
 from .instances import Instance, thresholds, validate_ica
-from .numutil import coerce
+from .numutil import REL_TOL, THRESHOLD_REL, coerce
 from .report import AnalysisError, CheckRecord, DualCertificate
-from .report import certified_ratio  # noqa: F401  (re-exported)
 
 __all__ = [
     "CONSTANTS",
@@ -46,10 +46,12 @@ __all__ = [
     "build_general_duals",
     "build_single_job_duals",
     "build_weaker_duals",
-    "certified_ratio",
+    "general_threshold",
     "halving_group",
     "halving_spans",
     "rank_bands",
+    "single_job_threshold",
+    "weaker_threshold",
 ]
 
 
@@ -58,7 +60,6 @@ class FittingConstants:
     """Named constants of the certificate constructions, in one place so
     tests can assert the exact values the analysis promises."""
 
-    job_window: int = 64        # rate-simple window: gamma*sigma_l*[1/64, 64]
     weaker_margin: int = 2      # gamma >= 2*max(K, log2 n)
     single_margin: int = 2      # gamma >= 2K; credit denominators 2K*...
     general_base: int = 1024    # gamma >= 1024*K*log2 K
@@ -71,13 +72,33 @@ class FittingConstants:
     root_charge: int = 6        # visit charge: w(B)/mtilde_l <= 6 w_j/n_t(j)
     alpha_floor: int = 1800     # sum alpha >= cost/(1800 K logK)
     beta_scale: int = 1         # beta = w(A^t)/(beta_scale K^2 logK m_l)
-    cheap_fraction: int = 10
-    short_charge: int = 8
-    alive_split: int = 90
-    simple_block_ratio: int = 5
 
 
 CONSTANTS = FittingConstants()
+
+
+def weaker_threshold(instance: Instance):
+    """Speedup 2*max(K, log2 n) from which the weaker certificate is feasible."""
+    n = instance.task_count()
+    return CONSTANTS.weaker_margin * max(
+        len(instance.classes), math.log2(n) if n > 1 else 0
+    )
+
+
+def single_job_threshold(instance: Instance):
+    """Speedup 2K from which the single-job certificate is feasible."""
+    return CONSTANTS.single_margin * len(instance.classes)
+
+
+def general_threshold(instance: Instance):
+    """Speedup 1024*K*max(log2 K, 1) from which the general certificate is
+    feasible."""
+    k = len(instance.classes)
+    return CONSTANTS.general_base * k * max(math.log2(k), 1.0)
+
+
+def _meets_threshold(gamma, required) -> bool:
+    return float(gamma) >= required * (1 - THRESHOLD_REL)
 
 
 # ---------------------------------------------------------------------------
@@ -115,11 +136,12 @@ def _merge_sum(span_lists, upto, zero):
     return out
 
 
-def _assert_nonincreasing(spans, what):
+def _check_nonincreasing(spans, what):
+    """Credits must not increase along positions: the general family's cover
+    scan probes only the last position of each alpha regime."""
     for (_, _, v1), (_, _, v2) in zip(spans, spans[1:]):
-        assert v2 <= v1 or math.isclose(float(v1), float(v2), rel_tol=1e-9), (
-            f"{what}: span values must not increase along positions"
-        )
+        if not (v2 <= v1 or math.isclose(float(v1), float(v2), rel_tol=REL_TOL)):
+            raise AnalysisError(f"{what}: span values must not increase along positions")
 
 
 def _reject_releases(trace, family):
@@ -180,8 +202,8 @@ def build_weaker_duals(trace, instance: Instance) -> DualCertificate:
     k = len(instance.classes)
     gamma = trace.gamma()
     n_real = instance.task_count()
-    required = CONSTANTS.weaker_margin * max(k, math.log2(n_real) if n_real > 1 else 0)
-    gamma_ok = float(gamma) >= required * (1 - 1e-12)
+    required = weaker_threshold(instance)
+    gamma_ok = _meets_threshold(gamma, required)
     zero = coerce(0, instance.exact)
 
     d_budget = CheckRecord("task-credit-budget")
@@ -322,8 +344,8 @@ def build_single_job_duals(trace, instance: Instance) -> DualCertificate:
 
     k = len(instance.classes)
     gamma = trace.gamma()
-    required = float(CONSTANTS.single_margin * k)
-    gamma_ok = float(gamma) >= required * (1 - 1e-12)
+    required = float(single_job_threshold(instance))
+    gamma_ok = _meets_threshold(gamma, required)
     exact = instance.exact
     one = coerce(1, exact)
     half = one / 2
@@ -352,7 +374,7 @@ def build_single_job_duals(trace, instance: Instance) -> DualCertificate:
             lo, hi = reach[li], min(prefix[li + 2], n_total)
             if lo < hi:
                 dspans.append((lo, hi, one / (2 * k * bands.tail[li])))
-    _assert_nonincreasing(dspans, "rank-band credits")
+    _check_nonincreasing(dspans, "rank-band credits")
     dstarts = [s[0] for s in dspans]
 
     d_budget = CheckRecord("task-credit-budget")
@@ -543,7 +565,7 @@ def _running_max_spans(visits, coef):
         if alive > lo:
             out.append((lo, alive, val * coef))
             lo = alive
-    _assert_nonincreasing(out, "long-visit credits")
+    _check_nonincreasing(out, "long-visit credits")
     return out
 
 
@@ -562,8 +584,8 @@ def build_general_duals(trace, instance: Instance) -> DualCertificate:
     gamma = trace.gamma()
     exact = instance.exact
     logk = _log_scale(k, exact)
-    required = CONSTANTS.general_base * k * max(math.log2(k), 1.0)
-    gamma_ok = float(gamma) >= required * (1 - 1e-12)
+    required = general_threshold(instance)
+    gamma_ok = _meets_threshold(gamma, required)
     zero = coerce(0, exact)
 
     classification = classify_blocks(trace, instance)
@@ -614,7 +636,7 @@ def build_general_duals(trace, instance: Instance) -> DualCertificate:
                 raw.append([(0, n_tau, job.weight / (2 * k * n_tau))])
         merged = _merge_sum(raw, n_j, zero) if raw else []
         merged = [s for s in merged if s[2] != 0]
-        _assert_nonincreasing(merged, "last-simple credits")
+        _check_nonincreasing(merged, "last-simple credits")
         dprime[jid] = (merged, [s[0] for s in merged])
         simple_budget.require_leq(
             sum((hi - lo) * v for lo, hi, v in merged), job.weight / 2, (jid,)
@@ -637,7 +659,7 @@ def build_general_duals(trace, instance: Instance) -> DualCertificate:
             doubling.require_leq(chain, 1 + math.log2(10 * k), (jid, li))
         merged2 = _merge_sum(raw2, n_j, zero) if raw2 else []
         merged2 = [s for s in merged2 if s[2] != 0]
-        _assert_nonincreasing(merged2, "long-visit credits")
+        _check_nonincreasing(merged2, "long-visit credits")
         ddouble[jid] = (merged2, [s[0] for s in merged2])
         long_budget.require_leq(
             sum((hi - lo) * v for lo, hi, v in merged2), job.weight / 2, (jid,)
@@ -694,7 +716,7 @@ def build_general_duals(trace, instance: Instance) -> DualCertificate:
             lstar = chosen[(t, jid)]
             if lstar:
                 n1 = last_simple[(jid, lstar)]
-                a1 = w_j / (4 * k * n1)
+                a1 = w_j / (CONSTANTS.simple_alpha_div * k * n1)
             else:
                 n1, a1 = 0, zero
             view = long_at.get((t, jid))

@@ -49,8 +49,8 @@ class SplitMix64:
         return lo + self.next_u64() % (hi - lo + 1)
 
 
-def minimal_doubling_counts(k: int, base: int = SPEED_BASE):
-    """Speeds base^(K-l) and minimal machine counts with doubling capacity.
+def minimal_doubling_counts(k: int):
+    """Speeds SPEED_BASE^(K-l) and minimal machine counts with doubling capacity.
 
     m_1 = 1 and each m_{l+1} is the least count with
     m_{l+1} sigma_{l+1} >= 2 * sum_{l' <= l} m_l' sigma_l' (exact integer
@@ -62,7 +62,7 @@ def minimal_doubling_counts(k: int, base: int = SPEED_BASE):
     >>> minimal_doubling_counts(3)
     ([4096, 64, 1], [1, 128, 24576])
     """
-    speeds = [base ** (k - l) for l in range(1, k + 1)]
+    speeds = [SPEED_BASE ** (k - l) for l in range(1, k + 1)]
     counts = [1]
     cum = speeds[0]
     for l in range(1, k):

@@ -8,7 +8,6 @@ counts may be huge (1e9), so nothing here ever expands groups.
 """
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
@@ -46,9 +45,6 @@ class Job:
     def task_count(self) -> int:
         return sum(g.count for g in self.groups)
 
-    def total_size(self):
-        return sum(g.size * g.count for g in self.groups)
-
 
 @dataclass(frozen=True)
 class IcaBoundary:
@@ -84,9 +80,6 @@ class Instance:
     # ---- machine helpers -------------------------------------------------
     def machine_count(self) -> int:
         return sum(c.count for c in self.classes)
-
-    def class_count(self) -> int:
-        return len(self.classes)
 
     def class_prefix_counts(self) -> tuple:
         """Cumulative machine counts (M_0=0, M_1, .., M_K)."""
@@ -129,9 +122,6 @@ class Instance:
 
     def task_count(self) -> int:
         return sum(j.task_count() for j in self.jobs)
-
-    def total_weight(self):
-        return sum(j.weight for j in self.jobs)
 
     def has_releases(self) -> bool:
         return any(j.release != 0 for j in self.jobs)
@@ -259,23 +249,12 @@ def instance_from_dict(data: dict, exact: bool = False) -> Instance:
     return make_instance(classes, jobs, speedup=speedup, exact=exact)
 
 
-def load_instance(path, exact: bool = False) -> Instance:
-    with open(path, "r", encoding="utf-8") as fh:
-        return instance_from_dict(json.load(fh), exact=exact)
-
-
-def dump_instance(instance: Instance, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(instance_to_dict(instance), fh, indent=2)
-        fh.write("\n")
-
-
 # ---------------------------------------------------------------------------
 # Preprocessing: rounding and capacity-based class selection
 # ---------------------------------------------------------------------------
 
-def round_speeds(raw_speeds, base: int = SPEED_BASE):
-    """Round each speed down to the largest power of `base` not above it.
+def round_speeds(raw_speeds):
+    """Round each speed down to the largest power of SPEED_BASE not above it.
 
     Returns merged SpeedClass entries sorted by decreasing speed.
 
@@ -290,32 +269,34 @@ def round_speeds(raw_speeds, base: int = SPEED_BASE):
         if s <= 0:
             raise InstanceError(f"round_speeds: non-positive speed {s}")
         k = 0
-        while base ** (k + 1) <= s:
+        while SPEED_BASE ** (k + 1) <= s:
             k += 1
-        while base ** k > s:
+        while SPEED_BASE ** k > s:
             k -= 1
         counts[k] = counts.get(k, 0) + 1
     return [
-        SpeedClass(speed=base ** k, count=n)
+        SpeedClass(speed=SPEED_BASE ** k, count=n)
         for k, n in sorted(counts.items(), reverse=True)
     ]
 
 
-def select_capacity_classes(classes, base: int = SPEED_BASE):
-    """Greedy subset whose class capacities grow by at least 2*base.
+def select_capacity_classes(classes):
+    """Greedy subset whose class capacities grow by at least 2*SPEED_BASE.
 
     Scans from the fastest class; a class is kept when its capacity is at
-    least 2*base times the capacity of the previously kept class. Kept
+    least 2*SPEED_BASE times the capacity of the previously kept class. Kept
     counts are then inflated by the number K of kept classes, which
     restores the cumulative capacity condition.
 
     Returns (kept_indices, inflated_classes); indices are 1-based positions
     into the input list.
 
-    >>> cl = [SpeedClass(10, 1), SpeedClass(1281, 1), SpeedClass(200000, 1)]
-    >>> kept, out = select_capacity_classes(sorted(cl, key=lambda c: -c.speed))
+    >>> cl = [SpeedClass(4096, 1), SpeedClass(64, 100), SpeedClass(1, 2**20)]
+    >>> kept, out = select_capacity_classes(cl)
     >>> kept
-    (1, 2, 3)
+    (1, 3)
+    >>> [(c.speed, c.count) for c in out]
+    [(4096, 2), (1, 2097152)]
     """
     classes = list(classes)
     if not classes:
@@ -325,7 +306,7 @@ def select_capacity_classes(classes, base: int = SPEED_BASE):
             raise InstanceError("select_capacity_classes: speeds must decrease")
     kept = [0]
     for idx in range(1, len(classes)):
-        if classes[idx].capacity() >= 2 * base * classes[kept[-1]].capacity():
+        if classes[idx].capacity() >= 2 * SPEED_BASE * classes[kept[-1]].capacity():
             kept.append(idx)
     k = len(kept)
     inflated = [
@@ -334,14 +315,14 @@ def select_capacity_classes(classes, base: int = SPEED_BASE):
     return tuple(i + 1 for i in kept), inflated
 
 
-def preprocess_raw_speeds(raw_speeds, base: int = SPEED_BASE):
+def preprocess_raw_speeds(raw_speeds):
     """Full pipeline: round speeds, select classes, inflate counts.
 
     Returns (classes, provenance) where provenance records what happened.
     """
     raw = list(raw_speeds)
-    rounded = round_speeds(raw, base=base)
-    kept, inflated = select_capacity_classes(rounded, base=base)
+    rounded = round_speeds(raw)
+    kept, inflated = select_capacity_classes(rounded)
     provenance = {
         "raw_count": len(raw),
         "rounded": [(float(c.speed), c.count) for c in rounded],
@@ -355,11 +336,11 @@ def preprocess_raw_speeds(raw_speeds, base: int = SPEED_BASE):
 # Capacity validation and thresholds
 # ---------------------------------------------------------------------------
 
-def validate_ica(instance: Instance, base: int = SPEED_BASE) -> IcaReport:
+def validate_ica(instance: Instance) -> IcaReport:
     """Check the capacity growth conditions at every class boundary.
 
     Boundary l (between class l and l+1) requires
-      sigma_l / sigma_{l+1} >= base, and
+      sigma_l / sigma_{l+1} >= SPEED_BASE, and
       m_{l+1} sigma_{l+1} >= 2 * sum_{l' <= l} m_{l'} sigma_{l'}.
     """
     boundaries = []
@@ -370,7 +351,7 @@ def validate_ica(instance: Instance, base: int = SPEED_BASE) -> IcaReport:
             cum = c.capacity()
             continue
         prev = instance.classes[li - 1]
-        ratio_ok = bool(geq(prev.speed, base * c.speed))
+        ratio_ok = bool(geq(prev.speed, SPEED_BASE * c.speed))
         cap_ok = bool(geq(c.capacity(), 2 * cum))
         boundaries.append(
             IcaBoundary(index=li, speed_ratio_ok=ratio_ok, capacity_ok=cap_ok)

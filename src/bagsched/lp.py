@@ -24,6 +24,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .instances import Instance
+from .numutil import REL_TOL, SOLVER_REL
 from .sim import realize_slice
 
 MAX_EMIT_CELLS = 200_000      # machines * tasks * horizon guard for emit_lp
@@ -173,12 +174,11 @@ def solution_objective(instance: Instance, values: dict, horizon: int) -> float:
     return total
 
 
-def check_lp_solution(instance: Instance, values: dict, horizon: int,
-                      rel: float = 1e-6) -> list:
+def check_lp_solution(instance: Instance, values: dict, horizon: int) -> list:
     """Re-evaluate the emitted LP's constraints on an ingested solution.
 
-    Returns a list of (constraint_name, lhs, rhs) violations beyond `rel`
-    relative slack. Uses the same original speeds as emit_lp.
+    Returns a list of (constraint_name, lhs, rhs) violations beyond
+    SOLVER_REL relative slack. Uses the same original speeds as emit_lp.
     """
     m = instance.machine_count()
     tasks = [(v, j, p) for (v, j, p) in task_table(instance) if p > 0]
@@ -193,7 +193,7 @@ def check_lp_solution(instance: Instance, values: dict, horizon: int,
         for t in range(horizon - 1, -1, -1):
             suffix += sum(x(i, v, t) for i in range(1, m + 1)) / float(p)
             u = values.get(f"U_{j}_{t}", 0.0)
-            if u < suffix - rel * max(1.0, suffix):
+            if u < suffix - SOLVER_REL * max(1.0, suffix):
                 bad.append((f"rem_{j}_{v}_{t}", u, suffix))
         spent = sum(
             x(i, v, t) / float(speeds[i - 1])
@@ -201,19 +201,19 @@ def check_lp_solution(instance: Instance, values: dict, horizon: int,
             for i in range(1, m + 1)
         )
         c = values.get(f"C_{j}", 0.0)
-        if c < spent - rel * max(1.0, spent):
+        if c < spent - SOLVER_REL * max(1.0, spent):
             bad.append((f"time_{j}_{v}", c, spent))
         done = sum(
             x(i, v, t) / float(p)
             for t in range(horizon)
             for i in range(1, m + 1)
         )
-        if done < 1 - rel:
+        if done < 1 - SOLVER_REL:
             bad.append((f"done_{j}_{v}", done, 1.0))
     for i in range(1, m + 1):
         for t in range(horizon):
             load = sum(x(i, v, t) for v, _, _ in tasks) / float(speeds[i - 1])
-            if load > 1 + rel:
+            if load > 1 + SOLVER_REL:
                 bad.append((f"cap_{i}_{t}", load, 1.0))
     return bad
 
@@ -250,7 +250,7 @@ def schedule_to_primal(source, instance: Instance, slot=None) -> PrimalSolution:
     fraction; the slot defaults to half the smallest per-job gap between
     completion time and the area under its U curve, which keeps the
     left-Riemann U sum below C_j per job. All four constraint families and
-    both objective bounds are asserted before returning.
+    both objective bounds are checked before returning (LpError otherwise).
     """
     if hasattr(source, "intervals"):
         slices = [
@@ -288,22 +288,22 @@ def schedule_to_primal(source, instance: Instance, slot=None) -> PrimalSolution:
             if rate == 0:
                 continue
             for job_id, cnt in pl.members:
-                assert (si, job_id) not in seg_alive, (
-                    f"job {job_id} split across pools in one segment"
-                )
+                if (si, job_id) in seg_alive:
+                    raise LpError(f"job {job_id} split across pools in one segment")
                 alive = [
                     (v, p) for v, p in job_tasks[job_id] if remaining[v] > 0
                 ]
-                assert len(alive) == cnt, (
-                    f"pool of job {job_id} covers {cnt} tasks, "
-                    f"{len(alive)} alive"
-                )
+                if len(alive) != cnt:
+                    raise LpError(
+                        f"pool of job {job_id} covers {cnt} tasks, "
+                        f"{len(alive)} alive"
+                    )
                 seg_alive[(si, job_id)] = [v for v, _ in alive]
                 for v, p in alive:
                     got = rate * length
                     # roundoff slack so a task whose quota exactly spans
                     # the segment still completes inside it
-                    slack = 0 if instance.exact else 1e-9 * float(p or 1)
+                    slack = 0 if instance.exact else REL_TOL * float(p or 1)
                     if float(got) >= float(remaining[v]) - slack:
                         t_done = seg.start + min(remaining[v] / rate, length)
                         remaining[v] = zero
@@ -317,14 +317,12 @@ def schedule_to_primal(source, instance: Instance, slot=None) -> PrimalSolution:
                 cum_work[job_id] = cum_work[job_id] + rate * length
                 curve.append((seg.end, cum_work[job_id]))
     for v, j, p in table:
-        assert remaining[v] <= (0 if instance.exact else 1e-9 * float(p or 1)), (
-            f"task {v} not finished by the given schedule"
-        )
+        if not remaining[v] <= (0 if instance.exact else REL_TOL * float(p or 1)):
+            raise LpError(f"task {v} not finished by the given schedule")
     if hasattr(source, "completions"):
         for j, c in source.completions.items():
-            assert abs(float(c) - float(completion[j])) <= 1e-9 * max(
-                1.0, float(c)
-            ), f"job {j}: derived completion {completion[j]} vs trace {c}"
+            if not abs(float(c) - float(completion[j])) <= REL_TOL * max(1.0, float(c)):
+                raise LpError(f"job {j}: derived completion {completion[j]} vs trace {c}")
 
     cost = sum(weights[j] * completion[j] for j in weights) if weights else zero
 
@@ -342,7 +340,8 @@ def schedule_to_primal(source, instance: Instance, slot=None) -> PrimalSolution:
                 u1 = max(zero, 1 - w1 / p_max)
                 area = area + (t1 - t0) * (u0 + u1) / 2
             g = completion[job.job_id] - area
-            assert g > 0, f"job {job.job_id}: U area reaches completion time"
+            if not g > 0:
+                raise LpError(f"job {job.job_id}: U area reaches completion time")
             gap = g if gap is None else min(gap, g)
         if gap is None:  # all tasks zero-size
             slot = 1
@@ -372,7 +371,10 @@ def schedule_to_primal(source, instance: Instance, slot=None) -> PrimalSolution:
                             for v in alive_of[job_id]:
                                 key = (i, v, s)
                                 x[key] = x.get(key, zero) + amount
-                assert len(x) <= MAX_PRIMAL_ENTRIES, "primal embedding too large"
+                if len(x) > MAX_PRIMAL_ENTRIES:
+                    raise LpError(
+                        f"primal embedding exceeds {MAX_PRIMAL_ENTRIES} entries"
+                    )
                 t0 = hi
                 s += 1
 
@@ -405,12 +407,11 @@ def schedule_to_primal(source, instance: Instance, slot=None) -> PrimalSolution:
     return primal
 
 
-def check_primal(primal: PrimalSolution, instance: Instance,
-                 rel: float = 1e-9) -> None:
-    """Assert the four constraint families and the objective sandwich."""
+def check_primal(primal: PrimalSolution, instance: Instance) -> None:
+    """Check the four constraint families and the objective sandwich;
+    raise LpError at the first violation."""
     table = task_table(instance)
-    weights = {j.job_id: j.weight for j in instance.jobs}
-    tol = 0 if instance.exact else rel
+    tol = 0 if instance.exact else REL_TOL
 
     done = {}
     spent = {}
@@ -425,16 +426,19 @@ def check_primal(primal: PrimalSolution, instance: Instance,
         if p == 0:
             continue
         d = done.get(v, 0) / p
-        assert d >= 1 - tol, f"task {v}: processed fraction {float(d)} < 1"
+        if not d >= 1 - tol:
+            raise LpError(f"task {v}: processed fraction {float(d)} < 1")
         c = primal.C[j]
         sp = spent.get(v, 0)
-        assert float(sp) <= float(c) * (1 + tol) + tol, (
-            f"task {v}: processing time {float(sp)} exceeds C_{j}={float(c)}"
-        )
+        if not float(sp) <= float(c) * (1 + tol) + tol:
+            raise LpError(
+                f"task {v}: processing time {float(sp)} exceeds C_{j}={float(c)}"
+            )
     for (i, s), ld in load.items():
-        assert float(ld) <= float(primal.slot) * (1 + tol) + tol, (
-            f"machine {i} slot {s}: load {float(ld)} exceeds slot {primal.slot}"
-        )
+        if not float(ld) <= float(primal.slot) * (1 + tol) + tol:
+            raise LpError(
+                f"machine {i} slot {s}: load {float(ld)} exceeds slot {primal.slot}"
+            )
     # U dominates every task's remaining fraction per slot (by construction
     # U is the max; re-derive and compare)
     suffix = {}
@@ -449,22 +453,28 @@ def check_primal(primal: PrimalSolution, instance: Instance,
             suffix[v] = suffix.get(v, 0) + by_vt.get((v, s), 0)
             frac = suffix[v] / p
             u = primal.U.get((j, s), 0)
-            assert float(u) >= float(frac) * (1 - tol) - tol, (
-                f"U_{j}_{s}={float(u)} below remaining fraction {float(frac)}"
-            )
-            assert float(u) <= 1 + tol, f"U_{j}_{s} exceeds 1"
+            if not float(u) >= float(frac) * (1 - tol) - tol:
+                raise LpError(
+                    f"U_{j}_{s}={float(u)} below remaining fraction {float(frac)}"
+                )
+            if not float(u) <= 1 + tol:
+                raise LpError(f"U_{j}_{s} exceeds 1")
     # per-job Riemann bound and the global sandwich
     for job in instance.jobs:
         usum = primal.slot * sum(
             u for (j, _), u in primal.U.items() if j == job.job_id
         )
         c = primal.C[job.job_id]
-        if c > 0:
-            assert float(usum) <= float(c) * (1 + tol) + tol, (
+        if c > 0 and not float(usum) <= float(c) * (1 + tol) + tol:
+            raise LpError(
                 f"job {job.job_id}: U sum {float(usum)} exceeds C {float(c)}"
             )
-    assert float(primal.objective) >= float(primal.cost) * (1 - tol)
-    assert float(primal.objective) <= 2 * float(primal.cost) * (1 + tol) + tol
+    if not (float(primal.cost) * (1 - tol) <= float(primal.objective)
+            <= 2 * float(primal.cost) * (1 + tol) + tol):
+        raise LpError(
+            f"objective {float(primal.objective)} outside "
+            f"[cost, 2 cost] for cost {float(primal.cost)}"
+        )
 
 
 def primal_to_solution_values(primal: PrimalSolution) -> dict:

@@ -1,16 +1,43 @@
-"""Numeric helpers shared across the package.
+"""Numeric helpers and the package's float tolerances.
 
 Two value modes coexist: plain floats for speed, and fractions.Fraction for
 exact arithmetic. Every routine here is duck-typed so both modes pass through
 unchanged; nothing calls math.* on scheduling values.
+
+Every float tolerance of the package is named here, once. Exact-mode values
+compare exactly wherever a tolerance would apply.
 """
 from __future__ import annotations
 
 from fractions import Fraction
 
+# Default slack of close/leq/geq and of every certificate, rate-feasibility,
+# realization and primal check: absorbs the rounding that accumulates in the
+# float sums and quotients of one run.
 REL_TOL = 1e-9
 
-Number = (int, float, Fraction)
+# Batching of simultaneous events: completions and releases this close to the
+# next event time, and realization quotas this close to drained or to each
+# other, are one event. Absorbs the rounding of a single quotient.
+EVENT_REL = 1e-12
+
+# Argmin ties: water levels of run ends in assign_rates, and log-scale gaps to
+# class speeds in nearest_simple_class, this close count as tied. Absorbs the
+# rounding of a single quotient, so the tie-break rule decides.
+TIE_REL = 1e-12
+
+# A speedup meets a certificate family's threshold when it is below it by at
+# most this share: absorbs the rounding of log2 in the threshold formula.
+THRESHOLD_REL = 1e-12
+
+# Per-job work that `simulate --realize` accepts from a realized slice,
+# relative to the fluid work: absorbs the rounding summed over the slice's
+# segments.
+WORK_REL = 1e-6
+
+# Constraint slack granted to an ingested LP solution: absorbs the feasibility
+# tolerance of the external solver that produced it.
+SOLVER_REL = 1e-6
 
 
 def is_exact(x) -> bool:
@@ -48,8 +75,8 @@ def leq(a, b, rel: float = REL_TOL) -> bool:
     return fa <= fb + rel * scale
 
 
-def geq(a, b, rel: float = REL_TOL) -> bool:
-    return leq(b, a, rel)
+def geq(a, b) -> bool:
+    return leq(b, a)
 
 
 def json_number(x):

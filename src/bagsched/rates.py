@@ -19,10 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .instances import Instance
-from .numutil import geq, json_number, leq
-
-# argmin ties across run ends are merged; float candidates this close count as tied
-TIE_REL = 1e-12
+from .numutil import TIE_REL, geq, leq
 
 
 class RateError(ValueError):
@@ -62,12 +59,6 @@ class Block:
     def weight(self):
         return sum(m.share * m.count for m in self.members)
 
-    def machine_range(self, machine_count: int):
-        """(first, last) 1-based machines serving this block; last may be
-        smaller than first when every machine is taken by earlier blocks,
-        which cannot happen for blocks produced by assign_rates."""
-        return (min(self.lo, machine_count) + 1, min(self.hi, machine_count))
-
 
 @dataclass(frozen=True)
 class RateProfile:
@@ -94,29 +85,6 @@ class RateProfile:
     def members(self):
         for b in self.blocks:
             yield from b.members
-
-    def to_dict(self) -> dict:
-        return {
-            "gamma": json_number(self.gamma),
-            "blocks": [
-                {
-                    "tau": json_number(b.tau),
-                    "lo": b.lo,
-                    "hi": b.hi,
-                    "speed": json_number(b.speed),
-                    "members": [
-                        {
-                            "job": m.job_id,
-                            "count": m.count,
-                            "share": json_number(m.share),
-                            "rate": json_number(m.rate),
-                        }
-                        for m in b.members
-                    ],
-                }
-                for b in self.blocks
-            ],
-        }
 
 
 def assign_rates(alive, instance: Instance) -> RateProfile:
@@ -204,24 +172,24 @@ def assign_rates(alive, instance: Instance) -> RateProfile:
     return RateProfile(gamma=gamma, blocks=tuple(blocks))
 
 
-def verify_star(profile: RateProfile, instance: Instance, rel: float = 1e-9) -> bool:
+def verify_star(profile: RateProfile, instance: Instance) -> bool:
     """Check the prefix-capacity condition: for every k, the k largest rates
     sum to at most gamma * S(k).
 
     Rates are piecewise constant over member spans and S has knees only at
     class boundaries, so checking at member ends and knees is exact.
     """
-    ok, _ = star_witness(profile, instance, rel=rel)
+    ok, _ = star_witness(profile, instance)
     return ok
 
 
-def star_witness(profile: RateProfile, instance: Instance, rel: float = 1e-9):
+def star_witness(profile: RateProfile, instance: Instance):
     gamma = profile.gamma
     rates = []
     for m in profile.members():
         rates.append((m.rate, m.count))
     for (r1, _), (r2, _) in zip(rates, rates[1:]):
-        if not geq(r1, r2, rel=rel):
+        if not geq(r1, r2):
             return False, ("order", r1, r2)
     knees = set(instance.class_prefix_counts())
     total = 0
@@ -236,13 +204,13 @@ def star_witness(profile: RateProfile, instance: Instance, rel: float = 1e-9):
         candidates.append((total, prefix_rate))
     for k, rate_sum in candidates:
         cap = gamma * instance.capacity_prefix(k)
-        if not leq(rate_sum, cap, rel=rel):
+        if not leq(rate_sum, cap):
             return False, ("prefix", k, rate_sum, cap)
     return True, None
 
 
 def freeze_order_rate_check(profile: RateProfile, v, v_after, v_before,
-                          instance: Instance, rel: float = 1e-9) -> bool:
+                          instance: Instance) -> bool:
     """Two comparison facts about one task against later/earlier freezers.
 
     `v` is a job id standing for one alive task of that job; `v_after` and
@@ -276,10 +244,10 @@ def freeze_order_rate_check(profile: RateProfile, v, v_after, v_before,
     if n <= instance.machine_count():
         # cross-multiplied to avoid dividing by the slowest relevant speed
         ok = ok and geq(mem_v.share * instance.capacity_prefix(n),
-                        shares_after * instance.machine_speed(n), rel=rel)
+                        shares_after * instance.machine_speed(n))
     # past the machine count the relevant speed is 0 and the fact is vacuous
     shares_before, rates_before = gather(v_before, "before")
     if rates_before > 0:
         ok = ok and leq(mem_v.share * rates_before,
-                        shares_before * mem_v.rate, rel=rel)
+                        shares_before * mem_v.rate)
     return bool(ok)

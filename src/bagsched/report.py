@@ -33,7 +33,6 @@ VIOLATION_CAP = 50
 class CheckRecord:
     name: str
     diagnostic: bool = False  # diagnostics never affect feasibility
-    rel: float = 1e-9
     checked: int = 0
     violation_count: int = 0
     violations: list = field(default_factory=list)
@@ -49,7 +48,7 @@ class CheckRecord:
         if slack < self.min_slack:
             self.min_slack = slack
             self.min_witness = witness
-        if not leq(lhs, rhs, rel=self.rel):
+        if not leq(lhs, rhs):
             self.violation_count += 1
             if len(self.violations) < VIOLATION_CAP:
                 self.violations.append(

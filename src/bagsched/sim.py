@@ -18,14 +18,13 @@ import json
 from dataclasses import dataclass
 
 from .instances import Instance, instance_to_dict
-from .numutil import close, json_number, leq
-from .rates import AliveJob, RateProfile, assign_rates, star_witness
-
-EVENT_REL = 1e-12  # relative slack for batching simultaneous events
+from .numutil import EVENT_REL, REL_TOL, close, json_number, leq
+from .rates import AliveJob, RateProfile, assign_rates
 
 
 class LivelockError(RuntimeError):
-    """All alive tasks have rate zero while work remains."""
+    """Work remains but the run stops progressing: every alive task has rate
+    zero, or a slice realization stalls or fails to terminate."""
 
 
 class InfeasibleSliceError(RuntimeError):
@@ -65,12 +64,6 @@ class Interval:
 
     def alive_weight(self):
         return sum(j.weight for j in self.jobs)
-
-    def job(self, job_id: int) -> IntervalJob:
-        for j in self.jobs:
-            if j.job_id == job_id:
-                return j
-        raise KeyError(job_id)
 
 
 @dataclass
@@ -214,16 +207,6 @@ def simulate(instance: Instance) -> Trace:
     )
 
 
-def hall_feasibility(profile: RateProfile, instance: Instance, rel: float = 1e-9) -> bool:
-    """Can some schedule give every task its profile rate on these machines?
-
-    Holds iff every prefix of the sorted rates fits the same-size prefix of
-    machine capacity, which is exactly what star_witness checks.
-    """
-    ok, _ = star_witness(profile, instance, rel=rel)
-    return ok
-
-
 # ---------------------------------------------------------------------------
 # Slice realization
 # ---------------------------------------------------------------------------
@@ -281,7 +264,7 @@ def realize_slice(profile: RateProfile, instance: Instance, interval) -> Schedul
         else:
             entries.append([quota, mem.count, {mem.job_id: mem.count}])
     quota_scale = entries[0][0] if entries else 0
-    tol = 0 if instance.exact else 1e-12 * float(quota_scale or 1)
+    tol = 0 if instance.exact else EVENT_REL * float(quota_scale or 1)
 
     work = {}
     for mem in profile.members():
@@ -292,13 +275,16 @@ def realize_slice(profile: RateProfile, instance: Instance, interval) -> Schedul
         hi = min(pos + count, m)
         return gamma * (instance.capacity_prefix(hi) - instance.capacity_prefix(lo)) / count
 
+    # at most two events (a merge and a drain) per entry, plus slack
+    max_segments = 4 * len(profile.blocks) + 4 * sum(1 for _ in profile.members()) + 8
     t = start
     segments = []
-    guard = 0
     while entries:
-        guard += 1
-        assert guard <= 4 * len(profile.blocks) + 4 * sum(1 for _ in profile.members()) + 8, \
-            "realization failed to terminate"
+        if len(segments) >= max_segments:
+            raise LivelockError(
+                f"realization of [{start}, {end}) did not terminate "
+                f"within {max_segments} segments"
+            )
         pos = 0
         rates = []
         placements = []
@@ -351,11 +337,15 @@ def realize_slice(profile: RateProfile, instance: Instance, interval) -> Schedul
         if close(t, end, rel=EVENT_REL) or t >= end:
             break
 
-    slack = 0 if instance.exact else 1e-9 * float(quota_scale or 1)
+    slack = 0 if instance.exact else REL_TOL * float(quota_scale or 1)
     leftover = [e for e in entries if e[0] > slack]
     if leftover:
         witness = _overfull_prefix(profile, instance, length)
-        assert witness is not None, "leftover quota without an overfull prefix"
+        if witness is None:
+            raise LivelockError(
+                f"realization of [{start}, {end}) stalled with quota left "
+                "but no overfull prefix"
+            )
         raise InfeasibleSliceError(*witness)
     return ScheduleSlice(start=start, end=end, segments=segments, work=work)
 
@@ -367,7 +357,7 @@ def _overfull_prefix(profile, instance, length):
         total += mem.count
         quota = quota + mem.rate * length * mem.count
         cap = profile.gamma * instance.capacity_prefix(total) * length
-        if not leq(quota, cap, rel=1e-9):
+        if not leq(quota, cap):
             return total, quota, cap
     return None
 
@@ -412,8 +402,3 @@ def write_trace(trace: Trace, fh) -> None:
         ],
     }
     fh.write(json.dumps(summary) + "\n")
-
-
-def read_trace_records(fh):
-    """Parse trace lines back into dicts (format check helper)."""
-    return [json.loads(line) for line in fh if line.strip()]

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from bagsched import cli
 from bagsched.cli import main
 
 
@@ -57,6 +58,21 @@ def test_simulate_writes_trace_and_verify_reads_it(tmp_path, capsys):
     assert doc["family"] == "single_job"
     assert doc["gamma"] == 4.0
     assert doc["feasible"] is True
+
+
+def test_simulate_realize_rejects_short_work(tmp_path, monkeypatch, capsys):
+    realize = cli.realize_slice
+
+    def short(profile, instance, interval):
+        sl = realize(profile, instance, interval)
+        sl.work = {job: work / 2 for job, work in sl.work.items()}
+        return sl
+
+    monkeypatch.setattr(cli, "realize_slice", short)
+    inst = gen_instance(tmp_path, "lower", "--k", "2")
+    assert run_cli("simulate", str(inst), "--gamma", "4", "--realize") == 1
+    err = capsys.readouterr().err
+    assert "interval 0" in err and "job 1" in err
 
 
 def test_verify_exit_codes(tmp_path, capsys):

@@ -1,10 +1,14 @@
 """LP bridge: emission, ingestion, schedule embedding, brute-force oracle."""
 
 import math
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 
+import bagsched
 from bagsched import (
     brute_force_opt,
     build_weaker_duals,
@@ -103,6 +107,35 @@ def test_schedule_embedding_random_sandwich():
         cost = float(trace.objective)
         assert cost - 1e-9 <= primal.objective <= 2 * cost + 1e-9
         check_primal(primal, inst)
+
+
+def test_check_primal_rejects_corruption_under_optimize():
+    # criterion 7 rests on this check, so it must raise rather than assert:
+    # run it under `python -O` on a primal with no processing at all, and on
+    # one whose objective leaves the [cost, 2 cost] sandwich
+    code = """
+import dataclasses, sys
+from bagsched import make_instance, make_job, schedule_to_primal, simulate
+from bagsched.lp import LpError, check_primal
+inst = make_instance([(2, 1), (1, 1)], [make_job(1, 1.0, [3, 2])])
+primal = schedule_to_primal(simulate(inst), inst)
+for bad in (dataclasses.replace(primal, x={}, objective=5 * primal.cost),
+            dataclasses.replace(primal, objective=5 * primal.cost)):
+    try:
+        check_primal(bad, inst)
+    except LpError as exc:
+        print(exc)
+    else:
+        sys.exit(1)
+"""
+    env = dict(os.environ,
+               PYTHONPATH=os.path.dirname(os.path.dirname(bagsched.__file__)))
+    done = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stdout + done.stderr
+    lines = done.stdout.splitlines()
+    assert "processed fraction" in lines[0]
+    assert "outside [cost, 2 cost]" in lines[1]
 
 
 def test_solution_roundtrip_slot_one():
