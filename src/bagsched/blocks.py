@@ -117,7 +117,7 @@ def nearest_simple_class(rate, gamma, classes):
 
 
 def _classify_block(block, instance, gamma, alive_weight, k):
-    counts = instance.class_prefix_counts()
+    counts = instance.class_prefix_counts
     m = counts[-1]
     lo_c = min(block.lo, m)
     hi_c = min(block.hi, m)

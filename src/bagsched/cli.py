@@ -96,7 +96,7 @@ def cmd_simulate(args) -> int:
         m = instance.machine_count()
         if m > 1_000_000:
             raise InstanceError(f"preprocess: too many machines to expand ({m})")
-        raw = [instance.machine_speed(i) for i in range(1, m + 1)]
+        raw = instance.machine_speeds(m)
         classes, provenance = preprocess_raw_speeds(raw)
         instance = make_instance(
             classes=[(c.speed, c.count) for c in classes],

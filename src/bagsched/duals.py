@@ -169,7 +169,8 @@ def halving_group(position: int) -> int:
     >>> [halving_group(q) for q in range(7)]
     [1, 2, 2, 3, 3, 3, 3]
     """
-    assert position >= 0
+    if not position >= 0:
+        raise AssertionError(f"negative task position {position}")
     return (position + 1).bit_length()
 
 
@@ -308,7 +309,7 @@ def rank_bands(instance: Instance) -> RankBands:
                 "integral; rank bands need whole task counts"
             )
         band.append(int(blend))
-    prefix = instance.class_prefix_counts()
+    prefix = instance.class_prefix_counts
     reach = tuple(prefix[li + 1] + band[li] for li in range(len(band)))
     tail = tuple(
         instance.classes[li + 1].count - band[li] for li in range(len(band))
@@ -433,7 +434,8 @@ def build_single_job_duals(trace, instance: Instance) -> DualCertificate:
                     lstar = li
                     concentrated = True
                     break
-            assert lstar, f"alive count {n_t} escaped the rank bands"
+            if not lstar:
+                raise AssertionError(f"alive count {n_t} escaped the rank bands")
 
         if concentrated:
             aspans = [(prefix[lstar], reach[lstar - 1], one / bands.band[lstar - 1])]

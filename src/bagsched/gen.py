@@ -10,6 +10,7 @@ from __future__ import annotations
 from .instances import (
     SPEED_BASE,
     Instance,
+    InstanceError,
     make_instance,
     make_job,
     validate_ica,
@@ -45,7 +46,8 @@ class SplitMix64:
 
     def randint(self, lo: int, hi: int) -> int:
         """Integer in [lo, hi], via modulo (documented, reproducible)."""
-        assert lo <= hi
+        if not lo <= hi:
+            raise AssertionError(f"randint bounds {lo} > {hi}")
         return lo + self.next_u64() % (hi - lo + 1)
 
 
@@ -67,7 +69,10 @@ def minimal_doubling_counts(k: int):
     cum = speeds[0]
     for l in range(1, k):
         need = 2 * cum
-        assert need % speeds[l] == 0
+        if need % speeds[l]:
+            raise AssertionError(
+                f"class {l + 1}: speed {speeds[l]} does not divide {need}"
+            )
         counts.append(need // speeds[l])
         cum += counts[l] * speeds[l]
     return speeds, counts
@@ -77,18 +82,20 @@ def gen_lower_bound(k: int) -> Instance:
     """One weight-1 job with m_l tasks of size sigma_l per class.
 
     The offline schedule that pins class-l tasks to class-l machines
-    one-to-one finishes everything at time exactly 1 (asserted); the
+    one-to-one finishes everything at time exactly 1 (checked); the
     non-clairvoyant scheduler is forced through the classes one size
     group at a time.
     """
-    assert k >= 1, "need at least one speed class"
+    if not k >= 1:
+        raise InstanceError(f"need at least one speed class, got k={k}")
     speeds, counts = minimal_doubling_counts(k)
     # offline witness: class l's m_l tasks of size sigma_l run one per
     # class-l machine and all finish at sigma_l / sigma_l = 1
     for sigma, m in zip(speeds, counts):
-        assert m >= 1
-        witness_completion = sigma / sigma
-        assert witness_completion == 1
+        if not m >= 1:
+            raise AssertionError(f"class of speed {sigma} has {m} machines")
+        if sigma / sigma != 1:
+            raise AssertionError(f"witness for speed {sigma} does not finish at 1")
     job = make_job(
         job_id=1,
         weight=1,
@@ -102,7 +109,10 @@ def gen_lower_bound(k: int) -> Instance:
         exact=True,
         provenance={"family": "lower_bound", "k": k},
     )
-    assert validate_ica(instance).ok
+    if not validate_ica(instance).ok:
+        raise AssertionError(
+            f"generated instance fails the capacity conditions: {instance.provenance}"
+        )
     return instance
 
 
@@ -115,7 +125,11 @@ def gen_random_ica(k: int, jobs: int, max_tasks: int, seed: int) -> Instance:
     (jobs * max_tasks of them). Job weights are uniform in [1, 10], task
     counts uniform in [1, max_tasks], sizes log-uniform in [1, base^K].
     """
-    assert k >= 1 and jobs >= 1 and max_tasks >= 1 and seed >= 0
+    if not (k >= 1 and jobs >= 1 and max_tasks >= 1 and seed >= 0):
+        raise InstanceError(
+            f"need k, jobs, max_tasks >= 1 and seed >= 0, got "
+            f"k={k} jobs={jobs} max_tasks={max_tasks} seed={seed}"
+        )
     rng = SplitMix64(seed)
     speeds = [SPEED_BASE ** (k - l) for l in range(1, k + 1)]
     counts = [rng.randint(1, 3)]
@@ -146,7 +160,10 @@ def gen_random_ica(k: int, jobs: int, max_tasks: int, seed: int) -> Instance:
             "seed": seed,
         },
     )
-    assert validate_ica(instance).ok
+    if not validate_ica(instance).ok:
+        raise AssertionError(
+            f"generated instance fails the capacity conditions: {instance.provenance}"
+        )
     return instance
 
 

@@ -8,7 +8,9 @@ counts may be huge (1e9), so nothing here ever expands groups.
 """
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from fractions import Fraction
 
 from .numutil import coerce, from_json_number, geq, json_number, leq
@@ -78,9 +80,7 @@ class Instance:
     provenance: dict = field(default_factory=dict, compare=False)
 
     # ---- machine helpers -------------------------------------------------
-    def machine_count(self) -> int:
-        return sum(c.count for c in self.classes)
-
+    @cached_property
     def class_prefix_counts(self) -> tuple:
         """Cumulative machine counts (M_0=0, M_1, .., M_K)."""
         out = [0]
@@ -88,37 +88,49 @@ class Instance:
             out.append(out[-1] + c.count)
         return tuple(out)
 
+    @cached_property
     def class_prefix_capacities(self) -> tuple:
+        """Cumulative class capacities (S(M_0)=0, S(M_1), .., S(M_K))."""
         zero = Fraction(0) if self.exact else 0.0
         out = [zero]
         for c in self.classes:
             out.append(out[-1] + c.capacity())
         return tuple(out)
 
+    def machine_count(self) -> int:
+        return self.class_prefix_counts[-1]
+
     def capacity_prefix(self, k: int):
         """Total speed of the k fastest machines (flat beyond the last one).
 
         The speedup factor is not applied here.
         """
-        assert k >= 0
-        counts = self.class_prefix_counts()
-        caps = self.class_prefix_capacities()
+        if not k >= 0:
+            raise AssertionError(f"capacity_prefix of {k} machines")
+        counts = self.class_prefix_counts
         if k >= counts[-1]:
-            return caps[-1]
-        # locate the class containing machine index k
-        for li in range(len(self.classes)):
-            if k <= counts[li + 1]:
-                return caps[li] + (k - counts[li]) * self.classes[li].speed
-        raise AssertionError("unreachable")
+            return self.class_prefix_capacities[-1]
+        # the class containing machine index k: the first li with k <= M_{li+1}
+        li = bisect_left(counts, k, 1) - 1
+        return self.class_prefix_capacities[li] + (k - counts[li]) * self.classes[li].speed
 
     def machine_speed(self, index: int):
         """Speed of machine `index` (1-based), without the speedup factor."""
-        assert 1 <= index <= self.machine_count()
-        counts = self.class_prefix_counts()
-        for li, c in enumerate(self.classes):
-            if index <= counts[li + 1]:
-                return c.speed
-        raise AssertionError("unreachable")
+        counts = self.class_prefix_counts
+        if not 1 <= index <= counts[-1]:
+            raise AssertionError(f"machine {index} outside 1..{counts[-1]}")
+        return self.classes[bisect_left(counts, index, 1) - 1].speed
+
+    def machine_speeds(self, upto: int) -> list:
+        """Speeds of machines 1..upto, fastest first, without the speedup.
+
+        >>> make_instance([(4, 2), (1, 3)], []).machine_speeds(4)
+        [4.0, 4.0, 1.0, 1.0]
+        """
+        out = []
+        for c in self.classes:
+            out.extend([c.speed] * min(c.count, upto - len(out)))
+        return out
 
     def task_count(self) -> int:
         return sum(j.task_count() for j in self.jobs)
@@ -368,7 +380,7 @@ def thresholds(instance: Instance):
       m_blend_l  = (sum_{i<=l} m_i sigma_i) / sigma_{l+1}
       m_prefix_l = sum_{i<=l} m_i
       m_reach_l  = m_prefix_l + m_blend_l
-    Requires the capacity conditions; asserts the derived facts
+    Requires the capacity conditions; checks the derived facts
       2*m_blend_l <= m_{l+1},  m_reach_l >= 2*m_prefix_l,
       m_l sigma_l >= m_blend_l sigma_{l+1} / 2,  m_blend_l >= 2*m_l.
     """
@@ -384,12 +396,14 @@ def thresholds(instance: Instance):
         m_blend = cum_cap / nxt.speed
         m_prefix = cum_cnt
         m_reach = m_prefix + m_blend
-        assert leq(2 * m_blend, nxt.count), (
-            f"boundary {li + 1}: 2*{m_blend} > m_{li + 2} = {nxt.count}"
-        )
-        assert geq(m_reach, 2 * m_prefix)
-        assert geq(cur.capacity(), m_blend * nxt.speed / 2)
-        assert geq(m_blend, 2 * cur.count)
+        if not leq(2 * m_blend, nxt.count):
+            raise AssertionError(f"boundary {li + 1}: 2*{m_blend} > m_{li + 2} = {nxt.count}")
+        if not geq(m_reach, 2 * m_prefix):
+            raise AssertionError(f"boundary {li + 1}: m_reach {m_reach} < 2*{m_prefix}")
+        if not geq(cur.capacity(), m_blend * nxt.speed / 2):
+            raise AssertionError(f"boundary {li + 1}: class capacity below m_blend sigma / 2")
+        if not geq(m_blend, 2 * cur.count):
+            raise AssertionError(f"boundary {li + 1}: m_blend {m_blend} < 2*{cur.count}")
         out.append(
             ClassThresholds(
                 index=li + 1, m_blend=m_blend, m_prefix=m_prefix, m_reach=m_reach

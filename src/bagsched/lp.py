@@ -73,7 +73,7 @@ def emit_lp(instance: Instance, horizon: int) -> str:
         raise LpError(
             f"LP too large: {m} machines x {len(tasks)} tasks x {horizon} slots"
         )
-    speeds = [instance.machine_speed(i) for i in range(1, m + 1)]
+    speeds = instance.machine_speeds(m)
     total_work = sum(p for _, _, p in tasks)
     total_cap = sum(speeds)
 
@@ -182,7 +182,7 @@ def check_lp_solution(instance: Instance, values: dict, horizon: int) -> list:
     """
     m = instance.machine_count()
     tasks = [(v, j, p) for (v, j, p) in task_table(instance) if p > 0]
-    speeds = [instance.machine_speed(i) for i in range(1, m + 1)]
+    speeds = instance.machine_speeds(m)
     bad = []
 
     def x(i, v, t):
@@ -349,6 +349,9 @@ def schedule_to_primal(source, instance: Instance, slot=None) -> PrimalSolution:
             slot = gap / 2
 
     # pass B: bin x over the slot grid
+    speeds = instance.machine_speeds(
+        max((pl.machine_hi for seg in segments for pl in seg.placements), default=0)
+    )
     x = {}
     for si, seg in enumerate(segments):
         for pl in seg.placements:
@@ -366,7 +369,7 @@ def schedule_to_primal(source, instance: Instance, slot=None) -> PrimalSolution:
                 if d > 0:
                     share = d / pl.count
                     for i in range(pl.machine_lo, pl.machine_hi + 1):
-                        amount = share * gamma * instance.machine_speed(i)
+                        amount = share * gamma * speeds[i - 1]
                         for job_id in alive_of:
                             for v in alive_of[job_id]:
                                 key = (i, v, s)
@@ -412,13 +415,19 @@ def check_primal(primal: PrimalSolution, instance: Instance) -> None:
     raise LpError at the first violation."""
     table = task_table(instance)
     tol = 0 if instance.exact else REL_TOL
+    speeds = [
+        primal.gamma * sp
+        for sp in instance.machine_speeds(max((i for i, _, _ in primal.x), default=0))
+    ]
 
     done = {}
     spent = {}
     load = {}
     for (i, v, s), amt in primal.x.items():
         done[v] = done.get(v, 0) + amt
-        speed = primal.gamma * instance.machine_speed(i)
+        if not 1 <= i <= len(speeds):
+            raise LpError(f"x_{i}_{v}_{s}: no machine {i}")
+        speed = speeds[i - 1]
         spent[v] = spent.get(v, 0) + amt / speed
         key = (i, s)
         load[key] = load.get(key, 0) + amt / speed
@@ -522,9 +531,8 @@ def brute_force_opt(instance: Instance, grid: int = 2):
         raise LpError("brute force handles release time 0 only")
 
     speeds = sorted(
-        (Fraction(int(instance.machine_speed(i))) if float(instance.machine_speed(i)).is_integer()
-         else Fraction(float(instance.machine_speed(i)))
-         for i in range(1, m + 1)),
+        (Fraction(int(sp)) if float(sp).is_integer() else Fraction(float(sp))
+         for sp in instance.machine_speeds(m)),
         reverse=True,
     )
     quantum = Fraction(1, grid)

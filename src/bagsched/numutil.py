@@ -41,6 +41,8 @@ SOLVER_REL = 1e-6
 
 
 def is_exact(x) -> bool:
+    if type(x) is float:  # the common case; skips the slow ABC check
+        return False
     return isinstance(x, (int, Fraction))
 
 

@@ -17,6 +17,7 @@ maximal tight prefix, which is what gets frozen.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .instances import Instance
 from .numutil import TIE_REL, geq, leq
@@ -68,19 +69,29 @@ class RateProfile:
     def task_total(self) -> int:
         return self.blocks[-1].hi if self.blocks else 0
 
-    def rate_of(self, job_id: int):
+    @cached_property
+    def _by_job(self) -> dict:
+        """job_id -> (Block, BlockMember), built on first lookup."""
+        index = {}
         for b in self.blocks:
             for m in b.members:
-                if m.job_id == job_id:
-                    return m.rate
-        raise RateError(f"job {job_id} not in profile")
+                index.setdefault(m.job_id, (b, m))
+        return index
+
+    def member_of(self, job_id: int) -> BlockMember:
+        return self._entry(job_id)[1]
+
+    def rate_of(self, job_id: int):
+        return self._entry(job_id)[1].rate
 
     def block_of(self, job_id: int) -> Block:
-        for b in self.blocks:
-            for m in b.members:
-                if m.job_id == job_id:
-                    return b
-        raise RateError(f"job {job_id} not in profile")
+        return self._entry(job_id)[0]
+
+    def _entry(self, job_id):
+        try:
+            return self._by_job[job_id]
+        except KeyError:
+            raise RateError(f"job {job_id} not in profile") from None
 
     def members(self):
         for b in self.blocks:
@@ -105,13 +116,16 @@ def assign_rates(alive, instance: Instance) -> RateProfile:
 
     entries = sorted(alive, key=lambda a: (a.share(), -a.job_id), reverse=True)
     # runs of exactly equal share; a run freezes atomically
-    runs = []
+    runs = []  # [share, members, task count, share * task count]
     for a in entries:
         share = a.share()
         if runs and runs[-1][0] == share:
             runs[-1][1].append(a)
         else:
             runs.append([share, [a]])
+    for run in runs:
+        count = sum(a.count for a in run[1])
+        run += [count, run[0] * count]
 
     blocks = []
     b = 0
@@ -125,15 +139,16 @@ def assign_rates(alive, instance: Instance) -> RateProfile:
         best_idx = None
         best_n = None
         for idx in range(start, len(runs)):
-            share, members = runs[idx]
-            cum_n += sum(a.count for a in members)
-            cum_share = cum_share + share * sum(a.count for a in members)
+            _, _, count, run_share = runs[idx]
+            cum_n += count
+            cum_share = cum_share + run_share
             s_end = instance.capacity_prefix(b + cum_n)
             tau = gamma * (s_end - s_b) / cum_share
             # rightmost minimizer wins: replace on <= (with float tie slack)
             if best_tau is None or leq(tau, best_tau, rel=TIE_REL):
                 best_tau, best_idx, best_n = tau, idx, cum_n
-        assert best_idx is not None
+        if best_idx is None:
+            raise AssertionError(f"no run end to freeze after {b} tasks")
         if not best_tau > 0:
             # Tasks past the machine count would get rate 0 only if capacity
             # stopped growing before any was assigned; the freeze order makes
@@ -154,7 +169,8 @@ def assign_rates(alive, instance: Instance) -> RateProfile:
             for i in range(start, best_idx + 1)
             for a in runs[i][1]
         )
-        assert tau_prev is None or geq(best_tau, tau_prev), "water level went down"
+        if not (tau_prev is None or geq(best_tau, tau_prev)):
+            raise AssertionError(f"water level went down from {tau_prev} to {best_tau}")
         blocks.append(
             Block(
                 index=len(blocks),
@@ -191,7 +207,7 @@ def star_witness(profile: RateProfile, instance: Instance):
     for (r1, _), (r2, _) in zip(rates, rates[1:]):
         if not geq(r1, r2):
             return False, ("order", r1, r2)
-    knees = set(instance.class_prefix_counts())
+    knees = set(instance.class_prefix_counts)
     total = 0
     prefix_rate = 0
     candidates = []
@@ -223,7 +239,7 @@ def freeze_order_rate_check(profile: RateProfile, v, v_after, v_before,
     """
     n = profile.task_total()
     blk_v = profile.block_of(v)
-    mem_v = next(m for m in blk_v.members if m.job_id == v)
+    mem_v = profile.member_of(v)
 
     def gather(ids, side):
         shares = 0
@@ -234,7 +250,7 @@ def freeze_order_rate_check(profile: RateProfile, v, v_after, v_before,
                 raise RateError(f"job {job} freezes before job {v}")
             if side == "before" and b.index > blk_v.index:
                 raise RateError(f"job {job} freezes after job {v}")
-            m = next(mm for mm in b.members if mm.job_id == job)
+            m = profile.member_of(job)
             shares = shares + m.share
             rate_sum = rate_sum + m.rate
         return shares, rate_sum

@@ -44,7 +44,8 @@ class CheckRecord:
         """Record the comparison lhs <= rhs (with relative tolerance)."""
         self.checked += 1
         slack = float(rhs) - float(lhs)
-        self._decades[_decade(slack)] = self._decades.get(_decade(slack), 0) + 1
+        decade = _decade(slack)
+        self._decades[decade] = self._decades.get(decade, 0) + 1
         if slack < self.min_slack:
             self.min_slack = slack
             self.min_witness = witness

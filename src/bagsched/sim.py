@@ -89,9 +89,9 @@ def simulate(instance: Instance) -> Trace:
     zero = instance.speedup - instance.speedup
     depleted = {}
     alive_groups = {}
+    alive_jobs = {}  # job_id -> AliveJob, ascending job_id
     completions = {}
     group_completions = {}
-    released = set()
     pending = sorted(instance.jobs, key=lambda j: (j.release, j.job_id))
     pending_idx = 0
     has_releases = instance.has_releases()
@@ -100,12 +100,11 @@ def simulate(instance: Instance) -> Trace:
     intervals = []
 
     def admit(upto):
-        nonlocal pending_idx
-        out = False
+        nonlocal pending_idx, alive_jobs
+        admitted = False
         while pending_idx < len(pending) and leq(pending[pending_idx].release, upto, rel=EVENT_REL):
             job = pending[pending_idx]
             pending_idx += 1
-            released.add(job.job_id)
             depleted[job.job_id] = zero
             g = len(job.groups)
             # zero-size tasks finish the moment they appear
@@ -115,20 +114,16 @@ def simulate(instance: Instance) -> Trace:
             alive_groups[job.job_id] = g
             if g == 0:
                 completions[job.job_id] = job.release
-            out = True
-        return out
+            else:
+                count = sum(grp.count for grp in job.groups[:g])
+                alive_jobs[job.job_id] = AliveJob(job.job_id, job.weight, count)
+                admitted = True
+        if admitted:  # releases need not come in job-id order
+            alive_jobs = dict(sorted(alive_jobs.items()))
 
     admit(t)
     while True:
-        alive = [
-            AliveJob(
-                job_id=j.job_id,
-                weight=j.weight,
-                count=sum(g.count for g in j.groups[: alive_groups[j.job_id]]),
-            )
-            for j in instance.jobs
-            if j.job_id in released and alive_groups[j.job_id] > 0
-        ]
+        alive = list(alive_jobs.values())
         if not alive:
             if pending_idx >= len(pending):
                 break
@@ -147,7 +142,8 @@ def simulate(instance: Instance) -> Trace:
             smallest = job.groups[alive_groups[a.job_id] - 1].size
             dts.append(((smallest - depleted[a.job_id]) / rate, a.job_id))
         dt = min(d for d, _ in dts)
-        assert dt > 0, "completion event must advance time"
+        if not dt > 0:
+            raise AssertionError(f"completion event at t={t} does not advance time")
         if pending_idx < len(pending):
             gap = pending[pending_idx].release - t
             if gap < dt:
@@ -168,7 +164,7 @@ def simulate(instance: Instance) -> Trace:
                         rate=profile.rate_of(a.job_id),
                         alive_groups=alive_groups[a.job_id],
                     )
-                    for a in sorted(alive, key=lambda x: x.job_id)
+                    for a in alive
                 ),
             )
         )
@@ -187,6 +183,11 @@ def simulate(instance: Instance) -> Trace:
                 group_completions[(a.job_id, g)] = end
                 if g == 0:
                     completions[a.job_id] = end
+                    del alive_jobs[a.job_id]
+                else:
+                    alive_jobs[a.job_id] = AliveJob(
+                        a.job_id, a.weight, a.count - job.groups[g].count
+                    )
             else:
                 depleted[a.job_id] = depleted[a.job_id] + rate * dt
         t = end
@@ -248,11 +249,13 @@ def realize_slice(profile: RateProfile, instance: Instance, interval) -> Schedul
     else:
         start, end = interval
     length = end - start
-    assert length > 0
+    if not length > 0:
+        raise AssertionError(f"slice [{start}, {end}) has no length")
     gamma = profile.gamma
     m = instance.machine_count()
 
-    # entries: [quota_left, count, members dict job->count]; quota descending
+    # entries: [quota_left, count, members dict job->count, Placement or None
+    # while stale]; quota descending
     entries = []
     for mem in profile.members():
         quota = mem.rate * length
@@ -262,7 +265,7 @@ def realize_slice(profile: RateProfile, instance: Instance, interval) -> Schedul
             entries[-1][1] += mem.count
             entries[-1][2][mem.job_id] = entries[-1][2].get(mem.job_id, 0) + mem.count
         else:
-            entries.append([quota, mem.count, {mem.job_id: mem.count}])
+            entries.append([quota, mem.count, {mem.job_id: mem.count}, None])
     quota_scale = entries[0][0] if entries else 0
     tol = 0 if instance.exact else EVENT_REL * float(quota_scale or 1)
 
@@ -270,10 +273,20 @@ def realize_slice(profile: RateProfile, instance: Instance, interval) -> Schedul
     for mem in profile.members():
         work[mem.job_id] = profile.gamma - profile.gamma  # typed zero
 
-    def pooled_rate(pos, count):
+    def place(pos, entry):
+        _, count, members, old = entry
         lo = min(pos, m)
         hi = min(pos + count, m)
-        return gamma * (instance.capacity_prefix(hi) - instance.capacity_prefix(lo)) / count
+        return Placement(
+            members=old.members if old else tuple(sorted(members.items())),
+            count=count,
+            position_lo=pos,
+            machine_lo=lo + 1,
+            machine_hi=hi,
+            per_task_rate=(
+                gamma * (instance.capacity_prefix(hi) - instance.capacity_prefix(lo)) / count
+            ),
+        )
 
     # at most two events (a merge and a drain) per entry, plus slack
     max_segments = 4 * len(profile.blocks) + 4 * sum(1 for _ in profile.members()) + 8
@@ -285,54 +298,53 @@ def realize_slice(profile: RateProfile, instance: Instance, interval) -> Schedul
                 f"realization of [{start}, {end}) did not terminate "
                 f"within {max_segments} segments"
             )
-        pos = 0
-        rates = []
-        placements = []
-        for quota, count, members in entries:
-            r = pooled_rate(pos, count)
-            rates.append(r)
-            placements.append(
-                Placement(
-                    members=tuple(sorted(members.items())),
-                    count=count,
-                    position_lo=pos,
-                    machine_lo=min(pos, m) + 1,
-                    machine_hi=min(pos + count, m),
-                    per_task_rate=r,
-                )
-            )
-            pos += count
-        # next event: an entry drains, or a faster entry catches the next one
+        # one pass refreshes stale placements (an entry's goes stale only
+        # when it merges or a drained entry ahead of it shifts its position)
+        # and finds the next event: an entry drains, or a faster entry
+        # catches the next one
         dt = end - t
-        for (quota, count, _), r in zip(entries, rates):
+        pos = 0
+        ahead = None
+        for entry in entries:
+            quota, count, _, pl = entry
+            if pl is None or pl.position_lo != pos:
+                pl = entry[3] = place(pos, entry)
+            pos += count
+            r = pl.per_task_rate
             if r > 0 and quota / r < dt:
                 dt = quota / r
-        for i in range(len(entries) - 1):
-            # per-block rounding can leave adjacent quotas inverted by an
-            # ulp; a non-positive gap is not a catch event
-            gap = entries[i][0] - entries[i + 1][0]
-            speed_gap = rates[i] - rates[i + 1]
-            if speed_gap > 0 and gap > 0 and gap / speed_gap < dt:
-                dt = gap / speed_gap
+            if ahead is not None:
+                # per-block rounding can leave adjacent quotas inverted by an
+                # ulp; a non-positive gap is not a catch event
+                gap = ahead[0] - quota
+                speed_gap = ahead[3].per_task_rate - r
+                if speed_gap > 0 and gap > 0 and gap / speed_gap < dt:
+                    dt = gap / speed_gap
+            ahead = entry
         if dt <= 0:
             break
         seg_end = t + dt
-        segments.append(Segment(start=t, end=seg_end, placements=tuple(placements)))
-        for entry, r in zip(entries, rates):
-            entry[0] = entry[0] - r * dt
-            for job, cnt in entry[2].items():
-                work[job] = work[job] + r * dt
+        segments.append(
+            Segment(start=t, end=seg_end, placements=tuple(e[3] for e in entries))
+        )
         t = seg_end
-        # drop drained entries, then merge equalized neighbours
-        entries = [e for e in entries if e[0] > tol]
+        # deliver the segment's work, drop drained entries and merge
+        # equalized neighbours
         merged = []
-        for e in entries:
-            if merged and abs(merged[-1][0] - e[0]) <= tol:
-                merged[-1][1] += e[1]
-                for job, cnt in e[2].items():
+        for entry in entries:
+            done = entry[3].per_task_rate * dt
+            entry[0] = entry[0] - done
+            for job in entry[2]:
+                work[job] = work[job] + done
+            if not entry[0] > tol:
+                continue
+            if merged and abs(merged[-1][0] - entry[0]) <= tol:
+                merged[-1][1] += entry[1]
+                for job, cnt in entry[2].items():
                     merged[-1][2][job] = merged[-1][2].get(job, 0) + cnt
+                merged[-1][3] = None
             else:
-                merged.append(e)
+                merged.append(entry)
         entries = merged
         if close(t, end, rel=EVENT_REL) or t >= end:
             break

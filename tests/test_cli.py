@@ -158,3 +158,13 @@ def test_out_dir_env_redirects_relative_paths(tmp_path, monkeypatch, capsys):
     monkeypatch.setenv("BAGSCHED_OUT_DIR", str(tmp_path))
     assert run_cli("gen", "lower", "--k", "1", "--out", "inst.json") == 0
     assert (tmp_path / "inst.json").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ("random", "--k", "0"),
+    ("random", "--jobs", "0"),
+    ("lower", "--k", "0"),
+])
+def test_gen_bad_arguments_are_preconditions(tmp_path, capsys, argv):
+    assert run_cli("gen", *argv, "--out", str(tmp_path / "x.json")) == 3
+    assert capsys.readouterr().err.startswith("precondition:")

@@ -180,6 +180,37 @@ def test_capacity_prefix_flat_and_concave():
     assert steps == sorted(steps, reverse=True)
 
 
+@pytest.mark.parametrize("classes, exact", [
+    # dyadic speeds, so every float prefix sum is exact
+    ([(64.0, 2), (8.5, 3), (0.75, 4)], False),
+    ([(4096.0, 1), (64.0, 130), (1.0, 9000)], False),
+    ([(Fraction(10, 3), 2), (Fraction(7, 5), 1), (Fraction(1, 7), 5)], True),
+])
+def test_prefix_helpers_match_expanded_speeds(classes, exact):
+    inst = staircase(classes, sizes=[1], exact=exact)
+    expanded = [s for s, c in classes for _ in range(c)]
+    m = len(expanded)
+    knees = [sum(c for _, c in classes[:li]) for li in range(len(classes) + 1)]
+    assert inst.machine_count() == m
+    assert knees[-1] == m
+    for copy in (inst, with_speedup(inst, 3)):
+        # every k in 0..m+2, so at and next to each class knee
+        want = Fraction(0) if exact else 0.0
+        for k in range(m + 3):
+            got = copy.capacity_prefix(k)
+            assert got == want and isinstance(got, Fraction) == exact, k
+            want += expanded[k] if k < m else 0
+        assert [copy.machine_speed(i) for i in range(1, m + 1)] == expanded
+        assert copy.machine_speeds(m + 5) == expanded
+        for knee in knees:
+            assert copy.machine_speeds(knee + 1) == expanded[:knee + 1]
+    with pytest.raises(AssertionError):
+        inst.capacity_prefix(-1)
+    for bad in (0, m + 1):
+        with pytest.raises(AssertionError):
+            inst.machine_speed(bad)
+
+
 def test_json_roundtrip_float_and_exact():
     inst = staircase([(64, 1), (1, 128)], sizes=[(64, 1), (1.5, 3)])
     data = instance_to_dict(inst)

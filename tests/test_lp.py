@@ -111,16 +111,19 @@ def test_schedule_embedding_random_sandwich():
 
 def test_check_primal_rejects_corruption_under_optimize():
     # criterion 7 rests on this check, so it must raise rather than assert:
-    # run it under `python -O` on a primal with no processing at all, and on
-    # one whose objective leaves the [cost, 2 cost] sandwich
+    # run it under `python -O` on a primal with no processing at all, on one
+    # whose objective leaves the [cost, 2 cost] sandwich, and on one that
+    # names a machine the instance does not have
     code = """
 import dataclasses, sys
 from bagsched import make_instance, make_job, schedule_to_primal, simulate
 from bagsched.lp import LpError, check_primal
 inst = make_instance([(2, 1), (1, 1)], [make_job(1, 1.0, [3, 2])])
 primal = schedule_to_primal(simulate(inst), inst)
+off_grid = {(0, v, s): amt for (i, v, s), amt in primal.x.items()}
 for bad in (dataclasses.replace(primal, x={}, objective=5 * primal.cost),
-            dataclasses.replace(primal, objective=5 * primal.cost)):
+            dataclasses.replace(primal, objective=5 * primal.cost),
+            dataclasses.replace(primal, x=off_grid)):
     try:
         check_primal(bad, inst)
     except LpError as exc:
@@ -136,6 +139,7 @@ for bad in (dataclasses.replace(primal, x={}, objective=5 * primal.cost),
     lines = done.stdout.splitlines()
     assert "processed fraction" in lines[0]
     assert "outside [cost, 2 cost]" in lines[1]
+    assert "no machine 0" in lines[2]
 
 
 def test_solution_roundtrip_slot_one():

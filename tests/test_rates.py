@@ -146,3 +146,29 @@ def test_freeze_order_comparisons():
             earlier = [x for x in by_block
                        if prof.block_of(x).index <= prof.block_of(j).index]
             assert freeze_order_rate_check(prof, j, later, earlier, inst)
+
+
+def test_job_lookups_match_a_scan_and_reject_absent_jobs():
+    rng = random.Random(47)
+    for exact in (False, True):
+        for _ in range(60):
+            alive, classes, gamma = random_alive_case(rng)
+            if exact:
+                alive = [(j, Fraction(w), c) for j, w, c in alive]
+                classes = [(Fraction(s), c) for s, c in classes]
+                gamma = Fraction(gamma)
+            prof, _ = rates_for(alive, classes, gamma, exact=exact)
+            for j, _, _ in alive:
+                block, member = next(
+                    (b, m) for b in prof.blocks for m in b.members
+                    if m.job_id == j)
+                assert prof.block_of(j) is block
+                assert prof.member_of(j) is member
+                assert prof.rate_of(j) == member.rate
+            for absent in (0, len(alive) + 1, -3):
+                for lookup in (prof.rate_of, prof.block_of, prof.member_of):
+                    with pytest.raises(RateError):
+                        lookup(absent)
+    empty = assign_rates([], alive_instance([(1.0, 1)]))
+    with pytest.raises(RateError):
+        empty.rate_of(1)

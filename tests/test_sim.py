@@ -2,7 +2,9 @@
 
 import io
 import json
+import math
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -10,9 +12,11 @@ import pytest
 from bagsched import (
     gen_lower_bound,
     gen_random_ica,
+    instance_from_dict,
     instance_to_dict,
     make_instance,
     make_job,
+    RateProfile,
     realize_slice,
     simulate,
     with_speedup,
@@ -196,3 +200,52 @@ def test_realize_slice_ulp_inverted_quotas():
         for j in iv.jobs:
             assert float(sl.work[j.job_id]) == pytest.approx(
                 float(j.rate * length), rel=1e-9, abs=1e-12)
+
+
+def test_realized_placements_are_never_stale():
+    # placements are reused across segments; each one must still describe
+    # its pool's current position and rate. Water-filling quotas only merge
+    # before the slice ends; the same quotas in ascending order on machines
+    # twice as fast drain from the front, so the pools behind them shift.
+    from support import weaker_gamma
+
+    def capacity(classes, k):
+        total, start = Fraction(0), 0
+        for speed, count in classes:
+            total += speed * min(count, max(0, k - start))
+            start += count
+        return total
+
+    shifted = 0
+    for seed in range(6):
+        base = gen_random_ica(k=1 + seed % 3, jobs=4 + seed, max_tasks=4,
+                              seed=seed)
+        inst = instance_from_dict(instance_to_dict(base), exact=True)
+        inst = with_speedup(inst, Fraction(math.ceil(weaker_gamma(inst))))
+        fast = make_instance([(s * 2, c) for s, c in classes_of(inst)],
+                             inst.jobs, speedup=inst.speedup, exact=True)
+        for iv in simulate(inst).intervals:
+            ascending = RateProfile(gamma=iv.profile.gamma, blocks=tuple(
+                replace(b, members=b.members[::-1])
+                for b in iv.profile.blocks[::-1]))
+            for profile, machines in ((iv.profile, inst), (ascending, fast)):
+                classes = classes_of(machines)
+                m = sum(count for _, count in classes)
+                segments = realize_slice(profile, machines, iv).segments
+                for seg in segments:
+                    pos = 0
+                    for pl in seg.placements:
+                        lo, hi = min(pos, m), min(pos + pl.count, m)
+                        assert pl.position_lo == pos
+                        assert (pl.machine_lo, pl.machine_hi) == (lo + 1, hi)
+                        assert sum(c for _, c in pl.members) == pl.count
+                        assert list(pl.members) == sorted(pl.members)
+                        assert pl.per_task_rate == profile.gamma * (
+                            capacity(classes, hi) - capacity(classes, lo)
+                        ) / pl.count
+                        pos += pl.count
+                shifted += sum(
+                    pa.members == pb.members and pa.position_lo != pb.position_lo
+                    for a, b in zip(segments, segments[1:])
+                    for pa in a.placements for pb in b.placements)
+    assert shifted > 0

@@ -1,9 +1,14 @@
-"""Package-wide source checks: module doctests, one home for tolerances."""
+"""Package-wide source checks: module doctests, one home for tolerances,
+guards that survive `python -O`."""
 
+import ast
 import doctest
 import importlib
+import os
 import pkgutil
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -33,3 +38,40 @@ def test_float_tolerances_live_in_numutil():
         if literal.search(line)
     ]
     assert stray == []
+
+
+def test_no_assert_statements():
+    # `python -O` strips assert statements, so every guard in the package
+    # raises explicitly instead
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(Path(bagsched.__file__).parent.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, ast.Assert)
+    ]
+    assert found == []
+
+
+def test_guards_hold_under_optimize():
+    # hot-path guards fire the same way when asserts are stripped
+    code = """
+from bagsched import make_instance, make_job, realize_slice, simulate
+inst = make_instance([(2, 1), (1, 1)], [make_job(1, 1.0, [3])])
+profile = simulate(inst).intervals[0].profile
+for call in (lambda: inst.capacity_prefix(-1), lambda: inst.machine_speed(3),
+             lambda: realize_slice(profile, inst, (1.0, 1.0))):
+    try:
+        call()
+    except AssertionError as exc:
+        print(exc)
+"""
+    env = dict(os.environ,
+               PYTHONPATH=os.path.dirname(os.path.dirname(bagsched.__file__)))
+    done = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines() == [
+        "capacity_prefix of -1 machines",
+        "machine 3 outside 1..2",
+        "slice [1.0, 1.0) has no length",
+    ]
