@@ -105,12 +105,18 @@ def nearest_simple_class(rate, gamma, classes):
     Returns 0 when no class qualifies.
     """
     qualifying = simple_job_classes(rate, gamma, classes)
+    return nearest_qualifying_class(qualifying, rate, gamma, classes)
+
+
+def nearest_qualifying_class(qualifying, rate, gamma, classes):
+    """nearest_simple_class, given simple_job_classes(rate, gamma, classes)."""
     if not qualifying:
         return 0
     best = 0
     best_gap = math.inf
+    log_rate = math.log(float(rate))
     for li in qualifying:
-        gap = abs(math.log(float(rate)) - math.log(float(gamma * classes[li - 1].speed)))
+        gap = abs(log_rate - math.log(float(gamma * classes[li - 1].speed)))
         if gap < best_gap - TIE_REL or (abs(gap - best_gap) <= TIE_REL and li < best):
             best, best_gap = li, gap
     return best

@@ -34,7 +34,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .blocks import classify_blocks, simple_job_classes, nearest_simple_class
+from .blocks import classify_blocks, nearest_qualifying_class, simple_job_classes
 from .instances import Instance, thresholds, validate_ica
 from .numutil import REL_TOL, THRESHOLD_REL, coerce
 from .report import AnalysisError, CheckRecord, DualCertificate
@@ -607,8 +607,8 @@ def build_general_duals(trace, instance: Instance) -> DualCertificate:
             qual = simple_job_classes(ij.rate, gamma, instance.classes)
             for li in qual:
                 last_simple[(ij.job_id, li)] = ij.count
-            chosen[(t, ij.job_id)] = (
-                nearest_simple_class(ij.rate, gamma, instance.classes) if qual else 0
+            chosen[(t, ij.job_id)] = nearest_qualifying_class(
+                qual, ij.rate, gamma, instance.classes
             )
             view = cls_iv.block_for_job(ij.job_id)
             if view.label == "long":
@@ -697,7 +697,15 @@ def build_general_duals(trace, instance: Instance) -> DualCertificate:
     beta_identity = CheckRecord("machine-credit-cost-identity")
     alpha_floor = CheckRecord("alpha-cost-floor")
 
+    # the per-class denominators here, and the per-interval, per-job and
+    # per-probe factors below, keep every product and quotient in its inline
+    # order, so each side of each check is the same float
     beta_div = CONSTANTS.beta_scale * k * k * logk
+    beta_dens = [beta_div * c for c in counts]
+    gamma_sigmas = [gamma * s for s in sigmas]
+    simple_dens = [k * gamma * c * s for c, s in zip(counts, sigmas)]
+    long_dens = [CONSTANTS.long_cover_beta_div * gamma * s for s in sigmas]
+    long_alpha_den = CONSTANTS.long_alpha_div * k * logk
     alpha_total = zero
     beta_total = zero
     prev_w = None
@@ -710,8 +718,10 @@ def build_general_duals(trace, instance: Instance) -> DualCertificate:
         prev_w = w_alive
         w_min = w_alive if w_min is None else min(w_min, w_alive)
         beta_total = beta_total + length * w_alive / (k * logk)
-        beta_min = [w_min / (beta_div * counts[li]) for li in range(k)]
-        beta_now = [w_alive / (beta_div * counts[li]) for li in range(k)]
+        beta_min = [w_min / d for d in beta_dens]
+        half_beta_min = [b / 2 for b in beta_min]
+        k_beta_now = [k * (w_alive / d) for d in beta_dens]
+        base_w = CONSTANTS.general_base * w_alive
 
         for ij in iv.jobs:
             jid, n_t, rate, w_j = ij.job_id, ij.count, ij.rate, ij.weight
@@ -723,7 +733,7 @@ def build_general_duals(trace, instance: Instance) -> DualCertificate:
                 n1, a1 = 0, zero
             view = long_at.get((t, jid))
             if view is not None:
-                a2 = rate * view.weight / (CONSTANTS.long_alpha_div * k * logk * view.speed)
+                a2 = rate * view.weight / (long_alpha_den * view.speed)
             else:
                 a2 = zero
 
@@ -733,7 +743,7 @@ def build_general_duals(trace, instance: Instance) -> DualCertificate:
                 sa_budget.require_leq(s_sum, w_j / 2, (t, jid))
             if view is not None:
                 la_budget.require_leq(l_sum, w_j / 2, (t, jid))
-                expected = w_j / (CONSTANTS.long_alpha_div * k * logk)
+                expected = w_j / long_alpha_den
                 la_identity.require_leq(l_sum, expected, (t, jid))
                 la_identity.require_leq(expected, l_sum, (t, jid))
             if lstar or view is not None:
@@ -747,51 +757,40 @@ def build_general_duals(trace, instance: Instance) -> DualCertificate:
             # (both alphas active) and n_t-1 (only the long alpha)
             sp, sp_starts = dprime[jid]
             dp, dp_starts = ddouble[jid]
+            rate_over = [rate / s for s in sigmas]
             probes = []
             if lstar:
                 probes.append((n1 - 1, a1, a2))
+                simple_beta = [base_w * rate / d for d in simple_dens]
             if not lstar or n1 < n_t:
                 probes.append((n_t - 1, zero, a2))
+            if view is not None:
+                long_beta = [kb * rate / d for kb, d in zip(k_beta_now, long_dens)]
             for q, a1q, a2q in probes:
                 d1 = _span_value(sp, sp_starts, q)
                 d2 = _span_value(dp, dp_starts, q)
+                a_sum = a1q + a2q
+                simple_half = lstar and a1q
+                long_half = view is not None and a2q
+                d1_rate = d1 * rate
+                d2_delta = CONSTANTS.long_cover_delta * d2 * rate
+                d2_stated = CONSTANTS.long_cover_stated * d2 * rate
                 for li in range(k):
-                    ls = rate / sigmas[li]
-                    cover.require_leq(
-                        a1q + a2q,
-                        (beta_min[li] + d1 + d2) * ls,
-                        (t, jid, q, li + 1),
-                    )
-                    cover_simple.require_leq(
-                        a1q, (beta_min[li] / 2 + d1) * ls, (t, jid, q, li + 1)
-                    )
-                    cover_long.require_leq(
-                        a2q, (beta_min[li] / 2 + d2) * ls, (t, jid, q, li + 1)
-                    )
-                    if lstar and a1q:
+                    ls = rate_over[li]
+                    witness = (t, jid, q, li + 1)
+                    cover.require_leq(a_sum, (beta_min[li] + d1 + d2) * ls, witness)
+                    cover_simple.require_leq(a1q, (half_beta_min[li] + d1) * ls, witness)
+                    cover_long.require_leq(a2q, (half_beta_min[li] + d2) * ls, witness)
+                    if simple_half:
                         cover_simple_half.require_leq(
-                            a1q,
-                            CONSTANTS.general_base * w_alive * rate
-                            / (k * gamma * counts[li] * sigmas[li])
-                            + d1 * rate / (gamma * sigmas[li]),
-                            (t, jid, q, li + 1),
+                            a1q, simple_beta[li] + d1_rate / gamma_sigmas[li], witness
                         )
-                    if view is not None and a2q:
+                    if long_half:
                         cover_long_half.require_leq(
-                            a2q,
-                            k * beta_now[li] * rate
-                            / (CONSTANTS.long_cover_beta_div * gamma * sigmas[li])
-                            + CONSTANTS.long_cover_delta * d2 * rate
-                            / (gamma * sigmas[li]),
-                            (t, jid, q, li + 1),
+                            a2q, long_beta[li] + d2_delta / gamma_sigmas[li], witness
                         )
                         cover_long_tight.require_leq(
-                            a2q,
-                            k * beta_now[li] * rate
-                            / (CONSTANTS.long_cover_beta_div * gamma * sigmas[li])
-                            + CONSTANTS.long_cover_stated * d2 * rate
-                            / (gamma * sigmas[li]),
-                            (t, jid, q, li + 1),
+                            a2q, long_beta[li] + d2_stated / gamma_sigmas[li], witness
                         )
 
     cost = trace.objective

@@ -423,6 +423,7 @@ def check_primal(primal: PrimalSolution, instance: Instance) -> None:
     done = {}
     spent = {}
     load = {}
+    by_vt = {}
     for (i, v, s), amt in primal.x.items():
         done[v] = done.get(v, 0) + amt
         if not 1 <= i <= len(speeds):
@@ -431,6 +432,7 @@ def check_primal(primal: PrimalSolution, instance: Instance) -> None:
         spent[v] = spent.get(v, 0) + amt / speed
         key = (i, s)
         load[key] = load.get(key, 0) + amt / speed
+        by_vt[(v, s)] = by_vt.get((v, s), 0) + amt
     for v, j, p in table:
         if p == 0:
             continue
@@ -452,9 +454,6 @@ def check_primal(primal: PrimalSolution, instance: Instance) -> None:
     # U is the max; re-derive and compare)
     suffix = {}
     max_slot = max((s for (_, s) in primal.U), default=-1)
-    by_vt = {}
-    for (i, v, s), amt in primal.x.items():
-        by_vt[(v, s)] = by_vt.get((v, s), 0) + amt
     for s in range(max_slot, -1, -1):
         for v, j, p in table:
             if p == 0:
@@ -468,11 +467,13 @@ def check_primal(primal: PrimalSolution, instance: Instance) -> None:
                 )
             if not float(u) <= 1 + tol:
                 raise LpError(f"U_{j}_{s} exceeds 1")
-    # per-job Riemann bound and the global sandwich
+    # per-job Riemann bound and the global sandwich; each job's U values
+    # are summed in insertion order
+    u_by_job = {}
+    for (j, _), u in primal.U.items():
+        u_by_job.setdefault(j, []).append(u)
     for job in instance.jobs:
-        usum = primal.slot * sum(
-            u for (j, _), u in primal.U.items() if j == job.job_id
-        )
+        usum = primal.slot * sum(u_by_job.get(job.job_id, ()))
         c = primal.C[job.job_id]
         if c > 0 and not float(usum) <= float(c) * (1 + tol) + tol:
             raise LpError(

@@ -60,21 +60,25 @@ def coerce(x, exact: bool):
 
 
 def close(a, b, rel: float = REL_TOL) -> bool:
-    """Equality up to relative slack; exact compare if either side is exact."""
-    if is_exact(a) and is_exact(b):
-        return a == b
-    fa, fb = float(a), float(b)
-    scale = max(abs(fa), abs(fb), 1.0)
-    return abs(fa - fb) <= rel * scale
+    """Equality up to relative slack; exact compare if both sides are exact."""
+    if type(a) is not float or type(b) is not float:
+        if is_exact(a) and is_exact(b):
+            return a == b
+        a, b = float(a), float(b)
+    return abs(a - b) <= rel * max(abs(a), abs(b), 1.0)
 
 
 def leq(a, b, rel: float = REL_TOL) -> bool:
-    """a <= b up to relative slack; plain <= when both sides are exact."""
-    if is_exact(a) and is_exact(b):
-        return a <= b
-    fa, fb = float(a), float(b)
-    scale = max(abs(fa), abs(fb), 1.0)
-    return fa <= fb + rel * scale
+    """a <= b up to relative slack; plain <= when both sides are exact.
+
+    Two floats (the common case) skip the mode test and the conversions, and
+    a plain a <= b skips the slack, which can only widen it.
+    """
+    if type(a) is not float or type(b) is not float:
+        if is_exact(a) and is_exact(b):
+            return a <= b
+        a, b = float(a), float(b)
+    return a <= b or a <= b + rel * max(abs(a), abs(b), 1.0)
 
 
 def geq(a, b) -> bool:

@@ -31,6 +31,14 @@ VIOLATION_CAP = 50
 
 @dataclass
 class CheckRecord:
+    """One constraint family's scan.
+
+    require_leq records, for each comparison lhs <= rhs, the float slack
+    rhs - lhs in a histogram keyed by its decade (rendered as "1e+XX" or
+    "<=0" only by to_dict) and keeps the first witness of the minimum
+    slack; failures are counted, and the first VIOLATION_CAP kept.
+    """
+
     name: str
     diagnostic: bool = False  # diagnostics never affect feasibility
     checked: int = 0
@@ -38,26 +46,45 @@ class CheckRecord:
     violations: list = field(default_factory=list)
     min_slack: float = math.inf
     min_witness: tuple = ()
-    _decades: dict = field(default_factory=dict)
+    _decades: dict = field(default_factory=dict)  # decade exponent -> count
 
     def require_leq(self, lhs, rhs, witness):
-        """Record the comparison lhs <= rhs (with relative tolerance)."""
+        """Record the comparison lhs <= rhs (with relative tolerance).
+
+        Each side is converted to float once; a value too large for a float
+        counts as +-inf. The outcome is leq's: on the floats unless both
+        sides are exact.
+        """
         self.checked += 1
-        slack = float(rhs) - float(lhs)
-        decade = _decade(slack)
-        self._decades[decade] = self._decades.get(decade, 0) + 1
+        try:
+            fl, fr = float(lhs), float(rhs)
+        except OverflowError:
+            fl, fr = _saturate(lhs), _saturate(rhs)
+        slack = fr - fl
+        if slack > 0:
+            if slack < _DECADE_TOP:
+                e = math.floor(math.log10(slack))
+                decade = e if e > -_DECADE_CLAMP else -_DECADE_CLAMP
+            else:
+                decade = _DECADE_CLAMP
+        else:  # slack <= 0, or NaN from inf - inf
+            decade = _NONPOSITIVE
+        decades = self._decades
+        decades[decade] = decades.get(decade, 0) + 1
         if slack < self.min_slack:
             self.min_slack = slack
             self.min_witness = witness
-        if not leq(lhs, rhs):
+        if type(lhs) is float or type(rhs) is float:
+            ok = leq(fl, fr)
+        else:
+            ok = leq(lhs, rhs)
+        if not ok:
             self.violation_count += 1
             if len(self.violations) < VIOLATION_CAP:
                 self.violations.append(
-                    Violation(check=self.name, witness=witness,
-                              lhs=float(lhs), rhs=float(rhs))
+                    Violation(check=self.name, witness=witness, lhs=fl, rhs=fr)
                 )
-            return False
-        return True
+        return ok
 
     def require(self, cond: bool, witness, lhs=0.0, rhs=0.0):
         """Record a plain boolean condition (slack bookkeeping skipped)."""
@@ -81,7 +108,9 @@ class CheckRecord:
             "diagnostic": self.diagnostic,
             "checked": self.checked,
             "violations": self.violation_count,
-            "slack_histogram": dict(sorted(self._decades.items())),
+            "slack_histogram": dict(
+                sorted((_decade_label(e), n) for e, n in self._decades.items())
+            ),
         }
         if self.checked and math.isfinite(self.min_slack):
             d["min_slack"] = self.min_slack
@@ -94,12 +123,24 @@ class CheckRecord:
         return d
 
 
-def _decade(slack: float) -> str:
-    if slack <= 0:
-        return "<=0"
-    e = math.floor(math.log10(slack))
-    e = max(-15, min(15, e))
-    return f"1e{e:+d}"
+# slack histogram decades: exponents clamp to [-_DECADE_CLAMP, _DECADE_CLAMP];
+# slacks of at least _DECADE_TOP (inf included) land in the top decade, and
+# non-positive (or NaN) slacks under the _NONPOSITIVE key
+_DECADE_CLAMP = 15
+_DECADE_TOP = 10.0 ** _DECADE_CLAMP
+_NONPOSITIVE = None
+
+
+def _decade_label(e) -> str:
+    return "<=0" if e is _NONPOSITIVE else f"1e{e:+d}"
+
+
+def _saturate(x) -> float:
+    """float(x), with a value too large for a float read as +-inf."""
+    try:
+        return float(x)
+    except OverflowError:
+        return math.inf if x > 0 else -math.inf
 
 
 def _plain(x):

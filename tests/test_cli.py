@@ -95,6 +95,28 @@ def test_verify_exit_codes(tmp_path, capsys):
                    "--gamma", "4") == 3
 
 
+
+def test_verify_records_slacks_too_large_for_a_float(tmp_path, capsys):
+    # a weight of 1e308 makes slacks of +-inf in float mode and Fractions
+    # too large for a float in exact mode; both are recorded, not raised
+    path = gen_instance(tmp_path, "random", "--k", "2", "--jobs", "3",
+                        "--max-tasks", "2", "--seed", "1")
+    data = json.loads(path.read_text())
+    data["jobs"][0]["weight"] = 1e308
+    path.write_text(json.dumps(data))
+    capsys.readouterr()
+    for mode in ((), ("--exact",)):
+        out_path = tmp_path / "cert.json"
+        code = run_cli("verify", str(path), "--family", "weaker", *mode,
+                       "--out", str(out_path))
+        out = capsys.readouterr().out
+        assert code in (0, 1)
+        assert out.startswith("family=weaker")
+        assert f"feasible={code == 0}" in out
+        cert = json.loads(out_path.read_text())
+        assert all(sum(c["slack_histogram"].values()) == c["checked"]
+                   for c in cert["checks"])
+
 def test_missing_file_is_io_error(capsys):
     assert run_cli("simulate", "/nonexistent/instance.json") == 2
 

@@ -111,9 +111,11 @@ def test_schedule_embedding_random_sandwich():
 
 def test_check_primal_rejects_corruption_under_optimize():
     # criterion 7 rests on this check, so it must raise rather than assert:
-    # run it under `python -O` on a primal with no processing at all, on one
-    # whose objective leaves the [cost, 2 cost] sandwich, and on one that
-    # names a machine the instance does not have
+    # run it under `python -O` on corrupted primals, one per guard: no
+    # processing at all, an objective outside the [cost, 2 cost] sandwich,
+    # a machine the instance does not have, slots too short for their load,
+    # U below the remaining fraction, and a job's U sum over its C_j (U = 1
+    # on enough extra slots past the schedule)
     code = """
 import dataclasses, sys
 from bagsched import make_instance, make_job, schedule_to_primal, simulate
@@ -121,9 +123,16 @@ from bagsched.lp import LpError, check_primal
 inst = make_instance([(2, 1), (1, 1)], [make_job(1, 1.0, [3, 2])])
 primal = schedule_to_primal(simulate(inst), inst)
 off_grid = {(0, v, s): amt for (i, v, s), amt in primal.x.items()}
+last = max(s for _, s in primal.U)
+padded = dict(primal.U)
+for s in range(last + 1, last + 2 + int(primal.C[1] / primal.slot)):
+    padded[(1, s)] = 1.0
 for bad in (dataclasses.replace(primal, x={}, objective=5 * primal.cost),
             dataclasses.replace(primal, objective=5 * primal.cost),
-            dataclasses.replace(primal, x=off_grid)):
+            dataclasses.replace(primal, x=off_grid),
+            dataclasses.replace(primal, slot=primal.slot / 10),
+            dataclasses.replace(primal, U=dict.fromkeys(primal.U, 0.0)),
+            dataclasses.replace(primal, U=padded)):
     try:
         check_primal(bad, inst)
     except LpError as exc:
@@ -140,6 +149,9 @@ for bad in (dataclasses.replace(primal, x={}, objective=5 * primal.cost),
     assert "processed fraction" in lines[0]
     assert "outside [cost, 2 cost]" in lines[1]
     assert "no machine 0" in lines[2]
+    assert "exceeds slot" in lines[3]
+    assert "below remaining fraction" in lines[4]
+    assert "U sum" in lines[5] and "exceeds C" in lines[5]
 
 
 def test_solution_roundtrip_slot_one():

@@ -1,0 +1,92 @@
+"""Tolerant comparisons at their boundaries: one ulp inside and one ulp
+outside each named tolerance, for every mix of value types."""
+
+import math
+from fractions import Fraction
+
+import pytest
+
+from bagsched.numutil import REL_TOL, TIE_REL, close, geq, leq
+
+TOLERANCES = [REL_TOL, TIE_REL]
+
+
+def up(x):
+    return math.nextafter(x, math.inf)
+
+
+def down(x):
+    return math.nextafter(x, -math.inf)
+
+
+@pytest.mark.parametrize("rel", TOLERANCES)
+def test_leq_absolute_boundary(rel):
+    # near 0 the scale is 1, so a <= 0 holds up to rel itself
+    for a, b in ((rel, 0.0), (0.0, -rel), (down(rel), 0.0)):
+        assert leq(a, b, rel)
+        assert leq(Fraction(a), b, rel) and leq(a, Fraction(b), rel)
+    for a, b in ((up(rel), 0.0), (0.0, down(-rel))):
+        assert not leq(a, b, rel)
+        assert not leq(Fraction(a), b, rel) and not leq(a, Fraction(b), rel)
+
+
+@pytest.mark.parametrize("rel", TOLERANCES)
+def test_leq_relative_boundary(rel):
+    # far from 0 the slack is rel times the larger magnitude
+    b = -2.0 ** 40
+    edge = b + rel * 2.0 ** 40
+    assert abs(Fraction(edge) - (Fraction(b) + Fraction(rel) * 2 ** 40)) <= (
+        Fraction(up(edge)) - Fraction(edge))
+    assert leq(edge, b, rel) and leq(Fraction(edge), b, rel)
+    assert not leq(up(edge), b, rel) and not leq(Fraction(up(edge)), b, rel)
+
+
+def test_geq_boundary():
+    assert geq(0.0, REL_TOL) and geq(Fraction(0), REL_TOL)
+    assert not geq(0.0, up(REL_TOL)) and not geq(Fraction(0), up(REL_TOL))
+    assert geq(-REL_TOL, 0.0) and not geq(down(-REL_TOL), 0.0)
+
+
+@pytest.mark.parametrize("rel", TOLERANCES)
+def test_close_boundary(rel):
+    for a, b in ((rel, 0.0), (-rel, 0.0), (0.0, rel)):
+        assert close(a, b, rel) and close(Fraction(a), b, rel)
+    for a, b in ((up(rel), 0.0), (down(-rel), 0.0), (0.0, up(rel))):
+        assert not close(a, b, rel) and not close(Fraction(a), b, rel)
+    # relative regime: b - a is exact here, so the edge is the smallest a
+    # with b - a <= rel * b
+    b = 2.0 ** 40
+    slack = Fraction(rel * b)
+    a = b - rel * b
+    while Fraction(b) - Fraction(a) > slack:
+        a = up(a)
+    while Fraction(b) - Fraction(down(a)) <= slack:
+        a = down(a)
+    assert close(a, b, rel) and close(b, a, rel) and close(Fraction(a), b, rel)
+    assert not close(down(a), b, rel) and not close(b, Fraction(down(a)), rel)
+
+
+@pytest.mark.parametrize("rel", TOLERANCES)
+def test_exact_sides_compare_without_tolerance(rel):
+    # both sides exact: no slack at all, even where a float compare at rel
+    # would pass
+    big = 10 ** 15
+    assert leq(big, big, rel) and close(big, big, rel) and geq(big, big)
+    assert not leq(big + 1, big, rel)
+    assert not close(big + 1, big, rel)
+    assert not geq(big, big + 1)
+    assert leq(float(big + 1), big, rel)  # one float side: tolerance applies
+    b = Fraction(1, 3)
+    tiny = Fraction(1, 10 ** 30)
+    assert leq(b, b, rel) and close(b, b, rel)
+    assert not leq(b + tiny, b, rel) and not close(b - tiny, b, rel)
+    assert not leq(Fraction(rel), Fraction(0), rel)
+    assert leq(float(b + tiny), b, rel)
+
+
+def test_leq_at_infinity():
+    # equal infinities compare equal: for -inf the slack term alone would be
+    # -inf + inf, which is NaN
+    assert leq(-math.inf, -math.inf) and leq(math.inf, math.inf)
+    assert leq(1.0, math.inf) and not leq(1.0, -math.inf)
+    assert not leq(math.nan, 1.0) and not leq(1.0, math.nan)

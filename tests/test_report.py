@@ -1,8 +1,14 @@
 """Check records and certificates: slack accounting, caps, serialization."""
 
 import json
+import math
+from fractions import Fraction
 
-from bagsched.report import VIOLATION_CAP, CheckRecord, DualCertificate
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from bagsched.numutil import REL_TOL, leq
+from bagsched.report import VIOLATION_CAP, CheckRecord, DualCertificate, Violation
 
 
 def test_require_leq_accounting():
@@ -50,3 +56,132 @@ def test_certificate_serialization():
     assert names == {"alpha", "extra"}
     table = cert.min_slack_table()
     assert any(row[0] == "alpha" for row in table)
+
+
+def test_non_finite_slacks_are_recorded():
+    rec = CheckRecord("floats")
+    assert rec.require_leq(1.0, math.inf, (0,))        # slack +inf
+    assert rec.require_leq(-math.inf, 1.0, (1,))       # slack +inf
+    assert rec.require_leq(math.inf, math.inf, (2,))   # slack NaN, leq passes
+    assert not rec.require_leq(math.nan, 1.0, (3,))    # slack NaN, leq fails
+    assert not rec.require_leq(1.0, -math.inf, (4,))   # slack -inf
+    assert rec.checked == 5
+    assert rec.to_dict()["slack_histogram"] == {"1e+15": 2, "<=0": 3}
+    assert rec.min_slack == -math.inf and rec.min_witness == (4,)
+    assert [v.witness for v in rec.violations] == [(3,), (4,)]
+
+
+def test_fractions_too_large_for_a_float_are_recorded():
+    huge = Fraction(10) ** 400
+    rec = CheckRecord("exact")
+    assert rec.require_leq(Fraction(1, 3), huge, ("up",))       # slack +inf
+    assert rec.require_leq(huge, huge + 1, ("tight",))          # inf - inf
+    assert not rec.require_leq(huge + 1, huge, ("over",))       # exact compare
+    assert not rec.require_leq(10 ** 400, Fraction(1, 2), ("int",))
+    assert rec.require_leq(1.0, huge, ("mixed",))               # on the floats
+    assert rec.to_dict()["slack_histogram"] == {"1e+15": 2, "<=0": 3}
+    assert rec.violations == [
+        Violation("exact", ("over",), math.inf, math.inf),
+        Violation("exact", ("int",), math.inf, 0.5),
+    ]
+    json.dumps(rec.to_dict())
+
+
+class ParentRecord:
+    """CheckRecord.require_leq and to_dict as first written: each side
+    converted twice, string decade keys, and leq's float and exact branches
+    written out. Defined for finite slacks only."""
+
+    def __init__(self, name):
+        self.name = name
+        self.checked = 0
+        self.violation_count = 0
+        self.violations = []
+        self.min_slack = math.inf
+        self.min_witness = ()
+        self.decades = {}
+
+    @staticmethod
+    def leq(a, b):
+        if isinstance(a, (int, Fraction)) and isinstance(b, (int, Fraction)):
+            return a <= b
+        fa, fb = float(a), float(b)
+        return fa <= fb + REL_TOL * max(abs(fa), abs(fb), 1.0)
+
+    def require_leq(self, lhs, rhs, witness):
+        self.checked += 1
+        slack = float(rhs) - float(lhs)
+        if slack <= 0:
+            decade = "<=0"
+        else:
+            e = max(-15, min(15, math.floor(math.log10(slack))))
+            decade = f"1e{e:+d}"
+        self.decades[decade] = self.decades.get(decade, 0) + 1
+        if slack < self.min_slack:
+            self.min_slack = slack
+            self.min_witness = witness
+        if not self.leq(lhs, rhs):
+            self.violation_count += 1
+            if len(self.violations) < VIOLATION_CAP:
+                self.violations.append(
+                    Violation(self.name, witness, float(lhs), float(rhs)))
+            return False
+        return True
+
+    def to_dict(self):
+        d = {"name": self.name, "diagnostic": False, "checked": self.checked,
+             "violations": self.violation_count,
+             "slack_histogram": dict(sorted(self.decades.items()))}
+        if self.checked and math.isfinite(self.min_slack):
+            d["min_slack"] = self.min_slack
+            d["min_slack_witness"] = list(self.min_witness)
+        if self.violations:
+            d["violation_sample"] = [
+                {"witness": list(v.witness), "lhs": v.lhs, "rhs": v.rhs}
+                for v in self.violations[:5]]
+        return d
+
+
+def _float_like(x):
+    return st.sampled_from([float(x), Fraction(x), x])
+
+
+_values = st.one_of(
+    st.floats(min_value=-1e300, max_value=1e300),
+    st.integers(min_value=-10 ** 30, max_value=10 ** 30),
+    st.fractions(min_value=-10 ** 12, max_value=10 ** 12, max_denominator=10 ** 9),
+)
+
+
+@st.composite
+def _pairs(draw):
+    kind = draw(st.sampled_from(["any", "zero", "decade", "boundary"]))
+    if kind == "any":
+        return draw(_values), draw(_values)
+    if kind == "zero":  # slack exactly 0, also across types
+        x = draw(st.floats(min_value=-1e300, max_value=1e300))
+        return draw(_float_like(x)), draw(_float_like(x))
+    if kind == "decade":  # exact powers of ten, inside and outside the clamp
+        e = draw(st.integers(min_value=-40, max_value=40))
+        slack = draw(st.sampled_from([10.0 ** e, Fraction(10) ** e]))
+        return 0, slack
+    # one ulp either side of the REL_TOL boundary of leq's float branch
+    rhs = draw(st.floats(min_value=-1e12, max_value=1e12))
+    edge = rhs + REL_TOL * max(abs(rhs), 1.0)
+    step = draw(st.integers(min_value=-2, max_value=2))
+    lhs = edge
+    for _ in range(abs(step)):
+        lhs = math.nextafter(lhs, math.copysign(math.inf, step))
+    return draw(_float_like(lhs)), draw(_float_like(rhs))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_pairs(), max_size=60))
+def test_record_matches_first_definition(pairs):
+    ref = ParentRecord("diff")
+    rec = CheckRecord("diff")
+    for i, (lhs, rhs) in enumerate(pairs):
+        assert rec.require_leq(lhs, rhs, (i,)) == ref.require_leq(lhs, rhs, (i,))
+    assert rec.to_dict() == ref.to_dict()
+    assert rec.min_witness == ref.min_witness
+    assert rec.violations == ref.violations
