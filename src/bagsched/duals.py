@@ -36,7 +36,7 @@ from fractions import Fraction
 
 from .blocks import classify_blocks, nearest_qualifying_class, simple_job_classes
 from .instances import Instance, thresholds, validate_ica
-from .numutil import REL_TOL, THRESHOLD_REL, coerce
+from .numutil import THRESHOLD_REL, coerce, leq
 from .report import AnalysisError, CheckRecord, DualCertificate
 
 __all__ = [
@@ -140,7 +140,7 @@ def _check_nonincreasing(spans, what):
     """Credits must not increase along positions: the general family's cover
     scan probes only the last position of each alpha regime."""
     for (_, _, v1), (_, _, v2) in zip(spans, spans[1:]):
-        if not (v2 <= v1 or math.isclose(float(v1), float(v2), rel_tol=REL_TOL)):
+        if not leq(v2, v1):
             raise AnalysisError(f"{what}: span values must not increase along positions")
 
 

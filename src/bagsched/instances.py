@@ -8,12 +8,13 @@ counts may be huge (1e9), so nothing here ever expands groups.
 """
 from __future__ import annotations
 
+import math
 from bisect import bisect_left
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 from fractions import Fraction
 
-from .numutil import coerce, from_json_number, geq, json_number, leq
+from .numutil import coerce, geq, json_number, leq
 
 SPEED_BASE = 64  # speed rounding base; only this value is certified
 
@@ -139,6 +140,20 @@ class Instance:
         return any(j.release != 0 for j in self.jobs)
 
 
+def _finite(value, what, exact):
+    """`value` in the mode; rejects the NaN and inf that json and float() read."""
+    if value != value or abs(value) == math.inf:
+        raise InstanceError(f"{what} must be finite, got {value}")
+    return coerce(value, exact)
+
+
+def _speedup(gamma, exact):
+    gamma = _finite(gamma, "speedup", exact)
+    if not gamma > 0:
+        raise InstanceError(f"speedup must be positive, got {gamma}")
+    return gamma
+
+
 def _group_sizes(job_id, weight, release, size_counts, exact):
     if weight <= 0:
         raise InstanceError(f"job {job_id}: weight must be positive, got {weight}")
@@ -159,15 +174,12 @@ def _group_sizes(job_id, weight, release, size_counts, exact):
 
 def make_job(job_id, weight, sizes, release=0, exact=False):
     """Build a job from a flat size list or (size, count) pairs."""
-    weight = coerce(weight, exact)
-    release = coerce(release, exact)
+    weight = _finite(weight, f"job {job_id}: weight", exact)
+    release = _finite(release, f"job {job_id}: release", exact)
     pairs = []
     for entry in sizes:
-        if isinstance(entry, tuple):
-            size, count = entry
-            pairs.append((coerce(size, exact), count))
-        else:
-            pairs.append((coerce(entry, exact), 1))
+        size, count = entry if isinstance(entry, tuple) else (entry, 1)
+        pairs.append((_finite(size, f"job {job_id}: task size", exact), count))
     return _group_sizes(job_id, weight, release, pairs, exact)
 
 
@@ -176,7 +188,7 @@ def make_instance(classes, jobs, speedup=1, exact=False, provenance=None):
         (c.speed, c.count) if isinstance(c, SpeedClass) else c for c in classes
     ]
     cls = tuple(
-        SpeedClass(speed=coerce(s, exact), count=int(c)) for s, c in pairs
+        SpeedClass(speed=_finite(s, "speed", exact), count=int(c)) for s, c in pairs
     )
     if not cls:
         raise InstanceError("instance needs at least one speed class")
@@ -191,14 +203,14 @@ def make_instance(classes, jobs, speedup=1, exact=False, provenance=None):
     return Instance(
         classes=cls,
         jobs=tuple(jobs),
-        speedup=coerce(speedup, exact),
+        speedup=_speedup(speedup, exact),
         exact=exact,
         provenance=dict(provenance or {}),
     )
 
 
 def with_speedup(instance: Instance, gamma) -> Instance:
-    return replace(instance, speedup=coerce(gamma, instance.exact))
+    return replace(instance, speedup=_speedup(gamma, instance.exact))
 
 
 # ---------------------------------------------------------------------------
@@ -230,35 +242,37 @@ def instance_to_dict(instance: Instance) -> dict:
     }
 
 
+def _json_value(x):
+    """A JSON number as written, or the Fraction of its {"num", "den"} form."""
+    return Fraction(x["num"], x["den"]) if isinstance(x, dict) else x
+
+
 def instance_from_dict(data: dict, exact: bool = False) -> Instance:
     try:
         classes = [
-            (from_json_number(c["sigma"], exact), int(c["count"]))
-            for c in data["classes"]
+            (_json_value(c["sigma"]), int(c["count"])) for c in data["classes"]
         ]
         jobs = []
         for idx, j in enumerate(data.get("jobs", []), start=1):
             pairs = []
             for entry in j["sizes"]:
                 if isinstance(entry, dict) and "size" in entry:
-                    pairs.append(
-                        (from_json_number(entry["size"], exact), int(entry["count"]))
-                    )
+                    pairs.append((_json_value(entry["size"]), int(entry["count"])))
                 else:
-                    pairs.append((from_json_number(entry, exact), 1))
+                    pairs.append((_json_value(entry), 1))
             jobs.append(
                 make_job(
                     idx,
-                    from_json_number(j["weight"], exact),
+                    _json_value(j["weight"]),
                     pairs,
-                    release=from_json_number(j.get("release", 0), exact),
+                    release=_json_value(j.get("release", 0)),
                     exact=exact,
                 )
             )
-        speedup = from_json_number(data.get("speedup", 1), exact)
+        return make_instance(classes, jobs, speedup=_json_value(data.get("speedup", 1)),
+                             exact=exact)
     except (KeyError, TypeError) as exc:
         raise InstanceError(f"malformed instance JSON: {exc}") from exc
-    return make_instance(classes, jobs, speedup=speedup, exact=exact)
 
 
 # ---------------------------------------------------------------------------

@@ -13,6 +13,9 @@ jobs j:
 Any schedule embeds with objective in [cost, 2*cost]; the emitted file uses
 the original machine speeds (the bound is about the adversary's machines),
 while schedule embedding uses the speeds that actually ran the schedule.
+One row checker, _violated_rows, evaluates these four families for both
+check_lp_solution (ingested unit-slot solutions, at SOLVER_REL) and
+check_primal (embedded schedules on their slot grid, at REL_TOL).
 The "LP lower bound" reported elsewhere is (feasible dual value)/2, since
 the objective double-counts completion time.
 """
@@ -24,7 +27,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .instances import Instance
-from .numutil import REL_TOL, SOLVER_REL
+from .numutil import REL_TOL, SOLVER_REL, leq
 from .sim import realize_slice
 
 MAX_EMIT_CELLS = 200_000      # machines * tasks * horizon guard for emit_lp
@@ -175,47 +178,68 @@ def solution_objective(instance: Instance, values: dict, horizon: int) -> float:
 
 
 def check_lp_solution(instance: Instance, values: dict, horizon: int) -> list:
-    """Re-evaluate the emitted LP's constraints on an ingested solution.
+    """Re-evaluate the emitted LP's rows on an ingested solution.
 
-    Returns a list of (constraint_name, lhs, rhs) violations beyond
-    SOLVER_REL relative slack. Uses the same original speeds as emit_lp.
+    Returns the (constraint_name, lhs, rhs) rows that _violated_rows finds
+    beyond SOLVER_REL slack. Values named after no variable of the emitted
+    LP are ignored. Uses the same original speeds and float coefficients as
+    emit_lp.
     """
-    m = instance.machine_count()
-    tasks = [(v, j, p) for (v, j, p) in task_table(instance) if p > 0]
-    speeds = instance.machine_speeds(m)
-    bad = []
+    table = [(v, j, float(p)) for v, j, p in task_table(instance)]
+    speeds = [float(s) for s in instance.machine_speeds(instance.machine_count())]
+    jobs = [job.job_id for job in instance.jobs]
 
-    def x(i, v, t):
-        return values.get(f"x_{i}_{v}_{t}", 0.0)
+    def pick(variables):  # {key: value} of the (name, key) pairs that are set
+        return {key: values[name] for name, key in variables if name in values}
 
-    for v, j, p in tasks:
-        suffix = 0.0
+    x = pick((f"x_{i}_{v}_{t}", (i, v, t)) for i in range(1, len(speeds) + 1)
+             for v, _, p in table if p for t in range(horizon))
+    U = pick((f"U_{j}_{t}", (j, t)) for j in jobs for t in range(horizon))
+    C = pick((f"C_{j}", j) for j in jobs)
+    return list(_violated_rows(table, x, U, C, speeds, 1.0, horizon, SOLVER_REL))
+
+
+def _violated_rows(table, x, U, C, speeds, slot, horizon, rel):
+    """Yield each violated row of the LP over `horizon` slots of length
+    `slot` as (name, lhs, rhs), named and ordered as emit_lp writes them:
+    per task of positive size rem_j_v_t (t descending), time_j_v and
+    done_j_v, then cap_i_t. Every row is compared by leq at `rel`.
+
+    x maps (machine, task, slot) to an amount on machines 1..len(speeds);
+    U maps (job, slot) and C maps job, a missing U or C being 0. Every sum
+    starts at the slot's typed zero, so exact values stay exact.
+    """
+    zero = slot - slot
+    one = zero + 1
+    by_vt = {}   # (task, slot) -> amount over all machines
+    spent = {}   # task -> machine time
+    load = {}    # (machine, slot) -> amount over all tasks
+    for (i, v, t), amt in x.items():
+        key = (v, t)
+        by_vt[key] = by_vt.get(key, zero) + amt
+        spent[v] = spent.get(v, zero) + amt / speeds[i - 1]
+        key = (i, t)
+        load[key] = load.get(key, zero) + amt
+    for v, j, p in table:
+        if not p:
+            continue
+        suffix = frac = zero
         for t in range(horizon - 1, -1, -1):
-            suffix += sum(x(i, v, t) for i in range(1, m + 1)) / float(p)
-            u = values.get(f"U_{j}_{t}", 0.0)
-            if u < suffix - SOLVER_REL * max(1.0, suffix):
-                bad.append((f"rem_{j}_{v}_{t}", u, suffix))
-        spent = sum(
-            x(i, v, t) / float(speeds[i - 1])
-            for t in range(horizon)
-            for i in range(1, m + 1)
-        )
-        c = values.get(f"C_{j}", 0.0)
-        if c < spent - SOLVER_REL * max(1.0, spent):
-            bad.append((f"time_{j}_{v}", c, spent))
-        done = sum(
-            x(i, v, t) / float(p)
-            for t in range(horizon)
-            for i in range(1, m + 1)
-        )
-        if done < 1 - SOLVER_REL:
-            bad.append((f"done_{j}_{v}", done, 1.0))
-    for i in range(1, m + 1):
-        for t in range(horizon):
-            load = sum(x(i, v, t) for v, _, _ in tasks) / float(speeds[i - 1])
-            if load > 1 + SOLVER_REL:
-                bad.append((f"cap_{i}_{t}", load, 1.0))
-    return bad
+            suffix += by_vt.get((v, t), zero)
+            frac, u = suffix / p, U.get((j, t), zero)
+            if not leq(frac, u, rel):
+                yield f"rem_{j}_{v}_{t}", u, frac
+        c, sp = C.get(j, zero), spent.get(v, zero)
+        if not leq(sp, c, rel):
+            yield f"time_{j}_{v}", c, sp
+        if not leq(one, frac, rel):  # frac is now the whole of task v
+            yield f"done_{j}_{v}", frac, one
+    over = sorted(
+        key for key, amt in load.items()
+        if not leq(amt / speeds[key[0] - 1], slot, rel)
+    )
+    for i, t in over:
+        yield f"cap_{i}_{t}", load[(i, t)] / speeds[i - 1], slot
 
 
 # ---------------------------------------------------------------------------
@@ -411,76 +435,33 @@ def schedule_to_primal(source, instance: Instance, slot=None) -> PrimalSolution:
 
 
 def check_primal(primal: PrimalSolution, instance: Instance) -> None:
-    """Check the four constraint families and the objective sandwich;
-    raise LpError at the first violation."""
-    table = task_table(instance)
-    tol = 0 if instance.exact else REL_TOL
-    speeds = [
-        primal.gamma * sp
-        for sp in instance.machine_speeds(max((i for i, _, _ in primal.x), default=0))
-    ]
-
-    done = {}
-    spent = {}
-    load = {}
-    by_vt = {}
-    for (i, v, s), amt in primal.x.items():
-        done[v] = done.get(v, 0) + amt
-        if not 1 <= i <= len(speeds):
-            raise LpError(f"x_{i}_{v}_{s}: no machine {i}")
-        speed = speeds[i - 1]
-        spent[v] = spent.get(v, 0) + amt / speed
-        key = (i, s)
-        load[key] = load.get(key, 0) + amt / speed
-        by_vt[(v, s)] = by_vt.get((v, s), 0) + amt
-    for v, j, p in table:
-        if p == 0:
-            continue
-        d = done.get(v, 0) / p
-        if not d >= 1 - tol:
-            raise LpError(f"task {v}: processed fraction {float(d)} < 1")
-        c = primal.C[j]
-        sp = spent.get(v, 0)
-        if not float(sp) <= float(c) * (1 + tol) + tol:
-            raise LpError(
-                f"task {v}: processing time {float(sp)} exceeds C_{j}={float(c)}"
-            )
-    for (i, s), ld in load.items():
-        if not float(ld) <= float(primal.slot) * (1 + tol) + tol:
-            raise LpError(
-                f"machine {i} slot {s}: load {float(ld)} exceeds slot {primal.slot}"
-            )
-    # U dominates every task's remaining fraction per slot (by construction
-    # U is the max; re-derive and compare)
-    suffix = {}
-    max_slot = max((s for (_, s) in primal.U), default=-1)
-    for s in range(max_slot, -1, -1):
-        for v, j, p in table:
-            if p == 0:
-                continue
-            suffix[v] = suffix.get(v, 0) + by_vt.get((v, s), 0)
-            frac = suffix[v] / p
-            u = primal.U.get((j, s), 0)
-            if not float(u) >= float(frac) * (1 - tol) - tol:
-                raise LpError(
-                    f"U_{j}_{s}={float(u)} below remaining fraction {float(frac)}"
-                )
-            if not float(u) <= 1 + tol:
-                raise LpError(f"U_{j}_{s} exceeds 1")
-    # per-job Riemann bound and the global sandwich; each job's U values
-    # are summed in insertion order
-    u_by_job = {}
-    for (j, _), u in primal.U.items():
-        u_by_job.setdefault(j, []).append(u)
-    for job in instance.jobs:
-        usum = primal.slot * sum(u_by_job.get(job.job_id, ()))
-        c = primal.C[job.job_id]
-        if c > 0 and not float(usum) <= float(c) * (1 + tol) + tol:
-            raise LpError(
-                f"job {job.job_id}: U sum {float(usum)} exceeds C {float(c)}"
-            )
-    if not (float(primal.cost) * (1 - tol) <= float(primal.objective)
-            <= 2 * float(primal.cost) * (1 + tol) + tol):
+    """Check the LP's rows on the primal's slot grid, then the bounds the
+    embedding adds: U <= 1, each job's Riemann sum slot * sum_t U_{j,t} <=
+    C_j, and cost <= objective <= 2 * cost. Raise LpError at the first
+    violation."""
+    machines = {i for i, _, _ in primal.x}
+    for i in machines:
+        if not (leq(1, i) and leq(i, instance.machine_count())):
+            raise LpError(f"x names machine {i}: no machine {i}")
+    speeds = [primal.gamma * sp for sp in instance.machine_speeds(max(machines, default=0))]
+    horizon = 1 + max(max((s for _, _, s in primal.x), default=-1),
+                      max((s for _, s in primal.U), default=-1))
+    row = next(_violated_rows(task_table(instance), primal.x, primal.U, primal.C,
+                              speeds, primal.slot, horizon, REL_TOL), None)
+    if row is not None:
+        name, lhs, rhs = row
+        raise LpError(f"row {name} violated: lhs={float(lhs)!r} rhs={float(rhs)!r}")
+    u_sum = {}  # each job's U values are summed in insertion order
+    for (j, s), u in primal.U.items():
+        if not leq(u, 1):
+            raise LpError(f"U_{j}_{s} exceeds 1")
+        u_sum[j] = u_sum.get(j, 0) + u
+    for j, c in primal.C.items():
+        usum = primal.slot * u_sum.get(j, 0)
+        if not leq(usum, c):
+            raise LpError(f"job {j}: U sum {float(usum)} exceeds C {float(c)}")
+    if not (leq(primal.cost, primal.objective)
+            and leq(primal.objective, 2 * primal.cost)):
         raise LpError(
             f"objective {float(primal.objective)} outside "
             f"[cost, 2 cost] for cost {float(primal.cost)}"

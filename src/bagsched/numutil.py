@@ -10,6 +10,7 @@ compare exactly wherever a tolerance would apply.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import inf
 
 # Default slack of close/leq/geq and of every certificate, rate-feasibility,
 # realization and primal check: absorbs the rounding that accumulates in the
@@ -60,25 +61,33 @@ def coerce(x, exact: bool):
 
 
 def close(a, b, rel: float = REL_TOL) -> bool:
-    """Equality up to relative slack; exact compare if both sides are exact."""
+    """Equality up to relative slack; exact compare if both sides are exact.
+
+    An infinite side grants no slack: it is close only to itself.
+    """
     if type(a) is not float or type(b) is not float:
         if is_exact(a) and is_exact(b):
             return a == b
         a, b = float(a), float(b)
-    return abs(a - b) <= rel * max(abs(a), abs(b), 1.0)
+    scale = max(abs(a), abs(b), 1.0)
+    return a == b if scale == inf else abs(a - b) <= rel * scale
 
 
 def leq(a, b, rel: float = REL_TOL) -> bool:
     """a <= b up to relative slack; plain <= when both sides are exact.
 
     Two floats (the common case) skip the mode test and the conversions, and
-    a plain a <= b skips the slack, which can only widen it.
+    a plain a <= b skips the slack, which can only widen it. An infinite
+    side grants no slack, so inf <= 5.0 is false.
     """
     if type(a) is not float or type(b) is not float:
         if is_exact(a) and is_exact(b):
             return a <= b
         a, b = float(a), float(b)
-    return a <= b or a <= b + rel * max(abs(a), abs(b), 1.0)
+    if a <= b:
+        return True
+    scale = max(abs(a), abs(b), 1.0)
+    return scale != inf and a <= b + rel * scale
 
 
 def geq(a, b) -> bool:

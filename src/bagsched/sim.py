@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 from .instances import Instance, instance_to_dict
 from .numutil import EVENT_REL, REL_TOL, close, json_number, leq
-from .rates import AliveJob, RateProfile, assign_rates
+from .rates import AliveJob, RateProfile, assign_rates, star_witness
 
 
 class LivelockError(RuntimeError):
@@ -241,8 +241,8 @@ def realize_slice(profile: RateProfile, instance: Instance, interval) -> Schedul
     """Realize one interval of fluid rates as machine segments.
 
     `interval` is an (start, end) pair or any object with start/end. Raises
-    InfeasibleSliceError when the quotas cannot fit (never for profiles that
-    pass the prefix-capacity check).
+    InfeasibleSliceError, with star_witness's overfull prefix, when the
+    quotas cannot fit (never for profiles that pass star_witness).
     """
     if hasattr(interval, "start"):
         start, end = interval.start, interval.end
@@ -352,26 +352,15 @@ def realize_slice(profile: RateProfile, instance: Instance, interval) -> Schedul
     slack = 0 if instance.exact else REL_TOL * float(quota_scale or 1)
     leftover = [e for e in entries if e[0] > slack]
     if leftover:
-        witness = _overfull_prefix(profile, instance, length)
-        if witness is None:
+        _, witness = star_witness(profile, instance)
+        if witness is None or witness[0] != "prefix":
             raise LivelockError(
                 f"realization of [{start}, {end}) stalled with quota left "
                 "but no overfull prefix"
             )
-        raise InfeasibleSliceError(*witness)
+        _, k, rate_sum, cap = witness
+        raise InfeasibleSliceError(k, rate_sum * length, cap * length)
     return ScheduleSlice(start=start, end=end, segments=segments, work=work)
-
-
-def _overfull_prefix(profile, instance, length):
-    total = 0
-    quota = 0
-    for mem in profile.members():
-        total += mem.count
-        quota = quota + mem.rate * length * mem.count
-        cap = profile.gamma * instance.capacity_prefix(total) * length
-        if not leq(quota, cap):
-            return total, quota, cap
-    return None
 
 
 # ---------------------------------------------------------------------------

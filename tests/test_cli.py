@@ -1,6 +1,7 @@
 """Command-line interface: subcommands, exit codes, output contracts."""
 
 import json
+import math
 
 import pytest
 
@@ -190,3 +191,38 @@ def test_out_dir_env_redirects_relative_paths(tmp_path, monkeypatch, capsys):
 def test_gen_bad_arguments_are_preconditions(tmp_path, capsys, argv):
     assert run_cli("gen", *argv, "--out", str(tmp_path / "x.json")) == 3
     assert capsys.readouterr().err.startswith("precondition:")
+
+
+NON_FINITE = {
+    "size": lambda data: data["jobs"][0]["sizes"].__setitem__(0, math.inf),
+    "weight": lambda data: data["jobs"][1].__setitem__("weight", math.nan),
+    "speed": lambda data: data["classes"][0].__setitem__("sigma", math.inf),
+}
+
+
+@pytest.mark.parametrize("field", sorted(NON_FINITE))
+@pytest.mark.parametrize("command", [("simulate",),
+                                     ("verify", "--family", "weaker")])
+def test_non_finite_json_is_a_precondition(tmp_path, capsys, field, command):
+    # json reads NaN and Infinity; an infinite size once printed a nan
+    # objective, and the others died in the rate assignment
+    path = gen_instance(tmp_path, "random", "--k", "2", "--jobs", "2",
+                        "--max-tasks", "2", "--seed", "1")
+    data = json.loads(path.read_text())
+    NON_FINITE[field](data)
+    path.write_text(json.dumps(data))
+    capsys.readouterr()
+    assert run_cli(command[0], str(path), *command[1:]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("precondition:")
+    assert "must be finite" in captured.err
+
+
+@pytest.mark.parametrize("gamma", ["nan", "inf", "0", "-1"])
+def test_bad_gamma_is_a_precondition(tmp_path, capsys, gamma):
+    path = gen_instance(tmp_path, "lower", "--k", "2")
+    capsys.readouterr()
+    assert run_cli("verify", str(path), "--family", "weaker",
+                   "--gamma", gamma) == 3
+    assert capsys.readouterr().err.startswith("precondition: speedup must be")

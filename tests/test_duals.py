@@ -20,7 +20,7 @@ from bagsched import (
     simulate,
     with_speedup,
 )
-from bagsched.duals import halving_group, halving_spans
+from bagsched.duals import _check_nonincreasing, halving_group, halving_spans
 
 from support import general_gamma, single_gamma, weaker_gamma
 
@@ -282,3 +282,18 @@ def test_interval_bookkeeping_spans_trace():
     monotone = cert.check("alive-weight-monotone")
     assert monotone.ok
     assert monotone.checked == max(0, len(trace.intervals) - 1)
+
+
+def test_credit_order_grants_the_check_slack():
+    # credits near 1e-3 may rise by leq's absolute slack REL_TOL (scale 1),
+    # as every certificate check grants; a relative-only compare would
+    # grant just 1e-12 here
+    base = 1e-3
+    _check_nonincreasing([(0, 1, base), (1, 2, base + 5e-10)], "credits")
+    _check_nonincreasing([(0, 1, base), (1, 2, base)], "credits")
+    with pytest.raises(AnalysisError, match="must not increase"):
+        _check_nonincreasing([(0, 1, base), (1, 2, base + 2e-9)], "credits")
+    with pytest.raises(AnalysisError):
+        _check_nonincreasing([(0, 1, Fraction(1, 1000)),
+                              (1, 2, Fraction(1, 1000) + Fraction(1, 10 ** 30))],
+                             "credits")

@@ -172,6 +172,44 @@ def test_make_instance_rejections():
         make_job(1, 1, [-1])  # negative size
 
 
+@pytest.mark.parametrize("exact", [False, True])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_numbers_are_rejected(exact, bad):
+    # json and argparse's float both accept NaN and Infinity; no instance
+    # field may carry them
+    for build in (lambda: make_job(1, bad, [1], exact=exact),
+                  lambda: make_job(1, 1, [1], release=bad, exact=exact),
+                  lambda: make_job(1, 1, [2, bad], exact=exact),
+                  lambda: make_job(1, 1, [(bad, 3)], exact=exact),
+                  lambda: make_instance([(bad, 1)], [], exact=exact),
+                  lambda: make_instance([(2, 1), (bad, 1)], [], exact=exact),
+                  lambda: make_instance([(1, 1)], [], speedup=bad, exact=exact)):
+        with pytest.raises(InstanceError, match="must be finite"):
+            build()
+    with pytest.raises(InstanceError, match="must be finite"):
+        with_speedup(make_instance([(1, 1)], [], exact=exact), bad)
+
+
+@pytest.mark.parametrize("gamma", [0, -1, 0.0, Fraction(-1, 2)])
+def test_non_positive_speedup_is_rejected(gamma):
+    inst = make_instance([(1, 1)], [make_job(1, 1, [1])])
+    with pytest.raises(InstanceError, match="speedup must be positive"):
+        with_speedup(inst, gamma)
+    with pytest.raises(InstanceError, match="speedup must be positive"):
+        make_instance([(1, 1)], [], speedup=gamma, exact=True)
+
+
+def test_non_finite_json_is_rejected():
+    # json.loads reads NaN and Infinity; in exact mode they used to escape as
+    # the OverflowError or ValueError of Fraction's conversion
+    text = json.dumps({"classes": [{"sigma": 1, "count": 1}],
+                       "jobs": [{"weight": 1, "sizes": [math.inf]}]})
+    assert "Infinity" in text
+    for exact in (False, True):
+        with pytest.raises(InstanceError, match="task size must be finite"):
+            instance_from_dict(json.loads(text), exact=exact)
+
+
 def test_capacity_prefix_flat_and_concave():
     inst = staircase([(4, 1), (2, 2), (1, 1)])
     caps = [inst.capacity_prefix(k) for k in range(0, 8)]

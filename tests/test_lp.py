@@ -6,7 +6,12 @@ import random
 import subprocess
 import sys
 
+import dataclasses
+from fractions import Fraction
+
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import bagsched
 from bagsched import (
@@ -15,6 +20,9 @@ from bagsched import (
     check_lp_solution,
     emit_lp,
     gen_lower_bound,
+    gen_random_ica,
+    instance_from_dict,
+    instance_to_dict,
     make_instance,
     make_job,
     parse_lp_solution,
@@ -25,6 +33,7 @@ from bagsched import (
     with_speedup,
 )
 from bagsched.lp import LpError, check_primal, primal_to_solution_values
+from bagsched.numutil import SOLVER_REL
 from bagsched.sim import Placement, ScheduleSlice, Segment
 
 from oracles import wspt_cost
@@ -146,12 +155,136 @@ for bad in (dataclasses.replace(primal, x={}, objective=5 * primal.cost),
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stdout + done.stderr
     lines = done.stdout.splitlines()
-    assert "processed fraction" in lines[0]
+    assert lines[0].startswith("row done_1_")
     assert "outside [cost, 2 cost]" in lines[1]
     assert "no machine 0" in lines[2]
-    assert "exceeds slot" in lines[3]
-    assert "below remaining fraction" in lines[4]
+    assert lines[3].startswith("row cap_")
+    assert lines[4].startswith("row rem_1_")
     assert "U sum" in lines[5] and "exceeds C" in lines[5]
+
+
+def test_check_primal_is_exact_in_exact_mode():
+    # exact embeddings pass with no slack at all
+    for seed in range(12):
+        inst = instance_from_dict(
+            instance_to_dict(gen_random_ica(2, 4, 2, seed)), exact=True)
+        primal = schedule_to_primal(simulate(inst), inst)
+        assert isinstance(primal.slot, Fraction)
+        check_primal(primal, inst)
+    # 30 of the 32 machine-slots of this embedding are full; shrinking the
+    # slot by 1e-40 over-fills them, which a float compare cannot see
+    inst = make_instance(
+        [(2, 1), (1, 1)],
+        [make_job(1, 1, [3, 2], exact=True), make_job(2, 2, [1], exact=True)],
+        exact=True)
+    primal = schedule_to_primal(simulate(inst), inst)
+    assert primal.slot == Fraction(1, 8)
+    check_primal(primal, inst)
+    tight = primal.slot - Fraction(1, 10 ** 40)
+    assert float(tight) == float(primal.slot)
+    with pytest.raises(LpError, match=r"^row cap_1_0 violated"):
+        check_primal(dataclasses.replace(primal, slot=tight), inst)
+
+
+def parent_check_lp_solution(instance, values, horizon):
+    """check_lp_solution as first written, with its own row sums and its
+    SOLVER_REL * max(1, .) slack. Also returns whether some row's sides lie
+    within 10 SOLVER_REL (scaled) of each other without being equal, where
+    the two slack rules may disagree."""
+    m = instance.machine_count()
+    tasks = [(v, j, p) for (v, j, p) in task_table(instance) if p > 0]
+    speeds = instance.machine_speeds(m)
+    bad = []
+    near = []
+
+    def edge(a, b):
+        gap = abs(a - b) / max(1.0, abs(a), abs(b))
+        near.append(SOLVER_REL / 10 < gap <= 10 * SOLVER_REL)
+
+    def x(i, v, t):
+        return values.get(f"x_{i}_{v}_{t}", 0.0)
+
+    for v, j, p in tasks:
+        suffix = 0.0
+        for t in range(horizon - 1, -1, -1):
+            suffix += sum(x(i, v, t) for i in range(1, m + 1)) / float(p)
+            u = values.get(f"U_{j}_{t}", 0.0)
+            edge(u, suffix)
+            if u < suffix - SOLVER_REL * max(1.0, suffix):
+                bad.append((f"rem_{j}_{v}_{t}", u, suffix))
+        spent = sum(
+            x(i, v, t) / float(speeds[i - 1])
+            for t in range(horizon)
+            for i in range(1, m + 1)
+        )
+        c = values.get(f"C_{j}", 0.0)
+        edge(c, spent)
+        if c < spent - SOLVER_REL * max(1.0, spent):
+            bad.append((f"time_{j}_{v}", c, spent))
+        done = sum(
+            x(i, v, t) / float(p)
+            for t in range(horizon)
+            for i in range(1, m + 1)
+        )
+        edge(done, 1.0)
+        if done < 1 - SOLVER_REL:
+            bad.append((f"done_{j}_{v}", done, 1.0))
+    for i in range(1, m + 1):
+        for t in range(horizon):
+            load = sum(x(i, v, t) for v, _, _ in tasks) / float(speeds[i - 1])
+            edge(load, 1.0)
+            if load > 1 + SOLVER_REL:
+                bad.append((f"cap_{i}_{t}", load, 1.0))
+    return bad, any(near)
+
+
+_lp_values = st.one_of(
+    st.sampled_from([0.0, 0.25, 0.5, 1.0, 1.5, 2.0, 3.0]),
+    st.floats(min_value=0.0, max_value=4.0),
+)
+
+
+@st.composite
+def _lp_cases(draw):
+    speeds = draw(st.sampled_from([[4], [2], [1], [4, 1], [3, 2], [2, 1]]))
+    classes = [(s, draw(st.integers(1, 2))) for s in speeds]
+    jobs = [
+        make_job(j, draw(st.integers(1, 3)),
+                 draw(st.lists(st.integers(0, 3), min_size=1, max_size=2)))
+        for j in range(1, draw(st.integers(1, 3)) + 1)
+    ]
+    exact = draw(st.booleans())
+    inst = make_instance(classes, jobs)
+    if exact:
+        inst = instance_from_dict(instance_to_dict(inst), exact=True)
+    horizon = draw(st.integers(1, 3))
+    m, n, tasks = inst.machine_count(), len(jobs), len(task_table(inst))
+    # indices one past each range: machines 0 and m+1, task 0 and unknown
+    # tasks (zero-size tasks come from the sizes), slot `horizon`, job 0
+    # and unknown jobs; none of them is a variable of the LP
+    x_names = st.builds("x_{}_{}_{}".format, st.integers(0, m + 1),
+                        st.integers(0, tasks + 1), st.integers(0, horizon))
+    names = st.one_of(
+        x_names, x_names, x_names,
+        st.builds("U_{}_{}".format, st.integers(0, n + 1),
+                  st.integers(0, horizon)),
+        st.builds("C_{}".format, st.integers(0, n + 1)),
+    )
+    values = draw(st.dictionaries(names, _lp_values, max_size=40))
+    return inst, values, horizon
+
+
+@settings(max_examples=300, deadline=None)
+@given(_lp_cases())
+def test_check_lp_solution_matches_first_definition(case):
+    inst, values, horizon = case
+    want, near = parent_check_lp_solution(inst, values, horizon)
+    assume(not near)
+    got = check_lp_solution(inst, values, horizon)
+    assert [name for name, _, _ in got] == [name for name, _, _ in want]
+    for (_, lhs, rhs), (_, want_lhs, want_rhs) in zip(got, want):
+        assert lhs == pytest.approx(want_lhs, rel=1e-12, abs=0)
+        assert rhs == pytest.approx(want_rhs, rel=1e-12, abs=0)
 
 
 def test_solution_roundtrip_slot_one():

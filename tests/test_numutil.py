@@ -90,3 +90,17 @@ def test_leq_at_infinity():
     assert leq(-math.inf, -math.inf) and leq(math.inf, math.inf)
     assert leq(1.0, math.inf) and not leq(1.0, -math.inf)
     assert not leq(math.nan, 1.0) and not leq(1.0, math.nan)
+
+
+def test_infinite_side_grants_no_slack():
+    # the slack rel * max(|a|, |b|, 1) is itself inf when a side is, so it
+    # must not be added: an overflowed lhs fails and infinities are close
+    # only to themselves
+    assert not leq(math.inf, 5.0) and not leq(math.inf, 5.0, TIE_REL)
+    assert not leq(math.inf, Fraction(5)) and not leq(math.inf, 10 ** 300)
+    assert not leq(5.0, -math.inf) and not leq(math.inf, -math.inf)
+    assert not close(math.inf, 5.0) and not close(5.0, math.inf)
+    assert not close(-math.inf, math.inf) and not close(-math.inf, -1e308)
+    assert close(math.inf, math.inf) and close(-math.inf, -math.inf)
+    assert not close(math.nan, math.nan) and not close(math.nan, 1.0)
+    assert not geq(5.0, math.inf)

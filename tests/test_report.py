@@ -71,6 +71,14 @@ def test_non_finite_slacks_are_recorded():
     assert [v.witness for v in rec.violations] == [(3,), (4,)]
 
 
+def test_infinite_lhs_is_a_violation():
+    # an lhs that overflowed to inf gets no slack from its own magnitude
+    rec = CheckRecord("overflow")
+    assert not rec.require_leq(math.inf, 5.0, ("over",))
+    assert rec.violation_count == 1 and not rec.ok
+    assert rec.violations == [Violation("overflow", ("over",), math.inf, 5.0)]
+
+
 def test_fractions_too_large_for_a_float_are_recorded():
     huge = Fraction(10) ** 400
     rec = CheckRecord("exact")

@@ -249,3 +249,21 @@ def test_realized_placements_are_never_stale():
                     for a, b in zip(segments, segments[1:])
                     for pa in a.placements for pb in b.placements)
     assert shifted > 0
+
+
+def test_realize_reports_the_overfull_prefix():
+    # rates fitted to faster machines cannot be realized on slower ones: the
+    # slice raises with star_witness's prefix, scaled by the slice length
+    from bagsched.rates import AliveJob
+    from bagsched.sim import InfeasibleSliceError
+
+    profile = assign_rates([AliveJob(1, 3.0, 1), AliveJob(2, 1.0, 2)],
+                           make_instance([(4, 1), (1, 2)], []))
+    slow = make_instance([(2, 1), (1, 2)], [])
+    with pytest.raises(InfeasibleSliceError) as info:
+        realize_slice(profile, slow, (0.0, 1.0))
+    err = info.value
+    assert (err.prefix_count, err.quota_sum, err.capacity) == (1, 4.0, 2.0)
+    with pytest.raises(InfeasibleSliceError) as info:
+        realize_slice(profile, slow, (1.0, 1.5))
+    assert (info.value.quota_sum, info.value.capacity) == (2.0, 1.0)

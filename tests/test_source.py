@@ -40,6 +40,18 @@ def test_float_tolerances_live_in_numutil():
     assert stray == []
 
 
+def test_tolerant_compares_go_through_numutil():
+    # math.isclose is a second tolerance compare with its own slack rule;
+    # every tolerant compare of the package is numutil's close or leq
+    found = [
+        f"{path.name}:{lineno}: {line.strip()}"
+        for path in sorted(Path(bagsched.__file__).parent.glob("*.py"))
+        for lineno, line in enumerate(path.read_text().splitlines(), start=1)
+        if "isclose" in line
+    ]
+    assert found == []
+
+
 def test_no_assert_statements():
     # `python -O` strips assert statements, so every guard in the package
     # raises explicitly instead
