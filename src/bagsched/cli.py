@@ -85,7 +85,7 @@ def _load_any(path, exact=False):
                     f"{path}: trace lacks an embedded instance record"
                 )
             inst = instance_from_dict(first["instance"], exact=exact)
-            return inst, from_json_number(first["gamma"], exact)
+            return inst, from_json_number(first["gamma"])
         fh.seek(0)
         return instance_from_dict(json.load(fh), exact=exact), None
 

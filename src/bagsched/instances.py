@@ -14,7 +14,7 @@ from dataclasses import dataclass, field, replace
 from functools import cached_property
 from fractions import Fraction
 
-from .numutil import coerce, geq, json_number, leq
+from .numutil import coerce, from_json_number, geq, json_number, leq
 
 SPEED_BASE = 64  # speed rounding base; only this value is certified
 
@@ -242,35 +242,31 @@ def instance_to_dict(instance: Instance) -> dict:
     }
 
 
-def _json_value(x):
-    """A JSON number as written, or the Fraction of its {"num", "den"} form."""
-    return Fraction(x["num"], x["den"]) if isinstance(x, dict) else x
-
-
 def instance_from_dict(data: dict, exact: bool = False) -> Instance:
     try:
         classes = [
-            (_json_value(c["sigma"]), int(c["count"])) for c in data["classes"]
+            (from_json_number(c["sigma"]), int(c["count"])) for c in data["classes"]
         ]
         jobs = []
         for idx, j in enumerate(data.get("jobs", []), start=1):
             pairs = []
             for entry in j["sizes"]:
                 if isinstance(entry, dict) and "size" in entry:
-                    pairs.append((_json_value(entry["size"]), int(entry["count"])))
+                    size = from_json_number(entry["size"])
+                    pairs.append((size, int(entry["count"])))
                 else:
-                    pairs.append((_json_value(entry), 1))
+                    pairs.append((from_json_number(entry), 1))
             jobs.append(
                 make_job(
                     idx,
-                    _json_value(j["weight"]),
+                    from_json_number(j["weight"]),
                     pairs,
-                    release=_json_value(j.get("release", 0)),
+                    release=from_json_number(j.get("release", 0)),
                     exact=exact,
                 )
             )
-        return make_instance(classes, jobs, speedup=_json_value(data.get("speedup", 1)),
-                             exact=exact)
+        speedup = from_json_number(data.get("speedup", 1))
+        return make_instance(classes, jobs, speedup=speedup, exact=exact)
     except (KeyError, TypeError) as exc:
         raise InstanceError(f"malformed instance JSON: {exc}") from exc
 

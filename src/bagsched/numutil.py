@@ -103,8 +103,9 @@ def json_number(x):
     return x
 
 
-def from_json_number(x, exact: bool):
-    if isinstance(x, dict):
-        val = Fraction(x["num"], x["den"])
-        return val if exact else float(val)
-    return coerce(x, exact)
+def from_json_number(x):
+    """A JSON number as written, or the Fraction of its {"num", "den"} form.
+
+    The caller coerces it into its mode after checking it is finite.
+    """
+    return Fraction(x["num"], x["den"]) if isinstance(x, dict) else x

@@ -200,13 +200,17 @@ def verify_star(profile: RateProfile, instance: Instance) -> bool:
 
 
 def star_witness(profile: RateProfile, instance: Instance):
+    """(True, None), or False with the first failure found.
+
+    ("prefix", k, rate_sum, cap) names the first prefix of the members, in
+    listed order, whose rates exceed gamma * S(k); it is looked for before
+    the order, since it proves the profile infeasible in any order.
+    ("order", r1, r2) names the first rate that rises.
+    """
     gamma = profile.gamma
     rates = []
     for m in profile.members():
         rates.append((m.rate, m.count))
-    for (r1, _), (r2, _) in zip(rates, rates[1:]):
-        if not geq(r1, r2):
-            return False, ("order", r1, r2)
     knees = set(instance.class_prefix_counts)
     total = 0
     prefix_rate = 0
@@ -222,6 +226,9 @@ def star_witness(profile: RateProfile, instance: Instance):
         cap = gamma * instance.capacity_prefix(k)
         if not leq(rate_sum, cap):
             return False, ("prefix", k, rate_sum, cap)
+    for (r1, _), (r2, _) in zip(rates, rates[1:]):
+        if not geq(r1, r2):
+            return False, ("order", r1, r2)
     return True, None
 
 

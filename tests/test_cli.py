@@ -226,3 +226,34 @@ def test_bad_gamma_is_a_precondition(tmp_path, capsys, gamma):
     assert run_cli("verify", str(path), "--family", "weaker",
                    "--gamma", gamma) == 3
     assert capsys.readouterr().err.startswith("precondition: speedup must be")
+
+
+@pytest.mark.parametrize("exact", [(), ("--exact",)])
+def test_infinite_trace_gamma_is_a_precondition(tmp_path, capsys, exact):
+    # json reads Infinity; under --exact the trace's gamma once reached
+    # Fraction(inf) and died with an OverflowError traceback
+    path = gen_instance(tmp_path, "lower", "--k", "2")
+    trace = tmp_path / "trace.jsonl"
+    assert run_cli("simulate", str(path), "--out", str(trace)) == 0
+    lines = trace.read_text().splitlines()
+    meta = json.loads(lines[0])
+    meta["gamma"] = math.inf
+    trace.write_text("\n".join([json.dumps(meta)] + lines[1:]) + "\n")
+    capsys.readouterr()
+    assert run_cli("verify", str(trace), "--family", "weaker", *exact) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("precondition: speedup must be finite")
+
+
+def test_exact_trace_gamma_round_trips(tmp_path, capsys):
+    path = gen_instance(tmp_path, "lower", "--k", "2")
+    data = json.loads(path.read_text())
+    data["speedup"] = {"num": 70, "den": 3}
+    path.write_text(json.dumps(data))
+    trace = tmp_path / "trace.jsonl"
+    assert run_cli("simulate", str(path), "--exact", "--out", str(trace)) == 0
+    meta = json.loads(trace.read_text().splitlines()[0])
+    assert meta["gamma"] == {"num": 70, "den": 3}
+    capsys.readouterr()
+    assert run_cli("verify", str(trace), "--family", "weaker", "--exact") == 0

@@ -267,3 +267,20 @@ def test_realize_reports_the_overfull_prefix():
     with pytest.raises(InfeasibleSliceError) as info:
         realize_slice(profile, slow, (1.0, 1.5))
     assert (info.value.quota_sum, info.value.capacity) == (2.0, 1.0)
+
+
+def test_realize_reports_an_overfull_prefix_out_of_order():
+    # a prefix that is over-full in listed order is reported even when the
+    # rates also rise, instead of a livelock
+    from bagsched.rates import AliveJob, star_witness
+    from bagsched.sim import InfeasibleSliceError
+
+    profile = assign_rates([AliveJob(1, 3.0, 1), AliveJob(2, 1.0, 2)],
+                           make_instance([(4, 1), (1, 2)], []))
+    rising = replace(profile, blocks=tuple(reversed(profile.blocks)))
+    slow = make_instance([(2, 1), (1, 2)], [])
+    assert star_witness(rising, slow) == (False, ("prefix", 3, 6.0, 4.0))
+    with pytest.raises(InfeasibleSliceError) as info:
+        realize_slice(rising, slow, (0.0, 0.5))
+    err = info.value
+    assert (err.prefix_count, err.quota_sum, err.capacity) == (3, 3.0, 2.0)
