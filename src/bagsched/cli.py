@@ -31,7 +31,7 @@ from .instances import (
     with_speedup,
 )
 from .lp import LpError, check_lp_solution, emit_lp, parse_lp_solution, solution_objective
-from .numutil import WORK_REL, from_json_number
+from .numutil import WORK_REL, close, from_json_number
 from .rates import RateError
 from .report import AnalysisError, certified_ratio
 from .sim import realize_slice, simulate, write_trace
@@ -115,7 +115,7 @@ def cmd_simulate(args) -> int:
             for j in iv.jobs:
                 want = j.rate * iv.length()
                 got = sl.work.get(j.job_id, 0)
-                if abs(float(got) - float(want)) > WORK_REL * max(1.0, float(want)):
+                if not close(got, want, WORK_REL):
                     print(f"realize: interval {index} [{iv.start}, {iv.end}): "
                           f"job {j.job_id} got work {got}, expected {want}",
                           file=sys.stderr)

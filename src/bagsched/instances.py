@@ -14,7 +14,7 @@ from dataclasses import dataclass, field, replace
 from functools import cached_property
 from fractions import Fraction
 
-from .numutil import coerce, from_json_number, geq, json_number, leq
+from .numutil import coerce, from_json_number, geq, is_exact, json_number, leq
 
 SPEED_BASE = 64  # speed rounding base; only this value is certified
 
@@ -200,9 +200,20 @@ def make_instance(classes, jobs, speedup=1, exact=False, provenance=None):
     for a, b in zip(cls, cls[1:]):
         if not a.speed > b.speed:
             raise InstanceError("class speeds must be strictly decreasing")
+    jobs = tuple(jobs)
+    for job in jobs:  # a job in the other mode would mix Fractions and floats in sums
+        fields = [("weight", job.weight), ("release", job.release)]
+        fields += [("task size", g.size) for g in job.groups]
+        for what, value in fields:
+            if is_exact(value) != exact:
+                raise InstanceError(
+                    f"job {job.job_id}: {what} {value!r} is "
+                    + ("a float in an exact" if exact else "exact in a float")
+                    + " instance"
+                )
     return Instance(
         classes=cls,
-        jobs=tuple(jobs),
+        jobs=jobs,
         speedup=_speedup(speedup, exact),
         exact=exact,
         provenance=dict(provenance or {}),

@@ -16,18 +16,27 @@ while schedule embedding uses the speeds that actually ran the schedule.
 One row checker, _violated_rows, evaluates these four families for both
 check_lp_solution (ingested unit-slot solutions, at SOLVER_REL) and
 check_primal (embedded schedules on their slot grid, at REL_TOL).
+
+Cost: schedule_to_primal writes each x entry once, then reads x once to sum
+it by task and slot. check_primal reads x three times: for its machines and
+horizon, for the same task-by-slot sums, and for the machine loads and task
+times. Past those passes, U and the rem rows take a constant amount of work
+per cell of the task-by-slot grid.
+
 The "LP lower bound" reported elsewhere is (feasible dual value)/2, since
 the objective double-counts completion time.
 """
 from __future__ import annotations
 
 import functools
-import itertools
+from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate, permutations, repeat
+from operator import le, truediv
 
 from .instances import Instance
-from .numutil import REL_TOL, SOLVER_REL, leq
+from .numutil import REL_TOL, SOLVER_REL, close, leq
 from .sim import realize_slice
 
 MAX_EMIT_CELLS = 200_000      # machines * tasks * horizon guard for emit_lp
@@ -211,35 +220,60 @@ def _violated_rows(table, x, U, C, speeds, slot, horizon, rel):
     """
     zero = slot - slot
     one = zero + 1
-    by_vt = {}   # (task, slot) -> amount over all machines
-    spent = {}   # task -> machine time
-    load = {}    # (machine, slot) -> amount over all tasks
+    grid = _task_slot_sums(x, zero)
+    load = defaultdict(dict)           # machine -> {slot: amount}
+    spent = defaultdict(lambda: zero)  # task -> machine time
     for (i, v, t), amt in x.items():
-        key = (v, t)
-        by_vt[key] = by_vt.get(key, zero) + amt
-        spent[v] = spent.get(v, zero) + amt / speeds[i - 1]
-        key = (i, t)
-        load[key] = load.get(key, zero) + amt
+        row = load[i]
+        row[t] = row[t] + amt if t in row else zero + amt
+        spent[v] += amt / speeds[i - 1]
+    slots = range(horizon - 1, -1, -1)
+    u_of = {}    # job -> its U over `slots`
     for v, j, p in table:
         if not p:
             continue
-        suffix = frac = zero
-        for t in range(horizon - 1, -1, -1):
-            suffix += by_vt.get((v, t), zero)
-            frac, u = suffix / p, U.get((j, t), zero)
-            if not leq(frac, u, rel):
-                yield f"rem_{j}_{v}_{t}", u, frac
+        us = u_of.get(j)
+        if us is None:
+            us = u_of[j] = list(map(U.get, zip(repeat(j), slots), repeat(zero)))
+        fracs = _remaining(grid.get(v, {}), p, zero, horizon)
+        if not all(map(le, fracs, us)):  # leq holds wherever <= does
+            for t, frac, u in zip(slots, fracs, us):
+                if not (frac <= u or leq(frac, u, rel)):
+                    yield f"rem_{j}_{v}_{t}", u, frac
         c, sp = C.get(j, zero), spent.get(v, zero)
         if not leq(sp, c, rel):
             yield f"time_{j}_{v}", c, sp
-        if not leq(one, frac, rel):  # frac is now the whole of task v
+        frac = fracs[-1] if fracs else zero  # the whole of task v
+        if not leq(one, frac, rel):
             yield f"done_{j}_{v}", frac, one
     over = sorted(
-        key for key, amt in load.items()
-        if not leq(amt / speeds[key[0] - 1], slot, rel)
+        (i, t) for i, row in load.items() for t, amt in row.items()
+        if not leq(amt / speeds[i - 1], slot, rel)
     )
     for i, t in over:
-        yield f"cap_{i}_{t}", load[(i, t)] / speeds[i - 1], slot
+        yield f"cap_{i}_{t}", load[i][t] / speeds[i - 1], slot
+
+
+def _task_slot_sums(x, zero):
+    """{task: {slot: amount over all machines}} of x, each sum taken in x's
+    order from the typed zero."""
+    grid = defaultdict(dict)
+    for (_, v, t), amt in x.items():
+        row = grid[v]
+        row[t] = row[t] + amt if t in row else zero + amt
+    return grid
+
+
+def _remaining(row, p, zero, horizon):
+    """The share of a task of size p still to run at each slot from
+    horizon - 1 down to 0: the running sum of its row from the top slot
+    down, over p. An empty slot adds the typed zero, as the LP's suffix sum
+    does; above the row's last slot (all of its slots lie below horizon)
+    that sum stays the typed zero and needs no additions."""
+    last = max(max(row, default=-1), -1)
+    return [zero / p] * (horizon - 1 - last) + list(map(
+        truediv, accumulate(map(row.get, range(last, -1, -1), repeat(zero))),
+        repeat(p)))
 
 
 # ---------------------------------------------------------------------------
@@ -345,7 +379,7 @@ def schedule_to_primal(source, instance: Instance, slot=None) -> PrimalSolution:
             raise LpError(f"task {v} not finished by the given schedule")
     if hasattr(source, "completions"):
         for j, c in source.completions.items():
-            if not abs(float(c) - float(completion[j])) <= REL_TOL * max(1.0, float(c)):
+            if not close(c, completion[j]):
                 raise LpError(f"job {j}: derived completion {completion[j]} vs trace {c}")
 
     cost = sum(weights[j] * completion[j] for j in weights) if weights else zero
@@ -377,13 +411,14 @@ def schedule_to_primal(source, instance: Instance, slot=None) -> PrimalSolution:
         max((pl.machine_hi for seg in segments for pl in seg.placements), default=0)
     )
     x = {}
+    high = -1  # highest slot that an earlier segment wrote
     for si, seg in enumerate(segments):
+        seg_high = high
         for pl in seg.placements:
             if pl.per_task_rate == 0 or pl.machine_lo > pl.machine_hi:
                 continue
-            alive_of = {
-                job_id: seg_alive[(si, job_id)] for job_id, _ in pl.members
-            }
+            tasks = [v for job_id, _ in pl.members for v in seg_alive[(si, job_id)]]
+            machines = range(pl.machine_lo, pl.machine_hi + 1)
             t0, t1 = seg.start, seg.end
             s = int(t0 / slot)
             while t0 < t1:
@@ -391,38 +426,43 @@ def schedule_to_primal(source, instance: Instance, slot=None) -> PrimalSolution:
                 hi = edge if edge < t1 else t1
                 d = hi - t0
                 if d > 0:
-                    share = d / pl.count
-                    for i in range(pl.machine_lo, pl.machine_hi + 1):
-                        amount = share * gamma * speeds[i - 1]
-                        for job_id in alive_of:
-                            for v in alive_of[job_id]:
+                    share = d / pl.count * gamma
+                    # a segment's keys are distinct, so a slot that no
+                    # earlier segment wrote gets each amount written, not added
+                    for i in machines:
+                        amount = share * speeds[i - 1]
+                        if s > high:
+                            for v in tasks:
+                                x[i, v, s] = amount
+                        else:
+                            for v in tasks:
                                 key = (i, v, s)
                                 x[key] = x.get(key, zero) + amount
+                    if s > seg_high:
+                        seg_high = s
                 if len(x) > MAX_PRIMAL_ENTRIES:
                     raise LpError(
                         f"primal embedding exceeds {MAX_PRIMAL_ENTRIES} entries"
                     )
                 t0 = hi
                 s += 1
+        high = seg_high
 
-    # minimal U from suffix sums of x, per job per slot
-    sizes = {v: p for v, _, p in table}
-    by_vt = {}
-    for (i, v, s), amt in x.items():
-        key = (v, s)
-        by_vt[key] = by_vt.get(key, zero) + amt
-    max_slot = max((s for _, s in by_vt), default=-1)
+    # minimal U: per job and slot, the largest remaining fraction of its
+    # tasks, in slot descending then job order
+    grid = _task_slot_sums(x, zero)
+    slots = range(high, -1, -1)
+    u_of = {}
+    for v, j, p in table:
+        if p == 0:
+            continue
+        fracs = _remaining(grid.get(v, {}), p, zero, high + 1)
+        us = u_of.get(j)
+        u_of[j] = fracs if us is None else list(map(max, us, fracs))
     U = {}
-    suffix = {}
-    for s in range(max_slot, -1, -1):
-        for v, j, p in table:
-            if p == 0:
-                continue
-            suffix[v] = suffix.get(v, zero) + by_vt.get((v, s), zero)
-            frac = suffix[v] / p
-            key = (j, s)
-            if key not in U or U[key] < frac:
-                U[key] = frac
+    for k, s in enumerate(slots):
+        for j, us in u_of.items():
+            U[j, s] = us[k]
 
     u_cost = slot * sum(weights[j] * u for (j, _), u in U.items()) if U else zero
     objective = cost + u_cost
@@ -439,13 +479,16 @@ def check_primal(primal: PrimalSolution, instance: Instance) -> None:
     embedding adds: U <= 1, each job's Riemann sum slot * sum_t U_{j,t} <=
     C_j, and cost <= objective <= 2 * cost. Raise LpError at the first
     violation."""
-    machines = {i for i, _, _ in primal.x}
+    machines, last = set(), -1
+    for i, _, s in primal.x:
+        machines.add(i)
+        if s > last:
+            last = s
     for i in machines:
         if not (leq(1, i) and leq(i, instance.machine_count())):
             raise LpError(f"x names machine {i}: no machine {i}")
     speeds = [primal.gamma * sp for sp in instance.machine_speeds(max(machines, default=0))]
-    horizon = 1 + max(max((s for _, _, s in primal.x), default=-1),
-                      max((s for _, s in primal.U), default=-1))
+    horizon = 1 + max(last, max((s for _, s in primal.U), default=-1))
     row = next(_violated_rows(task_table(instance), primal.x, primal.U, primal.C,
                               speeds, primal.slot, horizon, REL_TOL), None)
     if row is not None:
@@ -453,7 +496,7 @@ def check_primal(primal: PrimalSolution, instance: Instance) -> None:
         raise LpError(f"row {name} violated: lhs={float(lhs)!r} rhs={float(rhs)!r}")
     u_sum = {}  # each job's U values are summed in insertion order
     for (j, s), u in primal.U.items():
-        if not leq(u, 1):
+        if not (u <= 1 or leq(u, 1)):
             raise LpError(f"U_{j}_{s} exceeds 1")
         u_sum[j] = u_sum.get(j, 0) + u
     for j, c in primal.C.items():
@@ -559,7 +602,7 @@ def brute_force_opt(instance: Instance, grid: int = 2):
         if slots == 0:
             yield ()
             return
-        for combo in itertools.permutations(range(len(tasks)), slots):
+        for combo in permutations(range(len(tasks)), slots):
             yield tuple(tasks[c] for c in combo)
 
     return solve(start)

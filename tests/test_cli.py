@@ -76,6 +76,27 @@ def test_simulate_realize_rejects_short_work(tmp_path, monkeypatch, capsys):
     assert "interval 0" in err and "job 1" in err
 
 
+def test_jobs_of_the_other_mode_are_a_precondition(tmp_path, monkeypatch,
+                                                   capsys):
+    # a loader that hands `simulate --exact` float jobs gets exit 3, not a
+    # run whose "exact" sums fall back to floats
+    load = cli.instance_from_dict
+
+    def float_jobs(data, exact=False):
+        inst = load(data)
+        return cli.make_instance(inst.classes, inst.jobs, exact=exact)
+
+    monkeypatch.setattr(cli, "instance_from_dict", float_jobs)
+    inst = gen_instance(tmp_path, "random", "--k", "2", "--jobs", "2",
+                        "--seed", "1")
+    capsys.readouterr()
+    assert run_cli("simulate", str(inst)) == 0
+    assert run_cli("simulate", str(inst), "--exact") == 3
+    err = capsys.readouterr().err
+    assert err.startswith("precondition: job 1: weight ")
+    assert err.rstrip().endswith("is a float in an exact instance")
+
+
 def test_verify_exit_codes(tmp_path, capsys):
     inst = gen_instance(tmp_path, "lower", "--k", "2")
     # infeasible below threshold: exit 1 and a warning on stderr

@@ -1,5 +1,6 @@
 """Instance model: speed rounding, capacity selection, validation, thresholds."""
 
+import dataclasses
 import json
 import math
 from fractions import Fraction
@@ -18,6 +19,7 @@ from bagsched import (
 from bagsched.instances import (
     InstanceError,
     SpeedClass,
+    TaskGroup,
     instance_from_dict,
     instance_to_dict,
     preprocess_raw_speeds,
@@ -188,6 +190,33 @@ def test_non_finite_numbers_are_rejected(exact, bad):
             build()
     with pytest.raises(InstanceError, match="must be finite"):
         with_speedup(make_instance([(1, 1)], [], exact=exact), bad)
+
+
+def test_float_jobs_make_no_exact_instance():
+    with pytest.raises(InstanceError,
+                       match=r"^job 1: weight 1\.0 is a float in an exact instance$"):
+        make_instance([(2, 1), (1, 1)],
+                      [make_job(1, 1, [3, 2]), make_job(2, 2, [1])], exact=True)
+
+
+@pytest.mark.parametrize("exact", [False, True])
+@pytest.mark.parametrize("field", ["weight", "release", "task size"])
+def test_jobs_of_the_other_mode_are_rejected(exact, field):
+    # every number of a job must be in the instance's mode, in either
+    # direction; make_job coerces, so build the odd field by hand
+    job = make_job(2, 3, [4, 2], exact=exact)
+    other = Fraction if not exact else float
+    bad = {
+        "weight": dataclasses.replace(job, weight=other(3)),
+        "release": dataclasses.replace(job, release=other(0)),
+        "task size": dataclasses.replace(
+            job, groups=job.groups[:1] + (TaskGroup(size=other(2), count=1),)),
+    }[field]
+    mode = "a float in an exact" if exact else "exact in a float"
+    good = make_job(1, 1, [1], exact=exact)
+    with pytest.raises(InstanceError, match=rf"^job 2: {field} .* is {mode} instance$"):
+        make_instance([(2, 1), (1, 1)], [good, bad], exact=exact)
+    make_instance([(2, 1), (1, 1)], [good, job], exact=exact)
 
 
 @pytest.mark.parametrize("gamma", [0, -1, 0.0, Fraction(-1, 2)])

@@ -32,9 +32,14 @@ from bagsched import (
     task_table,
     with_speedup,
 )
-from bagsched.lp import LpError, check_primal, primal_to_solution_values
-from bagsched.numutil import SOLVER_REL
-from bagsched.sim import Placement, ScheduleSlice, Segment
+from bagsched.lp import (
+    LpError,
+    PrimalSolution,
+    check_primal,
+    primal_to_solution_values,
+)
+from bagsched.numutil import REL_TOL, SOLVER_REL, leq
+from bagsched.sim import Placement, ScheduleSlice, Segment, realize_slice
 
 from oracles import wspt_cost
 from support import (
@@ -285,6 +290,276 @@ def test_check_lp_solution_matches_first_definition(case):
     for (_, lhs, rhs), (_, want_lhs, want_rhs) in zip(got, want):
         assert lhs == pytest.approx(want_lhs, rel=1e-12, abs=0)
         assert rhs == pytest.approx(want_rhs, rel=1e-12, abs=0)
+
+
+def first_schedule_to_primal(slices, instance, slot=None):
+    """schedule_to_primal on slices as first written: pass B adds every
+    amount to x, and U is built slot by slot over the whole task table from
+    (task, slot) sums of x. The other steps are unchanged and copied here so
+    that every value can be compared bit for bit."""
+    gamma = instance.speedup
+    table = task_table(instance)
+    job_tasks = {}
+    for v, j, p in table:
+        job_tasks.setdefault(j, []).append((v, p))
+    weights = {j.job_id: j.weight for j in instance.jobs}
+    zero = instance.speedup - instance.speedup
+    segments = [seg for sl in slices for seg in sl.segments if seg.end > seg.start]
+    segments.sort(key=lambda s: float(s.start))
+    remaining = {v: p for v, _, p in table}
+    completion = {j.job_id: zero for j in instance.jobs}
+    work_curve = {j.job_id: [(zero, zero)] for j in instance.jobs}
+    cum_work = {j.job_id: zero for j in instance.jobs}
+    seg_alive = {}
+    for si, seg in enumerate(segments):
+        length = seg.end - seg.start
+        for pl in seg.placements:
+            rate = pl.per_task_rate
+            if rate == 0:
+                continue
+            for job_id, cnt in pl.members:
+                alive = [(v, p) for v, p in job_tasks[job_id] if remaining[v] > 0]
+                seg_alive[(si, job_id)] = [v for v, _ in alive]
+                for v, p in alive:
+                    got = rate * length
+                    slack = 0 if instance.exact else REL_TOL * float(p or 1)
+                    if float(got) >= float(remaining[v]) - slack:
+                        t_done = seg.start + min(remaining[v] / rate, length)
+                        remaining[v] = zero
+                        if t_done > completion[job_id]:
+                            completion[job_id] = t_done
+                    else:
+                        remaining[v] = remaining[v] - got
+                curve = work_curve[job_id]
+                if curve[-1][0] < seg.start:
+                    curve.append((seg.start, cum_work[job_id]))
+                cum_work[job_id] = cum_work[job_id] + rate * length
+                curve.append((seg.end, cum_work[job_id]))
+    cost = sum(weights[j] * completion[j] for j in weights) if weights else zero
+    if slot is None:
+        gap = None
+        for job in instance.jobs:
+            p_max = max((p for _, p in job_tasks[job.job_id]), default=0)
+            if p_max == 0:
+                continue
+            area = zero
+            curve = work_curve[job.job_id]
+            for (t0, w0), (t1, w1) in zip(curve, curve[1:]):
+                u0 = max(zero, 1 - w0 / p_max)
+                u1 = max(zero, 1 - w1 / p_max)
+                area = area + (t1 - t0) * (u0 + u1) / 2
+            g = completion[job.job_id] - area
+            gap = g if gap is None else min(gap, g)
+        slot = 1 if gap is None else gap / 2
+
+    speeds = instance.machine_speeds(
+        max((pl.machine_hi for seg in segments for pl in seg.placements), default=0)
+    )
+    x = {}
+    for si, seg in enumerate(segments):
+        for pl in seg.placements:
+            if pl.per_task_rate == 0 or pl.machine_lo > pl.machine_hi:
+                continue
+            alive_of = {
+                job_id: seg_alive[(si, job_id)] for job_id, _ in pl.members
+            }
+            t0, t1 = seg.start, seg.end
+            s = int(t0 / slot)
+            while t0 < t1:
+                edge = (s + 1) * slot
+                hi = edge if edge < t1 else t1
+                d = hi - t0
+                if d > 0:
+                    share = d / pl.count
+                    for i in range(pl.machine_lo, pl.machine_hi + 1):
+                        amount = share * gamma * speeds[i - 1]
+                        for job_id in alive_of:
+                            for v in alive_of[job_id]:
+                                key = (i, v, s)
+                                x[key] = x.get(key, zero) + amount
+                t0 = hi
+                s += 1
+
+    by_vt = {}
+    for (i, v, s), amt in x.items():
+        key = (v, s)
+        by_vt[key] = by_vt.get(key, zero) + amt
+    max_slot = max((s for _, s in by_vt), default=-1)
+    U = {}
+    suffix = {}
+    for s in range(max_slot, -1, -1):
+        for v, j, p in table:
+            if p == 0:
+                continue
+            suffix[v] = suffix.get(v, zero) + by_vt.get((v, s), zero)
+            frac = suffix[v] / p
+            key = (j, s)
+            if key not in U or U[key] < frac:
+                U[key] = frac
+
+    u_cost = slot * sum(weights[j] * u for (j, _), u in U.items()) if U else zero
+    return PrimalSolution(slot=slot, gamma=gamma, x=x, U=U, C=dict(completion),
+                          cost=cost, objective=cost + u_cost)
+
+
+def first_violated_rows(table, x, U, C, speeds, slot, horizon, rel):
+    """_violated_rows as first written: one dict of (task, slot) sums, and
+    every rem row walked slot by slot."""
+    zero = slot - slot
+    one = zero + 1
+    by_vt = {}
+    spent = {}
+    load = {}
+    for (i, v, t), amt in x.items():
+        key = (v, t)
+        by_vt[key] = by_vt.get(key, zero) + amt
+        spent[v] = spent.get(v, zero) + amt / speeds[i - 1]
+        key = (i, t)
+        load[key] = load.get(key, zero) + amt
+    for v, j, p in table:
+        if not p:
+            continue
+        suffix = frac = zero
+        for t in range(horizon - 1, -1, -1):
+            suffix += by_vt.get((v, t), zero)
+            frac, u = suffix / p, U.get((j, t), zero)
+            if not leq(frac, u, rel):
+                yield f"rem_{j}_{v}_{t}", u, frac
+        c, sp = C.get(j, zero), spent.get(v, zero)
+        if not leq(sp, c, rel):
+            yield f"time_{j}_{v}", c, sp
+        if not leq(one, frac, rel):
+            yield f"done_{j}_{v}", frac, one
+    over = sorted(
+        key for key, amt in load.items()
+        if not leq(amt / speeds[key[0] - 1], slot, rel)
+    )
+    for i, t in over:
+        yield f"cap_{i}_{t}", load[(i, t)] / speeds[i - 1], slot
+
+
+def first_check_primal(primal, instance):
+    """check_primal as first written, on first_violated_rows."""
+    machines = {i for i, _, _ in primal.x}
+    for i in machines:
+        if not (leq(1, i) and leq(i, instance.machine_count())):
+            raise LpError(f"x names machine {i}: no machine {i}")
+    speeds = [primal.gamma * sp
+              for sp in instance.machine_speeds(max(machines, default=0))]
+    horizon = 1 + max(max((s for _, _, s in primal.x), default=-1),
+                      max((s for _, s in primal.U), default=-1))
+    row = next(first_violated_rows(task_table(instance), primal.x, primal.U,
+                                   primal.C, speeds, primal.slot, horizon,
+                                   REL_TOL), None)
+    if row is not None:
+        name, lhs, rhs = row
+        raise LpError(f"row {name} violated: lhs={float(lhs)!r} rhs={float(rhs)!r}")
+    u_sum = {}
+    for (j, s), u in primal.U.items():
+        if not leq(u, 1):
+            raise LpError(f"U_{j}_{s} exceeds 1")
+        u_sum[j] = u_sum.get(j, 0) + u
+    for j, c in primal.C.items():
+        usum = primal.slot * u_sum.get(j, 0)
+        if not leq(usum, c):
+            raise LpError(f"job {j}: U sum {float(usum)} exceeds C {float(c)}")
+    if not (leq(primal.cost, primal.objective)
+            and leq(primal.objective, 2 * primal.cost)):
+        raise LpError(
+            f"objective {float(primal.objective)} outside "
+            f"[cost, 2 cost] for cost {float(primal.cost)}"
+        )
+
+
+def first_error(check, primal, instance):
+    try:
+        check(primal, instance)
+    except (LpError, ArithmeticError, LookupError, TypeError) as exc:
+        return f"{type(exc).__name__}: {exc}"
+    return None
+
+
+def _corrupt(primal, instance, kind, k, value):
+    """A copy of the primal with one entry added or changed: `kind` says
+    which, `k` picks the entry, `value` is the number written."""
+    x, U, C = dict(primal.x), dict(primal.U), dict(primal.C)
+    top = max((s for _, _, s in x), default=0)
+    jobs = sorted(C)
+    m, tasks = instance.machine_count(), len(task_table(instance))
+    machine = 1 + k % m
+    if kind == "U past the work":     # a slot with no work of any task
+        U[(jobs[k % len(jobs)], top + 1 + k % 3)] = value
+    elif kind == "task outside the table":
+        x[(machine, tasks + 1 + k % 2, k % (top + 1))] = value
+    elif kind == "negative slot":
+        x[(machine, 1 + k % tasks, -1 - k % 2)] = value
+    elif kind == "U at a negative slot":
+        U[(jobs[k % len(jobs)], -1 - k % 2)] = value
+    elif kind == "x entry":           # overwrite one existing amount
+        keys = list(x)
+        x[keys[k % len(keys)]] = value
+    else:                             # "C"
+        C[jobs[k % len(jobs)]] = value
+    return dataclasses.replace(primal, x=x, U=U, C=C)
+
+
+@st.composite
+def _embeddings(draw):
+    seed = draw(st.integers(0, 2 ** 16))
+    if draw(st.booleans()):
+        inst = gen_random_ica(draw(st.integers(1, 2)), draw(st.integers(1, 4)),
+                              draw(st.integers(1, 3)), seed)
+    else:
+        inst = random_lp_instance(random.Random(seed))
+    if draw(st.booleans()):
+        inst = instance_from_dict(instance_to_dict(inst), exact=True)
+    slot = draw(st.sampled_from([None, None, 1]))
+    kinds = st.sampled_from(["U past the work", "task outside the table",
+                             "negative slot", "U at a negative slot",
+                             "x entry", "C"])
+    values = st.sampled_from([-0.0, 0.0, -0.25, 0.5, 3.0, Fraction(-1, 3)])
+    corruptions = draw(st.lists(
+        st.tuples(kinds, st.integers(0, 10 ** 6), values), max_size=3))
+    return inst, slot, corruptions
+
+
+@settings(max_examples=120, deadline=None)
+@given(_embeddings())
+def test_schedule_to_primal_matches_first_definition(case):
+    inst, slot, corruptions = case
+    slices = [realize_slice(iv.profile, inst, iv)
+              for iv in simulate(inst).intervals]
+    want = first_schedule_to_primal(slices, inst, slot)
+    want_error = first_error(first_check_primal, want, inst)
+    try:
+        got = schedule_to_primal(slices, inst, slot)
+    except LpError as exc:
+        # a slot given by hand can be too long for U's Riemann sum
+        assert want_error == f"LpError: {exc}"
+        return
+    assert want_error is None
+    # repr tells 0 from 0.0 and -0.0, and a Fraction from an equal float
+    for name in ("x", "U", "C"):
+        assert repr(list(getattr(got, name).items())) == repr(
+            list(getattr(want, name).items()))
+    assert repr((got.slot, got.cost, got.objective)) == repr(
+        (want.slot, want.cost, want.objective))
+    bad = got
+    for kind, k, value in corruptions:
+        bad = _corrupt(bad, inst, kind, k, value)
+        assert first_error(check_primal, bad, inst) == first_error(
+            first_check_primal, bad, inst)
+
+
+def test_primal_entry_cap(monkeypatch):
+    # pass B stops as soon as x holds more entries than the cap
+    inst = make_instance([(2, 1), (1, 1)], [make_job(1, 1.0, [3, 2])])
+    entries = len(schedule_to_primal(simulate(inst), inst).x)
+    monkeypatch.setattr(bagsched.lp, "MAX_PRIMAL_ENTRIES", entries)
+    schedule_to_primal(simulate(inst), inst)
+    monkeypatch.setattr(bagsched.lp, "MAX_PRIMAL_ENTRIES", entries - 1)
+    with pytest.raises(LpError, match=f"exceeds {entries - 1} entries"):
+        schedule_to_primal(simulate(inst), inst)
 
 
 def test_solution_roundtrip_slot_one():

@@ -52,6 +52,21 @@ def test_tolerant_compares_go_through_numutil():
     assert found == []
 
 
+def test_relative_compares_go_through_numutil():
+    # a slack scaled by hand, `rel * max(1.0, |x|)`, is a second relative
+    # compare beside numutil.close and leq, and one that is not exact in
+    # exact mode; numutil's own definitions are the only ones allowed
+    scaled = re.compile(r"\*\s*max\(\s*1(\.0)?\s*,")
+    found = [
+        f"{path.name}:{lineno}: {line.strip()}"
+        for path in sorted(Path(bagsched.__file__).parent.glob("*.py"))
+        if path.name != "numutil.py"
+        for lineno, line in enumerate(path.read_text().splitlines(), start=1)
+        if scaled.search(line)
+    ]
+    assert found == []
+
+
 def test_no_assert_statements():
     # `python -O` strips assert statements, so every guard in the package
     # raises explicitly instead
