@@ -6,7 +6,6 @@ from .blocks import (
     BlockView,
     IntervalBlocks,
     classify_blocks,
-    nearest_simple_class,
     simple_job_classes,
 )
 from .duals import (
@@ -48,6 +47,7 @@ from .lp import (
     check_primal,
     emit_lp,
     parse_lp_solution,
+    primal_to_solution_values,
     schedule_to_primal,
     solution_objective,
     task_table,

@@ -51,9 +51,6 @@ class BlockView:
     class_machine_counts: tuple  # machines of each class inside the span
     job_ids: tuple
 
-    def average(self):
-        return self.speed / self.task_count
-
 
 @dataclass(frozen=True)
 class IntervalBlocks:
@@ -98,18 +95,13 @@ def simple_job_classes(rate, gamma, classes):
     return tuple(out)
 
 
-def nearest_simple_class(rate, gamma, classes):
-    """The qualifying class whose speed is nearest to rate in log scale.
+def nearest_qualifying_class(qualifying, rate, gamma, classes):
+    """The class of `qualifying`, which is simple_job_classes(rate, gamma,
+    classes), whose speed is nearest to rate in log scale.
 
     Ties (rate exactly between two class speeds) go to the faster class.
     Returns 0 when no class qualifies.
     """
-    qualifying = simple_job_classes(rate, gamma, classes)
-    return nearest_qualifying_class(qualifying, rate, gamma, classes)
-
-
-def nearest_qualifying_class(qualifying, rate, gamma, classes):
-    """nearest_simple_class, given simple_job_classes(rate, gamma, classes)."""
     if not qualifying:
         return 0
     best = 0

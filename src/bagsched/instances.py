@@ -115,13 +115,6 @@ class Instance:
         li = bisect_left(counts, k, 1) - 1
         return self.class_prefix_capacities[li] + (k - counts[li]) * self.classes[li].speed
 
-    def machine_speed(self, index: int):
-        """Speed of machine `index` (1-based), without the speedup factor."""
-        counts = self.class_prefix_counts
-        if not 1 <= index <= counts[-1]:
-            raise AssertionError(f"machine {index} outside 1..{counts[-1]}")
-        return self.classes[bisect_left(counts, index, 1) - 1].speed
-
     def machine_speeds(self, upto: int) -> list:
         """Speeds of machines 1..upto, fastest first, without the speedup.
 

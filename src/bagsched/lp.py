@@ -475,30 +475,43 @@ def schedule_to_primal(source, instance: Instance, slot=None) -> PrimalSolution:
 
 
 def check_primal(primal: PrimalSolution, instance: Instance) -> None:
-    """Check the LP's rows on the primal's slot grid, then the bounds the
-    embedding adds: U <= 1, each job's Riemann sum slot * sum_t U_{j,t} <=
-    C_j, and cost <= objective <= 2 * cost. Raise LpError at the first
-    violation."""
+    """Check that every x and U entry names an LP variable (a slot >= 0, and
+    for U a job of the instance), then the LP's rows on the primal's slot
+    grid, then the bounds the embedding adds: U <= 1, each job's Riemann sum
+    slot * sum_t U_{j,t} <= C_j, and cost <= objective <= 2 * cost. Last,
+    the stored cost and objective must be close to sum_j w_j C_j and cost +
+    slot * sum w_j U_{j,t}, summed in schedule_to_primal's order. Raise
+    LpError at the first violation."""
+    weights = {j.job_id: j.weight for j in instance.jobs}
     machines, last = set(), -1
     for i, _, s in primal.x:
+        if s < 0:
+            raise LpError(f"x names slot {s}: no slot {s}")
         machines.add(i)
+        if s > last:
+            last = s
+    for j, s in primal.U:
+        if s < 0 or j not in weights:
+            raise LpError(f"U_{j}_{s} names no LP variable")
         if s > last:
             last = s
     for i in machines:
         if not (leq(1, i) and leq(i, instance.machine_count())):
             raise LpError(f"x names machine {i}: no machine {i}")
     speeds = [primal.gamma * sp for sp in instance.machine_speeds(max(machines, default=0))]
-    horizon = 1 + max(last, max((s for _, s in primal.U), default=-1))
     row = next(_violated_rows(task_table(instance), primal.x, primal.U, primal.C,
-                              speeds, primal.slot, horizon, REL_TOL), None)
+                              speeds, primal.slot, 1 + last, REL_TOL), None)
     if row is not None:
         name, lhs, rhs = row
         raise LpError(f"row {name} violated: lhs={float(lhs)!r} rhs={float(rhs)!r}")
+    zero = primal.slot - primal.slot
     u_sum = {}  # each job's U values are summed in insertion order
+    u_cost = zero  # sum w_j U_{j,t}, in insertion order as schedule_to_primal
     for (j, s), u in primal.U.items():
         if not (u <= 1 or leq(u, 1)):
             raise LpError(f"U_{j}_{s} exceeds 1")
         u_sum[j] = u_sum.get(j, 0) + u
+        u_cost = u_cost + weights[j] * u
     for j, c in primal.C.items():
         usum = primal.slot * u_sum.get(j, 0)
         if not leq(usum, c):
@@ -509,6 +522,11 @@ def check_primal(primal: PrimalSolution, instance: Instance) -> None:
             f"objective {float(primal.objective)} outside "
             f"[cost, 2 cost] for cost {float(primal.cost)}"
         )
+    cost = sum((w * primal.C.get(j, zero) for j, w in weights.items()), zero)
+    for name, stored, want in (("cost", primal.cost, cost),
+                               ("objective", primal.objective, cost + primal.slot * u_cost)):
+        if not close(stored, want):
+            raise LpError(f"{name} {float(stored)!r} is not the primal's {float(want)!r}")
 
 
 def primal_to_solution_values(primal: PrimalSolution) -> dict:

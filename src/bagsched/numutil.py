@@ -23,8 +23,8 @@ REL_TOL = 1e-9
 EVENT_REL = 1e-12
 
 # Argmin ties: water levels of run ends in assign_rates, and log-scale gaps to
-# class speeds in nearest_simple_class, this close count as tied. Absorbs the
-# rounding of a single quotient, so the tie-break rule decides.
+# class speeds in nearest_qualifying_class, this close count as tied. Absorbs
+# the rounding of a single quotient, so the tie-break rule decides.
 TIE_REL = 1e-12
 
 # A speedup meets a certificate family's threshold when it is below it by at

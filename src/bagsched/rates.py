@@ -2,17 +2,31 @@
 
 Every alive task of a job gets the same per-task share w_j / n_j. A common
 multiplier tau is raised for all unfrozen tasks; whenever the total rate of
-the k highest-share unfrozen tasks reaches the speedup-scaled capacity of the
-machines k..? left for them, the largest such prefix freezes as a block. The
-closed form below never iterates over individual tasks: tasks with equal
-shares (in particular all tasks of one job) form runs that freeze together,
-so each stage picks the run end minimizing
+the k highest-share unfrozen tasks reaches the speedup-scaled capacity of
+the fastest k machines left for them, the largest such prefix freezes as a
+block. Tasks with equal shares (in particular all tasks of one job) form
+runs that freeze together, so nothing below iterates over single tasks.
 
-    tau_k = gamma * (S(b + k) - S(b)) / (sum of the k highest unfrozen shares)
+Sort the runs by falling share. Run end e is the point (X_e, S(N_e)), where
+N_e and X_e are the task count and the share sum of the first e runs, and S
+is the prefix-capacity function; run end 0 is (0, S(0)). The tasks between
+run ends a and e freeze at the water level
 
-where b is the number of already frozen tasks and S is the prefix-capacity
-function. Minima occur only at run ends and the rightmost minimizer is the
-maximal tight prefix, which is what gets frozen.
+    tau = gamma * (S(N_e) - S(N_a)) / (X_e - X_a),
+
+gamma times the slope from point a to point e. From the last freeze end,
+the next block ends where that slope is least, and at the rightmost such
+end, which is the largest tight prefix. Minima occur only at run ends:
+inside a run, X grows linearly with the task count while S is concave, so
+the points of a run's tasks lie on or above the chord between its two
+ends, and their slope from any earlier point is at least the smaller of
+the two ends' slopes. The freeze ends are therefore the vertices of the
+lower convex hull of the run ends, found in one monotone-chain pass
+(Andrew, "Another efficient algorithm for convex hulls in two dimensions",
+IPL 1979). A new run end pops the top of the stack while its water level
+from the vertex below the top is at most the top's, up to TIE_REL: ties
+and collinear ends go to the rightmost end. Each block's tau is then
+recomputed from its own share sum, taken from zero in run order.
 """
 from __future__ import annotations
 
@@ -66,30 +80,17 @@ class RateProfile:
     gamma: object
     blocks: tuple
 
-    def task_total(self) -> int:
-        return self.blocks[-1].hi if self.blocks else 0
-
     @cached_property
-    def _by_job(self) -> dict:
-        """job_id -> (Block, BlockMember), built on first lookup."""
-        index = {}
-        for b in self.blocks:
-            for m in b.members:
-                index.setdefault(m.job_id, (b, m))
-        return index
-
-    def member_of(self, job_id: int) -> BlockMember:
-        return self._entry(job_id)[1]
+    def _rates(self) -> dict:
+        """job_id -> per-task rate, built on first lookup."""
+        rates = {}
+        for m in self.members():
+            rates.setdefault(m.job_id, m.rate)
+        return rates
 
     def rate_of(self, job_id: int):
-        return self._entry(job_id)[1].rate
-
-    def block_of(self, job_id: int) -> Block:
-        return self._entry(job_id)[0]
-
-    def _entry(self, job_id):
         try:
-            return self._by_job[job_id]
+            return self._rates[job_id]
         except KeyError:
             raise RateError(f"job {job_id} not in profile") from None
 
@@ -127,76 +128,66 @@ def assign_rates(alive, instance: Instance) -> RateProfile:
         count = sum(a.count for a in run[1])
         run += [count, run[0] * count]
 
+    # stack of run ends on the lower hull: (runs, tasks, S, share sum, water
+    # level from the entry below); run end 0 is the base
+    hull = [(0, 0, instance.capacity_prefix(0), 0, None)]
+    n, x = 0, 0
+    for e, run in enumerate(runs, start=1):
+        n += run[2]
+        x = x + run[3]
+        s = instance.capacity_prefix(n)
+        level = None  # from the top of the stack, known after a pop
+        # rightmost minimizer wins: pop on <= (with float tie slack)
+        while len(hull) > 1:
+            _, _, s_a, x_a, _ = hull[-2]
+            from_below = gamma * (s - s_a) / (x - x_a)
+            if not leq(from_below, hull[-1][4], rel=TIE_REL):
+                break
+            hull.pop()
+            level = from_below
+        if level is None:
+            _, _, s_a, x_a, _ = hull[-1]
+            level = gamma * (s - s_a) / (x - x_a)
+        hull.append((e, n, s, x, level))
+
     blocks = []
-    b = 0
-    s_b = instance.capacity_prefix(0)
     tau_prev = None
-    start = 0
-    while start < len(runs):
-        cum_n = 0
-        cum_share = 0
-        best_tau = None
-        best_idx = None
-        best_n = None
-        for idx in range(start, len(runs)):
-            _, _, count, run_share = runs[idx]
-            cum_n += count
-            cum_share = cum_share + run_share
-            s_end = instance.capacity_prefix(b + cum_n)
-            tau = gamma * (s_end - s_b) / cum_share
-            # rightmost minimizer wins: replace on <= (with float tie slack)
-            if best_tau is None or leq(tau, best_tau, rel=TIE_REL):
-                best_tau, best_idx, best_n = tau, idx, cum_n
-        if best_idx is None:
-            raise AssertionError(f"no run end to freeze after {b} tasks")
-        if not best_tau > 0:
+    for (a, lo, s_lo, _, _), (e, hi, s_hi, x, _) in zip(hull, hull[1:]):
+        # the block's share sum, from zero in run order: x when it starts at
+        # the base
+        share_sum = x
+        if a:
+            share_sum = 0
+            for run in runs[a:e]:
+                share_sum = share_sum + run[3]
+        tau = gamma * (s_hi - s_lo) / share_sum
+        if not tau > 0:
             # Tasks past the machine count would get rate 0 only if capacity
             # stopped growing before any was assigned; the freeze order makes
             # that impossible (see the package notes), so treat it as
             # corruption rather than a schedulable state.
             raise AssertionError(
-                f"zero water level at prefix {b + best_n} of {instance.machine_count()} machines"
+                f"zero water level at prefix {hi} of {instance.machine_count()} machines"
             )
-        hi = b + best_n
-        s_hi = instance.capacity_prefix(hi)
+        if not (tau_prev is None or geq(tau, tau_prev)):
+            raise AssertionError(f"water level went down from {tau_prev} to {tau}")
         members = tuple(
-            BlockMember(
-                job_id=a.job_id,
-                count=a.count,
-                share=runs[i][0],
-                rate=runs[i][0] * best_tau,
-            )
-            for i in range(start, best_idx + 1)
-            for a in runs[i][1]
+            BlockMember(job_id=job.job_id, count=job.count, share=share, rate=share * tau)
+            for share, group, _, _ in runs[a:e]
+            for job in group
         )
-        if not (tau_prev is None or geq(best_tau, tau_prev)):
-            raise AssertionError(f"water level went down from {tau_prev} to {best_tau}")
         blocks.append(
             Block(
                 index=len(blocks),
-                tau=best_tau,
-                lo=b,
+                tau=tau,
+                lo=lo,
                 hi=hi,
-                speed=gamma * (s_hi - s_b),
+                speed=gamma * (s_hi - s_lo),
                 members=members,
             )
         )
-        tau_prev = best_tau
-        b = hi
-        s_b = s_hi
-        start = best_idx + 1
+        tau_prev = tau
     return RateProfile(gamma=gamma, blocks=tuple(blocks))
-
-
-def verify_star(profile: RateProfile, instance: Instance) -> bool:
-    """Check the prefix-capacity condition: for every k, the k largest rates
-    sum to at most gamma * S(k).
-
-    Rates are piecewise constant over member spans and S has knees only at
-    class boundaries, so checking at member ends and knees is exact.
-    """
-    ok, _ = star_witness(profile, instance)
-    return ok
 
 
 def star_witness(profile: RateProfile, instance: Instance):
@@ -231,46 +222,3 @@ def star_witness(profile: RateProfile, instance: Instance):
             return False, ("order", r1, r2)
     return True, None
 
-
-def freeze_order_rate_check(profile: RateProfile, v, v_after, v_before,
-                          instance: Instance) -> bool:
-    """Two comparison facts about one task against later/earlier freezers.
-
-    `v` is a job id standing for one alive task of that job; `v_after` and
-    `v_before` are job-id lists (repeats allowed, one task per entry).
-    Every entry of `v_after` must freeze at v's moment or later, every entry
-    of `v_before` at v's moment or earlier. Checks:
-
-      share(v) / s_n     >= share-sum(v_after) / S(n)      (n = all alive)
-      share(v) / rate(v) <= share-sum(v_before) / rate-sum(v_before)
-    """
-    n = profile.task_total()
-    blk_v = profile.block_of(v)
-    mem_v = profile.member_of(v)
-
-    def gather(ids, side):
-        shares = 0
-        rate_sum = 0
-        for job in ids:
-            b = profile.block_of(job)
-            if side == "after" and b.index < blk_v.index:
-                raise RateError(f"job {job} freezes before job {v}")
-            if side == "before" and b.index > blk_v.index:
-                raise RateError(f"job {job} freezes after job {v}")
-            m = profile.member_of(job)
-            shares = shares + m.share
-            rate_sum = rate_sum + m.rate
-        return shares, rate_sum
-
-    ok = True
-    shares_after, _ = gather(v_after, "after")
-    if n <= instance.machine_count():
-        # cross-multiplied to avoid dividing by the slowest relevant speed
-        ok = ok and geq(mem_v.share * instance.capacity_prefix(n),
-                        shares_after * instance.machine_speed(n))
-    # past the machine count the relevant speed is 0 and the fact is vacuous
-    shares_before, rates_before = gather(v_before, "before")
-    if rates_before > 0:
-        ok = ok and leq(mem_v.share * rates_before,
-                        shares_before * mem_v.rate)
-    return bool(ok)

@@ -79,9 +79,6 @@ class Trace:
     def gamma(self):
         return self.instance.speedup
 
-    def alive_weight_integral(self):
-        return sum(iv.alive_weight() * iv.length() for iv in self.intervals)
-
 
 def simulate(instance: Instance) -> Trace:
     """Run the policy to completion and record every constant-rate interval."""

@@ -11,7 +11,7 @@ from bagsched import (
     simulate,
     with_speedup,
 )
-from bagsched.blocks import nearest_simple_class, simple_job_classes
+from bagsched.blocks import nearest_qualifying_class, simple_job_classes
 from bagsched.instances import thresholds
 
 
@@ -31,10 +31,15 @@ def test_rate_window_membership():
 def test_nearest_class_resolves_overlap():
     classes = gen_lower_bound(2).classes
     gamma = 2.0
+
+    def nearest(rate):
+        qualifying = simple_job_classes(rate, gamma, classes)
+        return nearest_qualifying_class(qualifying, rate, gamma, classes)
+
     # geometric midpoint of 64*gamma and 1*gamma is 8*gamma: closer to slow
-    assert nearest_simple_class(4.0 * gamma, gamma, classes) == 2
-    assert nearest_simple_class(32.0 * gamma, gamma, classes) == 1
-    assert nearest_simple_class(64.0 ** 3 * gamma, gamma, classes) == 0
+    assert nearest(4.0 * gamma) == 2
+    assert nearest(32.0 * gamma) == 1
+    assert nearest(64.0 ** 3 * gamma) == 0
 
 
 def test_staircase_blocks_are_simple():

@@ -267,15 +267,11 @@ def test_prefix_helpers_match_expanded_speeds(classes, exact):
             got = copy.capacity_prefix(k)
             assert got == want and isinstance(got, Fraction) == exact, k
             want += expanded[k] if k < m else 0
-        assert [copy.machine_speed(i) for i in range(1, m + 1)] == expanded
         assert copy.machine_speeds(m + 5) == expanded
         for knee in knees:
             assert copy.machine_speeds(knee + 1) == expanded[:knee + 1]
     with pytest.raises(AssertionError):
         inst.capacity_prefix(-1)
-    for bad in (0, m + 1):
-        with pytest.raises(AssertionError):
-            inst.machine_speed(bad)
 
 
 def test_json_roundtrip_float_and_exact():

@@ -38,7 +38,7 @@ from bagsched.lp import (
     check_primal,
     primal_to_solution_values,
 )
-from bagsched.numutil import REL_TOL, SOLVER_REL, leq
+from bagsched.numutil import REL_TOL, SOLVER_REL, close, leq
 from bagsched.sim import Placement, ScheduleSlice, Segment, realize_slice
 
 from oracles import wspt_cost
@@ -128,8 +128,11 @@ def test_check_primal_rejects_corruption_under_optimize():
     # run it under `python -O` on corrupted primals, one per guard: no
     # processing at all, an objective outside the [cost, 2 cost] sandwich,
     # a machine the instance does not have, slots too short for their load,
-    # U below the remaining fraction, and a job's U sum over its C_j (U = 1
-    # on enough extra slots past the schedule)
+    # U below the remaining fraction, a job's U sum over its C_j (U = 1
+    # on enough extra slots past the schedule), x and U entries at a
+    # negative slot, an objective inside the sandwich that is not the
+    # primal's own (1.9 cost where the embedding gives 1.65 cost), and a
+    # cost that is not sum w_j C_j
     code = """
 import dataclasses, sys
 from bagsched import make_instance, make_job, schedule_to_primal, simulate
@@ -141,12 +144,17 @@ last = max(s for _, s in primal.U)
 padded = dict(primal.U)
 for s in range(last + 1, last + 2 + int(primal.C[1] / primal.slot)):
     padded[(1, s)] = 1.0
+print(round(primal.objective / primal.cost, 2))
 for bad in (dataclasses.replace(primal, x={}, objective=5 * primal.cost),
             dataclasses.replace(primal, objective=5 * primal.cost),
             dataclasses.replace(primal, x=off_grid),
             dataclasses.replace(primal, slot=primal.slot / 10),
             dataclasses.replace(primal, U=dict.fromkeys(primal.U, 0.0)),
-            dataclasses.replace(primal, U=padded)):
+            dataclasses.replace(primal, U=padded),
+            dataclasses.replace(primal, x={**primal.x, (2, 2, -1): 0.2}),
+            dataclasses.replace(primal, U={**primal.U, (1, -1): -5.0}),
+            dataclasses.replace(primal, objective=1.9 * primal.cost),
+            dataclasses.replace(primal, cost=1.2 * primal.cost)):
     try:
         check_primal(bad, inst)
     except LpError as exc:
@@ -159,13 +167,19 @@ for bad in (dataclasses.replace(primal, x={}, objective=5 * primal.cost),
     done = subprocess.run([sys.executable, "-O", "-c", code], env=env,
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stdout + done.stderr
-    lines = done.stdout.splitlines()
+    ratio, *lines = done.stdout.splitlines()
+    assert ratio == "1.65"
     assert lines[0].startswith("row done_1_")
     assert "outside [cost, 2 cost]" in lines[1]
     assert "no machine 0" in lines[2]
     assert lines[3].startswith("row cap_")
     assert lines[4].startswith("row rem_1_")
     assert "U sum" in lines[5] and "exceeds C" in lines[5]
+    assert lines[6] == "x names slot -1: no slot -1"
+    assert lines[7] == "U_1_-1 names no LP variable"
+    assert lines[8].startswith("objective ") and "is not the primal's" in lines[8]
+    assert lines[9].startswith("cost ") and "is not the primal's" in lines[9]
+    assert len(lines) == 10
 
 
 def test_check_primal_is_exact_in_exact_mode():
@@ -471,6 +485,28 @@ def first_check_primal(primal, instance):
         )
 
 
+def guarded_first_check_primal(primal, instance):
+    """first_check_primal behind the guards added after it: every x and U
+    entry names an LP variable, and the stored cost and objective are the
+    primal's own, summed as schedule_to_primal sums them."""
+    weights = {j.job_id: j.weight for j in instance.jobs}
+    for _, _, s in primal.x:
+        if s < 0:
+            raise LpError(f"x names slot {s}: no slot {s}")
+    for j, s in primal.U:
+        if s < 0 or j not in weights:
+            raise LpError(f"U_{j}_{s} names no LP variable")
+    first_check_primal(primal, instance)
+    zero = primal.slot - primal.slot
+    cost = sum(w * primal.C.get(j, zero) for j, w in weights.items())
+    objective = cost + primal.slot * sum(
+        weights[j] * u for (j, _), u in primal.U.items())
+    for name, stored, want in (("cost", primal.cost, cost),
+                               ("objective", primal.objective, objective)):
+        if not close(stored, want):
+            raise LpError(f"{name} {float(stored)!r} is not the primal's {float(want)!r}")
+
+
 def first_error(check, primal, instance):
     try:
         check(primal, instance)
@@ -548,7 +584,7 @@ def test_schedule_to_primal_matches_first_definition(case):
     for kind, k, value in corruptions:
         bad = _corrupt(bad, inst, kind, k, value)
         assert first_error(check_primal, bad, inst) == first_error(
-            first_check_primal, bad, inst)
+            guarded_first_check_primal, bad, inst)
 
 
 def test_primal_entry_cap(monkeypatch):

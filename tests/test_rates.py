@@ -4,9 +4,12 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from bagsched import AliveJob, assign_rates
-from bagsched.rates import RateError, freeze_order_rate_check, verify_star
+from bagsched import Instance, assign_rates
+from bagsched.numutil import TIE_REL, geq, leq
+from bagsched.rates import Block, BlockMember, RateError, RateProfile, star_witness
 
 from oracles import sweep_rates, subsets_feasible
 from support import alive_instance, alive_jobs, random_alive_case
@@ -55,7 +58,7 @@ def test_oracle_agreement_on_random_cases():
         for job_id, _, count in alive:
             flat.extend([prof.rate_of(job_id)] * count)
         assert subsets_feasible(flat, classes, gamma, rel=1e-7)
-        assert verify_star(prof, inst)
+        assert star_witness(prof, inst) == (True, None)
 
 
 def test_uniform_rates_and_tightness_exact():
@@ -90,7 +93,7 @@ def test_block_rates_dominate_boundary_speed():
         for blk in prof.blocks:
             slowest = min(m.rate for m in blk.members)
             if blk.hi <= inst.machine_count():
-                edge = gamma * inst.machine_speed(blk.hi)
+                edge = gamma * inst.machine_speeds(blk.hi)[-1]
                 assert slowest >= edge * (1 - 1e-9)
             if floor_prev is not None:
                 fastest = max(m.rate for m in blk.members)
@@ -116,36 +119,37 @@ def test_weight_scaling_leaves_rates_unchanged():
         assert s.rate_of(j) == b.rate_of(j)
 
 
-def test_verify_star_rejects_overload():
-    # rates computed for fast machines fail the check on slower ones
+def test_star_witness_rejects_overload():
+    # rates computed for fast machines fail the check on slower ones: the
+    # first task's rate 3 exceeds the fastest slow machine's speed 2
     prof, _ = rates_for([(1, 1.0, 1), (2, 1.0, 1)], [(4, 1), (2, 1)], 1.0)
     slow = alive_instance([(2, 1), (1, 1)], 1.0)
-    assert not verify_star(prof, slow)
+    assert star_witness(prof, slow) == (False, ("prefix", 1, 3.0, 2.0))
 
 
 def test_freeze_order_comparisons():
-    # identity case: one task alone
-    prof, inst = rates_for([(1, 1.0, 1)], [(2, 1)], 1.0)
-    assert freeze_order_rate_check(prof, 1, [1], [1], inst)
-
-    # skewed case: late task against the pooled earlier mass
-    prof, inst = rates_for([(1, 10.0, 1), (2, 1.0, 1)], [(4, 1), (1, 1)], 1.0)
-    assert freeze_order_rate_check(prof, 2, [2], [1, 2], inst)
-    with pytest.raises(RateError):
-        freeze_order_rate_check(prof, 1, [2, 1], [2], inst)
-
+    # two facts about a task v, each job standing for one of its tasks,
+    # against the tasks that freeze with or after it and those that freeze
+    # with or before it (n alive tasks, s_n the n-th machine's speed):
+    #   share(v) / s_n     >= share-sum(after) / S(n)     when n <= m
+    #   share(v) / rate(v) <= share-sum(before) / rate-sum(before)
+    # cross-multiplied, as rates and speeds are positive
+    cases = [([(1, 1.0, 1)], [(2, 1)], 1.0),
+             ([(1, 10.0, 1), (2, 1.0, 1)], [(4, 1), (1, 1)], 1.0)]
     rng = random.Random(31)
-    for _ in range(100):
-        alive, classes, gamma = random_alive_case(rng)
+    cases += [random_alive_case(rng) for _ in range(100)]
+    for alive, classes, gamma in cases:
         prof, inst = rates_for(alive, classes, gamma)
-        by_block = sorted(
-            (j for j, _, _ in alive), key=lambda j: prof.block_of(j).index)
-        for pos, j in enumerate(by_block):
-            later = [x for x in by_block
-                     if prof.block_of(x).index >= prof.block_of(j).index]
-            earlier = [x for x in by_block
-                       if prof.block_of(x).index <= prof.block_of(j).index]
-            assert freeze_order_rate_check(prof, j, later, earlier, inst)
+        n = prof.blocks[-1].hi
+        placed = [(b.index, m) for b in prof.blocks for m in b.members]
+        for index, v in placed:
+            after = [m for i, m in placed if i >= index]
+            before = [m for i, m in placed if i <= index]
+            if n <= inst.machine_count():
+                assert geq(v.share * inst.capacity_prefix(n),
+                           sum(m.share for m in after) * inst.machine_speeds(n)[-1])
+            assert leq(v.share * sum(m.rate for m in before),
+                       sum(m.share for m in before) * v.rate)
 
 
 def test_job_lookups_match_a_scan_and_reject_absent_jobs():
@@ -159,16 +163,107 @@ def test_job_lookups_match_a_scan_and_reject_absent_jobs():
                 gamma = Fraction(gamma)
             prof, _ = rates_for(alive, classes, gamma, exact=exact)
             for j, _, _ in alive:
-                block, member = next(
-                    (b, m) for b in prof.blocks for m in b.members
-                    if m.job_id == j)
-                assert prof.block_of(j) is block
-                assert prof.member_of(j) is member
-                assert prof.rate_of(j) == member.rate
+                member = next(m for m in prof.members() if m.job_id == j)
+                assert prof.rate_of(j) is member.rate
             for absent in (0, len(alive) + 1, -3):
-                for lookup in (prof.rate_of, prof.block_of, prof.member_of):
-                    with pytest.raises(RateError):
-                        lookup(absent)
+                with pytest.raises(RateError):
+                    prof.rate_of(absent)
     empty = assign_rates([], alive_instance([(1.0, 1)]))
     with pytest.raises(RateError):
         empty.rate_of(1)
+
+
+def test_assign_rates_reads_each_run_end_once(monkeypatch):
+    # one capacity_prefix per run of equal shares, plus one for no tasks
+    calls = []
+    prefix = Instance.capacity_prefix
+    monkeypatch.setattr(Instance, "capacity_prefix",
+                        lambda inst, k: calls.append(k) or prefix(inst, k))
+    rng = random.Random(61)
+    for _ in range(100):
+        alive, classes, gamma = random_alive_case(rng)
+        inst = alive_instance(classes, gamma)
+        calls.clear()
+        assign_rates(alive_jobs(alive), inst)
+        runs = len({w / c for _, w, c in alive})
+        assert len(calls) == runs + 1
+
+
+def first_assign_rates(alive, instance):
+    """assign_rates as first written: from each freeze end, a scan of every
+    later run end for the least water level, the rightmost one on ties."""
+    gamma = instance.speedup
+    entries = sorted(alive, key=lambda a: (a.share(), -a.job_id), reverse=True)
+    runs = []  # [share, members, task count, share * task count]
+    for a in entries:
+        if runs and runs[-1][0] == a.share():
+            runs[-1][1].append(a)
+        else:
+            runs.append([a.share(), [a]])
+    for run in runs:
+        count = sum(a.count for a in run[1])
+        run += [count, run[0] * count]
+    blocks = []
+    b, s_b, start = 0, instance.capacity_prefix(0), 0
+    while start < len(runs):
+        cum_n, cum_share, best = 0, 0, None
+        for idx in range(start, len(runs)):
+            cum_n += runs[idx][2]
+            cum_share = cum_share + runs[idx][3]
+            tau = gamma * (instance.capacity_prefix(b + cum_n) - s_b) / cum_share
+            if best is None or leq(tau, best[0], rel=TIE_REL):
+                best = (tau, idx, cum_n)
+        tau, last, n = best
+        s_hi = instance.capacity_prefix(b + n)
+        members = tuple(
+            BlockMember(job_id=a.job_id, count=a.count, share=runs[i][0],
+                        rate=runs[i][0] * tau)
+            for i in range(start, last + 1) for a in runs[i][1])
+        blocks.append(Block(index=len(blocks), tau=tau, lo=b, hi=b + n,
+                            speed=gamma * (s_hi - s_b), members=members))
+        b, s_b, start = b + n, s_hi, last + 1
+    return RateProfile(gamma=gamma, blocks=tuple(blocks))
+
+
+@st.composite
+def _rate_cases(draw):
+    """Alive jobs whose shares tie exactly or within a few ulps to 2^-36
+    relative, often in chains, on one to three classes; float or exact."""
+    exact = draw(st.booleans())
+    speeds = sorted(draw(st.sets(st.sampled_from([64, 13, 8, 5, 3, 2, 1]),
+                                 min_size=1, max_size=3)), reverse=True)
+    classes = [(Fraction(s), draw(st.integers(1, 4))) for s in speeds]
+    gamma = draw(st.sampled_from([Fraction(1), Fraction(2), Fraction(7, 2)]))
+    # shares near the speeds make the water levels of runs on different
+    # classes tie as well
+    targets = draw(st.lists(st.sampled_from([64, 13, 8, 5, 3, 2, 1, Fraction(1, 3)]),
+                            min_size=1, max_size=3))
+    exponent = draw(st.integers(36, 52))
+    alive = []
+    for job_id in range(1, draw(st.integers(1, 8)) + 1):
+        count = draw(st.integers(1, 3))
+        nudge = Fraction(draw(st.integers(-3, 3)), 2 ** draw(st.integers(exponent, 52)))
+        weight = draw(st.sampled_from(targets)) * count * (1 + nudge)
+        alive.append((job_id, weight, count))
+    if not exact:
+        alive = [(j, float(w), c) for j, w, c in alive]
+        classes = [(float(s), c) for s, c in classes]
+        gamma = float(gamma)
+    return alive, classes, gamma, exact
+
+
+@settings(max_examples=400, deadline=None)
+@given(_rate_cases())
+def test_assign_rates_matches_first_definition(case):
+    alive, classes, gamma, exact = case
+    inst = alive_instance(classes, gamma, exact=exact)
+    got = assign_rates(alive_jobs(alive), inst)
+    want = first_assign_rates(alive_jobs(alive), inst)
+    # repr tells a Fraction from an equal float, and floats by their bits
+    assert repr(got) == repr(want)
+    oracle = sweep_rates([(j, float(w), c) for j, w, c in alive],
+                         [(float(s), c) for s, c in classes], float(gamma))
+    for prof in (got, want):
+        assert star_witness(prof, inst) == (True, None)
+        for j, _, _ in alive:
+            assert float(prof.rate_of(j)) == pytest.approx(oracle[j], rel=1e-5, abs=1e-9)

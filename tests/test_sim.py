@@ -66,8 +66,10 @@ def test_objective_identities():
             float(j.weight) * float(tr.completions[j.job_id])
             for j in inst.jobs)
         assert float(tr.objective) == pytest.approx(by_completion, rel=1e-9)
+        alive_weight_integral = sum(
+            iv.alive_weight() * iv.length() for iv in tr.intervals)
         assert float(tr.objective) == pytest.approx(
-            float(tr.alive_weight_integral()), rel=1e-9)
+            float(alive_weight_integral), rel=1e-9)
         assert tr.makespan == max(tr.completions.values())
 
 

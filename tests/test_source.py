@@ -1,5 +1,5 @@
 """Package-wide source checks: module doctests, one home for tolerances,
-guards that survive `python -O`."""
+guards that survive `python -O`, no public name without a package caller."""
 
 import ast
 import doctest
@@ -85,7 +85,7 @@ def test_guards_hold_under_optimize():
 from bagsched import make_instance, make_job, realize_slice, simulate
 inst = make_instance([(2, 1), (1, 1)], [make_job(1, 1.0, [3])])
 profile = simulate(inst).intervals[0].profile
-for call in (lambda: inst.capacity_prefix(-1), lambda: inst.machine_speed(3),
+for call in (lambda: inst.capacity_prefix(-1),
              lambda: realize_slice(profile, inst, (1.0, 1.0))):
     try:
         call()
@@ -99,6 +99,55 @@ for call in (lambda: inst.capacity_prefix(-1), lambda: inst.machine_speed(3),
     assert done.returncode == 0, done.stderr
     assert done.stdout.splitlines() == [
         "capacity_prefix of -1 machines",
-        "machine 3 outside 1..2",
         "slice [1.0, 1.0) has no length",
     ]
+
+
+def _names_used(node):
+    """Every name a piece of code reads, attribute it takes or name it
+    imports."""
+    used = set()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            used.add(sub.id)
+        elif isinstance(sub, ast.Attribute):
+            used.add(sub.attr)
+        elif isinstance(sub, ast.ImportFrom):
+            used.update(alias.name for alias in sub.names)
+    return used
+
+
+def test_public_names_have_a_package_caller():
+    # a public function, class or method that only tests call is API kept
+    # for them alone. A top-level name needs a use outside its own
+    # definition: in another statement of its module, in another module, or
+    # as an export of bagsched/__init__.py, which imports it. A method needs
+    # an attribute access somewhere in the package.
+    trees = {
+        path.name: ast.parse(path.read_text(), filename=str(path))
+        for path in sorted(Path(bagsched.__file__).parent.glob("*.py"))
+    }
+    statements = [
+        (name, node, _names_used(node))
+        for name, tree in trees.items() for node in tree.body
+    ]
+    attributes = {
+        sub.attr for tree in trees.values() for sub in ast.walk(tree)
+        if isinstance(sub, ast.Attribute)
+    }
+    found = []
+    for name, node, _ in statements:
+        if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            continue
+        if not node.name.startswith("_") and not any(
+                node.name in used for _, other, used in statements
+                if other is not node):
+            found.append(f"{name}: {node.name}")
+        if isinstance(node, ast.ClassDef):
+            found += [
+                f"{name}: {node.name}.{item.name}" for item in node.body
+                if isinstance(item, ast.FunctionDef)
+                and not item.name.startswith("_")
+                and item.name not in attributes
+            ]
+    assert found == [], found
