@@ -476,17 +476,21 @@ def schedule_to_primal(source, instance: Instance, slot=None) -> PrimalSolution:
 
 def check_primal(primal: PrimalSolution, instance: Instance) -> None:
     """Check that every x and U entry names an LP variable (a slot >= 0, and
-    for U a job of the instance), then the LP's rows on the primal's slot
-    grid, then the bounds the embedding adds: U <= 1, each job's Riemann sum
-    slot * sum_t U_{j,t} <= C_j, and cost <= objective <= 2 * cost. Last,
+    a task or job of the instance), then the LP's rows on the primal's slot
+    grid, then the bounds the embedding adds: U <= 1, C only for jobs of the
+    instance, each job's Riemann sum slot * sum_t U_{j,t} <= C_j, and
+    cost <= objective <= 2 * cost. Last,
     the stored cost and objective must be close to sum_j w_j C_j and cost +
     slot * sum w_j U_{j,t}, summed in schedule_to_primal's order. Raise
     LpError at the first violation."""
     weights = {j.job_id: j.weight for j in instance.jobs}
+    table = task_table(instance)
     machines, last = set(), -1
-    for i, _, s in primal.x:
+    for i, v, s in primal.x:
         if s < 0:
             raise LpError(f"x names slot {s}: no slot {s}")
+        if not 0 < v <= len(table):
+            raise LpError(f"x names task {v}: no task {v}")
         machines.add(i)
         if s > last:
             last = s
@@ -499,7 +503,7 @@ def check_primal(primal: PrimalSolution, instance: Instance) -> None:
         if not (leq(1, i) and leq(i, instance.machine_count())):
             raise LpError(f"x names machine {i}: no machine {i}")
     speeds = [primal.gamma * sp for sp in instance.machine_speeds(max(machines, default=0))]
-    row = next(_violated_rows(task_table(instance), primal.x, primal.U, primal.C,
+    row = next(_violated_rows(table, primal.x, primal.U, primal.C,
                               speeds, primal.slot, 1 + last, REL_TOL), None)
     if row is not None:
         name, lhs, rhs = row
@@ -513,6 +517,8 @@ def check_primal(primal: PrimalSolution, instance: Instance) -> None:
         u_sum[j] = u_sum.get(j, 0) + u
         u_cost = u_cost + weights[j] * u
     for j, c in primal.C.items():
+        if j not in weights:
+            raise LpError(f"C_{j} names no LP variable")
         usum = primal.slot * u_sum.get(j, 0)
         if not leq(usum, c):
             raise LpError(f"job {j}: U sum {float(usum)} exceeds C {float(c)}")

@@ -25,8 +25,11 @@ lower convex hull of the run ends, found in one monotone-chain pass
 (Andrew, "Another efficient algorithm for convex hulls in two dimensions",
 IPL 1979). A new run end pops the top of the stack while its water level
 from the vertex below the top is at most the top's, up to TIE_REL: ties
-and collinear ends go to the rightmost end. Each block's tau is then
-recomputed from its own share sum, taken from zero in run order.
+and collinear ends go to the rightmost end. Each stack entry keeps its
+share sum from the entry below, so X_e - X_a is always a sum of run shares
+and never a difference of running totals, which would cancel when the
+shares span many orders of magnitude. Each block's tau is then recomputed
+from its own share sum, taken from zero in run order.
 """
 from __future__ import annotations
 
@@ -128,38 +131,37 @@ def assign_rates(alive, instance: Instance) -> RateProfile:
         count = sum(a.count for a in run[1])
         run += [count, run[0] * count]
 
-    # stack of run ends on the lower hull: (runs, tasks, S, share sum, water
-    # level from the entry below); run end 0 is the base
-    hull = [(0, 0, instance.capacity_prefix(0), 0, None)]
-    n, x = 0, 0
+    # stack of run ends on the lower hull: (runs, tasks, S, share sum and
+    # water level from the entry below); run end 0 is the base. The top is
+    # always the previous run end, and a pop adds the popped share sum to
+    # the new end's, so no share sum is a difference that could cancel.
+    hull = [(0, 0, instance.capacity_prefix(0), None, None)]
+    n = 0
     for e, run in enumerate(runs, start=1):
         n += run[2]
-        x = x + run[3]
         s = instance.capacity_prefix(n)
+        x = run[3]
         level = None  # from the top of the stack, known after a pop
         # rightmost minimizer wins: pop on <= (with float tie slack)
         while len(hull) > 1:
-            _, _, s_a, x_a, _ = hull[-2]
-            from_below = gamma * (s - s_a) / (x - x_a)
-            if not leq(from_below, hull[-1][4], rel=TIE_REL):
+            _, _, _, x_top, level_top = hull[-1]
+            x_below = x_top + x
+            from_below = gamma * (s - hull[-2][2]) / x_below
+            if not leq(from_below, level_top, rel=TIE_REL):
                 break
             hull.pop()
-            level = from_below
+            x, level = x_below, from_below
         if level is None:
-            _, _, s_a, x_a, _ = hull[-1]
-            level = gamma * (s - s_a) / (x - x_a)
+            level = gamma * (s - hull[-1][2]) / x
         hull.append((e, n, s, x, level))
 
     blocks = []
     tau_prev = None
-    for (a, lo, s_lo, _, _), (e, hi, s_hi, x, _) in zip(hull, hull[1:]):
-        # the block's share sum, from zero in run order: x when it starts at
-        # the base
-        share_sum = x
-        if a:
-            share_sum = 0
-            for run in runs[a:e]:
-                share_sum = share_sum + run[3]
+    for (a, lo, s_lo, _, _), (e, hi, s_hi, _, _) in zip(hull, hull[1:]):
+        # the block's share sum, from zero in run order
+        share_sum = 0
+        for run in runs[a:e]:
+            share_sum = share_sum + run[3]
         tau = gamma * (s_hi - s_lo) / share_sum
         if not tau > 0:
             # Tasks past the machine count would get rate 0 only if capacity

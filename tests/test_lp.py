@@ -131,8 +131,9 @@ def test_check_primal_rejects_corruption_under_optimize():
     # U below the remaining fraction, a job's U sum over its C_j (U = 1
     # on enough extra slots past the schedule), x and U entries at a
     # negative slot, an objective inside the sandwich that is not the
-    # primal's own (1.9 cost where the embedding gives 1.65 cost), and a
-    # cost that is not sum w_j C_j
+    # primal's own (1.9 cost where the embedding gives 1.65 cost), a cost
+    # that is not sum w_j C_j, and x and C entries for a task and a job the
+    # instance lacks
     code = """
 import dataclasses, sys
 from bagsched import make_instance, make_job, schedule_to_primal, simulate
@@ -154,7 +155,9 @@ for bad in (dataclasses.replace(primal, x={}, objective=5 * primal.cost),
             dataclasses.replace(primal, x={**primal.x, (2, 2, -1): 0.2}),
             dataclasses.replace(primal, U={**primal.U, (1, -1): -5.0}),
             dataclasses.replace(primal, objective=1.9 * primal.cost),
-            dataclasses.replace(primal, cost=1.2 * primal.cost)):
+            dataclasses.replace(primal, cost=1.2 * primal.cost),
+            dataclasses.replace(primal, C={**primal.C, 9: 1.0}),
+            dataclasses.replace(primal, x={**primal.x, (1, 7, 4): 0.05})):
     try:
         check_primal(bad, inst)
     except LpError as exc:
@@ -179,7 +182,9 @@ for bad in (dataclasses.replace(primal, x={}, objective=5 * primal.cost),
     assert lines[7] == "U_1_-1 names no LP variable"
     assert lines[8].startswith("objective ") and "is not the primal's" in lines[8]
     assert lines[9].startswith("cost ") and "is not the primal's" in lines[9]
-    assert len(lines) == 10
+    assert lines[10] == "C_9 names no LP variable"
+    assert lines[11] == "x names task 7: no task 7"
+    assert len(lines) == 12
 
 
 def test_check_primal_is_exact_in_exact_mode():
@@ -486,16 +491,22 @@ def first_check_primal(primal, instance):
 
 
 def guarded_first_check_primal(primal, instance):
-    """first_check_primal behind the guards added after it: every x and U
-    entry names an LP variable, and the stored cost and objective are the
+    """first_check_primal behind the guards added after it: every x, U and
+    C entry names an LP variable, and the stored cost and objective are the
     primal's own, summed as schedule_to_primal sums them."""
     weights = {j.job_id: j.weight for j in instance.jobs}
-    for _, _, s in primal.x:
+    tasks = len(task_table(instance))
+    for _, v, s in primal.x:
         if s < 0:
             raise LpError(f"x names slot {s}: no slot {s}")
+        if not 0 < v <= tasks:
+            raise LpError(f"x names task {v}: no task {v}")
     for j, s in primal.U:
         if s < 0 or j not in weights:
             raise LpError(f"U_{j}_{s} names no LP variable")
+    for j in primal.C:
+        if j not in weights:
+            raise LpError(f"C_{j} names no LP variable")
     first_check_primal(primal, instance)
     zero = primal.slot - primal.slot
     cost = sum(w * primal.C.get(j, zero) for j, w in weights.items())

@@ -4,7 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bagsched import Instance, assign_rates
@@ -227,8 +227,10 @@ def first_assign_rates(alive, instance):
 
 @st.composite
 def _rate_cases(draw):
-    """Alive jobs whose shares tie exactly or within a few ulps to 2^-36
-    relative, often in chains, on one to three classes; float or exact."""
+    """Alive jobs whose shares tie exactly or within a few ulps to 2^-24
+    relative, often in chains, on one to three classes; float or exact.
+    Shares reach from 64 down to 10^-18, and often all but the first job's
+    sit 10^12 below it."""
     exact = draw(st.booleans())
     speeds = sorted(draw(st.sets(st.sampled_from([64, 13, 8, 5, 3, 2, 1]),
                                  min_size=1, max_size=3)), reverse=True)
@@ -236,15 +238,21 @@ def _rate_cases(draw):
     gamma = draw(st.sampled_from([Fraction(1), Fraction(2), Fraction(7, 2)]))
     # shares near the speeds make the water levels of runs on different
     # classes tie as well
-    targets = draw(st.lists(st.sampled_from([64, 13, 8, 5, 3, 2, 1, Fraction(1, 3)]),
-                            min_size=1, max_size=3))
-    exponent = draw(st.integers(36, 52))
+    targets = draw(st.lists(
+        st.builds(lambda t, k: t * Fraction(10) ** k,
+                  st.sampled_from([64, 13, 8, 5, 3, 2, 1, Fraction(1, 3)]),
+                  st.sampled_from([0, 0, 0, -3, -6])),
+        min_size=1, max_size=3))
+    exponent = draw(st.integers(24, 52))
     alive = []
     for job_id in range(1, draw(st.integers(1, 8)) + 1):
         count = draw(st.integers(1, 3))
         nudge = Fraction(draw(st.integers(-3, 3)), 2 ** draw(st.integers(exponent, 52)))
         weight = draw(st.sampled_from(targets)) * count * (1 + nudge)
         alive.append((job_id, weight, count))
+    if draw(st.booleans()):
+        # every later share sum adds small shares to a large one
+        alive[1:] = [(j, w / 10 ** 12, c) for j, w, c in alive[1:]]
     if not exact:
         alive = [(j, float(w), c) for j, w, c in alive]
         classes = [(float(s), c) for s, c in classes]
@@ -254,6 +262,9 @@ def _rate_cases(draw):
 
 @settings(max_examples=400, deadline=None)
 @given(_rate_cases())
+# shares 12 orders of magnitude apart: a level's share sum taken as a
+# difference of running totals cancels, and the two small runs tie
+@example(([(1, 1e6, 1), (2, 1e-6 * (1 + 1e-8), 1), (3, 1e-6, 1)], [(1.0, 3)], 1.0, False))
 def test_assign_rates_matches_first_definition(case):
     alive, classes, gamma, exact = case
     inst = alive_instance(classes, gamma, exact=exact)
