@@ -15,7 +15,6 @@ from .duals import (
     build_general_duals,
     build_single_job_duals,
     build_weaker_duals,
-    halving_group,
     halving_spans,
     rank_bands,
 )

@@ -45,24 +45,15 @@ class BlockView:
     weight: object              # total weight of member jobs
     task_count: int
     speed: object               # s(B), speedup included
-    machine_lo: int             # first machine (1-based)
-    machine_hi: int             # last machine (1-based, clamped)
-    spans_beyond: bool          # tasks extend past the machine pool
     class_machine_counts: tuple  # machines of each class inside the span
     job_ids: tuple
 
 
 @dataclass(frozen=True)
 class IntervalBlocks:
-    index: int
-    start: object
-    end: object
     alive_weight: object
     blocks: tuple
     job_block: dict             # job_id -> index into blocks
-
-    def length(self):
-        return self.end - self.start
 
     def block_for_job(self, job_id: int) -> BlockView:
         return self.blocks[self.job_block[job_id]]
@@ -73,10 +64,6 @@ class BlockClassification:
     intervals: list
     checks: list
     flags: dict = field(default_factory=dict)
-
-    @property
-    def ok(self) -> bool:
-        return all(r.ok for r in self.checks if not r.diagnostic)
 
 
 def simple_job_classes(rate, gamma, classes):
@@ -162,9 +149,6 @@ def _classify_block(block, instance, gamma, alive_weight, k):
         weight=weight,
         task_count=n_tasks,
         speed=block.speed,
-        machine_lo=lo_c + 1,
-        machine_hi=hi_c,
-        spans_beyond=block.hi > m,
         class_machine_counts=per_class,
         job_ids=tuple(mb.job_id for mb in block.members),
     )
@@ -206,14 +190,7 @@ def classify_blocks(trace, instance: Instance) -> BlockClassification:
             for jid in v.job_ids:
                 job_block[jid] = v.index
         intervals.append(
-            IntervalBlocks(
-                index=t_idx,
-                start=iv.start,
-                end=iv.end,
-                alive_weight=alive_weight,
-                blocks=views,
-                job_block=job_block,
-            )
+            IntervalBlocks(alive_weight=alive_weight, blocks=views, job_block=job_block)
         )
 
         # long-block shape facts: |B| <= m_blend_l and s(B) close to the

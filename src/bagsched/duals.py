@@ -39,22 +39,6 @@ from .instances import Instance, thresholds, validate_ica
 from .numutil import THRESHOLD_REL, coerce, leq
 from .report import AnalysisError, CheckRecord, DualCertificate
 
-__all__ = [
-    "CONSTANTS",
-    "FittingConstants",
-    "RankBands",
-    "build_general_duals",
-    "build_single_job_duals",
-    "build_weaker_duals",
-    "general_threshold",
-    "halving_group",
-    "halving_spans",
-    "rank_bands",
-    "single_job_threshold",
-    "weaker_threshold",
-]
-
-
 @dataclass(frozen=True)
 class FittingConstants:
     """Named constants of the certificate constructions, in one place so
@@ -152,27 +136,9 @@ def _reject_releases(trace, family):
         )
 
 
-def _job_index(instance):
-    return {j.job_id: j for j in instance.jobs}
-
-
 # ---------------------------------------------------------------------------
 # family 1: weight spread + halving task credits
 # ---------------------------------------------------------------------------
-
-def halving_group(position: int) -> int:
-    """Group index h of a task at 0-based descending-size position.
-
-    Groups have sizes 1, 2, 4, ...; group h covers positions
-    [2^(h-1) - 1, 2^h - 1).
-
-    >>> [halving_group(q) for q in range(7)]
-    [1, 2, 2, 3, 3, 3, 3]
-    """
-    if not position >= 0:
-        raise AssertionError(f"negative task position {position}")
-    return (position + 1).bit_length()
-
 
 def halving_spans(weight, task_count, gamma):
     """Task-credit spans w/(2^(h-1)*gamma) over descending-size positions.
@@ -287,12 +253,10 @@ class RankBands:
     reach: tuple       # M_l + mtilde_l per boundary l = 1..K-1
     band: tuple        # f_l = mtilde_l
     tail: tuple        # ftilde_l = m_{l+1} - mtilde_l
-    break_times: tuple  # first time alive count <= M_l, per l = 1..K
-    reach_times: tuple  # first time alive count <= reach_l, per l = 1..K-1
 
 
 def rank_bands(instance: Instance) -> RankBands:
-    """Derive the rank-band structure (without break times) of an instance.
+    """Derive the rank-band structure of an instance.
 
     Requires capacity validation and integral blended machine counts, since
     band cardinalities count whole tasks.
@@ -314,14 +278,7 @@ def rank_bands(instance: Instance) -> RankBands:
     tail = tuple(
         instance.classes[li + 1].count - band[li] for li in range(len(band))
     )
-    return RankBands(
-        prefix=prefix,
-        reach=reach,
-        band=tuple(band),
-        tail=tail,
-        break_times=(),
-        reach_times=(),
-    )
+    return RankBands(prefix=prefix, reach=reach, band=tuple(band), tail=tail)
 
 
 def build_single_job_duals(trace, instance: Instance) -> DualCertificate:
@@ -404,8 +361,8 @@ def build_single_job_duals(trace, instance: Instance) -> DualCertificate:
     beta_total = zero
     head_spread = False
     prev_n = None
-    break_times = [None] * (k + 1)   # index l: first time alive <= prefix[l]
-    reach_times = [None] * (k - 1) if k >= 1 else []
+    break_times = [None] * k       # index l - 1: first time alive <= prefix[l]
+    reach_times = [None] * (k - 1)  # index l - 1: first time alive <= reach[l - 1]
 
     for t, iv in enumerate(trace.intervals):
         ij = iv.jobs[0]
@@ -413,8 +370,8 @@ def build_single_job_duals(trace, instance: Instance) -> DualCertificate:
         if prev_n is not None:
             n_monotone.require_leq(n_t, prev_n, (t,))
         prev_n = n_t
-        for li in range(1, k + 1):
-            if break_times[li] is None and n_t <= prefix[li]:
+        for li in range(k):
+            if break_times[li] is None and n_t <= prefix[li + 1]:
                 break_times[li] = iv.start
         for li in range(k - 1):
             if reach_times[li] is None and n_t <= reach[li]:
@@ -452,9 +409,7 @@ def build_single_job_duals(trace, instance: Instance) -> DualCertificate:
                 {alo, ahi, *[b for b in dstarts if alo < b < ahi],
                  *[s[1] for s in dspans if alo < s[1] < ahi]}
             )
-            for qlo, qhi in zip(seams, seams[1:]):
-                if qlo >= qhi:
-                    continue
+            for qlo in seams[:-1]:
                 dval = _span_value(dspans, dstarts, qlo)
                 for li in range(k):
                     cover.require_leq(
@@ -482,18 +437,16 @@ def build_single_job_duals(trace, instance: Instance) -> DualCertificate:
                 )
 
     makespan = trace.makespan
-    if break_times and break_times[0] is None:
-        break_times[0] = zero
     break_times = [makespan if bt is None else bt for bt in break_times]
     reach_times = [makespan if rt is None else rt for rt in reach_times]
     for li in range(1, k - 1):
         # strictly interleaved breakpoints fail when whole size groups
         # finish together, hence diagnostic
         epoch_strict.require(
-            break_times[li + 1] < reach_times[li - 1] < break_times[li],
+            break_times[li] < reach_times[li - 1] < break_times[li - 1],
             (li,),
-            lhs=float(break_times[li + 1]),
-            rhs=float(break_times[li]),
+            lhs=float(break_times[li]),
+            rhs=float(break_times[li - 1]),
         )
 
     obj_half.require_leq(alpha_total, makespan, ("alpha",))
@@ -501,14 +454,6 @@ def build_single_job_duals(trace, instance: Instance) -> DualCertificate:
     obj_half.require_leq(beta_total, makespan / 2, ("beta",))
     obj_half.require_leq(makespan / 2, beta_total, ("beta",))
 
-    bands = RankBands(
-        prefix=bands.prefix,
-        reach=bands.reach,
-        band=bands.band,
-        tail=bands.tail,
-        break_times=tuple(break_times[1:]),
-        reach_times=tuple(reach_times),
-    )
     return DualCertificate(
         family="single_job",
         gamma=gamma,
@@ -527,8 +472,8 @@ def build_single_job_duals(trace, instance: Instance) -> DualCertificate:
                 "reach": [int(x) for x in bands.reach],
                 "band": [int(x) for x in bands.band],
                 "tail": [int(x) for x in bands.tail],
-                "break_times": [float(x) for x in bands.break_times],
-                "reach_times": [float(x) for x in bands.reach_times],
+                "break_times": [float(x) for x in break_times],
+                "reach_times": [float(x) for x in reach_times],
             },
         },
     )
@@ -592,7 +537,6 @@ def build_general_duals(trace, instance: Instance) -> DualCertificate:
 
     classification = classify_blocks(trace, instance)
     bounds = thresholds(instance)
-    jobs = _job_index(instance)
     sigmas = [c.speed for c in instance.classes]
     counts = [c.count for c in instance.classes]
 
@@ -678,7 +622,7 @@ def build_general_duals(trace, instance: Instance) -> DualCertificate:
         for t, alive, wb in vlist:
             root_charge.require_leq(
                 wb / blend,
-                CONSTANTS.root_charge * jobs[jid].weight / alive,
+                CONSTANTS.root_charge * instance.jobs[jid - 1].weight / alive,
                 (t, jid, li),
             )
 

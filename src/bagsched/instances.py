@@ -194,7 +194,14 @@ def make_instance(classes, jobs, speedup=1, exact=False, provenance=None):
         if not a.speed > b.speed:
             raise InstanceError("class speeds must be strictly decreasing")
     jobs = tuple(jobs)
-    for job in jobs:  # a job in the other mode would mix Fractions and floats in sums
+    for position, job in enumerate(jobs, start=1):
+        # the package finds job j at jobs[j - 1]
+        if job.job_id != position:
+            raise InstanceError(
+                f"job {position} of the list has id {job.job_id}; "
+                f"ids must be 1..{len(jobs)} in list order"
+            )
+        # a job in the other mode would mix Fractions and floats in sums
         fields = [("weight", job.weight), ("release", job.release)]
         fields += [("task size", g.size) for g in job.groups]
         for what, value in fields:

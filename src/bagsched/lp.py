@@ -65,6 +65,21 @@ def task_table(instance: Instance):
     return table
 
 
+def _positive_task_count(instance: Instance) -> int:
+    """Tasks of positive size, counted from the groups without expanding
+    them."""
+    return sum(g.count for job in instance.jobs for g in job.groups if g.size > 0)
+
+
+def _check_lp_size(instance: Instance, horizon: int) -> None:
+    """Refuse an LP of more than MAX_EMIT_CELLS machine x task x slot cells
+    before any task group is expanded."""
+    m = instance.machine_count()
+    n = _positive_task_count(instance)
+    if m * n * horizon > MAX_EMIT_CELLS:
+        raise LpError(f"LP too large: {m} machines x {n} tasks x {horizon} slots")
+
+
 # ---------------------------------------------------------------------------
 # LP text emission and solution ingestion
 # ---------------------------------------------------------------------------
@@ -79,12 +94,9 @@ def emit_lp(instance: Instance, horizon: int) -> str:
     """
     if horizon < 1:
         raise LpError(f"horizon must be >= 1, got {horizon}")
+    _check_lp_size(instance, horizon)
     m = instance.machine_count()
     tasks = [(v, j, p) for (v, j, p) in task_table(instance) if p > 0]
-    if m * len(tasks) * horizon > MAX_EMIT_CELLS:
-        raise LpError(
-            f"LP too large: {m} machines x {len(tasks)} tasks x {horizon} slots"
-        )
     speeds = instance.machine_speeds(m)
     total_work = sum(p for _, _, p in tasks)
     total_cap = sum(speeds)
@@ -192,8 +204,9 @@ def check_lp_solution(instance: Instance, values: dict, horizon: int) -> list:
     Returns the (constraint_name, lhs, rhs) rows that _violated_rows finds
     beyond SOLVER_REL slack. Values named after no variable of the emitted
     LP are ignored. Uses the same original speeds and float coefficients as
-    emit_lp.
+    emit_lp, and refuses the LPs that emit_lp refuses as too large.
     """
+    _check_lp_size(instance, horizon)
     table = [(v, j, float(p)) for v, j, p in task_table(instance)]
     speeds = [float(s) for s in instance.machine_speeds(instance.machine_count())]
     jobs = [job.job_id for job in instance.jobs]
@@ -309,7 +322,16 @@ def schedule_to_primal(source, instance: Instance, slot=None) -> PrimalSolution:
     completion time and the area under its U curve, which keeps the
     left-Riemann U sum below C_j per job. All four constraint families and
     both objective bounds are checked before returning (LpError otherwise).
+    Each task of positive size needs an x entry, so an instance with more
+    such tasks than MAX_PRIMAL_ENTRIES is refused before anything is
+    realized.
     """
+    n_tasks = _positive_task_count(instance)
+    if n_tasks > MAX_PRIMAL_ENTRIES:
+        raise LpError(
+            f"primal embedding exceeds {MAX_PRIMAL_ENTRIES} entries: "
+            f"{n_tasks} tasks of positive size need one each"
+        )
     if hasattr(source, "intervals"):
         slices = [
             realize_slice(iv.profile, instance, iv) for iv in source.intervals
@@ -570,9 +592,10 @@ def brute_force_opt(instance: Instance, grid: int = 2):
         raise LpError(f"brute force capped at {BRUTE_MAX_MACHINES} machines, got {m}")
     if not 1 <= grid <= BRUTE_MAX_GRID:
         raise LpError(f"grid must be in 1..{BRUTE_MAX_GRID}, got {grid}")
+    n = instance.task_count()
+    if n > BRUTE_MAX_TASKS:
+        raise LpError(f"brute force capped at {BRUTE_MAX_TASKS} tasks, got {n}")
     table = task_table(instance)
-    if len(table) > BRUTE_MAX_TASKS:
-        raise LpError(f"brute force capped at {BRUTE_MAX_TASKS} tasks, got {len(table)}")
     for _, _, p in table:
         if p != int(p) or p > BRUTE_MAX_SIZE or p < 0:
             raise LpError(f"brute force needs integer sizes <= {BRUTE_MAX_SIZE}, got {p}")

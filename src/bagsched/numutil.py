@@ -22,9 +22,11 @@ REL_TOL = 1e-9
 # other, are one event. Absorbs the rounding of a single quotient.
 EVENT_REL = 1e-12
 
-# Argmin ties: water levels of run ends in assign_rates, and log-scale gaps to
-# class speeds in nearest_qualifying_class, this close count as tied. Absorbs
-# the rounding of a single quotient, so the tie-break rule decides.
+# Argmin ties: water levels of run ends in assign_rates (compared by
+# tie_leq, relative to the larger level with no absolute floor, so a tie
+# means the same at every weight scale), and log-scale gaps to class speeds
+# in nearest_qualifying_class, this close count as tied. Absorbs the rounding
+# of a single quotient, so the tie-break rule decides.
 TIE_REL = 1e-12
 
 # A speedup meets a certificate family's threshold when it is below it by at
@@ -88,6 +90,23 @@ def leq(a, b, rel: float = REL_TOL) -> bool:
         return True
     scale = max(abs(a), abs(b), 1.0)
     return scale != inf and a <= b + rel * scale
+
+
+def tie_leq(a, b) -> bool:
+    """a <= b up to TIE_REL of the larger side, with no absolute floor.
+
+    leq's floor of 1 would make levels below 1 tie when they are far apart
+    relative to their size; here the slack shrinks with the values. Exact
+    sides compare exactly, and an infinite side grants no slack.
+    """
+    if type(a) is not float or type(b) is not float:
+        if is_exact(a) and is_exact(b):
+            return a <= b
+        a, b = float(a), float(b)
+    if a <= b:
+        return True
+    scale = max(abs(a), abs(b))
+    return scale != inf and a <= b + TIE_REL * scale
 
 
 def geq(a, b) -> bool:

@@ -24,12 +24,14 @@ the two ends' slopes. The freeze ends are therefore the vertices of the
 lower convex hull of the run ends, found in one monotone-chain pass
 (Andrew, "Another efficient algorithm for convex hulls in two dimensions",
 IPL 1979). A new run end pops the top of the stack while its water level
-from the vertex below the top is at most the top's, up to TIE_REL: ties
-and collinear ends go to the rightmost end. Each stack entry keeps its
-share sum from the entry below, so X_e - X_a is always a sum of run shares
-and never a difference of running totals, which would cancel when the
-shares span many orders of magnitude. Each block's tau is then recomputed
-from its own share sum, taken from zero in run order.
+from the vertex below the top is at most the top's, up to TIE_REL of the
+larger of the two levels: ties and collinear ends go to the rightmost end.
+That tie (numutil.tie_leq) has no absolute floor, so it means the same at
+every weight scale. Each stack entry keeps its share sum from the entry
+below, so X_e - X_a is always a sum of run shares and never a difference
+of running totals, which would cancel when the shares span many orders of
+magnitude. Each block's tau is then recomputed from its own share sum,
+taken from zero in run order.
 """
 from __future__ import annotations
 
@@ -37,7 +39,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .instances import Instance
-from .numutil import TIE_REL, geq, leq
+from .numutil import geq, leq, tie_leq
 
 
 class RateError(ValueError):
@@ -147,7 +149,7 @@ def assign_rates(alive, instance: Instance) -> RateProfile:
             _, _, _, x_top, level_top = hull[-1]
             x_below = x_top + x
             from_below = gamma * (s - hull[-2][2]) / x_below
-            if not leq(from_below, level_top, rel=TIE_REL):
+            if not tie_leq(from_below, level_top):
                 break
             hull.pop()
             x, level = x_below, from_below

@@ -49,7 +49,6 @@ class IntervalJob:
     weight: object
     count: int          # alive tasks
     rate: object        # per-task rate
-    alive_groups: int   # leading groups of the job still alive
 
 
 @dataclass(frozen=True)
@@ -159,7 +158,6 @@ def simulate(instance: Instance) -> Trace:
                         weight=a.weight,
                         count=a.count,
                         rate=profile.rate_of(a.job_id),
-                        alive_groups=alive_groups[a.job_id],
                     )
                     for a in alive
                 ),

@@ -61,6 +61,25 @@ def test_simulate_writes_trace_and_verify_reads_it(tmp_path, capsys):
     assert doc["feasible"] is True
 
 
+def test_simulate_preprocess_rounds_and_inflates(tmp_path, capsys):
+    # speeds 100 and 1.5 round down to 64 and 1; the slow class's capacity
+    # 9000 is at least 2 * 64 * 64, so both classes stay, and each count
+    # doubles with the K = 2 classes kept. The task of size 128 then runs
+    # at 64 instead of 100.
+    path = tmp_path / "instance.json"
+    path.write_text(json.dumps({
+        "classes": [{"sigma": 100, "count": 1}, {"sigma": 1.5, "count": 9000}],
+        "jobs": [{"weight": 1, "sizes": [128]}],
+    }))
+    assert run_cli("simulate", str(path)) == 0
+    assert capsys.readouterr().out == "objective=1.28 makespan=1.28\n"
+    trace = tmp_path / "trace.jsonl"
+    assert run_cli("simulate", str(path), "--preprocess", "--out", str(trace)) == 0
+    assert capsys.readouterr().out == "objective=2.0 makespan=2.0\n"
+    meta = json.loads(trace.read_text().splitlines()[0])
+    assert meta["classes"] == [[64.0, 2], [1.0, 18000]]
+
+
 def test_simulate_realize_rejects_short_work(tmp_path, monkeypatch, capsys):
     realize = cli.realize_slice
 

@@ -20,7 +20,7 @@ from bagsched import (
     simulate,
     with_speedup,
 )
-from bagsched.duals import _check_nonincreasing, halving_group, halving_spans
+from bagsched.duals import _check_nonincreasing, halving_spans
 
 from support import general_gamma, single_gamma, weaker_gamma
 
@@ -31,10 +31,6 @@ def run(instance, gamma):
 
 
 # --- halving groups --------------------------------------------------------
-
-def test_halving_group_positions():
-    assert [halving_group(p) for p in range(7)] == [1, 2, 2, 3, 3, 3, 3]
-
 
 def test_halving_spans_three_tasks():
     # 3 tasks pad to 4: group sizes 1 and 2, credit halves per group

@@ -219,6 +219,17 @@ def test_jobs_of_the_other_mode_are_rejected(exact, field):
     make_instance([(2, 1), (1, 1)], [good, job], exact=exact)
 
 
+@pytest.mark.parametrize("jobs", [
+    [make_job(2, 1.0, [3.0]), make_job(1, 1.0, [1.0])],
+    [make_job(1, 1.0, [3.0]), make_job(3, 1.0, [1.0])],
+])
+def test_job_ids_count_up_from_one_in_list_order(jobs):
+    # job j is found at jobs[j - 1]: swapped ids would run each job with the
+    # other's tasks, and a gap would end in an IndexError
+    with pytest.raises(InstanceError, match=r"ids must be 1\.\.2 in list order"):
+        make_instance([(1, 1)], jobs)
+
+
 @pytest.mark.parametrize("gamma", [0, -1, 0.0, Fraction(-1, 2)])
 def test_non_positive_speedup_is_rejected(gamma):
     inst = make_instance([(1, 1)], [make_job(1, 1, [1])])

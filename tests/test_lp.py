@@ -609,6 +609,27 @@ def test_primal_entry_cap(monkeypatch):
         schedule_to_primal(simulate(inst), inst)
 
 
+def test_size_caps_come_before_any_expansion(monkeypatch):
+    # one group of 10^9 tasks: each entry point refuses it from the group
+    # counts, before it expands the groups or realizes a slice
+    inst = make_instance([(1, 1)], [make_job(1, 1.0, [(1.0, 10 ** 9)])])
+    trace = simulate(inst)
+
+    def expanded(*args):
+        raise AssertionError("task groups expanded")
+
+    monkeypatch.setattr(bagsched.lp, "task_table", expanded)
+    monkeypatch.setattr(bagsched.lp, "realize_slice", expanded)
+    with pytest.raises(LpError, match=r"LP too large: 1 machines x 1000000000 tasks"):
+        emit_lp(inst, 1)
+    with pytest.raises(LpError, match=r"LP too large: 1 machines x 1000000000 tasks"):
+        check_lp_solution(inst, {}, 1)
+    with pytest.raises(LpError, match="capped at 5 tasks, got 1000000000"):
+        brute_force_opt(inst)
+    with pytest.raises(LpError, match="exceeds 2000000 entries: 1000000000 tasks"):
+        schedule_to_primal(trace, inst)
+
+
 def test_solution_roundtrip_slot_one():
     inst = make_instance(
         [(1, 1)], [make_job(1, 1.0, [4]), make_job(2, 2.0, [3])])

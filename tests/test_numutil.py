@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from bagsched.numutil import REL_TOL, TIE_REL, close, geq, leq
+from bagsched.numutil import REL_TOL, TIE_REL, close, geq, leq, tie_leq
 
 TOLERANCES = [REL_TOL, TIE_REL]
 
@@ -39,6 +39,32 @@ def test_leq_relative_boundary(rel):
         Fraction(up(edge)) - Fraction(edge))
     assert leq(edge, b, rel) and leq(Fraction(edge), b, rel)
     assert not leq(up(edge), b, rel) and not leq(Fraction(up(edge)), b, rel)
+
+
+@pytest.mark.parametrize("scale", [2.0 ** 40, 1.0, 2.0 ** -20, 2.0 ** -60])
+def test_tie_leq_is_relative_at_every_scale(scale):
+    # the slack is TIE_REL times the larger magnitude, here |b|, with no
+    # floor of 1, so the edge sits at the same relative distance at every
+    # scale
+    b = -scale
+    edge = b + TIE_REL * scale
+    assert abs(Fraction(edge) - (Fraction(b) + Fraction(TIE_REL) * Fraction(scale))) <= (
+        Fraction(up(edge)) - Fraction(edge))
+    assert tie_leq(edge, b) and tie_leq(Fraction(edge), b)
+    assert not tie_leq(up(edge), b) and not tie_leq(up(edge), Fraction(b))
+    # values 2^-20 apart relative never tie; leq's floor of 1 ties them
+    # once their distance is below TIE_REL absolute
+    apart = b + scale / 2 ** 20
+    assert not tie_leq(apart, b)
+    assert leq(apart, b, TIE_REL) == (scale / 2 ** 20 <= TIE_REL)
+
+
+def test_tie_leq_exact_and_infinite_sides():
+    third = Fraction(1, 3)
+    assert tie_leq(third, third)
+    assert not tie_leq(third + Fraction(1, 10 ** 30), third)
+    assert not tie_leq(math.inf, 5.0) and not tie_leq(5.0, -math.inf)
+    assert tie_leq(math.inf, math.inf) and not tie_leq(math.nan, 1.0)
 
 
 def test_geq_boundary():

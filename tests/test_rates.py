@@ -7,8 +7,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from bagsched import Instance, assign_rates
-from bagsched.numutil import TIE_REL, geq, leq
+from bagsched import (
+    Instance, assign_rates, make_instance, make_job, realize_slice, simulate)
+from bagsched.numutil import geq, leq, tie_leq
 from bagsched.rates import Block, BlockMember, RateError, RateProfile, star_witness
 
 from oracles import sweep_rates, subsets_feasible
@@ -191,7 +192,8 @@ def test_assign_rates_reads_each_run_end_once(monkeypatch):
 
 def first_assign_rates(alive, instance):
     """assign_rates as first written: from each freeze end, a scan of every
-    later run end for the least water level, the rightmost one on ties."""
+    later run end for the least water level, the rightmost one on ties
+    (tie_leq: within TIE_REL of the larger level, at every scale)."""
     gamma = instance.speedup
     entries = sorted(alive, key=lambda a: (a.share(), -a.job_id), reverse=True)
     runs = []  # [share, members, task count, share * task count]
@@ -211,7 +213,7 @@ def first_assign_rates(alive, instance):
             cum_n += runs[idx][2]
             cum_share = cum_share + runs[idx][3]
             tau = gamma * (instance.capacity_prefix(b + cum_n) - s_b) / cum_share
-            if best is None or leq(tau, best[0], rel=TIE_REL):
+            if best is None or tie_leq(tau, best[0]):
                 best = (tau, idx, cum_n)
         tau, last, n = best
         s_hi = instance.capacity_prefix(b + n)
@@ -229,8 +231,8 @@ def first_assign_rates(alive, instance):
 def _rate_cases(draw):
     """Alive jobs whose shares tie exactly or within a few ulps to 2^-24
     relative, often in chains, on one to three classes; float or exact.
-    Shares reach from 64 down to 10^-18, and often all but the first job's
-    sit 10^12 below it."""
+    Shares reach from 6.4e7, where water levels fall far below 1, down to
+    10^-18, and often all but the first job's sit 10^12 below it."""
     exact = draw(st.booleans())
     speeds = sorted(draw(st.sets(st.sampled_from([64, 13, 8, 5, 3, 2, 1]),
                                  min_size=1, max_size=3)), reverse=True)
@@ -241,7 +243,7 @@ def _rate_cases(draw):
     targets = draw(st.lists(
         st.builds(lambda t, k: t * Fraction(10) ** k,
                   st.sampled_from([64, 13, 8, 5, 3, 2, 1, Fraction(1, 3)]),
-                  st.sampled_from([0, 0, 0, -3, -6])),
+                  st.sampled_from([0, 0, 0, -3, -6, 3, 6])),
         min_size=1, max_size=3))
     exponent = draw(st.integers(24, 52))
     alive = []
@@ -265,6 +267,9 @@ def _rate_cases(draw):
 # shares 12 orders of magnitude apart: a level's share sum taken as a
 # difference of running totals cancels, and the two small runs tie
 @example(([(1, 1e6, 1), (2, 1e-6 * (1 + 1e-8), 1), (3, 1e-6, 1)], [(1.0, 3)], 1.0, False))
+# water levels near 1e-6 that differ by 6e-8 relative: an absolute tie
+# slack of 1e-12 would freeze them as one over-full block
+@example(([(1, 64000000.0, 1), (2, 64000004.0, 1)], [(64.0, 2)], 1.0, False))
 def test_assign_rates_matches_first_definition(case):
     alive, classes, gamma, exact = case
     inst = alive_instance(classes, gamma, exact=exact)
@@ -278,3 +283,16 @@ def test_assign_rates_matches_first_definition(case):
         assert star_witness(prof, inst) == (True, None)
         for j, _, _ in alive:
             assert float(prof.rate_of(j)) == pytest.approx(oracle[j], rel=1e-5, abs=1e-9)
+
+
+def test_levels_below_one_tie_relative_to_their_size():
+    # the two levels, about 1e-6, lie 6e-8 apart relative to their size but
+    # within 1e-12 absolute; they are not tied, so the jobs freeze apart and
+    # every interval realizes
+    inst = make_instance([(64, 2)], [make_job(1, 64000000.0, [1]),
+                                     make_job(2, 64000004.0, [1])])
+    trace = simulate(inst)
+    first = trace.intervals[0].profile
+    assert [[m.job_id for m in b.members] for b in first.blocks] == [[2], [1]]
+    for iv in trace.intervals:
+        realize_slice(iv.profile, inst, iv)

@@ -115,6 +115,29 @@ def test_release_dates_enter_alive_set():
     assert tr.completions[2] == pytest.approx(2.0)
 
 
+@pytest.mark.parametrize("exact", [False, True])
+def test_idle_gaps_and_zero_size_tasks(exact):
+    # worked by hand on machines of speed 2 and 1: jobs 1 and 3 share both
+    # (rate 3/2 each) until job 1's size 2 is done at 4/3; job 3's last
+    # unit then runs at 2 until 11/6. Zero-size tasks finish at their
+    # release (job 3's at 0, job 4's at 2), so nothing runs from 11/6 until
+    # job 2 arrives at 5; its two unit tasks run at 3/2 each until 17/3.
+    jobs = [make_job(1, 1, [2], exact=exact),
+            make_job(2, 2, [1, 1], release=5, exact=exact),
+            make_job(3, 1, [0, 3], exact=exact),
+            make_job(4, 1, [0], release=2, exact=exact)]
+    tr = simulate(make_instance([(2, 1), (1, 1)], jobs, exact=exact))
+    want = {1: Fraction(4, 3), 3: Fraction(11, 6), 4: Fraction(2),
+            2: Fraction(17, 3), "objective": Fraction(33, 2)}
+    if not exact:
+        want = {k: pytest.approx(float(v), rel=1e-15) for k, v in want.items()}
+    assert {**tr.completions, "objective": tr.objective} == want
+    assert tr.group_completions[(3, 1)] == 0 and tr.group_completions[(4, 0)] == 2
+    # three intervals, and none covers the idle gap (11/6, 5)
+    assert [(iv.start, iv.end) for iv in tr.intervals] == [
+        (0, want[1]), (want[1], want[3]), (5, want[2])]
+
+
 def test_realize_slice_examples():
     # pooled pair: machine 1 time-shares, quotas met exactly
     inst = alive_instance([(2, 1), (1, 1)], 1.0)
