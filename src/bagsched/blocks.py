@@ -51,7 +51,6 @@ class BlockView:
 
 @dataclass(frozen=True)
 class IntervalBlocks:
-    alive_weight: object
     blocks: tuple
     job_block: dict             # job_id -> index into blocks
 
@@ -189,9 +188,7 @@ def classify_blocks(trace, instance: Instance) -> BlockClassification:
         for v in views:
             for jid in v.job_ids:
                 job_block[jid] = v.index
-        intervals.append(
-            IntervalBlocks(alive_weight=alive_weight, blocks=views, job_block=job_block)
-        )
+        intervals.append(IntervalBlocks(blocks=views, job_block=job_block))
 
         # long-block shape facts: |B| <= m_blend_l and s(B) close to the
         # class capacity; for the last class only the speed lower bound

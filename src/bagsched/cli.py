@@ -13,6 +13,7 @@ import csv
 import json
 import os
 import sys
+from contextlib import contextmanager
 
 from .duals import (
     build_general_duals,
@@ -57,11 +58,15 @@ def _out_path(path):
     return path
 
 
-def _open_out(path):
+@contextmanager
+def _output(path):
+    """stdout for None or "-", else the file, closed however the block ends."""
     path = _out_path(path)
     if path in (None, "-"):
-        return sys.stdout, False
-    return open(path, "w", encoding="utf-8"), True
+        yield sys.stdout
+    else:
+        with open(path, "w", encoding="utf-8") as fh:
+            yield fh
 
 
 def _load_any(path, exact=False):
@@ -97,13 +102,12 @@ def cmd_simulate(args) -> int:
         if m > 1_000_000:
             raise InstanceError(f"preprocess: too many machines to expand ({m})")
         raw = instance.machine_speeds(m)
-        classes, provenance = preprocess_raw_speeds(raw)
+        classes, _ = preprocess_raw_speeds(raw)
         instance = make_instance(
             classes=[(c.speed, c.count) for c in classes],
             jobs=instance.jobs,
             speedup=instance.speedup,
             exact=instance.exact,
-            provenance=provenance,
         )
     gamma = args.gamma if args.gamma is not None else file_gamma
     if gamma is not None:
@@ -122,10 +126,8 @@ def cmd_simulate(args) -> int:
                     return EXIT_INFEASIBLE
         print(f"realized {len(trace.intervals)} intervals")
     if args.out:
-        fh, close_it = _open_out(args.out)
-        write_trace(trace, fh)
-        if close_it:
-            fh.close()
+        with _output(args.out) as fh:
+            write_trace(trace, fh)
     print(f"objective={float(trace.objective)!r} makespan={float(trace.makespan)!r}")
     return EXIT_OK
 
@@ -158,21 +160,17 @@ def cmd_verify(args) -> int:
         print(f"certified_ratio={float(certified_ratio(cert, trace))!r}")
     print(f"feasible={cert.feasible}")
     if args.out:
-        fh, close_it = _open_out(args.out)
-        json.dump(cert.to_dict(), fh, indent=2)
-        fh.write("\n")
-        if close_it:
-            fh.close()
+        with _output(args.out) as fh:
+            json.dump(cert.to_dict(), fh, indent=2)
+            fh.write("\n")
     return EXIT_OK if cert.feasible else EXIT_INFEASIBLE
 
 
 def cmd_emit_lp(args) -> int:
     instance, _ = _load_any(args.instance, exact=args.exact)
     text = emit_lp(instance, args.horizon)
-    fh, close_it = _open_out(args.out)
-    fh.write(text)
-    if close_it:
-        fh.close()
+    with _output(args.out) as fh:
+        fh.write(text)
     if args.solution:
         try:
             with open(args.solution, "r", encoding="utf-8") as sfh:
@@ -204,11 +202,9 @@ def cmd_gen(args) -> int:
             "seed": args.seed,
             "speeds": speeds,
         }
-    fh, close_it = _open_out(args.out)
-    json.dump(payload, fh, indent=2)
-    fh.write("\n")
-    if close_it:
-        fh.close()
+    with _output(args.out) as fh:
+        json.dump(payload, fh, indent=2)
+        fh.write("\n")
     return EXIT_OK
 
 
@@ -258,16 +254,13 @@ def cmd_bench(args) -> int:
                     k, instance.task_count(), seed,
                 ))
     rows.sort(key=lambda r: (r["K"], str(r["seed"])))
-    fh, close_it = _open_out(args.out)
-    writer = csv.DictWriter(
-        fh, fieldnames=["K", "n", "seed", "gamma", "makespan", "objective",
-                        "lp_lb", "dual_lb", "ratio"],
-    )
-    writer.writeheader()
-    for row in rows:
-        writer.writerow(row)
-    if close_it:
-        fh.close()
+    with _output(args.out) as fh:
+        writer = csv.DictWriter(
+            fh, fieldnames=["K", "n", "seed", "gamma", "makespan", "objective",
+                            "lp_lb", "dual_lb", "ratio"],
+        )
+        writer.writeheader()
+        writer.writerows(rows)
     return EXIT_OK
 
 

@@ -129,7 +129,7 @@ def _check_nonincreasing(spans, what):
 
 
 def _reject_releases(trace, family):
-    if trace.has_releases:
+    if trace.instance.has_releases():
         raise AnalysisError(
             f"{family} certificate requires a release-free trace; "
             "jobs arriving after time 0 are not certified"

@@ -107,12 +107,9 @@ def gen_lower_bound(k: int) -> Instance:
         jobs=[job],
         speedup=1,
         exact=True,
-        provenance={"family": "lower_bound", "k": k},
     )
     if not validate_ica(instance).ok:
-        raise AssertionError(
-            f"generated instance fails the capacity conditions: {instance.provenance}"
-        )
+        raise AssertionError(f"gen_lower_bound(k={k}) fails the capacity conditions")
     return instance
 
 
@@ -152,17 +149,11 @@ def gen_random_ica(k: int, jobs: int, max_tasks: int, seed: int) -> Instance:
         classes=zip(speeds, counts),
         jobs=job_list,
         speedup=1,
-        provenance={
-            "family": "random_ica",
-            "k": k,
-            "jobs": jobs,
-            "max_tasks": max_tasks,
-            "seed": seed,
-        },
     )
     if not validate_ica(instance).ok:
         raise AssertionError(
-            f"generated instance fails the capacity conditions: {instance.provenance}"
+            f"gen_random_ica(k={k}, jobs={jobs}, max_tasks={max_tasks}, "
+            f"seed={seed}) fails the capacity conditions"
         )
     return instance
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from functools import cached_property
 from fractions import Fraction
 
@@ -66,10 +66,8 @@ class IcaReport:
 class ClassThresholds:
     """Derived machine-count thresholds for one class boundary l | l+1."""
 
-    index: int      # l, 1-based
+    index: int       # l, 1-based
     m_blend: object  # (sum_{i<=l} m_i sigma_i) / sigma_{l+1}
-    m_prefix: int    # sum_{i<=l} m_i
-    m_reach: object  # m_prefix + m_blend
 
 
 @dataclass(frozen=True)
@@ -78,7 +76,6 @@ class Instance:
     jobs: tuple             # Job
     speedup: object         # gamma >= 1 multiplying every machine speed
     exact: bool = False
-    provenance: dict = field(default_factory=dict, compare=False)
 
     # ---- machine helpers -------------------------------------------------
     @cached_property
@@ -147,7 +144,7 @@ def _speedup(gamma, exact):
     return gamma
 
 
-def _group_sizes(job_id, weight, release, size_counts, exact):
+def _group_sizes(job_id, weight, release, size_counts):
     if weight <= 0:
         raise InstanceError(f"job {job_id}: weight must be positive, got {weight}")
     merged = {}
@@ -173,10 +170,10 @@ def make_job(job_id, weight, sizes, release=0, exact=False):
     for entry in sizes:
         size, count = entry if isinstance(entry, tuple) else (entry, 1)
         pairs.append((_finite(size, f"job {job_id}: task size", exact), count))
-    return _group_sizes(job_id, weight, release, pairs, exact)
+    return _group_sizes(job_id, weight, release, pairs)
 
 
-def make_instance(classes, jobs, speedup=1, exact=False, provenance=None):
+def make_instance(classes, jobs, speedup=1, exact=False):
     pairs = [
         (c.speed, c.count) if isinstance(c, SpeedClass) else c for c in classes
     ]
@@ -216,7 +213,6 @@ def make_instance(classes, jobs, speedup=1, exact=False, provenance=None):
         jobs=jobs,
         speedup=_speedup(speedup, exact),
         exact=exact,
-        provenance=dict(provenance or {}),
     )
 
 
@@ -397,11 +393,10 @@ def validate_ica(instance: Instance) -> IcaReport:
 def thresholds(instance: Instance):
     """Machine-count thresholds per class boundary, used by certificates.
 
-    For l = 1..K-1:
-      m_blend_l  = (sum_{i<=l} m_i sigma_i) / sigma_{l+1}
-      m_prefix_l = sum_{i<=l} m_i
-      m_reach_l  = m_prefix_l + m_blend_l
-    Requires the capacity conditions; checks the derived facts
+    For l = 1..K-1, m_blend_l = (sum_{i<=l} m_i sigma_i) / sigma_{l+1}.
+    Requires the capacity conditions; with m_prefix_l = sum_{i<=l} m_i
+    (class_prefix_counts) and m_reach_l = m_prefix_l + m_blend_l, checks
+    the derived facts
       2*m_blend_l <= m_{l+1},  m_reach_l >= 2*m_prefix_l,
       m_l sigma_l >= m_blend_l sigma_{l+1} / 2,  m_blend_l >= 2*m_l.
     """
@@ -410,12 +405,11 @@ def thresholds(instance: Instance):
         raise InstanceError("thresholds require the capacity growth conditions")
     out = []
     cum_cap = instance.classes[0].capacity()
-    cum_cnt = instance.classes[0].count
     for li in range(len(instance.classes) - 1):
         cur = instance.classes[li]
         nxt = instance.classes[li + 1]
         m_blend = cum_cap / nxt.speed
-        m_prefix = cum_cnt
+        m_prefix = instance.class_prefix_counts[li + 1]
         m_reach = m_prefix + m_blend
         if not leq(2 * m_blend, nxt.count):
             raise AssertionError(f"boundary {li + 1}: 2*{m_blend} > m_{li + 2} = {nxt.count}")
@@ -425,11 +419,6 @@ def thresholds(instance: Instance):
             raise AssertionError(f"boundary {li + 1}: class capacity below m_blend sigma / 2")
         if not geq(m_blend, 2 * cur.count):
             raise AssertionError(f"boundary {li + 1}: m_blend {m_blend} < 2*{cur.count}")
-        out.append(
-            ClassThresholds(
-                index=li + 1, m_blend=m_blend, m_prefix=m_prefix, m_reach=m_reach
-            )
-        )
+        out.append(ClassThresholds(index=li + 1, m_blend=m_blend))
         cum_cap = cum_cap + nxt.capacity()
-        cum_cnt = cum_cnt + nxt.count
     return out

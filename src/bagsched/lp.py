@@ -384,7 +384,7 @@ def schedule_to_primal(source, instance: Instance, slot=None) -> PrimalSolution:
                     # roundoff slack so a task whose quota exactly spans
                     # the segment still completes inside it
                     slack = 0 if instance.exact else REL_TOL * float(p or 1)
-                    if float(got) >= float(remaining[v]) - slack:
+                    if got >= remaining[v] - slack:
                         t_done = seg.start + min(remaining[v] / rate, length)
                         remaining[v] = zero
                         if t_done > completion[job_id]:

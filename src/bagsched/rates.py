@@ -58,10 +58,14 @@ class AliveJob:
 
 @dataclass(frozen=True)
 class BlockMember:
+    """One alive job inside a block: the run's one record of that job in an
+    interval, which sim.Interval.jobs lists in job-id order."""
+
     job_id: int
-    count: int
-    share: object
-    rate: object    # share * tau of the enclosing block
+    weight: object  # the AliveJob's weight, as given
+    count: int      # alive tasks
+    share: object   # weight / count
+    rate: object    # per-task rate: share * tau of the enclosing block
 
 
 @dataclass(frozen=True)
@@ -176,7 +180,8 @@ def assign_rates(alive, instance: Instance) -> RateProfile:
         if not (tau_prev is None or geq(tau, tau_prev)):
             raise AssertionError(f"water level went down from {tau_prev} to {tau}")
         members = tuple(
-            BlockMember(job_id=job.job_id, count=job.count, share=share, rate=share * tau)
+            BlockMember(job_id=job.job_id, weight=job.weight, count=job.count,
+                        share=share, rate=share * tau)
             for share, group, _, _ in runs[a:e]
             for job in group
         )

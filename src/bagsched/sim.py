@@ -5,6 +5,8 @@ the same cumulative depletion, so per job it tracks one number and the count
 of leading task groups still alive (groups are sorted by descending size, and
 tasks die in ascending size order, so the alive groups always form a prefix).
 Events are group completions and job releases; rates are constant in between.
+Each interval holds only its span and its rate profile, and reads its alive
+jobs (weight, count, rate) from the profile's members.
 
 realize_slice turns one interval's fluid rates into an explicit schedule:
 tasks sorted by remaining quota occupy machines in that order, ties pool
@@ -16,6 +18,8 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cached_property
+from operator import attrgetter
 
 from .instances import Instance, instance_to_dict
 from .numutil import EVENT_REL, REL_TOL, close, json_number, leq
@@ -44,19 +48,18 @@ class InfeasibleSliceError(RuntimeError):
 
 
 @dataclass(frozen=True)
-class IntervalJob:
-    job_id: int
-    weight: object
-    count: int          # alive tasks
-    rate: object        # per-task rate
-
-
-@dataclass(frozen=True)
 class Interval:
+    """A stretch of constant rates. The profile is the interval's one record
+    of its alive jobs; jobs lists the profile's members in job-id order."""
+
     start: object
     end: object
     profile: RateProfile
-    jobs: tuple  # IntervalJob, ascending job_id
+
+    @cached_property
+    def jobs(self) -> tuple:
+        """BlockMember per alive job, ascending job_id."""
+        return tuple(sorted(self.profile.members(), key=attrgetter("job_id")))
 
     def length(self):
         return self.end - self.start
@@ -73,7 +76,6 @@ class Trace:
     group_completions: dict  # (job_id, group_index) -> completion time
     objective: object        # sum w_j C_j
     makespan: object
-    has_releases: bool
 
     def gamma(self):
         return self.instance.speedup
@@ -90,7 +92,6 @@ def simulate(instance: Instance) -> Trace:
     group_completions = {}
     pending = sorted(instance.jobs, key=lambda j: (j.release, j.job_id))
     pending_idx = 0
-    has_releases = instance.has_releases()
 
     t = zero
     intervals = []
@@ -147,22 +148,7 @@ def simulate(instance: Instance) -> Trace:
                 dts = []  # release only; nobody completes
 
         end = t + dt
-        intervals.append(
-            Interval(
-                start=t,
-                end=end,
-                profile=profile,
-                jobs=tuple(
-                    IntervalJob(
-                        job_id=a.job_id,
-                        weight=a.weight,
-                        count=a.count,
-                        rate=profile.rate_of(a.job_id),
-                    )
-                    for a in alive
-                ),
-            )
-        )
+        intervals.append(Interval(start=t, end=end, profile=profile))
 
         if exact:
             completers = {j for d, j in dts if d == dt}
@@ -199,7 +185,6 @@ def simulate(instance: Instance) -> Trace:
         group_completions=group_completions,
         objective=objective,
         makespan=makespan,
-        has_releases=has_releases,
     )
 
 
@@ -368,7 +353,7 @@ def write_trace(trace: Trace, fh) -> None:
         "gamma": json_number(trace.gamma()),
         "classes": [[json_number(c.speed), c.count] for c in trace.instance.classes],
         "jobs": len(trace.instance.jobs),
-        "has_releases": trace.has_releases,
+        "has_releases": trace.instance.has_releases(),
         "instance": instance_to_dict(trace.instance),
     }
     fh.write(json.dumps(meta) + "\n")

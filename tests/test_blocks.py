@@ -97,7 +97,7 @@ def test_classification_invariants_on_random_traces():
             cheap = [b for b in iv_cls.blocks if b.label == "cheap"]
             assert len(cheap) <= k
             assert sum(float(b.weight) for b in cheap) <= (
-                float(iv_cls.alive_weight) / 10 + 1e-9)
+                float(iv.alive_weight()) / 10 + 1e-9)
 
             for blk in iv_cls.blocks:
                 if blk.label == "short":
@@ -118,4 +118,4 @@ def test_classification_invariants_on_random_traces():
             simple_long = sum(
                 float(b.weight) for b in iv_cls.blocks
                 if b.label in ("simple", "long"))
-            assert float(iv_cls.alive_weight) <= 90 * simple_long + 1e-9
+            assert float(iv.alive_weight()) <= 90 * simple_long + 1e-9

@@ -223,6 +223,24 @@ def test_out_dir_env_redirects_relative_paths(tmp_path, monkeypatch, capsys):
     assert (tmp_path / "inst.json").exists()
 
 
+def test_output_goes_to_stdout_or_a_file_closed_on_error(tmp_path, monkeypatch,
+                                                         capsys):
+    assert run_cli("gen", "lower", "--k", "1", "--out", "-") == 0
+    assert json.loads(capsys.readouterr().out)["classes"] == [
+        {"sigma": 1, "count": 1}]
+    handles = []
+
+    def failing_write(trace, fh):
+        handles.append(fh)
+        fh.write("partial")
+        raise OSError("disk full")
+
+    monkeypatch.setattr(cli, "write_trace", failing_write)
+    path = gen_instance(tmp_path, "lower", "--k", "1")
+    assert run_cli("simulate", str(path), "--out", str(tmp_path / "t.jsonl")) == 2
+    assert handles[0].closed
+
+
 @pytest.mark.parametrize("argv", [
     ("random", "--k", "0"),
     ("random", "--jobs", "0"),

@@ -210,6 +210,21 @@ def test_check_primal_is_exact_in_exact_mode():
         check_primal(dataclasses.replace(primal, slot=tight), inst)
 
 
+def test_exact_embedding_decides_completion_exactly():
+    # job 2's task is 1e-20 longer than job 1's, so it outlives the first
+    # segment; a float compare of its quota with its remainder saw them
+    # equal and retired it a segment early
+    inst = make_instance(
+        [(Fraction(1), 1)],
+        [make_job(1, Fraction(1), [Fraction(1)], exact=True),
+         make_job(2, Fraction(1), [Fraction(1) + Fraction(1, 10 ** 20)],
+                  exact=True)],
+        exact=True)
+    primal = schedule_to_primal(simulate(inst), inst, slot=Fraction(1, 2))
+    assert primal.C[2] == 2 + Fraction(1, 10 ** 20)
+    check_primal(primal, inst)
+
+
 def parent_check_lp_solution(instance, values, horizon):
     """check_lp_solution as first written, with its own row sums and its
     SOLVER_REL * max(1, .) slack. Also returns whether some row's sides lie

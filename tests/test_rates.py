@@ -218,8 +218,8 @@ def first_assign_rates(alive, instance):
         tau, last, n = best
         s_hi = instance.capacity_prefix(b + n)
         members = tuple(
-            BlockMember(job_id=a.job_id, count=a.count, share=runs[i][0],
-                        rate=runs[i][0] * tau)
+            BlockMember(job_id=a.job_id, weight=a.weight, count=a.count,
+                        share=runs[i][0], rate=runs[i][0] * tau)
             for i in range(start, last + 1) for a in runs[i][1])
         blocks.append(Block(index=len(blocks), tau=tau, lo=b, hi=b + n,
                             speed=gamma * (s_hi - s_b), members=members))

@@ -110,9 +110,30 @@ def test_release_dates_enter_alive_set():
         [(1, 1)],
         [make_job(1, 1.0, [1]), make_job(2, 1.0, [1], release=0.5)])
     tr = simulate(inst)
-    assert tr.has_releases
+    assert inst.has_releases()
     assert tr.completions[1] == pytest.approx(1.5)
     assert tr.completions[2] == pytest.approx(2.0)
+
+
+def test_interval_jobs_are_the_profile_members_in_job_order():
+    # job 3 arrives before job 2, and job 2's share (6) tops job 3's (2/3)
+    # and job 1's (1/2), so the profile lists jobs as 2, 3, 1
+    inst = make_instance(
+        [(4, 1), (1, 3)],
+        [make_job(1, 1.0, [8, 8]), make_job(2, 6.0, [4], release=1.5),
+         make_job(3, 2.0, [8, 8, 8], release=0.5)],
+        speedup=2)
+    tr = simulate(inst)
+    assert [[m.job_id for m in iv.profile.members()] for iv in tr.intervals] \
+        == [[1], [3, 1], [2, 3, 1], [3, 1], [3]]
+    for iv in tr.intervals:
+        members = {m.job_id: m for m in iv.profile.members()}
+        assert [j.job_id for j in iv.jobs] == sorted(members)
+        assert all(j is members[j.job_id] for j in iv.jobs)
+        weight = 0
+        for j in iv.jobs:
+            weight = weight + j.weight
+        assert iv.alive_weight() == weight
 
 
 @pytest.mark.parametrize("exact", [False, True])
