@@ -164,7 +164,7 @@ def classify_blocks(trace, instance: Instance) -> BlockClassification:
     if not validate_ica(instance).ok:
         raise AnalysisError("block classification requires the capacity growth conditions")
     k = len(instance.classes)
-    gamma = trace.gamma()
+    gamma = trace.instance.speedup
     bounds = thresholds(instance)  # boundaries 1..K-1
 
     long_shape = CheckRecord("long-block-shape")

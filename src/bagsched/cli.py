@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import os
 import sys
 from contextlib import contextmanager
@@ -27,12 +28,13 @@ from .instances import (
     InstanceError,
     instance_from_dict,
     instance_to_dict,
-    preprocess_raw_speeds,
     make_instance,
+    round_speeds,
+    select_capacity_classes,
     with_speedup,
 )
 from .lp import LpError, check_lp_solution, emit_lp, parse_lp_solution, solution_objective
-from .numutil import WORK_REL, close, from_json_number
+from .numutil import WORK_REL, close, from_json_number, to_float
 from .rates import RateError
 from .report import AnalysisError, certified_ratio
 from .sim import realize_slice, simulate, write_trace
@@ -95,14 +97,21 @@ def _load_any(path, exact=False):
         return instance_from_dict(json.load(fh), exact=exact), None
 
 
+def _simulate(instance):
+    """simulate, refusing a float run whose objective left the float range."""
+    trace = simulate(instance)
+    if not instance.exact and not math.isfinite(trace.objective):
+        raise InstanceError(
+            f"objective is {trace.objective} in float arithmetic; rerun with --exact"
+        )
+    return trace
+
+
 def cmd_simulate(args) -> int:
     instance, file_gamma = _load_any(args.instance, exact=args.exact)
     if args.preprocess:
-        m = instance.machine_count()
-        if m > 1_000_000:
-            raise InstanceError(f"preprocess: too many machines to expand ({m})")
-        raw = instance.machine_speeds(m)
-        classes, _ = preprocess_raw_speeds(raw)
+        rounded = round_speeds((c.speed, c.count) for c in instance.classes)
+        _, classes = select_capacity_classes(rounded)
         instance = make_instance(
             classes=[(c.speed, c.count) for c in classes],
             jobs=instance.jobs,
@@ -112,7 +121,7 @@ def cmd_simulate(args) -> int:
     gamma = args.gamma if args.gamma is not None else file_gamma
     if gamma is not None:
         instance = with_speedup(instance, gamma)
-    trace = simulate(instance)
+    trace = _simulate(instance)
     if args.realize:
         for index, iv in enumerate(trace.intervals):
             sl = realize_slice(iv.profile, instance, iv)
@@ -128,7 +137,7 @@ def cmd_simulate(args) -> int:
     if args.out:
         with _output(args.out) as fh:
             write_trace(trace, fh)
-    print(f"objective={float(trace.objective)!r} makespan={float(trace.makespan)!r}")
+    print(f"objective={to_float(trace.objective)!r} makespan={to_float(trace.makespan)!r}")
     return EXIT_OK
 
 
@@ -137,17 +146,17 @@ def cmd_verify(args) -> int:
     gamma = args.gamma if args.gamma is not None else file_gamma
     if gamma is not None:
         instance = with_speedup(instance, gamma)
-    trace = simulate(instance)
+    trace = _simulate(instance)
     cert = FAMILIES[args.family](trace, instance)
 
-    print(f"family={cert.family} gamma={float(cert.gamma)!r} "
+    print(f"family={cert.family} gamma={to_float(cert.gamma)!r} "
           f"required={cert.gamma_required!r} gamma_ok={cert.gamma_ok}")
     if not cert.gamma_ok:
         print("warning: speedup below the family's threshold; "
               "violations are expected", file=sys.stderr)
-    print(f"alpha_total={float(cert.alpha_total)!r} "
-          f"beta_total={float(cert.beta_total)!r} "
-          f"objective={float(cert.objective)!r}")
+    print(f"alpha_total={to_float(cert.alpha_total)!r} "
+          f"beta_total={to_float(cert.beta_total)!r} "
+          f"objective={to_float(cert.objective)!r}")
     for name, slack, witness in cert.min_slack_table():
         print(f"  check {name}: min_slack={slack!r} at {witness}")
     bad = cert.violations()
@@ -157,7 +166,7 @@ def cmd_verify(args) -> int:
     if len(bad) > 10:
         print(f"  ... {len(bad)} violations total", file=sys.stderr)
     if cert.feasible and cert.objective > 0:
-        print(f"certified_ratio={float(certified_ratio(cert, trace))!r}")
+        print(f"certified_ratio={to_float(certified_ratio(cert, trace))!r}")
     print(f"feasible={cert.feasible}")
     if args.out:
         with _output(args.out) as fh:

@@ -55,7 +55,6 @@ class FittingConstants:
     long_cover_stated: int = 8  # the looser coefficient checked as diagnostic
     root_charge: int = 6        # visit charge: w(B)/mtilde_l <= 6 w_j/n_t(j)
     alpha_floor: int = 1800     # sum alpha >= cost/(1800 K logK)
-    beta_scale: int = 1         # beta = w(A^t)/(beta_scale K^2 logK m_l)
 
 
 CONSTANTS = FittingConstants()
@@ -167,7 +166,7 @@ def build_weaker_duals(trace, instance: Instance) -> DualCertificate:
     """
     _reject_releases(trace, "weaker")
     k = len(instance.classes)
-    gamma = trace.gamma()
+    gamma = trace.instance.speedup
     n_real = instance.task_count()
     required = weaker_threshold(instance)
     gamma_ok = _meets_threshold(gamma, required)
@@ -180,11 +179,9 @@ def build_weaker_duals(trace, instance: Instance) -> DualCertificate:
     cost_id = CheckRecord("alpha-equals-cost", diagnostic=True)
 
     delta = {}
-    starts = {}
     for job in instance.jobs:
         spans = halving_spans(job.weight, job.task_count(), gamma)
         delta[job.job_id] = spans
-        starts[job.job_id] = [s[0] for s in spans]
         total = sum((hi - lo) * v for lo, hi, v in spans)
         d_budget.require_leq(total, job.weight, (job.job_id,))
 
@@ -297,11 +294,9 @@ def build_single_job_duals(trace, instance: Instance) -> DualCertificate:
     job = instance.jobs[0]
     if job.weight != 1:
         raise AnalysisError("single_job certificate needs job weight exactly 1")
-    if not validate_ica(instance).ok:
-        raise AnalysisError("single_job certificate requires the capacity growth conditions")
 
     k = len(instance.classes)
-    gamma = trace.gamma()
+    gamma = trace.instance.speedup
     required = float(single_job_threshold(instance))
     gamma_ok = _meets_threshold(gamma, required)
     exact = instance.exact
@@ -525,10 +520,8 @@ def build_general_duals(trace, instance: Instance) -> DualCertificate:
     taxonomy checks from classify_blocks.
     """
     _reject_releases(trace, "general")
-    if not validate_ica(instance).ok:
-        raise AnalysisError("general certificate requires the capacity growth conditions")
     k = len(instance.classes)
-    gamma = trace.gamma()
+    gamma = trace.instance.speedup
     exact = instance.exact
     logk = _log_scale(k, exact)
     required = general_threshold(instance)
@@ -584,9 +577,8 @@ def build_general_duals(trace, instance: Instance) -> DualCertificate:
         merged = [s for s in merged if s[2] != 0]
         _check_nonincreasing(merged, "last-simple credits")
         dprime[jid] = (merged, [s[0] for s in merged])
-        simple_budget.require_leq(
-            sum((hi - lo) * v for lo, hi, v in merged), job.weight / 2, (jid,)
-        )
+        simple_sum = sum((hi - lo) * v for lo, hi, v in merged)
+        simple_budget.require_leq(simple_sum, job.weight / 2, (jid,))
 
         raw2 = []
         for li in range(1, k):
@@ -607,15 +599,9 @@ def build_general_duals(trace, instance: Instance) -> DualCertificate:
         merged2 = [s for s in merged2 if s[2] != 0]
         _check_nonincreasing(merged2, "long-visit credits")
         ddouble[jid] = (merged2, [s[0] for s in merged2])
-        long_budget.require_leq(
-            sum((hi - lo) * v for lo, hi, v in merged2), job.weight / 2, (jid,)
-        )
-        total_budget.require_leq(
-            sum((hi - lo) * v for lo, hi, v in merged)
-            + sum((hi - lo) * v for lo, hi, v in merged2),
-            job.weight,
-            (jid,),
-        )
+        long_sum = sum((hi - lo) * v for lo, hi, v in merged2)
+        long_budget.require_leq(long_sum, job.weight / 2, (jid,))
+        total_budget.require_leq(simple_sum + long_sum, job.weight, (jid,))
 
     for (jid, li), vlist in visits.items():
         blend = bounds[li - 1].m_blend
@@ -644,7 +630,7 @@ def build_general_duals(trace, instance: Instance) -> DualCertificate:
     # the per-class denominators here, and the per-interval, per-job and
     # per-probe factors below, keep every product and quotient in its inline
     # order, so each side of each check is the same float
-    beta_div = CONSTANTS.beta_scale * k * k * logk
+    beta_div = k * k * logk  # beta = w(A^t)/(K^2 logK m_l)
     beta_dens = [beta_div * c for c in counts]
     gamma_sigmas = [gamma * s for s in sigmas]
     simple_dens = [k * gamma * c * s for c, s in zip(counts, sigmas)]

@@ -282,19 +282,20 @@ def instance_from_dict(data: dict, exact: bool = False) -> Instance:
 # Preprocessing: rounding and capacity-based class selection
 # ---------------------------------------------------------------------------
 
-def round_speeds(raw_speeds):
+def round_speeds(speed_counts):
     """Round each speed down to the largest power of SPEED_BASE not above it.
 
-    Returns merged SpeedClass entries sorted by decreasing speed.
+    Takes (speed, machine count) pairs, so a class is rounded once whatever
+    its count. Returns merged SpeedClass entries sorted by decreasing speed.
 
-    >>> [(c.speed, c.count) for c in round_speeds([5000, 64, 3, 0.9])]
-    [(4096, 1), (64, 1), (1, 1), (0.015625, 1)]
+    >>> [(c.speed, c.count) for c in round_speeds([(5000, 1), (64, 2), (3, 1), (0.9, 1)])]
+    [(4096, 1), (64, 2), (1, 1), (0.015625, 1)]
     """
-    speeds = list(raw_speeds)
-    if not speeds:
+    pairs = list(speed_counts)
+    if not pairs:
         raise InstanceError("round_speeds: empty speed list")
     counts = {}
-    for s in speeds:
+    for s, n in pairs:
         if s <= 0:
             raise InstanceError(f"round_speeds: non-positive speed {s}")
         k = 0
@@ -302,7 +303,7 @@ def round_speeds(raw_speeds):
             k += 1
         while SPEED_BASE ** k > s:
             k -= 1
-        counts[k] = counts.get(k, 0) + 1
+        counts[k] = counts.get(k, 0) + n
     return [
         SpeedClass(speed=SPEED_BASE ** k, count=n)
         for k, n in sorted(counts.items(), reverse=True)
@@ -350,7 +351,7 @@ def preprocess_raw_speeds(raw_speeds):
     Returns (classes, provenance) where provenance records what happened.
     """
     raw = list(raw_speeds)
-    rounded = round_speeds(raw)
+    rounded = round_speeds((s, 1) for s in raw)
     kept, inflated = select_capacity_classes(rounded)
     provenance = {
         "raw_count": len(raw),

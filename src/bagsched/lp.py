@@ -40,6 +40,7 @@ from .numutil import REL_TOL, SOLVER_REL, close, leq
 from .sim import realize_slice
 
 MAX_EMIT_CELLS = 200_000      # machines * tasks * horizon guard for emit_lp
+LP_LINE_WIDTH = 500           # emit_lp breaks longer rows
 MAX_PRIMAL_ENTRIES = 2_000_000
 
 BRUTE_MAX_MACHINES = 3
@@ -114,7 +115,7 @@ def emit_lp(instance: Instance, horizon: int) -> str:
         terms.append(f"{_num(job.weight)} C_{job.job_id}")
         for t in range(horizon):
             terms.append(f"{_num(job.weight)} U_{job.job_id}_{t}")
-    lines.append(" obj: " + _wrap(" + ".join(terms)))
+    lines.append(_wrap(" obj: " + " + ".join(terms)))
     lines.append("Subject To")
 
     for v, j, p in tasks:
@@ -123,23 +124,23 @@ def emit_lp(instance: Instance, horizon: int) -> str:
             for tp in range(t, horizon):
                 for i in range(1, m + 1):
                     parts.append(f"- {_num(1 / p)} x_{i}_{v}_{tp}")
-            lines.append(f" rem_{j}_{v}_{t}: " + _wrap(" ".join(parts) + " >= 0"))
+            lines.append(_wrap(f" rem_{j}_{v}_{t}: " + " ".join(parts) + " >= 0"))
         parts = [f"C_{j}"]
         for t in range(horizon):
             for i in range(1, m + 1):
                 parts.append(f"- {_num(1 / speeds[i - 1])} x_{i}_{v}_{t}")
-        lines.append(f" time_{j}_{v}: " + _wrap(" ".join(parts) + " >= 0"))
+        lines.append(_wrap(f" time_{j}_{v}: " + " ".join(parts) + " >= 0"))
         parts = []
         for t in range(horizon):
             for i in range(1, m + 1):
                 parts.append(f"{_num(1 / p)} x_{i}_{v}_{t}")
-        lines.append(f" done_{j}_{v}: " + _wrap(" + ".join(parts) + " >= 1"))
+        lines.append(_wrap(f" done_{j}_{v}: " + " + ".join(parts) + " >= 1"))
     for i in range(1, m + 1):
         for t in range(horizon):
             parts = [
                 f"{_num(1 / speeds[i - 1])} x_{i}_{v}_{t}" for v, _, _ in tasks
             ]
-            lines.append(f" cap_{i}_{t}: " + _wrap(" + ".join(parts) + " <= 1"))
+            lines.append(_wrap(f" cap_{i}_{t}: " + " + ".join(parts) + " <= 1"))
 
     lines.append("Bounds")
     for job in instance.jobs:
@@ -153,17 +154,20 @@ def _num(x) -> str:
     return repr(float(x))
 
 
-def _wrap(s: str, width: int = 500) -> str:
-    if len(s) <= width:
-        return s
+def _wrap(row: str) -> str:
+    """A whole row, name included, broken at spaces into lines of at most
+    LP_LINE_WIDTH characters; continuation lines are indented by three
+    spaces."""
+    if len(row) <= LP_LINE_WIDTH:
+        return row
     out = []
-    line = ""
-    for tok in s.split(" "):
-        if line and len(line) + 1 + len(tok) > width:
+    line, *tokens = row.split(" ")
+    for tok in tokens:
+        if len(line) + 1 + len(tok) > LP_LINE_WIDTH:
             out.append(line)
             line = "   " + tok
         else:
-            line = tok if not line else line + " " + tok
+            line = line + " " + tok
     out.append(line)
     return "\n".join(out)
 
@@ -336,7 +340,7 @@ def schedule_to_primal(source, instance: Instance, slot=None) -> PrimalSolution:
         slices = [
             realize_slice(iv.profile, instance, iv) for iv in source.intervals
         ]
-        gamma = source.gamma()
+        gamma = source.instance.speedup
     else:
         slices = list(source)
         gamma = instance.speedup

@@ -113,6 +113,18 @@ def geq(a, b) -> bool:
     return leq(b, a)
 
 
+def to_float(x) -> float:
+    """float(x), with a value too large for a float read as +-inf.
+
+    >>> to_float(Fraction(10) ** 400)
+    inf
+    """
+    try:
+        return float(x)
+    except OverflowError:
+        return inf if x > 0 else -inf
+
+
 def json_number(x):
     """Representation for JSON output that round-trips exact values."""
     if isinstance(x, Fraction):

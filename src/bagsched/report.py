@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .numutil import json_number, leq
+from .numutil import json_number, leq, to_float
 
 
 class AnalysisError(ValueError):
@@ -59,7 +59,7 @@ class CheckRecord:
         try:
             fl, fr = float(lhs), float(rhs)
         except OverflowError:
-            fl, fr = _saturate(lhs), _saturate(rhs)
+            fl, fr = to_float(lhs), to_float(rhs)
         slack = fr - fl
         if slack > 0:
             if slack < _DECADE_TOP:
@@ -133,14 +133,6 @@ _NONPOSITIVE = None
 
 def _decade_label(e) -> str:
     return "<=0" if e is _NONPOSITIVE else f"1e{e:+d}"
-
-
-def _saturate(x) -> float:
-    """float(x), with a value too large for a float read as +-inf."""
-    try:
-        return float(x)
-    except OverflowError:
-        return math.inf if x > 0 else -math.inf
 
 
 def _plain(x):

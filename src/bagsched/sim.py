@@ -6,7 +6,9 @@ of leading task groups still alive (groups are sorted by descending size, and
 tasks die in ascending size order, so the alive groups always form a prefix).
 Events are group completions and job releases; rates are constant in between.
 Each interval holds only its span and its rate profile, and reads its alive
-jobs (weight, count, rate) from the profile's members.
+jobs (weight, count, rate) from the profile's members. A trace records the
+time each group completed and derives the rest: a job completes with its
+group 0, and the objective and the makespan follow from those completions.
 
 realize_slice turns one interval's fluid rates into an explicit schedule:
 tasks sorted by remaining quota occupy machines in that order, ties pool
@@ -70,25 +72,37 @@ class Interval:
 
 @dataclass
 class Trace:
+    """One run: its instance, its constant-rate intervals and the time each
+    task group completed. The group completions are the run's one record of
+    when work finished; each job's completion, the objective and the
+    makespan are derived from them."""
+
     instance: Instance
     intervals: list
-    completions: dict        # job_id -> completion time
     group_completions: dict  # (job_id, group_index) -> completion time
-    objective: object        # sum w_j C_j
-    makespan: object
 
-    def gamma(self):
-        return self.instance.speedup
+    @cached_property
+    def completions(self) -> dict:
+        """job_id -> completion time: that of its group 0, its largest tasks."""
+        return {j: c for (j, g), c in self.group_completions.items() if g == 0}
+
+    @cached_property
+    def objective(self):
+        """sum w_j C_j, in job-id order."""
+        jobs = self.instance.jobs
+        return sum(jobs[j - 1].weight * c for j, c in sorted(self.completions.items()))
+
+    @cached_property
+    def makespan(self):
+        zero = self.instance.speedup - self.instance.speedup
+        return max(self.completions.values(), default=zero)
 
 
 def simulate(instance: Instance) -> Trace:
     """Run the policy to completion and record every constant-rate interval."""
     exact = instance.exact
     zero = instance.speedup - instance.speedup
-    depleted = {}
-    alive_groups = {}
-    alive_jobs = {}  # job_id -> AliveJob, ascending job_id
-    completions = {}
+    alive = {}  # job_id -> [AliveJob, alive group count, depletion]
     group_completions = {}
     pending = sorted(instance.jobs, key=lambda j: (j.release, j.job_id))
     pending_idx = 0
@@ -97,95 +111,63 @@ def simulate(instance: Instance) -> Trace:
     intervals = []
 
     def admit(upto):
-        nonlocal pending_idx, alive_jobs
-        admitted = False
+        nonlocal pending_idx
         while pending_idx < len(pending) and leq(pending[pending_idx].release, upto, rel=EVENT_REL):
             job = pending[pending_idx]
             pending_idx += 1
-            depleted[job.job_id] = zero
             g = len(job.groups)
             # zero-size tasks finish the moment they appear
             while g > 0 and job.groups[g - 1].size == 0:
                 g -= 1
                 group_completions[(job.job_id, g)] = job.release
-            alive_groups[job.job_id] = g
-            if g == 0:
-                completions[job.job_id] = job.release
-            else:
+            if g > 0:
                 count = sum(grp.count for grp in job.groups[:g])
-                alive_jobs[job.job_id] = AliveJob(job.job_id, job.weight, count)
-                admitted = True
-        if admitted:  # releases need not come in job-id order
-            alive_jobs = dict(sorted(alive_jobs.items()))
+                alive[job.job_id] = [AliveJob(job.job_id, job.weight, count), g, zero]
 
     admit(t)
     while True:
-        alive = list(alive_jobs.values())
         if not alive:
             if pending_idx >= len(pending):
                 break
             t = pending[pending_idx].release
             admit(t)
             continue
-        profile = assign_rates(alive, instance)
-        if all(profile.rate_of(a.job_id) <= 0 for a in alive):
-            raise LivelockError(f"no progress at t={t} with {len(alive)} jobs alive")
+        profile = assign_rates([rec[0] for rec in alive.values()], instance)
+        rated = [(rec, profile.rate_of(rec[0].job_id)) for rec in alive.values()]
+        if all(rate <= 0 for _, rate in rated):
+            raise LivelockError(f"no progress at t={t} with {len(rated)} jobs alive")
 
         # next completion per job: its smallest alive size
-        dts = []
-        for a in alive:
-            job = instance.jobs[a.job_id - 1]
-            rate = profile.rate_of(a.job_id)
-            smallest = job.groups[alive_groups[a.job_id] - 1].size
-            dts.append(((smallest - depleted[a.job_id]) / rate, a.job_id))
-        dt = min(d for d, _ in dts)
+        dts = [
+            (instance.jobs[a.job_id - 1].groups[g - 1].size - depleted) / rate
+            for (a, g, depleted), rate in rated
+        ]
+        dt = min(dts)
         if not dt > 0:
             raise AssertionError(f"completion event at t={t} does not advance time")
-        if pending_idx < len(pending):
-            gap = pending[pending_idx].release - t
-            if gap < dt:
-                dt = gap
-                dts = []  # release only; nobody completes
+        released = pending_idx < len(pending) and pending[pending_idx].release - t < dt
+        if released:  # release only; nobody completes
+            dt = pending[pending_idx].release - t
 
         end = t + dt
         intervals.append(Interval(start=t, end=end, profile=profile))
 
-        if exact:
-            completers = {j for d, j in dts if d == dt}
-        else:
-            completers = {j for d, j in dts if d <= dt * (1 + EVENT_REL)}
-        for a in alive:
-            rate = profile.rate_of(a.job_id)
-            if a.job_id in completers:
-                g = alive_groups[a.job_id] - 1
-                job = instance.jobs[a.job_id - 1]
-                depleted[a.job_id] = job.groups[g].size  # snap to the boundary
-                alive_groups[a.job_id] = g
-                group_completions[(a.job_id, g)] = end
-                if g == 0:
-                    completions[a.job_id] = end
-                    del alive_jobs[a.job_id]
-                else:
-                    alive_jobs[a.job_id] = AliveJob(
-                        a.job_id, a.weight, a.count - job.groups[g].count
-                    )
-            else:
-                depleted[a.job_id] = depleted[a.job_id] + rate * dt
+        for (rec, rate), d in zip(rated, dts):
+            a, g, depleted = rec
+            if released or not (d == dt if exact else d <= dt * (1 + EVENT_REL)):
+                rec[2] = depleted + rate * dt
+                continue
+            g -= 1
+            group = instance.jobs[a.job_id - 1].groups[g]
+            group_completions[(a.job_id, g)] = end
+            if g == 0:
+                del alive[a.job_id]
+            else:  # snap the depletion to the group's boundary
+                rec[:] = [AliveJob(a.job_id, a.weight, a.count - group.count), g, group.size]
         t = end
         admit(t)
 
-    objective = sum(
-        instance.jobs[j - 1].weight * c for j, c in sorted(completions.items())
-    )
-    makespan = max(completions.values(), default=zero)
-    return Trace(
-        instance=instance,
-        intervals=intervals,
-        completions=completions,
-        group_completions=group_completions,
-        objective=objective,
-        makespan=makespan,
-    )
+    return Trace(instance=instance, intervals=intervals, group_completions=group_completions)
 
 
 # ---------------------------------------------------------------------------
@@ -350,7 +332,7 @@ def realize_slice(profile: RateProfile, instance: Instance, interval) -> Schedul
 def write_trace(trace: Trace, fh) -> None:
     meta = {
         "type": "meta",
-        "gamma": json_number(trace.gamma()),
+        "gamma": json_number(trace.instance.speedup),
         "classes": [[json_number(c.speed), c.count] for c in trace.instance.classes],
         "jobs": len(trace.instance.jobs),
         "has_releases": trace.instance.has_releases(),

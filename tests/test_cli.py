@@ -80,6 +80,24 @@ def test_simulate_preprocess_rounds_and_inflates(tmp_path, capsys):
     assert meta["classes"] == [[64.0, 2], [1.0, 18000]]
 
 
+def test_simulate_preprocess_never_expands_machines(tmp_path, capsys):
+    # 2,001,001 machines: each class is rounded once with its count, so the
+    # instance that plain simulate runs also preprocesses; the machines were
+    # once expanded one by one and refused past a million
+    path = tmp_path / "instance.json"
+    path.write_text(json.dumps({
+        "classes": [{"sigma": 100, "count": 1}, {"sigma": 1.5, "count": 2_001_000}],
+        "jobs": [{"weight": 1, "sizes": [128]}],
+    }))
+    assert run_cli("simulate", str(path)) == 0
+    assert capsys.readouterr().out == "objective=1.28 makespan=1.28\n"
+    trace = tmp_path / "trace.jsonl"
+    assert run_cli("simulate", str(path), "--preprocess", "--out", str(trace)) == 0
+    assert capsys.readouterr().out == "objective=2.0 makespan=2.0\n"
+    meta = json.loads(trace.read_text().splitlines()[0])
+    assert meta["classes"] == [[64.0, 2], [1.0, 4_002_000]]
+
+
 def test_simulate_realize_rejects_short_work(tmp_path, monkeypatch, capsys):
     realize = cli.realize_slice
 
@@ -137,6 +155,21 @@ def test_verify_exit_codes(tmp_path, capsys):
 
 
 
+def test_general_family_needs_the_capacity_conditions(tmp_path, capsys):
+    # 100 slow machines fall short of the capacity growth 2*64 needs of
+    # the one fast machine
+    path = tmp_path / "instance.json"
+    path.write_text(json.dumps({
+        "classes": [{"sigma": 64, "count": 1}, {"sigma": 1, "count": 100}],
+        "jobs": [{"weight": 1, "sizes": [64]}],
+    }))
+    assert run_cli("verify", str(path), "--family", "general") == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("precondition:")
+    assert "capacity growth conditions" in captured.err
+
+
 def test_verify_records_slacks_too_large_for_a_float(tmp_path, capsys):
     # a weight of 1e308 makes slacks of +-inf in float mode and Fractions
     # too large for a float in exact mode; both are recorded, not raised
@@ -157,6 +190,32 @@ def test_verify_records_slacks_too_large_for_a_float(tmp_path, capsys):
         cert = json.loads(out_path.read_text())
         assert all(sum(c["slack_histogram"].values()) == c["checked"]
                    for c in cert["checks"])
+
+
+@pytest.mark.parametrize("command, exact_out", [
+    (("simulate",), "objective=inf makespan=23.07380842470888\n"),
+    (("verify", "--family", "weaker", "--gamma", "8"), "feasible=True\n"),
+], ids=["simulate", "verify"])
+def test_objective_past_the_float_range(tmp_path, capsys, command, exact_out):
+    # job 2 at weight 1e308 takes the objective past the float range. The
+    # float run once printed objective=inf, or a nan dual objective beside
+    # feasible=True, and exited 0; it now refuses and points to --exact.
+    # The exact run once died converting a Fraction for printing; it now
+    # prints inf and exits on its checks.
+    path = gen_instance(tmp_path, "random", "--k", "2", "--jobs", "3",
+                        "--max-tasks", "2", "--seed", "1")
+    data = json.loads(path.read_text())
+    data["jobs"][1]["weight"] = 1e308
+    path.write_text(json.dumps(data))
+    capsys.readouterr()
+    assert run_cli(command[0], str(path), *command[1:]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("precondition:")
+    assert "--exact" in captured.err
+    assert run_cli(command[0], str(path), *command[1:], "--exact") == 0
+    assert capsys.readouterr().out.endswith(exact_out)
+
 
 def test_missing_file_is_io_error(capsys):
     assert run_cli("simulate", "/nonexistent/instance.json") == 2

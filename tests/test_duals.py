@@ -245,6 +245,22 @@ def test_general_alpha_floor_two_jobs():
     assert cert.check("alpha-cost-floor").ok
 
 
+def test_general_job_simple_with_respect_to_no_class():
+    # job 1's 20000 unit tasks run far below every class speed, so in both
+    # of its intervals it is simple with respect to no class and carries
+    # only the long-block alpha; job 2 is simple in its one interval
+    inst = make_instance(
+        [(64.0, 1), (1.0, 128)],
+        [make_job(1, 1.0, [(1.0, 20000)]), make_job(2, 10.0, [(1000.0, 1)])])
+    trace, sped = run(inst, general_gamma(2))
+    assert [[j.job_id for j in iv.jobs] for iv in trace.intervals] == [[1, 2], [1]]
+    cert = build_general_duals(trace, sped)
+    assert cert.feasible, [
+        (v.check, v.witness) for v in cert.violations()[:3]]
+    assert cert.flags["simple_job_intervals"] == 1
+    assert cert.flags["long_job_intervals"] == 2
+
+
 def test_general_random_instances():
     rng = random.Random(6)
     for seed in range(25):

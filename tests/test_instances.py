@@ -39,28 +39,35 @@ def staircase(classes, sizes=None, weight=1, exact=False):
 
 # --- round_speeds ---------------------------------------------------------
 
+def ones(speeds):
+    return [(s, 1) for s in speeds]
+
+
 def test_round_speeds_examples():
-    assert [(c.speed, c.count) for c in round_speeds([100, 70, 1])] == [
+    assert [(c.speed, c.count) for c in round_speeds(ones([100, 70, 1]))] == [
         (64, 2), (1, 1)]
-    assert [(c.speed, c.count) for c in round_speeds([64, 64])] == [(64, 2)]
-    assert [(c.speed, c.count) for c in round_speeds([5000, 64, 3, 0.9])] == [
+    assert [(c.speed, c.count) for c in round_speeds(ones([64, 64]))] == [(64, 2)]
+    assert [(c.speed, c.count) for c in round_speeds(ones([5000, 64, 3, 0.9]))] == [
         (4096, 1), (64, 1), (1, 1), (0.015625, 1)]
+    # a class is rounded once and keeps its count
+    assert [(c.speed, c.count) for c in round_speeds([(100, 10**9), (70, 3), (1, 5)])] == [
+        (64, 10**9 + 3), (1, 5)]
 
 
 def test_round_speeds_rejects_bad_input():
     with pytest.raises(InstanceError):
         round_speeds([])
     with pytest.raises(InstanceError):
-        round_speeds([1.0, 0.0])
+        round_speeds(ones([1.0, 0.0]))
     with pytest.raises(InstanceError):
-        round_speeds([-2.0])
+        round_speeds(ones([-2.0]))
 
 
 @settings(max_examples=200, deadline=None)
 @given(st.lists(st.floats(min_value=1e-6, max_value=1e9), min_size=1,
                 max_size=8))
 def test_round_speeds_properties(raw):
-    classes = round_speeds(raw)
+    classes = round_speeds(ones(raw))
     # counts account for every input machine
     assert sum(c.count for c in classes) == len(raw)
     # strictly decreasing merged speeds, each a power of the base
@@ -75,7 +82,7 @@ def test_round_speeds_properties(raw):
         rounded = float(SPEED_BASE) ** e
         assert rounded <= s < rounded * SPEED_BASE
     # idempotent
-    again = round_speeds([c.speed for c in classes for _ in range(c.count)])
+    again = round_speeds((c.speed, c.count) for c in classes)
     assert again == classes
 
 

@@ -10,7 +10,7 @@ import dataclasses
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import bagsched
@@ -33,6 +33,7 @@ from bagsched import (
     with_speedup,
 )
 from bagsched.lp import (
+    LP_LINE_WIDTH,
     LpError,
     PrimalSolution,
     check_primal,
@@ -77,6 +78,21 @@ def test_parse_solution_format():
     assert values == {"x_1_1_0": 0.5, "C_1": 2.5}
     with pytest.raises(LpError):
         parse_lp_solution("x_1_1_0\n")
+
+
+def test_emitted_lines_fit_the_width():
+    # long rows once got their name and the obj: prefix added outside the
+    # wrap, which let 61 lines of this LP reach 512 characters
+    inst = make_instance([(2, 1), (1, 1)], [make_job(1, 1.0, [3, 2])])
+    text = emit_lp(inst, horizon=40)
+    lines = text.splitlines()
+    assert max(len(line) for line in lines) <= LP_LINE_WIDTH
+    assert sum(len(line) > LP_LINE_WIDTH - 20 for line in lines) > 0
+    # every row name starts a line, continuations are indented
+    assert all(line.startswith((" obj: ", " rem_", " time_", " done_", " cap_",
+                                "   ", " 0 <= ", "\\", "Minimize",
+                                "Subject To", "Bounds", "End"))
+               for line in lines)
 
 
 def test_zero_size_task_skipped():
@@ -315,15 +331,24 @@ def _lp_cases(draw):
 
 @settings(max_examples=300, deadline=None)
 @given(_lp_cases())
+@example((make_instance([(4.0, 1), (1.0, 1)],
+                        [make_job(1, 1.0, [0.0]), make_job(2, 1.0, [2.0]),
+                         make_job(3, 1.0, [0.0])]),
+          {"x_1_2_0": 5e-324, "x_2_2_0": 5e-324}, 1))
 def test_check_lp_solution_matches_first_definition(case):
+    """The package sums a task's amounts and then divides by its size; the
+    first definition divides each amount first. Below the smallest normal
+    float the two orders differ only by underflow (the example's 5e-324
+    amounts sum to 5e-324 one way and to 0 the other), hence the floor."""
     inst, values, horizon = case
     want, near = parent_check_lp_solution(inst, values, horizon)
     assume(not near)
     got = check_lp_solution(inst, values, horizon)
     assert [name for name, _, _ in got] == [name for name, _, _ in want]
+    floor = sys.float_info.min
     for (_, lhs, rhs), (_, want_lhs, want_rhs) in zip(got, want):
-        assert lhs == pytest.approx(want_lhs, rel=1e-12, abs=0)
-        assert rhs == pytest.approx(want_rhs, rel=1e-12, abs=0)
+        assert lhs == pytest.approx(want_lhs, rel=1e-12, abs=floor)
+        assert rhs == pytest.approx(want_rhs, rel=1e-12, abs=floor)
 
 
 def first_schedule_to_primal(slices, instance, slot=None):

@@ -10,7 +10,8 @@ from hypothesis import strategies as st
 from bagsched import (
     Instance, assign_rates, make_instance, make_job, realize_slice, simulate)
 from bagsched.numutil import geq, leq, tie_leq
-from bagsched.rates import Block, BlockMember, RateError, RateProfile, star_witness
+from bagsched.rates import (
+    AliveJob, Block, BlockMember, RateError, RateProfile, star_witness)
 
 from oracles import sweep_rates, subsets_feasible
 from support import alive_instance, alive_jobs, random_alive_case
@@ -126,6 +127,16 @@ def test_star_witness_rejects_overload():
     prof, _ = rates_for([(1, 1.0, 1), (2, 1.0, 1)], [(4, 1), (2, 1)], 1.0)
     slow = alive_instance([(2, 1), (1, 1)], 1.0)
     assert star_witness(prof, slow) == (False, ("prefix", 1, 3.0, 2.0))
+
+
+def test_star_witness_reports_a_rising_rate():
+    # the realize test's profile with its blocks reversed fits 3 machines
+    # of speed 100 in every prefix, but its rates rise from 1 to 4
+    prof = assign_rates([AliveJob(1, 3.0, 1), AliveJob(2, 1.0, 2)],
+                        make_instance([(4, 1), (1, 2)], []))
+    reversed_prof = RateProfile(gamma=prof.gamma, blocks=prof.blocks[::-1])
+    assert star_witness(reversed_prof, make_instance([(100, 3)], [])) == (
+        False, ("order", 1.0, 4.0))
 
 
 def test_freeze_order_comparisons():
