@@ -36,7 +36,7 @@ from fractions import Fraction
 
 from .blocks import classify_blocks, nearest_qualifying_class, simple_job_classes
 from .instances import Instance, thresholds, validate_ica
-from .numutil import THRESHOLD_REL, coerce, leq
+from .numutil import THRESHOLD_REL, coerce, leq, to_float
 from .report import AnalysisError, CheckRecord, DualCertificate
 
 @dataclass(frozen=True)
@@ -81,7 +81,7 @@ def general_threshold(instance: Instance):
 
 
 def _meets_threshold(gamma, required) -> bool:
-    return float(gamma) >= required * (1 - THRESHOLD_REL)
+    return to_float(gamma) >= required * (1 - THRESHOLD_REL)
 
 
 # ---------------------------------------------------------------------------

@@ -131,10 +131,15 @@ class Instance:
 
 
 def _finite(value, what, exact):
-    """`value` in the mode; rejects the NaN and inf that json and float() read."""
+    """`value` in the mode; rejects the NaN and inf that json and float() read,
+    and a {"num", "den"} value past the float range in float mode."""
     if value != value or abs(value) == math.inf:
         raise InstanceError(f"{what} must be finite, got {value}")
-    return coerce(value, exact)
+    try:
+        return coerce(value, exact)
+    except OverflowError:
+        raise InstanceError(
+            f"{what} is too large for a float; rerun with --exact") from None
 
 
 def _speedup(gamma, exact):

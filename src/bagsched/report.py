@@ -33,10 +33,10 @@ VIOLATION_CAP = 50
 class CheckRecord:
     """One constraint family's scan.
 
-    require_leq records, for each comparison lhs <= rhs, the float slack
-    rhs - lhs in a histogram keyed by its decade (rendered as "1e+XX" or
-    "<=0" only by to_dict) and keeps the first witness of the minimum
-    slack; failures are counted, and the first VIOLATION_CAP kept.
+    require_leq counts each comparison lhs <= rhs and keeps the first
+    witness of the minimum float slack rhs - lhs; failures are counted, and
+    the first VIOLATION_CAP kept. Two floats, the common case, cost one
+    subtraction and one comparison when the check holds.
     """
 
     name: str
@@ -46,31 +46,29 @@ class CheckRecord:
     violations: list = field(default_factory=list)
     min_slack: float = math.inf
     min_witness: tuple = ()
-    _decades: dict = field(default_factory=dict)  # decade exponent -> count
 
     def require_leq(self, lhs, rhs, witness):
         """Record the comparison lhs <= rhs (with relative tolerance).
 
-        Each side is converted to float once; a value too large for a float
-        counts as +-inf. The outcome is leq's: on the floats unless both
-        sides are exact.
+        Unless both sides are floats, each is converted to float once; a
+        value too large for a float counts as +-inf. The outcome is leq's:
+        on the floats unless both sides are exact.
         """
         self.checked += 1
+        if type(lhs) is float and type(rhs) is float:
+            slack = rhs - lhs
+            if slack < self.min_slack:
+                self.min_slack = slack
+                self.min_witness = witness
+            if lhs <= rhs or leq(lhs, rhs):
+                return True
+            self._fail(witness, lhs, rhs)
+            return False
         try:
             fl, fr = float(lhs), float(rhs)
         except OverflowError:
             fl, fr = to_float(lhs), to_float(rhs)
         slack = fr - fl
-        if slack > 0:
-            if slack < _DECADE_TOP:
-                e = math.floor(math.log10(slack))
-                decade = e if e > -_DECADE_CLAMP else -_DECADE_CLAMP
-            else:
-                decade = _DECADE_CLAMP
-        else:  # slack <= 0, or NaN from inf - inf
-            decade = _NONPOSITIVE
-        decades = self._decades
-        decades[decade] = decades.get(decade, 0) + 1
         if slack < self.min_slack:
             self.min_slack = slack
             self.min_witness = witness
@@ -79,24 +77,22 @@ class CheckRecord:
         else:
             ok = leq(lhs, rhs)
         if not ok:
-            self.violation_count += 1
-            if len(self.violations) < VIOLATION_CAP:
-                self.violations.append(
-                    Violation(check=self.name, witness=witness, lhs=fl, rhs=fr)
-                )
+            self._fail(witness, fl, fr)
         return ok
 
     def require(self, cond: bool, witness, lhs=0.0, rhs=0.0):
         """Record a plain boolean condition (slack bookkeeping skipped)."""
         self.checked += 1
         if not cond:
-            self.violation_count += 1
-            if len(self.violations) < VIOLATION_CAP:
-                self.violations.append(
-                    Violation(check=self.name, witness=witness,
-                              lhs=float(lhs), rhs=float(rhs))
-                )
+            self._fail(witness, float(lhs), float(rhs))
         return bool(cond)
+
+    def _fail(self, witness, lhs: float, rhs: float):
+        self.violation_count += 1
+        if len(self.violations) < VIOLATION_CAP:
+            self.violations.append(
+                Violation(check=self.name, witness=witness, lhs=lhs, rhs=rhs)
+            )
 
     @property
     def ok(self) -> bool:
@@ -108,9 +104,6 @@ class CheckRecord:
             "diagnostic": self.diagnostic,
             "checked": self.checked,
             "violations": self.violation_count,
-            "slack_histogram": dict(
-                sorted((_decade_label(e), n) for e, n in self._decades.items())
-            ),
         }
         if self.checked and math.isfinite(self.min_slack):
             d["min_slack"] = self.min_slack
@@ -121,18 +114,6 @@ class CheckRecord:
                 for v in self.violations[:5]
             ]
         return d
-
-
-# slack histogram decades: exponents clamp to [-_DECADE_CLAMP, _DECADE_CLAMP];
-# slacks of at least _DECADE_TOP (inf included) land in the top decade, and
-# non-positive (or NaN) slacks under the _NONPOSITIVE key
-_DECADE_CLAMP = 15
-_DECADE_TOP = 10.0 ** _DECADE_CLAMP
-_NONPOSITIVE = None
-
-
-def _decade_label(e) -> str:
-    return "<=0" if e is _NONPOSITIVE else f"1e{e:+d}"
 
 
 def _plain(x):
