@@ -22,10 +22,11 @@ at least w(A^t)/90.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .instances import Instance, thresholds, validate_ica
 from .numutil import TIE_REL, geq, leq
+from .rates import Block
 from .report import AnalysisError, CheckRecord
 
 CHEAP_FRACTION = 10      # cheap: w(B) < w(A)/(CHEAP_FRACTION * K)
@@ -38,15 +39,13 @@ SIMPLE_BLOCK_RATIO = 5   # diagnostic: w(B) vs weight of its simple jobs
 
 @dataclass(frozen=True)
 class BlockView:
-    index: int                  # position within the interval, left to right
+    """A profile's own Block with what classification decides about it."""
+
+    block: Block                # index, weight, size, speed and members
     label: str                  # simple | cheap | long | short
     label_class: int            # class for simple, smallest for long, else 0
     long_classes: tuple         # all classes the block is long with respect to
-    weight: object              # total weight of member jobs
-    task_count: int
-    speed: object               # s(B), speedup included
     class_machine_counts: tuple  # machines of each class inside the span
-    job_ids: tuple
 
 
 @dataclass(frozen=True)
@@ -62,7 +61,7 @@ class IntervalBlocks:
 class BlockClassification:
     intervals: list
     checks: list
-    flags: dict = field(default_factory=dict)
+    flags: dict
 
 
 def simple_job_classes(rate, gamma, classes):
@@ -81,6 +80,16 @@ def simple_job_classes(rate, gamma, classes):
     return tuple(out)
 
 
+def _log(x):
+    """math.log(x) for x > 0; an exact x that a float cannot hold, past the
+    float range or rounding to 0, is logged from its numerator and
+    denominator."""
+    try:
+        return math.log(float(x))
+    except (OverflowError, ValueError):
+        return math.log(x.numerator) - math.log(x.denominator)
+
+
 def nearest_qualifying_class(qualifying, rate, gamma, classes):
     """The class of `qualifying`, which is simple_job_classes(rate, gamma,
     classes), whose speed is nearest to rate in log scale.
@@ -92,9 +101,9 @@ def nearest_qualifying_class(qualifying, rate, gamma, classes):
         return 0
     best = 0
     best_gap = math.inf
-    log_rate = math.log(float(rate))
+    log_rate = _log(rate)
     for li in qualifying:
-        gap = abs(log_rate - math.log(float(gamma * classes[li - 1].speed)))
+        gap = abs(log_rate - _log(gamma * classes[li - 1].speed))
         if gap < best_gap - TIE_REL or (abs(gap - best_gap) <= TIE_REL and li < best):
             best, best_gap = li, gap
     return best
@@ -109,9 +118,7 @@ def _classify_block(block, instance, gamma, alive_weight, k):
         max(0, min(hi_c, counts[li]) - max(lo_c, counts[li - 1]))
         for li in range(1, k + 1)
     )
-    weight = block.weight()
-    n_tasks = block.task_count()
-    avg = block.speed / n_tasks
+    avg = block.speed / block.task_count()
 
     simple_class = 0
     for li in range(1, k + 1):
@@ -132,7 +139,7 @@ def _classify_block(block, instance, gamma, alive_weight, k):
     if simple_class:
         label, label_class = "simple", simple_class
         long_classes = []
-    elif not geq(weight * CHEAP_FRACTION * k, alive_weight):
+    elif not geq(block.weight * CHEAP_FRACTION * k, alive_weight):
         label, label_class = "cheap", 0
         long_classes = []
     elif long_classes:
@@ -141,15 +148,11 @@ def _classify_block(block, instance, gamma, alive_weight, k):
         label, label_class = "short", 0
 
     return BlockView(
-        index=block.index,
+        block=block,
         label=label,
         label_class=label_class,
         long_classes=tuple(long_classes),
-        weight=weight,
-        task_count=n_tasks,
-        speed=block.speed,
         class_machine_counts=per_class,
-        job_ids=tuple(mb.job_id for mb in block.members),
     )
 
 
@@ -184,26 +187,26 @@ def classify_blocks(trace, instance: Instance) -> BlockClassification:
             _classify_block(b, instance, gamma, alive_weight, k)
             for b in iv.profile.blocks
         )
-        job_block = {}
-        for v in views:
-            for jid in v.job_ids:
-                job_block[jid] = v.index
+        job_block = {
+            mb.job_id: b.index for b in iv.profile.blocks for mb in b.members
+        }
         intervals.append(IntervalBlocks(blocks=views, job_block=job_block))
 
         # long-block shape facts: |B| <= m_blend_l and s(B) close to the
         # class capacity; for the last class only the speed lower bound
         # applies (there is no faster boundary to cap the block)
         for v in views:
+            b = v.block
             for li in v.long_classes:
                 cls = instance.classes[li - 1]
                 cap = gamma * cls.capacity()
-                long_shape.require_leq(cap / 2, v.speed, (t_idx, v.index, li, "speed-lo"))
+                long_shape.require_leq(cap / 2, b.speed, (t_idx, b.index, li, "speed-lo"))
                 if li < k:
                     long_shape.require_leq(
-                        v.speed, 4 * cap, (t_idx, v.index, li, "speed-hi")
+                        b.speed, 4 * cap, (t_idx, b.index, li, "speed-hi")
                     )
                     long_shape.require_leq(
-                        v.task_count, bounds[li - 1].m_blend, (t_idx, v.index, li, "size")
+                        b.task_count(), bounds[li - 1].m_blend, (t_idx, b.index, li, "size")
                     )
                 else:
                     long_wrt_last += 1
@@ -211,7 +214,7 @@ def classify_blocks(trace, instance: Instance) -> BlockClassification:
         cheap_views = [v for v in views if v.label == "cheap"]
         cheap_budget.require_leq(len(cheap_views), k, (t_idx, "count"))
         cheap_budget.require_leq(
-            sum(v.weight for v in cheap_views),
+            sum(v.block.weight for v in cheap_views),
             alive_weight / CHEAP_FRACTION,
             (t_idx, "weight"),
         )
@@ -222,36 +225,37 @@ def classify_blocks(trace, instance: Instance) -> BlockClassification:
                 present = [li for li in range(1, k + 1) if v.class_machine_counts[li - 1]]
                 short_two.require(
                     len(present) == 2 and present[1] == present[0] + 1,
-                    (t_idx, v.index, tuple(present)),
+                    (t_idx, v.block.index, tuple(present)),
                 )
                 left = acc if acc is not None else 0
                 short_charge.require(
-                    left > 0, (t_idx, v.index, "left-weight"), lhs=0.0, rhs=float(left)
+                    left > 0, (t_idx, v.block.index, "left-weight"), lhs=0.0, rhs=float(left)
                 )
                 short_charge.require_leq(
-                    v.weight, SHORT_CHARGE * left, (t_idx, v.index, "charge")
+                    v.block.weight, SHORT_CHARGE * left, (t_idx, v.block.index, "charge")
                 )
                 acc = 0
             else:
-                acc = (acc or 0) + v.weight
+                acc = (acc or 0) + v.block.weight
 
-        anchored = sum(v.weight for v in views if v.label in ("simple", "long"))
+        anchored = sum(v.block.weight for v in views if v.label in ("simple", "long"))
         alive_split.require_leq(alive_weight, ALIVE_SPLIT * anchored, (t_idx,))
 
         # diagnostic: weight of a simple block vs its simple member jobs
         for v in views:
             if v.label != "simple":
                 continue
+            b = v.block
             simple_weight = 0
-            for mb in iv.profile.blocks[v.index].members:
+            for mb in b.members:
                 if v.label_class in simple_job_classes(mb.rate, gamma, instance.classes):
                     simple_weight += mb.share * mb.count
             simple_jobs.require_leq(
-                v.weight, SIMPLE_BLOCK_RATIO * simple_weight, (t_idx, v.index)
+                b.weight, SIMPLE_BLOCK_RATIO * simple_weight, (t_idx, b.index)
             )
             if simple_weight > 0:
                 worst_simple_ratio = max(
-                    worst_simple_ratio, float(v.weight) / float(simple_weight)
+                    worst_simple_ratio, float(b.weight) / float(simple_weight)
                 )
             else:
                 worst_simple_ratio = math.inf

@@ -34,7 +34,7 @@ from .instances import (
     with_speedup,
 )
 from .lp import LpError, check_lp_solution, emit_lp, parse_lp_solution, solution_objective
-from .numutil import WORK_REL, close, from_json_number, to_float
+from .numutil import WORK_REL, close, to_float
 from .rates import RateError
 from .report import AnalysisError, certified_ratio
 from .sim import realize_slice, simulate, write_trace
@@ -74,7 +74,7 @@ def _output(path):
 def _load_any(path, exact=False):
     """Load an instance from an instance JSON or a trace JSONL file.
 
-    Returns (instance, gamma_from_file or None).
+    A trace's instance is the one its meta line embeds, speedup included.
     """
     with open(path, "r", encoding="utf-8") as fh:
         head = fh.read(1)
@@ -91,10 +91,9 @@ def _load_any(path, exact=False):
                 raise InstanceError(
                     f"{path}: trace lacks an embedded instance record"
                 )
-            inst = instance_from_dict(first["instance"], exact=exact)
-            return inst, from_json_number(first["gamma"])
+            return instance_from_dict(first["instance"], exact=exact)
         fh.seek(0)
-        return instance_from_dict(json.load(fh), exact=exact), None
+        return instance_from_dict(json.load(fh), exact=exact)
 
 
 def _simulate(instance):
@@ -108,7 +107,7 @@ def _simulate(instance):
 
 
 def cmd_simulate(args) -> int:
-    instance, file_gamma = _load_any(args.instance, exact=args.exact)
+    instance = _load_any(args.instance, exact=args.exact)
     if args.preprocess:
         rounded = round_speeds((c.speed, c.count) for c in instance.classes)
         _, classes = select_capacity_classes(rounded)
@@ -118,9 +117,8 @@ def cmd_simulate(args) -> int:
             speedup=instance.speedup,
             exact=instance.exact,
         )
-    gamma = args.gamma if args.gamma is not None else file_gamma
-    if gamma is not None:
-        instance = with_speedup(instance, gamma)
+    if args.gamma is not None:
+        instance = with_speedup(instance, args.gamma)
     trace = _simulate(instance)
     if args.realize:
         for index, iv in enumerate(trace.intervals):
@@ -142,10 +140,9 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    instance, file_gamma = _load_any(args.input, exact=args.exact)
-    gamma = args.gamma if args.gamma is not None else file_gamma
-    if gamma is not None:
-        instance = with_speedup(instance, gamma)
+    instance = _load_any(args.input, exact=args.exact)
+    if args.gamma is not None:
+        instance = with_speedup(instance, args.gamma)
     trace = _simulate(instance)
     cert = FAMILIES[args.family](trace, instance)
 
@@ -165,8 +162,10 @@ def cmd_verify(args) -> int:
               f"lhs={v.lhs!r} rhs={v.rhs!r}", file=sys.stderr)
     if len(bad) > 10:
         print(f"  ... {len(bad)} violations total", file=sys.stderr)
-    if cert.feasible and cert.objective > 0:
+    try:
         print(f"certified_ratio={to_float(certified_ratio(cert, trace))!r}")
+    except AnalysisError as exc:
+        print(f"no certified ratio: {exc}", file=sys.stderr)
     print(f"feasible={cert.feasible}")
     if args.out:
         with _output(args.out) as fh:
@@ -176,7 +175,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_emit_lp(args) -> int:
-    instance, _ = _load_any(args.instance, exact=args.exact)
+    instance = _load_any(args.instance, exact=args.exact)
     text = emit_lp(instance, args.horizon)
     with _output(args.out) as fh:
         fh.write(text)
@@ -233,13 +232,13 @@ def _bench_row(instance, gamma, builder, k, n, seed):
     }
     try:
         cert = builder(trace, instance)
+        ratio = certified_ratio(cert, trace)
     except AnalysisError:
         return row
-    if cert.feasible and cert.objective > 0:
-        dual = float(cert.objective)
-        row["dual_lb"] = dual
-        row["lp_lb"] = dual / 2
-        row["ratio"] = float(certified_ratio(cert, trace))
+    dual = float(cert.objective)
+    row["dual_lb"] = dual
+    row["lp_lb"] = dual / 2
+    row["ratio"] = float(ratio)
     return row
 
 

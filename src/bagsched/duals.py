@@ -18,13 +18,11 @@ DualCertificate whose checks exhaustively scan the dual LP constraints:
               block taxonomy from classify_blocks.
 
 Constraint conventions shared by all families: the machine index collapses
-to the K speed classes; the two-time quantifier (alpha at t', machine credit
-at any t <= t') collapses to a running minimum of the alive weight, which
-for release-free traces equals the current value (checked by the
-alive-weight-monotone CheckRecord); per-task
-quantifiers run over position spans in each job's descending-size order,
-scanning every span boundary, which is exact because all credit functions
-are constant on the spans. Speeds sigma_l in constraints are the original
+to the K speed classes; the two-time quantifier collapses to a running
+minimum of the alive weight (_alive_weight_walk); per-task quantifiers run
+over position spans in each job's descending-size order, scanning every
+span boundary, which is exact because all credit functions are constant on
+the spans. Speeds sigma_l in constraints are the original
 (un-sped) speeds; task rates come from the trace and include the speedup.
 """
 from __future__ import annotations
@@ -36,7 +34,7 @@ from fractions import Fraction
 
 from .blocks import classify_blocks, nearest_qualifying_class, simple_job_classes
 from .instances import Instance, thresholds, validate_ica
-from .numutil import THRESHOLD_REL, coerce, leq, to_float
+from .numutil import coerce, leq
 from .report import AnalysisError, CheckRecord, DualCertificate
 
 @dataclass(frozen=True)
@@ -78,10 +76,6 @@ def general_threshold(instance: Instance):
     feasible."""
     k = len(instance.classes)
     return CONSTANTS.general_base * k * max(math.log2(k), 1.0)
-
-
-def _meets_threshold(gamma, required) -> bool:
-    return to_float(gamma) >= required * (1 - THRESHOLD_REL)
 
 
 # ---------------------------------------------------------------------------
@@ -135,6 +129,23 @@ def _reject_releases(trace, family):
         )
 
 
+def _alive_weight_walk(trace, monotone):
+    """Yield (t, interval, w(A^t), w_min) over the trace's intervals.
+
+    The two-time quantifier (alpha at t', machine credit at any t <= t')
+    collapses to w_min, the running minimum of the alive weight. For
+    release-free traces it is w(A^t), which `monotone` checks.
+    """
+    w_prev = w_min = None
+    for t, iv in enumerate(trace.intervals):
+        w_alive = iv.alive_weight()
+        if t:
+            monotone.require_leq(w_alive, w_prev, (t,))
+        w_prev = w_alive
+        w_min = min(w_min, w_alive) if t else w_alive
+        yield t, iv, w_alive, w_min
+
+
 # ---------------------------------------------------------------------------
 # family 1: weight spread + halving task credits
 # ---------------------------------------------------------------------------
@@ -169,7 +180,6 @@ def build_weaker_duals(trace, instance: Instance) -> DualCertificate:
     gamma = trace.instance.speedup
     n_real = instance.task_count()
     required = weaker_threshold(instance)
-    gamma_ok = _meets_threshold(gamma, required)
     zero = coerce(0, instance.exact)
 
     d_budget = CheckRecord("task-credit-budget")
@@ -189,15 +199,8 @@ def build_weaker_duals(trace, instance: Instance) -> DualCertificate:
     counts = [c.count for c in instance.classes]
     alpha_total = zero
     weighted_time = zero
-    prev_w = None
-    w_min = None
-    for t, iv in enumerate(trace.intervals):
-        w_alive = iv.alive_weight()
+    for t, iv, w_alive, w_min in _alive_weight_walk(trace, monotone):
         length = iv.length()
-        if prev_w is not None:
-            monotone.require_leq(w_alive, prev_w, (t,))
-        prev_w = w_alive
-        w_min = w_alive if w_min is None else min(w_min, w_alive)
         weighted_time = weighted_time + length * w_alive
         betas = [w_min / (counts[li] * gamma) for li in range(k)]
         for ij in iv.jobs:
@@ -223,7 +226,6 @@ def build_weaker_duals(trace, instance: Instance) -> DualCertificate:
         family="weaker",
         gamma=gamma,
         gamma_required=float(required),
-        gamma_ok=gamma_ok,
         alpha_total=alpha_total,
         beta_total=beta_total,
         checks=[d_budget, a_budget, cover, monotone, cost_id],
@@ -298,7 +300,6 @@ def build_single_job_duals(trace, instance: Instance) -> DualCertificate:
     k = len(instance.classes)
     gamma = trace.instance.speedup
     required = float(single_job_threshold(instance))
-    gamma_ok = _meets_threshold(gamma, required)
     exact = instance.exact
     one = coerce(1, exact)
     half = one / 2
@@ -453,7 +454,6 @@ def build_single_job_duals(trace, instance: Instance) -> DualCertificate:
         family="single_job",
         gamma=gamma,
         gamma_required=required,
-        gamma_ok=gamma_ok,
         alpha_total=alpha_total,
         beta_total=beta_total,
         checks=[
@@ -525,7 +525,6 @@ def build_general_duals(trace, instance: Instance) -> DualCertificate:
     exact = instance.exact
     logk = _log_scale(k, exact)
     required = general_threshold(instance)
-    gamma_ok = _meets_threshold(gamma, required)
     zero = coerce(0, exact)
 
     classification = classify_blocks(trace, instance)
@@ -537,9 +536,8 @@ def build_general_duals(trace, instance: Instance) -> DualCertificate:
     last_simple = {}   # (job_id, class) -> alive count at the last simple interval
     chosen = {}        # (interval, job_id) -> class the job is simple wrt, or 0
     visits = {}        # (job_id, class) -> [(interval, alive, block weight)]
-    long_at = {}       # (interval, job_id) -> BlockView of its long block
-    for t, iv in enumerate(trace.intervals):
-        cls_iv = classification.intervals[t]
+    long_job_intervals = 0
+    for t, (iv, cls_iv) in enumerate(zip(trace.intervals, classification.intervals)):
         for ij in iv.jobs:
             qual = simple_job_classes(ij.rate, gamma, instance.classes)
             for li in qual:
@@ -549,11 +547,11 @@ def build_general_duals(trace, instance: Instance) -> DualCertificate:
             )
             view = cls_iv.block_for_job(ij.job_id)
             if view.label == "long":
-                long_at[(t, ij.job_id)] = view
+                long_job_intervals += 1
                 for li in view.long_classes:
                     if li < k:  # no blended count exists past the last class
                         visits.setdefault((ij.job_id, li), []).append(
-                            (t, ij.count, view.weight)
+                            (t, ij.count, view.block.weight)
                         )
 
     # ---- static per-job credit spans --------------------------------------
@@ -638,15 +636,9 @@ def build_general_duals(trace, instance: Instance) -> DualCertificate:
     long_alpha_den = CONSTANTS.long_alpha_div * k * logk
     alpha_total = zero
     beta_total = zero
-    prev_w = None
-    w_min = None
-    for t, iv in enumerate(trace.intervals):
-        w_alive = iv.alive_weight()
+    walk = _alive_weight_walk(trace, monotone)
+    for (t, iv, w_alive, w_min), cls_iv in zip(walk, classification.intervals):
         length = iv.length()
-        if prev_w is not None:
-            monotone.require_leq(w_alive, prev_w, (t,))
-        prev_w = w_alive
-        w_min = w_alive if w_min is None else min(w_min, w_alive)
         beta_total = beta_total + length * w_alive / (k * logk)
         beta_min = [w_min / d for d in beta_dens]
         half_beta_min = [b / 2 for b in beta_min]
@@ -661,9 +653,10 @@ def build_general_duals(trace, instance: Instance) -> DualCertificate:
                 a1 = w_j / (CONSTANTS.simple_alpha_div * k * n1)
             else:
                 n1, a1 = 0, zero
-            view = long_at.get((t, jid))
-            if view is not None:
-                a2 = rate * view.weight / (long_alpha_den * view.speed)
+            view = cls_iv.block_for_job(jid)
+            long_block = view.block if view.label == "long" else None
+            if long_block is not None:
+                a2 = rate * long_block.weight / (long_alpha_den * long_block.speed)
             else:
                 a2 = zero
 
@@ -671,15 +664,15 @@ def build_general_duals(trace, instance: Instance) -> DualCertificate:
             l_sum = n_t * a2
             if lstar:
                 sa_budget.require_leq(s_sum, w_j / 2, (t, jid))
-            if view is not None:
+            if long_block is not None:
                 la_budget.require_leq(l_sum, w_j / 2, (t, jid))
                 expected = w_j / long_alpha_den
                 la_identity.require_leq(l_sum, expected, (t, jid))
                 la_identity.require_leq(expected, l_sum, (t, jid))
-            if lstar or view is not None:
+            if lstar or long_block is not None:
                 a_budget.require_leq(s_sum + l_sum, w_j, (t, jid))
             alpha_total = alpha_total + length * (s_sum + l_sum)
-            if not lstar and view is None:
+            if not lstar and long_block is None:
                 continue
 
             # credits never increase along positions, so each constraint
@@ -694,14 +687,14 @@ def build_general_duals(trace, instance: Instance) -> DualCertificate:
                 simple_beta = [base_w * rate / d for d in simple_dens]
             if not lstar or n1 < n_t:
                 probes.append((n_t - 1, zero, a2))
-            if view is not None:
+            if long_block is not None:
                 long_beta = [kb * rate / d for kb, d in zip(k_beta_now, long_dens)]
             for q, a1q, a2q in probes:
                 d1 = _span_value(sp, sp_starts, q)
                 d2 = _span_value(dp, dp_starts, q)
                 a_sum = a1q + a2q
                 simple_half = lstar and a1q
-                long_half = view is not None and a2q
+                long_half = long_block is not None and a2q
                 d1_rate = d1 * rate
                 d2_delta = CONSTANTS.long_cover_delta * d2 * rate
                 d2_stated = CONSTANTS.long_cover_stated * d2 * rate
@@ -734,7 +727,7 @@ def build_general_duals(trace, instance: Instance) -> DualCertificate:
     flags.update(
         {
             "simple_job_intervals": sum(1 for v in chosen.values() if v),
-            "long_job_intervals": len(long_at),
+            "long_job_intervals": long_job_intervals,
             "class_count": k,
         }
     )
@@ -742,7 +735,6 @@ def build_general_duals(trace, instance: Instance) -> DualCertificate:
         family="general",
         gamma=gamma,
         gamma_required=float(required),
-        gamma_ok=gamma_ok,
         alpha_total=alpha_total,
         beta_total=beta_total,
         checks=classification.checks

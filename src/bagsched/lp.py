@@ -39,7 +39,7 @@ from .instances import Instance
 from .numutil import REL_TOL, SOLVER_REL, close, leq
 from .sim import realize_slice
 
-MAX_EMIT_CELLS = 200_000      # machines * tasks * horizon guard for emit_lp
+MAX_EMIT_TERMS = 1_000_000     # x terms in the rows of an emitted LP
 LP_LINE_WIDTH = 500           # emit_lp breaks longer rows
 MAX_PRIMAL_ENTRIES = 2_000_000
 
@@ -73,12 +73,15 @@ def _positive_task_count(instance: Instance) -> int:
 
 
 def _check_lp_size(instance: Instance, horizon: int) -> None:
-    """Refuse an LP of more than MAX_EMIT_CELLS machine x task x slot cells
-    before any task group is expanded."""
+    """Refuse an LP whose rows hold more than MAX_EMIT_TERMS x terms, before
+    any task group is expanded: over H slots, each task's rem rows hold
+    m*H*(H+1)/2 of them and its time, done and cap rows 3*m*H."""
     m = instance.machine_count()
     n = _positive_task_count(instance)
-    if m * n * horizon > MAX_EMIT_CELLS:
-        raise LpError(f"LP too large: {m} machines x {n} tasks x {horizon} slots")
+    terms = m * n * (horizon * (horizon + 1) // 2 + 3 * horizon)
+    if terms > MAX_EMIT_TERMS:
+        raise LpError(f"LP too large: {m} machines x {n} tasks x {horizon} slots "
+                      f"make {terms} x terms, over {MAX_EMIT_TERMS}")
 
 
 # ---------------------------------------------------------------------------
@@ -633,7 +636,8 @@ def brute_force_opt(instance: Instance, grid: int = 2):
         ]
         slots = min(len(speeds), len(tasks))
         best = None
-        for chosen in _injections(tasks, slots):
+        # ordered selections: machine slot s gets chosen[s]
+        for chosen in permutations(tasks, slots):
             nxt = [list(rem) for rem in state]
             for slot_i, (k, ti) in enumerate(chosen):
                 nxt[k][ti] = max(
@@ -647,13 +651,5 @@ def brute_force_opt(instance: Instance, grid: int = 2):
             if best is None or val < best:
                 best = val
         return float(quantum) * w_alive + best
-
-    def _injections(tasks, slots):
-        # ordered selections: machine slot s gets tasks[selection[s]]
-        if slots == 0:
-            yield ()
-            return
-        for combo in permutations(range(len(tasks)), slots):
-            yield tuple(tasks[c] for c in combo)
 
     return solve(start)

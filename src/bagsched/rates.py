@@ -80,7 +80,9 @@ class Block:
     def task_count(self) -> int:
         return self.hi - self.lo
 
+    @cached_property
     def weight(self):
+        """Total weight of the members, summed once."""
         return sum(m.share * m.count for m in self.members)
 
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .numutil import json_number, leq, to_float
+from .numutil import THRESHOLD_REL, json_number, leq, to_float
 
 
 class AnalysisError(ValueError):
@@ -127,11 +127,16 @@ class DualCertificate:
     family: str           # weaker | single_job | general
     gamma: object
     gamma_required: float
-    gamma_ok: bool
     alpha_total: object
     beta_total: object
     checks: list
     flags: dict = field(default_factory=dict)
+
+    @property
+    def gamma_ok(self) -> bool:
+        """The speedup meets the family's threshold, up to THRESHOLD_REL;
+        a speedup too large for a float meets every threshold."""
+        return to_float(self.gamma) >= self.gamma_required * (1 - THRESHOLD_REL)
 
     @property
     def objective(self):
@@ -179,15 +184,16 @@ def certified_ratio(certificate: DualCertificate, trace):
     """Machine-checked competitive-ratio upper bound C * gamma_total / dual.
 
     gamma_total folds in the capacity-assumption preprocessing loss (a factor
-    of the class count) for the families that require that assumption. Raises
-    on infeasible certificates or non-positive dual objectives, where the
-    dual value is not a usable lower bound.
+    of the class count) for the families that require that assumption. This
+    is the one rule for when a ratio is certified: it raises AnalysisError,
+    naming the reason, on an infeasible certificate or a non-positive dual
+    objective, where the dual value is not a usable lower bound.
     """
     if not certificate.feasible:
         raise AnalysisError("certificate is infeasible; no ratio can be certified")
     obj = certificate.objective
     if not obj > 0:
-        raise AnalysisError(f"dual objective {float(obj)} is not positive")
+        raise AnalysisError(f"dual objective {to_float(obj)} is not positive")
     k = len(trace.instance.classes)
     preprocessing = k if certificate.family in ("single_job", "general") else 1
     return trace.objective * certificate.gamma * preprocessing / obj

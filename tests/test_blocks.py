@@ -53,7 +53,7 @@ def test_staircase_blocks_are_simple():
     blk = first.blocks[0]
     assert blk.label == "simple"
     assert blk.label_class == 2
-    avg = float(blk.speed) / blk.task_count
+    avg = float(blk.block.speed) / blk.block.task_count()
     gamma = float(inst.speedup)
     assert avg == pytest.approx(192.0 * gamma / 129.0)
     assert gamma / 2 <= avg <= 2 * gamma
@@ -89,14 +89,14 @@ def test_classification_invariants_on_random_traces():
             labels = {}
             for blk in iv_cls.blocks:
                 assert blk.label in ("simple", "long", "cheap", "short")
-                for job_id in blk.job_ids:
+                for job_id in (mb.job_id for mb in blk.block.members):
                     assert job_id not in labels  # partition of alive jobs
                     labels[job_id] = blk.label
             assert set(labels) == {j.job_id for j in iv.jobs}
 
             cheap = [b for b in iv_cls.blocks if b.label == "cheap"]
             assert len(cheap) <= k
-            assert sum(float(b.weight) for b in cheap) <= (
+            assert sum(float(b.block.weight) for b in cheap) <= (
                 float(iv.alive_weight()) / 10 + 1e-9)
 
             for blk in iv_cls.blocks:
@@ -110,12 +110,12 @@ def test_classification_invariants_on_random_traces():
                     # long blocks stay inside the blended machine count
                     # and their total speed straddles the class capacity
                     if l in blend:
-                        assert blk.task_count <= blend[l] + 1e-9
+                        assert blk.block.task_count() <= blend[l] + 1e-9
                     cap = float(inst.speedup) * (
                         inst.classes[l - 1].speed * inst.classes[l - 1].count)
-                    assert cap / 2 - 1e-9 <= float(blk.speed) <= 4 * cap + 1e-9
+                    assert cap / 2 - 1e-9 <= float(blk.block.speed) <= 4 * cap + 1e-9
 
             simple_long = sum(
-                float(b.weight) for b in iv_cls.blocks
+                float(b.block.weight) for b in iv_cls.blocks
                 if b.label in ("simple", "long"))
             assert float(iv.alive_weight()) <= 90 * simple_long + 1e-9

@@ -219,8 +219,9 @@ def test_objective_past_the_float_range(tmp_path, capsys, command, exact_out):
 
 def test_speedup_past_the_float_range(tmp_path, capsys):
     # a speedup of 10^400 once killed float simulate with an OverflowError
-    # traceback in instances._finite, and verify --exact with one in
-    # duals._meets_threshold; both exited 1
+    # traceback in instances._finite, verify --exact with one in the
+    # certificate's threshold test, and verify --family general --exact with
+    # one in blocks.nearest_qualifying_class's log; all exited 1
     path = gen_instance(tmp_path, "lower", "--k", "2")
     data = json.loads(path.read_text())
     data["speedup"] = {"num": 10 ** 400, "den": 1}
@@ -236,6 +237,40 @@ def test_speedup_past_the_float_range(tmp_path, capsys):
     assert "gamma=inf" in captured.out
     assert captured.out.endswith("certified_ratio=inf\nfeasible=True\n")
     assert captured.err == ""
+    assert run_cli("verify", str(path), "--family", "general", "--exact") == 0
+    captured = capsys.readouterr()
+    assert "gamma=inf" in captured.out
+    assert captured.out.endswith("feasible=True\n")
+    assert captured.err == "no certified ratio: dual objective -0.0 is not positive\n"
+
+
+def test_speeds_below_the_float_range(tmp_path, capsys):
+    # exact class speeds of 64/10^400 and 1/10^400 round to 0.0 as floats;
+    # the general family's log-scale class choice once died on log(0.0)
+    path = gen_instance(tmp_path, "lower", "--k", "2")
+    data = json.loads(path.read_text())
+    for c in data["classes"]:
+        c["sigma"] = {"num": c["sigma"], "den": 10 ** 400}
+    data["speedup"] = 2048
+    path.write_text(json.dumps(data))
+    capsys.readouterr()
+    assert run_cli("verify", str(path), "--family", "general", "--exact") == 0
+    captured = capsys.readouterr()
+    assert captured.out.endswith("feasible=True\n")
+    assert captured.err == "no certified ratio: dual objective -inf is not positive\n"
+
+
+def test_emit_lp_refuses_a_horizon_past_the_term_cap(tmp_path, capsys):
+    inst = tmp_path / "unit.json"
+    inst.write_text(json.dumps({
+        "classes": [{"sigma": 1, "count": 1}],
+        "jobs": [{"weight": 1, "release": 0, "sizes": [1]}],
+    }))
+    out = tmp_path / "model.lp"
+    assert run_cli("emit-lp", str(inst), "--horizon", "1411",
+                   "--out", str(out)) == 3
+    assert capsys.readouterr().err.startswith("precondition: LP too large")
+    assert not out.exists()
 
 
 def test_missing_file_is_io_error(capsys):
@@ -369,13 +404,14 @@ def test_bad_gamma_is_a_precondition(tmp_path, capsys, gamma):
 @pytest.mark.parametrize("exact", [(), ("--exact",)])
 def test_infinite_trace_gamma_is_a_precondition(tmp_path, capsys, exact):
     # json reads Infinity; under --exact the trace's gamma once reached
-    # Fraction(inf) and died with an OverflowError traceback
+    # Fraction(inf) and died with an OverflowError traceback. A trace's
+    # speedup is its embedded instance's
     path = gen_instance(tmp_path, "lower", "--k", "2")
     trace = tmp_path / "trace.jsonl"
     assert run_cli("simulate", str(path), "--out", str(trace)) == 0
     lines = trace.read_text().splitlines()
     meta = json.loads(lines[0])
-    meta["gamma"] = math.inf
+    meta["instance"]["speedup"] = math.inf
     trace.write_text("\n".join([json.dumps(meta)] + lines[1:]) + "\n")
     capsys.readouterr()
     assert run_cli("verify", str(trace), "--family", "weaker", *exact) == 3

@@ -670,6 +670,27 @@ def test_size_caps_come_before_any_expansion(monkeypatch):
         schedule_to_primal(trace, inst)
 
 
+def test_emit_cap_counts_the_rem_row_terms(monkeypatch):
+    # each task's rem rows hold m*H*(H+1)/2 x terms, so the text grows as the
+    # square of the horizon H: one task once emitted 137 MB at H = 4,000 under
+    # a cap of machines x tasks x slots. On one task and one machine the
+    # last admitted horizon is 1410 (998,985 terms); 1411 makes 1,000,399
+    inst = make_instance([(1, 1)], [make_job(1, 1.0, [1.0])])
+    monkeypatch.setattr(bagsched.lp, "task_table", lambda instance: [])
+    assert emit_lp(inst, 1410).endswith("End\n")
+    assert check_lp_solution(inst, {}, 1410) == []
+
+    def expanded(*args):
+        raise AssertionError("task groups expanded")
+
+    monkeypatch.setattr(bagsched.lp, "task_table", expanded)
+    refused = "1411 slots make 1000399 x terms, over 1000000"
+    with pytest.raises(LpError, match=refused):
+        emit_lp(inst, 1411)
+    with pytest.raises(LpError, match=refused):
+        check_lp_solution(inst, {}, 1411)
+
+
 def test_solution_roundtrip_slot_one():
     inst = make_instance(
         [(1, 1)], [make_job(1, 1.0, [4]), make_job(2, 2.0, [3])])

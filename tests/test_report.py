@@ -7,7 +7,7 @@ from fractions import Fraction
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from bagsched.numutil import REL_TOL, leq
+from bagsched.numutil import REL_TOL, THRESHOLD_REL, leq
 from bagsched.report import VIOLATION_CAP, CheckRecord, DualCertificate, Violation
 
 
@@ -45,7 +45,7 @@ def test_certificate_serialization():
     diag = CheckRecord("extra", diagnostic=True)
     diag.require_leq(5.0, 1.0, ("y",))  # diagnostic misses don't break it
     cert = DualCertificate(
-        family="weaker", gamma=4.0, gamma_required=2.0, gamma_ok=True,
+        family="weaker", gamma=4.0, gamma_required=2.0,
         alpha_total=1.0, beta_total=0.25, checks=[ok, diag], flags={"n": 3})
     assert cert.feasible  # only hard checks count
     assert cert.objective == 0.75
@@ -56,6 +56,26 @@ def test_certificate_serialization():
     assert names == {"alpha", "extra"}
     table = cert.min_slack_table()
     assert any(row[0] == "alpha" for row in table)
+
+
+def test_gamma_ok_at_the_threshold_tolerance():
+    # a speedup meets the threshold when it is below it by at most
+    # THRESHOLD_REL of it; a few ulps further down it does not
+    required = 2 * math.log2(1000)
+    edge = required * (1 - THRESHOLD_REL)
+
+    def cert(gamma):
+        return DualCertificate(family="weaker", gamma=gamma, gamma_required=required,
+                               alpha_total=1.0, beta_total=0.0, checks=[])
+
+    below = edge
+    for _ in range(3):
+        below = math.nextafter(below, 0.0)
+    assert cert(edge).gamma_ok
+    assert cert(required).gamma_ok
+    assert not cert(below).gamma_ok
+    assert not cert(Fraction(below)).gamma_ok
+    assert cert(Fraction(10) ** 400).gamma_ok  # past the float range
 
 
 def test_non_finite_slacks_are_recorded():
