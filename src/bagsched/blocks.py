@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from .instances import Instance, thresholds, validate_ica
 from .numutil import TIE_REL, geq, leq
 from .rates import Block
-from .report import AnalysisError, CheckRecord
+from .report import AnalysisError, CheckList, require_own_trace
 
 CHEAP_FRACTION = 10      # cheap: w(B) < w(A)/(CHEAP_FRACTION * K)
 SHORT_CHARGE = 8         # short block weight vs weight frozen to its left
@@ -164,18 +164,20 @@ def classify_blocks(trace, instance: Instance) -> BlockClassification:
     short-block structure and charging, and the 1/90 alive-weight split;
     the simple-block job-weight comparison is recorded as a diagnostic.
     """
+    require_own_trace(trace, instance)
     if not validate_ica(instance).ok:
         raise AnalysisError("block classification requires the capacity growth conditions")
     k = len(instance.classes)
     gamma = trace.instance.speedup
     bounds = thresholds(instance)  # boundaries 1..K-1
 
-    long_shape = CheckRecord("long-block-shape")
-    cheap_budget = CheckRecord("cheap-block-budget")
-    short_two = CheckRecord("short-block-two-classes")
-    short_charge = CheckRecord("short-block-left-charge")
-    alive_split = CheckRecord("alive-weight-split")
-    simple_jobs = CheckRecord("simple-block-job-weight", diagnostic=True)
+    checks = CheckList()
+    long_shape = checks.add("long-block-shape")
+    cheap_budget = checks.add("cheap-block-budget")
+    short_two = checks.add("short-block-two-classes")
+    short_charge = checks.add("short-block-left-charge")
+    alive_split = checks.add("alive-weight-split")
+    simple_jobs = checks.add("simple-block-job-weight", diagnostic=True)
 
     intervals = []
     long_wrt_last = 0
@@ -262,7 +264,7 @@ def classify_blocks(trace, instance: Instance) -> BlockClassification:
 
     return BlockClassification(
         intervals=intervals,
-        checks=[long_shape, cheap_budget, short_two, short_charge, alive_split, simple_jobs],
+        checks=checks,
         flags={
             "long_wrt_last_class": long_wrt_last,
             "worst_simple_block_ratio": worst_simple_ratio,

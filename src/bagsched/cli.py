@@ -156,12 +156,12 @@ def cmd_verify(args) -> int:
           f"objective={to_float(cert.objective)!r}")
     for name, slack, witness in cert.min_slack_table():
         print(f"  check {name}: min_slack={slack!r} at {witness}")
-    bad = cert.violations()
-    for v in bad[:10]:
+    for v in cert.violations()[:10]:
         print(f"  violation {v.check} at {v.witness}: "
               f"lhs={v.lhs!r} rhs={v.rhs!r}", file=sys.stderr)
-    if len(bad) > 10:
-        print(f"  ... {len(bad)} violations total", file=sys.stderr)
+    total = sum(r.violation_count for r in cert.checks if not r.diagnostic)
+    if total > 10:
+        print(f"  ... {total} violations total", file=sys.stderr)
     try:
         print(f"certified_ratio={to_float(certified_ratio(cert, trace))!r}")
     except AnalysisError as exc:

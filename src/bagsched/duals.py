@@ -24,6 +24,9 @@ over position spans in each job's descending-size order, scanning every
 span boundary, which is exact because all credit functions are constant on
 the spans. Speeds sigma_l in constraints are the original
 (un-sped) speeds; task rates come from the trace and include the speedup.
+Each builder opens with the shared _preamble, names each record once in a
+report.CheckList, and keeps credits as sorted spans (lo, hi, value) read by
+one toolkit: _span_total, _span_value and _merge_sum.
 """
 from __future__ import annotations
 
@@ -31,11 +34,12 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import itemgetter
 
 from .blocks import classify_blocks, nearest_qualifying_class, simple_job_classes
 from .instances import Instance, thresholds, validate_ica
 from .numutil import coerce, leq
-from .report import AnalysisError, CheckRecord, DualCertificate
+from .report import AnalysisError, CheckList, DualCertificate, require_own_trace
 
 @dataclass(frozen=True)
 class FittingConstants:
@@ -82,34 +86,39 @@ def general_threshold(instance: Instance):
 # position-span helpers
 # ---------------------------------------------------------------------------
 
-def _span_value(spans, starts, q):
-    """Value at position q in disjoint, sorted spans [(lo, hi, val)]."""
-    i = bisect_right(starts, q) - 1
-    if i >= 0:
-        lo, hi, val = spans[i]
-        if lo <= q < hi:
-            return val
+def _span_total(spans):
+    """Sum of the credits over all positions of the spans."""
+    return sum((hi - lo) * v for lo, hi, v in spans)
+
+
+_span_lo = itemgetter(0)
+
+
+def _span_value(spans, q):
+    """Value at position q in disjoint, sorted spans [(lo, hi, val)], or 0."""
+    i = bisect_right(spans, q, key=_span_lo) - 1
+    if i >= 0 and q < spans[i][1]:
+        return spans[i][2]
     return 0
 
 
-def _merge_sum(span_lists, upto, zero):
-    """Disjoint spans covering [0, upto) whose value at q is the sum over
-    all input spans (possibly overlapping) containing q."""
+def _merge_sum(spans, upto, zero):
+    """Disjoint, sorted spans within [0, upto) whose value at q is the
+    nonzero sum over all input spans (possibly overlapping) containing q."""
     cuts = {0, upto}
-    for sl in span_lists:
-        for lo, hi, _ in sl:
-            if lo < upto:
-                cuts.add(lo)
-                cuts.add(min(hi, upto))
+    for lo, hi, _ in spans:
+        if lo < upto:
+            cuts.add(lo)
+            cuts.add(min(hi, upto))
     cuts = sorted(cuts)
     out = []
     for a, b in zip(cuts, cuts[1:]):
         val = zero
-        for sl in span_lists:
-            for lo, hi, v in sl:
-                if lo <= a and b <= hi:
-                    val = val + v
-        out.append((a, b, val))
+        for lo, hi, v in spans:
+            if lo <= a and b <= hi:
+                val = val + v
+        if val != 0:
+            out.append((a, b, val))
     return out
 
 
@@ -121,12 +130,17 @@ def _check_nonincreasing(spans, what):
             raise AnalysisError(f"{what}: span values must not increase along positions")
 
 
-def _reject_releases(trace, family):
-    if trace.instance.has_releases():
+def _preamble(trace, instance: Instance, family):
+    """Refuse a trace of another instance or with release dates; return
+    gamma, the class speeds sigma_l and the class machine counts m_l."""
+    require_own_trace(trace, instance)
+    if instance.has_releases():
         raise AnalysisError(
             f"{family} certificate requires a release-free trace; "
             "jobs arriving after time 0 are not certified"
         )
+    classes = instance.classes
+    return trace.instance.speedup, [c.speed for c in classes], [c.count for c in classes]
 
 
 def _alive_weight_walk(trace, monotone):
@@ -175,28 +189,23 @@ def build_weaker_duals(trace, instance: Instance) -> DualCertificate:
     machine carries w(A^t)/(m_l*gamma). The dual objective is
     (1 - K/gamma) * (total weighted completion time).
     """
-    _reject_releases(trace, "weaker")
-    k = len(instance.classes)
-    gamma = trace.instance.speedup
-    n_real = instance.task_count()
-    required = weaker_threshold(instance)
+    gamma, sigmas, counts = _preamble(trace, instance, "weaker")
+    k = len(sigmas)
     zero = coerce(0, instance.exact)
 
-    d_budget = CheckRecord("task-credit-budget")
-    a_budget = CheckRecord("alpha-budget")
-    cover = CheckRecord("rate-cover")
-    monotone = CheckRecord("alive-weight-monotone")
-    cost_id = CheckRecord("alpha-equals-cost", diagnostic=True)
+    checks = CheckList()
+    d_budget = checks.add("task-credit-budget")
+    a_budget = checks.add("alpha-budget")
+    cover = checks.add("rate-cover")
+    monotone = checks.add("alive-weight-monotone")
+    cost_id = checks.add("alpha-equals-cost", diagnostic=True)
 
     delta = {}
     for job in instance.jobs:
         spans = halving_spans(job.weight, job.task_count(), gamma)
         delta[job.job_id] = spans
-        total = sum((hi - lo) * v for lo, hi, v in spans)
-        d_budget.require_leq(total, job.weight, (job.job_id,))
+        d_budget.require_leq(_span_total(spans), job.weight, (job.job_id,))
 
-    sigmas = [c.speed for c in instance.classes]
-    counts = [c.count for c in instance.classes]
     alpha_total = zero
     weighted_time = zero
     for t, iv, w_alive, w_min in _alive_weight_walk(trace, monotone):
@@ -219,17 +228,16 @@ def build_weaker_duals(trace, instance: Instance) -> DualCertificate:
                     )
 
     beta_total = k * weighted_time / gamma
-    cost_id.require_leq(alpha_total, trace.objective, ("sum",))
-    cost_id.require_leq(trace.objective, alpha_total, ("sum",))
+    cost_id.require_equal(alpha_total, trace.objective, ("sum",))
 
     return DualCertificate(
         family="weaker",
         gamma=gamma,
-        gamma_required=float(required),
+        gamma_required=float(weaker_threshold(instance)),
         alpha_total=alpha_total,
         beta_total=beta_total,
-        checks=[d_budget, a_budget, cover, monotone, cost_id],
-        flags={"task_count": n_real, "class_count": k},
+        checks=checks,
+        flags={"task_count": instance.task_count(), "class_count": k},
     )
 
 
@@ -288,7 +296,7 @@ def build_single_job_duals(trace, instance: Instance) -> DualCertificate:
     alive tasks or concentrates on band l's positions depending on where
     the alive count sits. The objective is exactly half the makespan.
     """
-    _reject_releases(trace, "single_job")
+    gamma, sigmas, counts = _preamble(trace, instance, "single_job")
     if len(instance.jobs) != 1:
         raise AnalysisError(
             f"single_job certificate needs exactly one job, got {len(instance.jobs)}"
@@ -297,9 +305,7 @@ def build_single_job_duals(trace, instance: Instance) -> DualCertificate:
     if job.weight != 1:
         raise AnalysisError("single_job certificate needs job weight exactly 1")
 
-    k = len(instance.classes)
-    gamma = trace.instance.speedup
-    required = float(single_job_threshold(instance))
+    k = len(sigmas)
     exact = instance.exact
     one = coerce(1, exact)
     half = one / 2
@@ -308,7 +314,18 @@ def build_single_job_duals(trace, instance: Instance) -> DualCertificate:
     prefix, reach = bands.prefix, bands.reach
     n_total = job.task_count()
 
-    band_order = CheckRecord("rank-band-order")
+    checks = CheckList()
+    band_order = checks.add("rank-band-order")
+    d_budget = checks.add("task-credit-budget")
+    a_budget = checks.add("alpha-budget")
+    cover = checks.add("rate-cover")
+    spread_cover = checks.add("spread-case-cover")
+    band_cover = checks.add("band-case-cover")
+    n_monotone = checks.add("alive-count-monotone")
+    beta_half = checks.add("machine-credit-half", diagnostic=True)
+    epoch_strict = checks.add("epoch-strict-order", diagnostic=True)
+    obj_half = checks.add("objective-half-makespan", diagnostic=True)
+
     for li in range(k - 2):
         band_order.require_leq(bands.band[li], bands.tail[li], (li + 1, "band-vs-tail"))
         band_order.require_leq(bands.tail[li], bands.band[li + 1], (li + 1, "tail-vs-next"))
@@ -316,41 +333,18 @@ def build_single_job_duals(trace, instance: Instance) -> DualCertificate:
         band_order.require_leq(bands.band[k - 2], bands.tail[k - 2], (k - 1, "band-vs-tail"))
 
     # task-credit spans over 0-based positions; head positions reuse band 1
-    dspans = []
-    if k >= 2:
-        head_hi = min(prefix[1], n_total)
-        if head_hi > 0:
-            dspans.append((0, head_hi, one / (2 * k * bands.band[0])))
-        for li in range(k - 1):
-            lo, hi = prefix[li + 1], min(reach[li], n_total)
-            if lo < hi:
-                dspans.append((lo, hi, one / (2 * k * bands.band[li])))
-            lo, hi = reach[li], min(prefix[li + 2], n_total)
-            if lo < hi:
-                dspans.append((lo, hi, one / (2 * k * bands.tail[li])))
+    slots = [(0, prefix[1], bands.band[0])] if k >= 2 else []
+    for li in range(k - 1):
+        slots += [(prefix[li + 1], reach[li], bands.band[li]),
+                  (reach[li], prefix[li + 2], bands.tail[li])]
+    dspans = [(lo, min(hi, n_total), one / (2 * k * f))
+              for lo, hi, f in slots if lo < min(hi, n_total)]
     _check_nonincreasing(dspans, "rank-band credits")
-    dstarts = [s[0] for s in dspans]
+    d_budget.require_leq(_span_total(dspans), one, (job.job_id,))
 
-    d_budget = CheckRecord("task-credit-budget")
-    d_budget.require_leq(
-        sum((hi - lo) * v for lo, hi, v in dspans), one, (job.job_id,)
-    )
-
-    a_budget = CheckRecord("alpha-budget")
-    cover = CheckRecord("rate-cover")
-    spread_cover = CheckRecord("spread-case-cover")
-    band_cover = CheckRecord("band-case-cover")
-    n_monotone = CheckRecord("alive-count-monotone")
-    beta_half = CheckRecord("machine-credit-half", diagnostic=True)
-    epoch_strict = CheckRecord("epoch-strict-order", diagnostic=True)
-    obj_half = CheckRecord("objective-half-makespan", diagnostic=True)
-
-    sigmas = [c.speed for c in instance.classes]
-    counts = [c.count for c in instance.classes]
     betas = [one / (2 * k * counts[li]) for li in range(k)]
     beta_per_time = sum(counts[li] * betas[li] for li in range(k))
-    beta_half.require_leq(beta_per_time, half, ("per-time",))
-    beta_half.require_leq(half, beta_per_time, ("per-time",))
+    beta_half.require_equal(beta_per_time, half, ("per-time",))
 
     zero = coerce(0, exact)
     alpha_total = zero
@@ -391,46 +385,41 @@ def build_single_job_duals(trace, instance: Instance) -> DualCertificate:
                 raise AssertionError(f"alive count {n_t} escaped the rank bands")
 
         if concentrated:
-            aspans = [(prefix[lstar], reach[lstar - 1], one / bands.band[lstar - 1])]
+            alo, ahi, aval = prefix[lstar], reach[lstar - 1], one / bands.band[lstar - 1]
         else:
-            aspans = [(0, n_t, one / n_t)]
-        a_sum = sum((hi - lo) * v for lo, hi, v in aspans)
+            alo, ahi, aval = 0, n_t, one / n_t
+        a_sum = (ahi - alo) * aval
         a_budget.require_leq(a_sum, one, (t,))
         alpha_total = alpha_total + length * a_sum
         beta_total = beta_total + length * beta_per_time
 
         # the dual rate constraint, exhaustively over band segments
-        for alo, ahi, aval in aspans:
-            seams = sorted(
-                {alo, ahi, *[b for b in dstarts if alo < b < ahi],
-                 *[s[1] for s in dspans if alo < s[1] < ahi]}
-            )
-            for qlo in seams[:-1]:
-                dval = _span_value(dspans, dstarts, qlo)
-                for li in range(k):
-                    cover.require_leq(
-                        aval,
-                        (betas[li] + dval) * rate / sigmas[li],
-                        (t, qlo, li + 1),
-                    )
+        ends = [x for lo, hi, _ in dspans for x in (lo, hi) if alo < x < ahi]
+        seams = sorted({alo, ahi, *ends})
+        for qlo in seams[:-1]:
+            dval = _span_value(dspans, qlo)
+            for li in range(k):
+                cover.require_leq(
+                    aval,
+                    (betas[li] + dval) * rate / sigmas[li],
+                    (t, qlo, li + 1),
+                )
 
-        # the two named per-case inequalities
-        if lstar and not concentrated:
-            dmin = one / (2 * k * bands.band[lstar - 1])
+        # the two named per-case inequalities, at band lstar's credit
+        if lstar:
+            dband = one / (2 * k * bands.band[lstar - 1])
             for li in range(k):
-                spread_cover.require_leq(
-                    one / n_t,
-                    (rate / sigmas[li]) * (betas[li] + dmin),
-                    (t, li + 1, lstar),
-                )
-        if concentrated:
-            dval = one / (2 * k * bands.band[lstar - 1])
-            for li in range(k):
-                band_cover.require_leq(
-                    one / bands.band[lstar - 1],
-                    (gamma * sigmas[lstar] / sigmas[li]) * (betas[li] + dval),
-                    (t, li + 1, lstar),
-                )
+                witness = (t, li + 1, lstar)
+                if concentrated:
+                    band_cover.require_leq(
+                        one / bands.band[lstar - 1],
+                        (gamma * sigmas[lstar] / sigmas[li]) * (betas[li] + dband),
+                        witness,
+                    )
+                else:
+                    spread_cover.require_leq(
+                        one / n_t, (rate / sigmas[li]) * (betas[li] + dband), witness
+                    )
 
     makespan = trace.makespan
     break_times = [makespan if bt is None else bt for bt in break_times]
@@ -445,21 +434,16 @@ def build_single_job_duals(trace, instance: Instance) -> DualCertificate:
             rhs=float(break_times[li - 1]),
         )
 
-    obj_half.require_leq(alpha_total, makespan, ("alpha",))
-    obj_half.require_leq(makespan, alpha_total, ("alpha",))
-    obj_half.require_leq(beta_total, makespan / 2, ("beta",))
-    obj_half.require_leq(makespan / 2, beta_total, ("beta",))
+    obj_half.require_equal(alpha_total, makespan, ("alpha",))
+    obj_half.require_equal(beta_total, makespan / 2, ("beta",))
 
     return DualCertificate(
         family="single_job",
         gamma=gamma,
-        gamma_required=required,
+        gamma_required=float(single_job_threshold(instance)),
         alpha_total=alpha_total,
         beta_total=beta_total,
-        checks=[
-            band_order, d_budget, a_budget, cover, spread_cover, band_cover,
-            n_monotone, beta_half, epoch_strict, obj_half,
-        ],
+        checks=checks,
         flags={
             "head_spread_used": head_spread,
             "bands": {
@@ -519,18 +503,14 @@ def build_general_duals(trace, instance: Instance) -> DualCertificate:
     with machine credits w(A^t)/(K^2 log2(K) m_l). Merges in the block
     taxonomy checks from classify_blocks.
     """
-    _reject_releases(trace, "general")
-    k = len(instance.classes)
-    gamma = trace.instance.speedup
+    gamma, sigmas, counts = _preamble(trace, instance, "general")
+    k = len(sigmas)
     exact = instance.exact
     logk = _log_scale(k, exact)
-    required = general_threshold(instance)
     zero = coerce(0, exact)
 
     classification = classify_blocks(trace, instance)
     bounds = thresholds(instance)
-    sigmas = [c.speed for c in instance.classes]
-    counts = [c.count for c in instance.classes]
 
     # ---- pass 1: last-simple intervals and long-block visits -------------
     last_simple = {}   # (job_id, class) -> alive count at the last simple interval
@@ -555,11 +535,12 @@ def build_general_duals(trace, instance: Instance) -> DualCertificate:
                         )
 
     # ---- static per-job credit spans --------------------------------------
-    simple_budget = CheckRecord("simple-credit-budget")
-    long_budget = CheckRecord("long-credit-budget")
-    total_budget = CheckRecord("task-credit-budget")
-    root_charge = CheckRecord("long-visit-charge")
-    doubling = CheckRecord("long-visit-doubling")
+    checks = classification.checks
+    simple_budget = checks.add("simple-credit-budget")
+    long_budget = checks.add("long-credit-budget")
+    total_budget = checks.add("task-credit-budget")
+    root_charge = checks.add("long-visit-charge")
+    doubling = checks.add("long-visit-doubling")
 
     dprime = {}
     ddouble = {}
@@ -570,12 +551,11 @@ def build_general_duals(trace, instance: Instance) -> DualCertificate:
         for li in range(1, k + 1):
             n_tau = last_simple.get((jid, li))
             if n_tau:
-                raw.append([(0, n_tau, job.weight / (2 * k * n_tau))])
-        merged = _merge_sum(raw, n_j, zero) if raw else []
-        merged = [s for s in merged if s[2] != 0]
+                raw.append((0, n_tau, job.weight / (2 * k * n_tau)))
+        merged = _merge_sum(raw, n_j, zero)
         _check_nonincreasing(merged, "last-simple credits")
-        dprime[jid] = (merged, [s[0] for s in merged])
-        simple_sum = sum((hi - lo) * v for lo, hi, v in merged)
+        dprime[jid] = merged
+        simple_sum = _span_total(merged)
         simple_budget.require_leq(simple_sum, job.weight / 2, (jid,))
 
         raw2 = []
@@ -584,7 +564,7 @@ def build_general_duals(trace, instance: Instance) -> DualCertificate:
             if not vlist:
                 continue
             coef = 1 / (CONSTANTS.long_delta_div * k * logk * bounds[li - 1].m_blend)
-            raw2.append(_running_max_spans(vlist, coef))
+            raw2 += _running_max_spans(vlist, coef)
             # greedy doubling chain along the visit weights
             chain = 1
             anchor = vlist[0][2]
@@ -593,11 +573,10 @@ def build_general_duals(trace, instance: Instance) -> DualCertificate:
                     chain += 1
                     anchor = wb
             doubling.require_leq(chain, 1 + math.log2(10 * k), (jid, li))
-        merged2 = _merge_sum(raw2, n_j, zero) if raw2 else []
-        merged2 = [s for s in merged2 if s[2] != 0]
+        merged2 = _merge_sum(raw2, n_j, zero)
         _check_nonincreasing(merged2, "long-visit credits")
-        ddouble[jid] = (merged2, [s[0] for s in merged2])
-        long_sum = sum((hi - lo) * v for lo, hi, v in merged2)
+        ddouble[jid] = merged2
+        long_sum = _span_total(merged2)
         long_budget.require_leq(long_sum, job.weight / 2, (jid,))
         total_budget.require_leq(simple_sum + long_sum, job.weight, (jid,))
 
@@ -611,19 +590,19 @@ def build_general_duals(trace, instance: Instance) -> DualCertificate:
             )
 
     # ---- pass 2: per-interval constraint scan ------------------------------
-    a_budget = CheckRecord("alpha-budget")
-    sa_budget = CheckRecord("simple-alpha-budget")
-    la_budget = CheckRecord("long-alpha-budget")
-    la_identity = CheckRecord("long-alpha-identity", diagnostic=True)
-    cover = CheckRecord("rate-cover")
-    cover_simple = CheckRecord("rate-cover-simple-half")
-    cover_long = CheckRecord("rate-cover-long-half")
-    cover_simple_half = CheckRecord("simple-cover-bound")
-    cover_long_half = CheckRecord("long-cover-bound")
-    cover_long_tight = CheckRecord("long-cover-tight", diagnostic=True)
-    monotone = CheckRecord("alive-weight-monotone")
-    beta_identity = CheckRecord("machine-credit-cost-identity")
-    alpha_floor = CheckRecord("alpha-cost-floor")
+    a_budget = checks.add("alpha-budget")
+    sa_budget = checks.add("simple-alpha-budget")
+    la_budget = checks.add("long-alpha-budget")
+    la_identity = checks.add("long-alpha-identity", diagnostic=True)
+    cover = checks.add("rate-cover")
+    cover_simple = checks.add("rate-cover-simple-half")
+    cover_long = checks.add("rate-cover-long-half")
+    cover_simple_half = checks.add("simple-cover-bound")
+    cover_long_half = checks.add("long-cover-bound")
+    cover_long_tight = checks.add("long-cover-tight", diagnostic=True)
+    monotone = checks.add("alive-weight-monotone")
+    beta_identity = checks.add("machine-credit-cost-identity")
+    alpha_floor = checks.add("alpha-cost-floor")
 
     # the per-class denominators here, and the per-interval, per-job and
     # per-probe factors below, keep every product and quotient in its inline
@@ -666,9 +645,7 @@ def build_general_duals(trace, instance: Instance) -> DualCertificate:
                 sa_budget.require_leq(s_sum, w_j / 2, (t, jid))
             if long_block is not None:
                 la_budget.require_leq(l_sum, w_j / 2, (t, jid))
-                expected = w_j / long_alpha_den
-                la_identity.require_leq(l_sum, expected, (t, jid))
-                la_identity.require_leq(expected, l_sum, (t, jid))
+                la_identity.require_equal(l_sum, w_j / long_alpha_den, (t, jid))
             if lstar or long_block is not None:
                 a_budget.require_leq(s_sum + l_sum, w_j, (t, jid))
             alpha_total = alpha_total + length * (s_sum + l_sum)
@@ -678,8 +655,7 @@ def build_general_duals(trace, instance: Instance) -> DualCertificate:
             # credits never increase along positions, so each constraint
             # family binds at the end of an alpha regime: position n1-1
             # (both alphas active) and n_t-1 (only the long alpha)
-            sp, sp_starts = dprime[jid]
-            dp, dp_starts = ddouble[jid]
+            sp, dp = dprime[jid], ddouble[jid]
             rate_over = [rate / s for s in sigmas]
             probes = []
             if lstar:
@@ -690,8 +666,8 @@ def build_general_duals(trace, instance: Instance) -> DualCertificate:
             if long_block is not None:
                 long_beta = [kb * rate / d for kb, d in zip(k_beta_now, long_dens)]
             for q, a1q, a2q in probes:
-                d1 = _span_value(sp, sp_starts, q)
-                d2 = _span_value(dp, dp_starts, q)
+                d1 = _span_value(sp, q)
+                d2 = _span_value(dp, q)
                 a_sum = a1q + a2q
                 simple_half = lstar and a1q
                 long_half = long_block is not None and a2q
@@ -717,8 +693,7 @@ def build_general_duals(trace, instance: Instance) -> DualCertificate:
                         )
 
     cost = trace.objective
-    beta_identity.require_leq(beta_total, cost / (k * logk), ("total",))
-    beta_identity.require_leq(cost / (k * logk), beta_total, ("total",))
+    beta_identity.require_equal(beta_total, cost / (k * logk), ("total",))
     alpha_floor.require_leq(
         cost / (CONSTANTS.alpha_floor * k * logk), alpha_total, ("total",)
     )
@@ -734,15 +709,9 @@ def build_general_duals(trace, instance: Instance) -> DualCertificate:
     return DualCertificate(
         family="general",
         gamma=gamma,
-        gamma_required=float(required),
+        gamma_required=float(general_threshold(instance)),
         alpha_total=alpha_total,
         beta_total=beta_total,
-        checks=classification.checks
-        + [
-            simple_budget, long_budget, total_budget, root_charge, doubling,
-            a_budget, sa_budget, la_budget, la_identity, cover, cover_simple,
-            cover_long, cover_simple_half, cover_long_half, cover_long_tight, monotone,
-            beta_identity, alpha_floor,
-        ],
+        checks=checks,
         flags=flags,
     )

@@ -360,7 +360,7 @@ def schedule_to_primal(source, instance: Instance, slot=None) -> PrimalSolution:
         for seg in sl.segments:
             if seg.end > seg.start:
                 segments.append(seg)
-    segments.sort(key=lambda s: float(s.start))
+    segments.sort(key=lambda s: s.start)
 
     # pass A: completion times, per-job work curves, and alive snapshots
     remaining = {v: p for v, _, p in table}

@@ -2,8 +2,8 @@
 
 A CheckRecord tracks one named constraint family scanned exhaustively over
 its index set: how many comparisons ran, which failed (with witnesses), and
-the minimum slack seen. Certificates bundle the records plus the dual
-variable totals; feasibility means no non-diagnostic record has violations.
+the minimum slack seen. Certificates bundle a CheckList of records plus the
+dual variable totals; feasibility means no non-diagnostic record has violations.
 """
 from __future__ import annotations
 
@@ -29,6 +29,14 @@ class Violation:
 VIOLATION_CAP = 50
 
 
+class _Unset(float):
+    """min_slack before a record's first check: inf, yet above every slack,
+    NaN and inf included, so that check names the witness."""
+
+    def __gt__(self, other):
+        return True
+
+
 @dataclass
 class CheckRecord:
     """One constraint family's scan.
@@ -36,7 +44,8 @@ class CheckRecord:
     require_leq counts each comparison lhs <= rhs and keeps the first
     witness of the minimum float slack rhs - lhs; failures are counted, and
     the first VIOLATION_CAP kept. Two floats, the common case, cost one
-    subtraction and one comparison when the check holds.
+    subtraction and one comparison when the check holds. An inf or NaN slack
+    is kept as min_slack inf, so it hides no later finite minimum.
     """
 
     name: str
@@ -44,7 +53,7 @@ class CheckRecord:
     checked: int = 0
     violation_count: int = 0
     violations: list = field(default_factory=list)
-    min_slack: float = math.inf
+    min_slack: float = _Unset(math.inf)
     min_witness: tuple = ()
 
     def require_leq(self, lhs, rhs, witness):
@@ -58,7 +67,7 @@ class CheckRecord:
         if type(lhs) is float and type(rhs) is float:
             slack = rhs - lhs
             if slack < self.min_slack:
-                self.min_slack = slack
+                self.min_slack = slack if slack < math.inf else math.inf
                 self.min_witness = witness
             if lhs <= rhs or leq(lhs, rhs):
                 return True
@@ -70,7 +79,7 @@ class CheckRecord:
             fl, fr = to_float(lhs), to_float(rhs)
         slack = fr - fl
         if slack < self.min_slack:
-            self.min_slack = slack
+            self.min_slack = slack if slack < math.inf else math.inf
             self.min_witness = witness
         if type(lhs) is float or type(rhs) is float:
             ok = leq(fl, fr)
@@ -79,6 +88,10 @@ class CheckRecord:
         if not ok:
             self._fail(witness, fl, fr)
         return ok
+
+    def require_equal(self, a, b, witness):
+        """Record a == b as the two comparisons a <= b and b <= a."""
+        return self.require_leq(a, b, witness) & self.require_leq(b, a, witness)
 
     def require(self, cond: bool, witness, lhs=0.0, rhs=0.0):
         """Record a plain boolean condition (slack bookkeeping skipped)."""
@@ -114,6 +127,21 @@ class CheckRecord:
                 for v in self.violations[:5]
             ]
         return d
+
+
+class CheckList(list):
+    """A certificate's check records, in the order they were added."""
+
+    def add(self, name: str, diagnostic: bool = False) -> CheckRecord:
+        self.append(CheckRecord(name, diagnostic))
+        return self[-1]
+
+
+def require_own_trace(trace, instance):
+    """Refuse an instance other than the one `trace` simulated, which would
+    pair that trace's speedup with another instance's jobs."""
+    if instance != trace.instance:
+        raise AnalysisError("the instance is not the one the trace simulated")
 
 
 def _plain(x):

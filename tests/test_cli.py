@@ -242,6 +242,10 @@ def test_speedup_past_the_float_range(tmp_path, capsys):
     assert "gamma=inf" in captured.out
     assert captured.out.endswith("feasible=True\n")
     assert captured.err == "no certified ratio: dual objective -0.0 is not positive\n"
+    # rate-cover's slacks are all NaN here; every record that ran a
+    # comparison still names a witness
+    assert "check rate-cover: min_slack=inf at (0, 1, 0, 1)\n" in captured.out
+    assert "min_slack=inf at ()" not in captured.out
 
 
 def test_speeds_below_the_float_range(tmp_path, capsys):
@@ -431,3 +435,18 @@ def test_exact_trace_gamma_round_trips(tmp_path, capsys):
     assert meta["gamma"] == {"num": 70, "den": 3}
     capsys.readouterr()
     assert run_cli("verify", str(trace), "--family", "weaker", "--exact") == 0
+
+
+def test_verify_prints_the_true_violation_total(tmp_path, capsys):
+    # each record keeps at most VIOLATION_CAP violation samples; verify once
+    # counted the samples and printed 50 where the certificate records 100
+    path = gen_instance(tmp_path, "random", "--k", "3", "--jobs", "100",
+                        "--seed", "0")
+    out_path = tmp_path / "cert.json"
+    capsys.readouterr()
+    assert run_cli("verify", str(path), "--family", "weaker", "--gamma", "0.5",
+                   "--out", str(out_path)) == 1
+    err = capsys.readouterr().err
+    checks = json.loads(out_path.read_text())["checks"]
+    assert sum(c["violations"] for c in checks if not c["diagnostic"]) == 100
+    assert "  ... 100 violations total\n" in err

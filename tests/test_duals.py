@@ -12,6 +12,7 @@ from bagsched import (
     build_single_job_duals,
     build_weaker_duals,
     certified_ratio,
+    classify_blocks,
     gen_lower_bound,
     gen_random_ica,
     make_instance,
@@ -309,3 +310,18 @@ def test_credit_order_grants_the_check_slack():
         _check_nonincreasing([(0, 1, Fraction(1, 1000)),
                               (1, 2, Fraction(1, 1000) + Fraction(1, 10 ** 30))],
                              "credits")
+
+
+def test_certificates_refuse_another_instances_trace():
+    # a builder reads gamma from the trace and the classes and jobs from the
+    # instance; the weaker certificate of a's trace with b's instance once
+    # came out feasible at objective 24.85, where b's own has 16.67
+    a = with_speedup(gen_random_ica(2, 5, 3, 1), 8)
+    b = with_speedup(gen_random_ica(2, 5, 3, 2), 8)
+    trace = simulate(a)
+    for build in (build_weaker_duals, build_single_job_duals,
+                  build_general_duals, classify_blocks):
+        with pytest.raises(AnalysisError, match="not the one the trace simulated"):
+            build(trace, b)
+    # an equal copy of the trace's own instance is accepted
+    assert build_weaker_duals(trace, with_speedup(gen_random_ica(2, 5, 3, 1), 8)).feasible

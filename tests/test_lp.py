@@ -782,3 +782,21 @@ def test_dual_lp_brute_dominance_chain():
         cert = build_weaker_duals(simulate(sped), sped)
         assert cert.feasible
         assert cert.objective <= primal.objective + 1e-9
+
+
+def test_exact_embedding_is_scale_invariant_past_the_float_range():
+    # with class speeds of 2/10^400 and 1/10^400 the segment starts are past
+    # the float range; the embedding once sorted them by float(start) and
+    # died with an OverflowError
+    def ratio(fast, slow):
+        inst = make_instance(
+            [(fast, 1), (slow, 2)],
+            [make_job(1, Fraction(3), [Fraction(5, 2), Fraction(1)], exact=True),
+             make_job(2, Fraction(1), [Fraction(3), Fraction(3)], exact=True)],
+            exact=True)
+        primal = schedule_to_primal(simulate(inst), inst)
+        return primal.objective / primal.cost
+
+    tiny = Fraction(1, 10 ** 400)
+    assert ratio(2 * tiny, tiny) == ratio(Fraction(2), Fraction(1))
+    assert ratio(Fraction(2), Fraction(1)) == Fraction(19901659, 12000000)

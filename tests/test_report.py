@@ -206,3 +206,28 @@ def test_record_matches_first_definition(pairs):
     assert rec.to_dict() == ref.to_dict()
     assert rec.min_witness == ref.min_witness
     assert rec.violations == ref.violations
+
+
+def test_a_record_that_ran_names_a_witness():
+    # both sides saturate to inf, so the slack is NaN; the record once kept
+    # min_witness == () after running its check
+    rec = CheckRecord("x")
+    assert rec.require_leq(Fraction(10) ** 400, Fraction(10) ** 401, ("w",))
+    assert rec.min_witness == ("w",)
+    assert rec.min_slack == math.inf
+    assert "min_slack" not in rec.to_dict()
+
+
+def test_a_non_finite_slack_hides_no_later_minimum():
+    huge = Fraction(10) ** 400
+    for first, later in (((math.inf, math.inf), (1.0, 1.5)),        # float NaN
+                         ((1.0, math.inf), (1.0, 1.5)),             # float +inf
+                         ((huge, 10 * huge), (Fraction(1), Fraction(3, 2)))):
+        rec = CheckRecord("mixed")
+        assert rec.require_leq(*first, (0,))
+        assert rec.min_witness == (0,)
+        assert rec.require_leq(*later, (1,))
+        assert rec.require_leq(*first, (2,))
+        assert not rec.require_leq(math.nan, 1.0, (3,))
+        assert rec.min_slack == 0.5 and rec.min_witness == (1,)
+        assert rec.to_dict()["min_slack_witness"] == [1]

@@ -22,6 +22,7 @@ from bagsched import (
     with_speedup,
     write_trace,
 )
+from bagsched.numutil import EVENT_REL
 
 from oracles import step_realize
 from support import alive_instance, alive_jobs, classes_of
@@ -103,6 +104,29 @@ def test_equal_tasks_complete_in_one_batch():
     tr = simulate(inst)
     assert len(tr.intervals) == 1
     assert tr.completions[1] == tr.intervals[0].end
+
+
+def test_completions_batch_within_event_rel():
+    # a completion at most EVENT_REL (relative) after the next one joins its
+    # event; one ulp further it gets an interval of its own, and exact mode
+    # batches equal times only
+    def run(second, exact=False):
+        one = Fraction(1) if exact else 1.0
+        return simulate(make_instance(
+            [(one, 2)],
+            [make_job(1, one, [one], exact=exact),
+             make_job(2, one, [second], exact=exact)],
+            exact=exact))
+
+    edge = run(1 + EVENT_REL)
+    assert len(edge.intervals) == 1
+    assert edge.group_completions == {(1, 0): 1.0, (2, 0): 1.0}
+    past = run(math.nextafter(1 + EVENT_REL, 2))
+    assert len(past.intervals) == 2
+    assert past.group_completions[(2, 0)] > past.group_completions[(1, 0)] == 1.0
+    exact = run(1 + Fraction(1, 10 ** 13), exact=True)
+    assert len(exact.intervals) == 2
+    assert exact.group_completions[(2, 0)] == 1 + Fraction(1, 10 ** 13)
 
 
 def test_release_dates_enter_alive_set():

@@ -167,3 +167,16 @@ def test_one_export_list():
     found = [name for name, tree in _package_trees().items()
              if name != "__init__.py" and "__all__" in _names_used(tree)]
     assert found == []
+
+
+def test_check_records_are_made_by_check_lists():
+    # a record made outside report.CheckList.add is in no certificate's
+    # checks, so its violations could never affect feasibility
+    found = [
+        f"{path.name}:{lineno}: {line.strip()}"
+        for path in sorted(Path(bagsched.__file__).parent.glob("*.py"))
+        if path.name != "report.py"
+        for lineno, line in enumerate(path.read_text().splitlines(), start=1)
+        if "CheckRecord(" in line
+    ]
+    assert found == []
