@@ -98,19 +98,32 @@ class Instance:
     def machine_count(self) -> int:
         return self.class_prefix_counts[-1]
 
+    @cached_property
+    def _capacity_memo(self) -> dict:
+        """k -> capacity_prefix(k), one entry per k asked for."""
+        return {}
+
     def capacity_prefix(self, k: int):
         """Total speed of the k fastest machines (flat beyond the last one).
 
-        The speedup factor is not applied here.
+        The speedup factor is not applied here. Each k is computed once and
+        memoized; no class is ever expanded.
         """
+        memo = self._capacity_memo
+        value = memo.get(k)
+        if value is not None:
+            return value
         if not k >= 0:
             raise AssertionError(f"capacity_prefix of {k} machines")
         counts = self.class_prefix_counts
         if k >= counts[-1]:
-            return self.class_prefix_capacities[-1]
-        # the class containing machine index k: the first li with k <= M_{li+1}
-        li = bisect_left(counts, k, 1) - 1
-        return self.class_prefix_capacities[li] + (k - counts[li]) * self.classes[li].speed
+            value = self.class_prefix_capacities[-1]
+        else:
+            # the class containing machine index k: the first li with k <= M_{li+1}
+            li = bisect_left(counts, k, 1) - 1
+            value = self.class_prefix_capacities[li] + (k - counts[li]) * self.classes[li].speed
+        memo[k] = value
+        return value
 
     def machine_speeds(self, upto: int) -> list:
         """Speeds of machines 1..upto, fastest first, without the speedup.

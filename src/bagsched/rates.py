@@ -126,11 +126,12 @@ def assign_rates(alive, instance: Instance) -> RateProfile:
             raise RateError(f"job {a.job_id}: empty alive set")
     gamma = instance.speedup
 
-    entries = sorted(alive, key=lambda a: (a.share(), -a.job_id), reverse=True)
+    # each share divided once; ties go to the lower job id
+    entries = sorted(((a.share(), a) for a in alive),
+                     key=lambda e: (e[0], -e[1].job_id), reverse=True)
     # runs of exactly equal share; a run freezes atomically
     runs = []  # [share, members, task count, share * task count]
-    for a in entries:
-        share = a.share()
+    for share, a in entries:
         if runs and runs[-1][0] == share:
             runs[-1][1].append(a)
         else:

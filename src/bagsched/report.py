@@ -188,8 +188,10 @@ class DualCertificate:
         raise KeyError(name)
 
     def min_slack_table(self):
+        """(name, min slack, witness) per record; the slack is None for a
+        record that kept none: it ran no check, or only plain `require`s."""
         return [
-            (r.name, r.min_slack if r.checked else None, r.min_witness)
+            (r.name, None if type(r.min_slack) is _Unset else r.min_slack, r.min_witness)
             for r in self.checks
         ]
 

@@ -15,6 +15,17 @@ tasks sorted by remaining quota occupy machines in that order, ties pool
 their machines and deplete together. This yields piecewise-constant segments
 whose breakpoints are quota merges and quota exhaustions, at most two per
 pooled entry.
+
+Each pool's record keeps its placement, its per-task rate, the capacity of
+the machines through it and its rate gap to the pool ahead. The placement,
+rate and capacity are refreshed only when the pool is re-placed: when pools
+merge into it, or when a drained pool ahead of it shifts its position. The
+gap is refreshed only when the pool or the pool ahead of it is re-placed.
+A segment thus costs one pass that finds the next event (a drain time and
+a catch time per pool), one that delivers its work (one addition per
+member), and one placement and capacity lookup per re-placed pool. Every
+value that reaches an output is computed by the same float operations, in
+the same order, as a placement derived afresh in every segment.
 """
 from __future__ import annotations
 
@@ -22,6 +33,7 @@ import json
 from dataclasses import dataclass
 from functools import cached_property
 from operator import attrgetter
+from typing import NamedTuple
 
 from .instances import Instance, instance_to_dict
 from .numutil import EVENT_REL, REL_TOL, close, json_number, leq
@@ -174,8 +186,7 @@ def simulate(instance: Instance) -> Trace:
 # Slice realization
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Placement:
+class Placement(NamedTuple):
     members: tuple       # (job_id, task_count) pairs sharing this pool
     count: int           # total tasks in the pool
     position_lo: int     # tasks ahead of this pool in quota order
@@ -184,8 +195,7 @@ class Placement:
     per_task_rate: object
 
 
-@dataclass(frozen=True)
-class Segment:
+class Segment(NamedTuple):
     start: object
     end: object
     placements: tuple
@@ -197,6 +207,23 @@ class ScheduleSlice:
     end: object
     segments: list
     work: dict  # job_id -> per-task work delivered in this slice
+
+
+class _Pool:
+    """Tasks of equal quota that deplete together, with the values the
+    segment loop reads off it (see the module notes for when each is
+    refreshed)."""
+
+    __slots__ = ("quota", "count", "members", "placement", "rate", "gap", "cap_hi")
+
+    def __init__(self, quota, count, members):
+        self.quota = quota        # per-task quota left
+        self.count = count        # tasks in the pool
+        self.members = members    # job_id -> task count
+        self.placement = None     # None until placed and once the members change
+        self.rate = 0             # per-task rate of the placement
+        self.gap = 0              # rate of the pool ahead minus this rate
+        self.cap_hi = None        # capacity of the machines through this pool
 
 
 def realize_slice(profile: RateProfile, instance: Instance, interval) -> ScheduleSlice:
@@ -215,105 +242,125 @@ def realize_slice(profile: RateProfile, instance: Instance, interval) -> Schedul
         raise AssertionError(f"slice [{start}, {end}) has no length")
     gamma = profile.gamma
     m = instance.machine_count()
+    capacity = instance.capacity_prefix
+    zero = gamma - gamma  # typed zero
 
-    # entries: [quota_left, count, members dict job->count, Placement or None
-    # while stale]; quota descending
-    entries = []
+    # one pass over the members: the work of every alive job, and the
+    # pools of equal quota, quota descending
+    work = {}
+    pools = []
+    member_count = 0
     for mem in profile.members():
+        member_count += 1
+        work[mem.job_id] = zero
         quota = mem.rate * length
         if quota == 0:
             continue
-        if entries and entries[-1][0] == quota:
-            entries[-1][1] += mem.count
-            entries[-1][2][mem.job_id] = entries[-1][2].get(mem.job_id, 0) + mem.count
+        if pools and pools[-1].quota == quota:
+            last = pools[-1]
+            last.count += mem.count
+            last.members[mem.job_id] = last.members.get(mem.job_id, 0) + mem.count
         else:
-            entries.append([quota, mem.count, {mem.job_id: mem.count}, None])
-    quota_scale = entries[0][0] if entries else 0
+            pools.append(_Pool(quota, mem.count, {mem.job_id: mem.count}))
+    quota_scale = pools[0].quota if pools else 0
     tol = 0 if instance.exact else EVENT_REL * float(quota_scale or 1)
+    cap_zero = capacity(0)
 
-    work = {}
-    for mem in profile.members():
-        work[mem.job_id] = profile.gamma - profile.gamma  # typed zero
-
-    def place(pos, entry):
-        _, count, members, old = entry
-        lo = min(pos, m)
-        hi = min(pos + count, m)
-        return Placement(
-            members=old.members if old else tuple(sorted(members.items())),
-            count=count,
-            position_lo=pos,
-            machine_lo=lo + 1,
-            machine_hi=hi,
-            per_task_rate=(
-                gamma * (instance.capacity_prefix(hi) - instance.capacity_prefix(lo)) / count
-            ),
-        )
-
-    # at most two events (a merge and a drain) per entry, plus slack
-    max_segments = 4 * len(profile.blocks) + 4 * sum(1 for _ in profile.members()) + 8
+    # at most two events (a merge and a drain) per pool, plus slack
+    max_segments = 4 * len(profile.blocks) + 4 * member_count + 8
     t = start
     segments = []
-    while entries:
+    stale = range(len(pools))  # pools to re-place, ascending
+    while pools:
         if len(segments) >= max_segments:
             raise LivelockError(
                 f"realization of [{start}, {end}) did not terminate "
                 f"within {max_segments} segments"
             )
-        # one pass refreshes stale placements (an entry's goes stale only
-        # when it merges or a drained entry ahead of it shifts its position)
-        # and finds the next event: an entry drains, or a faster entry
-        # catches the next one
+        # re-place the stale pools, each behind a current one, and refresh
+        # the rate gaps they change: their own and the next pool's
+        for i in stale:
+            pool = pools[i]
+            count = pool.count
+            if i:
+                ahead = pools[i - 1]
+                pos = ahead.placement.position_lo + ahead.count
+                cap_lo = ahead.cap_hi
+            else:
+                pos, cap_lo = 0, cap_zero
+            hi = min(pos + count, m)
+            cap_hi = pool.cap_hi = capacity(hi)
+            rate = pool.rate = gamma * (cap_hi - cap_lo) / count
+            old = pool.placement
+            # by position, which costs half of by keyword: members, count,
+            # position_lo, machine_lo, machine_hi, per_task_rate
+            pool.placement = Placement(
+                old.members if old is not None else tuple(sorted(pool.members.items())),
+                count, pos, min(pos, m) + 1, hi, rate)
+            pool.gap = ahead.rate - rate if i else 0
+            if i + 1 < len(pools):
+                behind = pools[i + 1]
+                behind.gap = rate - behind.rate
+        # the next event: a pool drains, or a faster pool catches the one
+        # ahead of it
         dt = end - t
-        pos = 0
-        ahead = None
-        for entry in entries:
-            quota, count, _, pl = entry
-            if pl is None or pl.position_lo != pos:
-                pl = entry[3] = place(pos, entry)
-            pos += count
-            r = pl.per_task_rate
-            if r > 0 and quota / r < dt:
-                dt = quota / r
-            if ahead is not None:
-                # per-block rounding can leave adjacent quotas inverted by an
-                # ulp; a non-positive gap is not a catch event
-                gap = ahead[0] - quota
-                speed_gap = ahead[3].per_task_rate - r
-                if speed_gap > 0 and gap > 0 and gap / speed_gap < dt:
-                    dt = gap / speed_gap
-            ahead = entry
+        ahead_quota = None
+        for pool in pools:
+            quota = pool.quota
+            rate = pool.rate
+            if rate > 0:
+                drain = quota / rate
+                if drain < dt:
+                    dt = drain
+            gap = pool.gap
+            # per-block rounding can leave adjacent quotas inverted by an
+            # ulp; a non-positive lead is not a catch event
+            if gap > 0:
+                lead = ahead_quota - quota
+                if lead > 0:
+                    catch = lead / gap
+                    if catch < dt:
+                        dt = catch
+            ahead_quota = quota
         if dt <= 0:
             break
         seg_end = t + dt
-        segments.append(
-            Segment(start=t, end=seg_end, placements=tuple(e[3] for e in entries))
-        )
+        segments.append(Segment(t, seg_end, tuple([p.placement for p in pools])))
         t = seg_end
-        # deliver the segment's work, drop drained entries and merge
-        # equalized neighbours
-        merged = []
-        for entry in entries:
-            done = entry[3].per_task_rate * dt
-            entry[0] = entry[0] - done
-            for job in entry[2]:
+        # deliver the segment's work, drop drained pools and merge equalized
+        # neighbours; a merged pool, and every pool behind a dropped one,
+        # goes stale
+        kept = []
+        stale = []
+        dropped = False
+        for pool in pools:
+            done = pool.rate * dt
+            quota = pool.quota = pool.quota - done
+            for job in pool.members:
                 work[job] = work[job] + done
-            if not entry[0] > tol:
+            if not quota > tol:
+                dropped = True
                 continue
-            if merged and abs(merged[-1][0] - entry[0]) <= tol:
-                merged[-1][1] += entry[1]
-                for job, cnt in entry[2].items():
-                    merged[-1][2][job] = merged[-1][2].get(job, 0) + cnt
-                merged[-1][3] = None
-            else:
-                merged.append(entry)
-        entries = merged
+            if kept and (ahead_quota == quota or (tol and -tol <= ahead_quota - quota <= tol)):
+                target = kept[-1]
+                target.count += pool.count
+                for job, cnt in pool.members.items():
+                    target.members[job] = target.members.get(job, 0) + cnt
+                if target.placement is not None:
+                    target.placement = None
+                    if not stale or stale[-1] != len(kept) - 1:
+                        stale.append(len(kept) - 1)
+                continue
+            if dropped:
+                stale.append(len(kept))
+            kept.append(pool)
+            ahead_quota = quota
+        pools = kept
         if close(t, end, rel=EVENT_REL) or t >= end:
             break
 
     slack = 0 if instance.exact else REL_TOL * float(quota_scale or 1)
-    leftover = [e for e in entries if e[0] > slack]
-    if leftover:
+    if any(pool.quota > slack for pool in pools):
         _, witness = star_witness(profile, instance)
         if witness is None or witness[0] != "prefix":
             raise LivelockError(

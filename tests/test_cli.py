@@ -2,6 +2,9 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -450,3 +453,25 @@ def test_verify_prints_the_true_violation_total(tmp_path, capsys):
     checks = json.loads(out_path.read_text())["checks"]
     assert sum(c["violations"] for c in checks if not c["diagnostic"]) == 100
     assert "  ... 100 violations total\n" in err
+
+
+def test_verify_prints_no_slack_for_a_record_that_kept_none(tmp_path, capsys):
+    # epoch-strict-order and short-block-two-classes record only plain
+    # `require` checks, which keep no slack: their slack is None, not the
+    # inf that stands for "no check yet"
+    path = gen_instance(tmp_path, "lower", "--k", "3")
+    assert run_cli("verify", str(path), "--family", "single", "--gamma", "6") == 0
+    out = capsys.readouterr().out
+    assert "  check epoch-strict-order: min_slack=None at ()" in out.splitlines()
+    assert "min_slack=inf" not in out
+
+
+def test_python_m_bagsched_runs_from_a_checkout(tmp_path):
+    # with only the source tree on the path, as in an uninstalled checkout
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(cli.__file__)))
+    done = subprocess.run([sys.executable, "-m", "bagsched", "gen", "lower", "--k", "2"],
+                          cwd=tmp_path, env=env, capture_output=True, text=True,
+                          timeout=120)
+    assert done.returncode == 0, done.stderr
+    data = json.loads(done.stdout)
+    assert [c["sigma"] for c in data["classes"]] == [64, 1]

@@ -292,6 +292,39 @@ def test_prefix_helpers_match_expanded_speeds(classes, exact):
         inst.capacity_prefix(-1)
 
 
+@pytest.mark.parametrize("classes, exact", [
+    ([(Fraction(7, 2), 3), (Fraction(1), 2), (Fraction(1, 3), 4)], True),
+    ([(3.7, 3), (1.1, 2), (0.3, 4)], False),
+])
+def test_capacity_prefix_memo_matches_a_fresh_computation(classes, exact):
+    # every k in 0..m+2, asked in a scrambled order and then again from the
+    # memo, gives what an instance with an empty memo computes: the same
+    # value of the same type
+    inst = staircase(classes, sizes=[1], exact=exact)
+    m = inst.machine_count()
+    order = list(range(m + 3))
+    order = order[1::2] + order[::2]
+    for k in order + order[::-1]:
+        got = inst.capacity_prefix(k)
+        want = dataclasses.replace(inst).capacity_prefix(k)
+        assert got == want and type(got) is type(want), k
+    assert sorted(inst._capacity_memo) == list(range(m + 3))
+
+
+def test_capacity_prefix_memo_holds_only_the_asked_ks():
+    # a class of 10^9 machines is never expanded: the memo gains one entry
+    # per k asked for, and a negative k raises and is never stored
+    inst = make_instance([(4, 10**9), (1, 3)], [make_job(1, 1, [1])])
+    asked = [0, 7, 10**9, 10**9 + 2, 10**9 + 2, 5 * 10**9]
+    got = [inst.capacity_prefix(k) for k in asked]
+    assert got == [0.0, 28.0, 4.0 * 10**9, 4.0 * 10**9 + 2, 4.0 * 10**9 + 2,
+                   4.0 * 10**9 + 3]
+    for _ in range(2):
+        with pytest.raises(AssertionError):
+            inst.capacity_prefix(-1)
+    assert sorted(inst._capacity_memo) == sorted(set(asked))
+
+
 def test_json_roundtrip_float_and_exact():
     inst = staircase([(64, 1), (1, 128)], sizes=[(64, 1), (1.5, 3)])
     data = instance_to_dict(inst)

@@ -8,6 +8,8 @@ from dataclasses import replace
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bagsched import (
     gen_lower_bound,
@@ -354,3 +356,178 @@ def test_realize_reports_an_overfull_prefix_out_of_order():
         realize_slice(rising, slow, (0.0, 0.5))
     err = info.value
     assert (err.prefix_count, err.quota_sum, err.capacity) == (3, 3.0, 2.0)
+
+
+def first_realize_slice(profile, instance, start, end):
+    """realize_slice as first written, with plain tuples for its records:
+    every segment re-derives each pool's placement test, rate gap, drain
+    time and merge test. Returns (segments, work), or raises as it did."""
+    from bagsched.numutil import REL_TOL, close
+    from bagsched.rates import star_witness
+    from bagsched.sim import InfeasibleSliceError, LivelockError
+
+    length = end - start
+    gamma = profile.gamma
+    m = instance.machine_count()
+    entries = []  # [quota left, count, members dict, placement or None]
+    for mem in profile.members():
+        quota = mem.rate * length
+        if quota == 0:
+            continue
+        if entries and entries[-1][0] == quota:
+            entries[-1][1] += mem.count
+            entries[-1][2][mem.job_id] = entries[-1][2].get(mem.job_id, 0) + mem.count
+        else:
+            entries.append([quota, mem.count, {mem.job_id: mem.count}, None])
+    quota_scale = entries[0][0] if entries else 0
+    tol = 0 if instance.exact else EVENT_REL * float(quota_scale or 1)
+    work = {}
+    for mem in profile.members():
+        work[mem.job_id] = profile.gamma - profile.gamma
+
+    def place(pos, entry):
+        _, count, members, old = entry
+        lo, hi = min(pos, m), min(pos + count, m)
+        rate = gamma * (instance.capacity_prefix(hi) - instance.capacity_prefix(lo)) / count
+        return (old[0] if old else tuple(sorted(members.items())),
+                count, pos, lo + 1, hi, rate)
+
+    max_segments = 4 * len(profile.blocks) + 4 * sum(1 for _ in profile.members()) + 8
+    t = start
+    segments = []
+    while entries:
+        if len(segments) >= max_segments:
+            raise LivelockError(
+                f"realization of [{start}, {end}) did not terminate "
+                f"within {max_segments} segments")
+        dt = end - t
+        pos = 0
+        ahead = None
+        for entry in entries:
+            quota, count, _, pl = entry
+            if pl is None or pl[2] != pos:
+                pl = entry[3] = place(pos, entry)
+            pos += count
+            r = pl[5]
+            if r > 0 and quota / r < dt:
+                dt = quota / r
+            if ahead is not None:
+                gap = ahead[0] - quota
+                speed_gap = ahead[3][5] - r
+                if speed_gap > 0 and gap > 0 and gap / speed_gap < dt:
+                    dt = gap / speed_gap
+            ahead = entry
+        if dt <= 0:
+            break
+        seg_end = t + dt
+        segments.append((t, seg_end, tuple(e[3] for e in entries)))
+        t = seg_end
+        merged = []
+        for entry in entries:
+            done = entry[3][5] * dt
+            entry[0] = entry[0] - done
+            for job in entry[2]:
+                work[job] = work[job] + done
+            if not entry[0] > tol:
+                continue
+            if merged and abs(merged[-1][0] - entry[0]) <= tol:
+                merged[-1][1] += entry[1]
+                for job, cnt in entry[2].items():
+                    merged[-1][2][job] = merged[-1][2].get(job, 0) + cnt
+                merged[-1][3] = None
+            else:
+                merged.append(entry)
+        entries = merged
+        if close(t, end, rel=EVENT_REL) or t >= end:
+            break
+    slack = 0 if instance.exact else REL_TOL * float(quota_scale or 1)
+    if [e for e in entries if e[0] > slack]:
+        _, witness = star_witness(profile, instance)
+        if witness is None or witness[0] != "prefix":
+            raise LivelockError(
+                f"realization of [{start}, {end}) stalled with quota left "
+                "but no overfull prefix")
+        _, k, rate_sum, cap = witness
+        raise InfeasibleSliceError(k, rate_sum * length, cap * length)
+    return segments, work
+
+
+def _bits(value):
+    """A value's exact form: a float by its hex digits, a Fraction by its
+    numerator and denominator, so that a float never equals a Fraction."""
+    if isinstance(value, float):
+        return ("float", value.hex())
+    if isinstance(value, Fraction):
+        return ("fraction", value.numerator, value.denominator)
+    if isinstance(value, (tuple, list)):
+        return tuple(_bits(v) for v in value)
+    if isinstance(value, dict):
+        return tuple((k, _bits(v)) for k, v in value.items())
+    return (type(value).__name__, value)
+
+
+@st.composite
+def _realize_cases(draw):
+    """A rate profile, machines and a slice, float or exact. Shares drawn
+    from a few values tie quotas exactly; member rates are nudged by a few
+    ulps (2^-52 relative in exact mode), up or down; up to 28 tasks meet at
+    most 9 machines, so pools past the last machine start at rate 0. Half
+    the cases list the blocks and members backwards on machines twice as
+    fast, so the quotas ascend and the front pools drain first, shifting
+    every pool behind them."""
+    exact = draw(st.booleans())
+    speeds = sorted(draw(st.sets(st.sampled_from([8, 5, 3, 2, 1]),
+                                 min_size=1, max_size=3)), reverse=True)
+    classes = [(Fraction(s), draw(st.integers(1, 3))) for s in speeds]
+    gamma = draw(st.sampled_from([Fraction(1), Fraction(2), Fraction(7, 2)]))
+    shares = [Fraction(1), Fraction(2), Fraction(3), Fraction(1, 3), Fraction(5, 2)]
+    alive = []
+    for job_id in range(1, draw(st.integers(1, 7)) + 1):
+        count = draw(st.integers(1, 4))
+        alive.append((job_id, draw(st.sampled_from(shares)) * count, count))
+    start = draw(st.sampled_from([Fraction(0), Fraction(1, 4), Fraction(3)]))
+    end = start + draw(st.sampled_from([Fraction(1), Fraction(1, 3), Fraction(5, 2)]))
+    if not exact:
+        classes = [(float(s), c) for s, c in classes]
+        gamma = float(gamma)
+        alive = [(j, float(w), c) for j, w, c in alive]
+        start, end = float(start), float(end)
+    inst = alive_instance(classes, gamma, exact=exact)
+    profile = assign_rates(alive_jobs(alive), inst)
+
+    def nudge(rate):
+        steps = draw(st.sampled_from([0, 0, 0, 1, -1, 2, -3]))
+        if exact:
+            return rate * (1 + Fraction(steps, 2 ** 52))
+        for _ in range(abs(steps)):
+            rate = math.nextafter(rate, math.inf if steps > 0 else 0.0)
+        return rate
+
+    blocks = tuple(
+        replace(b, members=tuple(replace(mem, rate=nudge(mem.rate)) for mem in b.members))
+        for b in profile.blocks)
+    if draw(st.booleans()):
+        blocks = tuple(replace(b, members=b.members[::-1]) for b in blocks[::-1])
+        inst = alive_instance([(s * 2, c) for s, c in classes], gamma, exact=exact)
+    return RateProfile(gamma=gamma, blocks=blocks), inst, (start, end)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_realize_cases())
+def test_realize_slice_matches_first_definition(case):
+    # per-pool cached rates and gaps must give the segments, placements and
+    # work of a realization that re-derives them every segment, bit for bit
+    profile, inst, (start, end) = case
+    try:
+        want = first_realize_slice(profile, inst, start, end)
+    except RuntimeError as exc:
+        with pytest.raises(type(exc)) as info:
+            realize_slice(profile, inst, (start, end))
+        assert str(info.value) == str(exc)
+        return
+    got = realize_slice(profile, inst, (start, end))
+    segments = [(seg.start, seg.end, tuple(tuple(pl) for pl in seg.placements))
+                for seg in got.segments]
+    assert _bits(segments) == _bits(want[0])
+    assert _bits(got.work) == _bits(want[1])
+    assert (got.start, got.end) == (start, end)

@@ -80,17 +80,20 @@ def test_no_assert_statements():
 
 
 def test_guards_hold_under_optimize():
-    # hot-path guards fire the same way when asserts are stripped
+    # hot-path guards fire the same way when asserts are stripped, and a
+    # refused capacity_prefix leaves nothing in its memo to answer later
     code = """
 from bagsched import make_instance, make_job, realize_slice, simulate
 inst = make_instance([(2, 1), (1, 1)], [make_job(1, 1.0, [3])])
 profile = simulate(inst).intervals[0].profile
 for call in (lambda: inst.capacity_prefix(-1),
+             lambda: inst.capacity_prefix(-1),
              lambda: realize_slice(profile, inst, (1.0, 1.0))):
     try:
         call()
     except AssertionError as exc:
         print(exc)
+print("memoized:", -1 in inst._capacity_memo)
 """
     env = dict(os.environ,
                PYTHONPATH=os.path.dirname(os.path.dirname(bagsched.__file__)))
@@ -99,7 +102,9 @@ for call in (lambda: inst.capacity_prefix(-1),
     assert done.returncode == 0, done.stderr
     assert done.stdout.splitlines() == [
         "capacity_prefix of -1 machines",
+        "capacity_prefix of -1 machines",
         "slice [1.0, 1.0) has no length",
+        "memoized: False",
     ]
 
 
