@@ -162,6 +162,18 @@ def _speedup(gamma, exact):
     return gamma
 
 
+def _count(count, what):
+    """A task or class count as an int; anything but a whole number >= 1
+    is refused, never truncated."""
+    try:
+        whole = not isinstance(count, bool) and count == int(count)
+    except (TypeError, ValueError, OverflowError):
+        whole = False
+    if not (whole and count >= 1):
+        raise InstanceError(f"{what} must be a whole number >= 1, got {count!r}")
+    return int(count)
+
+
 def _group_sizes(job_id, weight, release, size_counts):
     if weight <= 0:
         raise InstanceError(f"job {job_id}: weight must be positive, got {weight}")
@@ -169,9 +181,8 @@ def _group_sizes(job_id, weight, release, size_counts):
     for size, count in size_counts:
         if size < 0:
             raise InstanceError(f"job {job_id}: negative task size {size}")
-        if count < 1 or count != int(count):
-            raise InstanceError(f"job {job_id}: bad task count {count}")
-        merged[size] = merged.get(size, 0) + int(count)
+        count = _count(count, f"job {job_id}: task count")
+        merged[size] = merged.get(size, 0) + count
     if not merged:
         raise InstanceError(f"job {job_id}: needs at least one task")
     groups = tuple(
@@ -196,15 +207,14 @@ def make_instance(classes, jobs, speedup=1, exact=False):
         (c.speed, c.count) if isinstance(c, SpeedClass) else c for c in classes
     ]
     cls = tuple(
-        SpeedClass(speed=_finite(s, "speed", exact), count=int(c)) for s, c in pairs
+        SpeedClass(speed=_finite(s, "speed", exact), count=_count(c, "class count"))
+        for s, c in pairs
     )
     if not cls:
         raise InstanceError("instance needs at least one speed class")
     for c in cls:
         if c.speed <= 0:
             raise InstanceError(f"speed must be positive, got {c.speed}")
-        if c.count < 1:
-            raise InstanceError(f"class count must be >= 1, got {c.count}")
     for a, b in zip(cls, cls[1:]):
         if not a.speed > b.speed:
             raise InstanceError("class speeds must be strictly decreasing")
@@ -270,7 +280,7 @@ def instance_to_dict(instance: Instance) -> dict:
 def instance_from_dict(data: dict, exact: bool = False) -> Instance:
     try:
         classes = [
-            (from_json_number(c["sigma"]), int(c["count"])) for c in data["classes"]
+            (from_json_number(c["sigma"]), c["count"]) for c in data["classes"]
         ]
         jobs = []
         for idx, j in enumerate(data.get("jobs", []), start=1):
@@ -278,7 +288,7 @@ def instance_from_dict(data: dict, exact: bool = False) -> Instance:
             for entry in j["sizes"]:
                 if isinstance(entry, dict) and "size" in entry:
                     size = from_json_number(entry["size"])
-                    pairs.append((size, int(entry["count"])))
+                    pairs.append((size, entry["count"]))
                 else:
                     pairs.append((from_json_number(entry), 1))
             jobs.append(

@@ -1,14 +1,18 @@
 """Primal LP bridge: emit the completion-time LP, embed realized schedules
 as feasible primal solutions, and brute-force tiny optima.
 
-The LP over unit slots [t, t+1), machines i, tasks v (globally numbered),
-jobs j:
+The LP over unit slots [t, t+1), machines i, tasks v, jobs j:
 
     min   sum_j w_j C_j + sum_{j,t} w_j U_{j,t}
     s.t.  U_{j,t} >= sum_{t' >= t} sum_i x_{ivt'} / p_v     (remaining)
           C_j >= sum_{t,i} x_{ivt} / s_i                    (proc time)
           sum_{i,t} x_{ivt} / p_v >= 1                      (demand)
           sum_v x_{ivt} / s_i <= 1                          (capacity)
+
+The LP models the tasks of positive size, and task_table alone lists
+them. Tasks are numbered 1, 2, ... over all tasks in job order, each job's
+groups in descending size order; a zero-size task keeps its number but gets
+no variables or rows, and its group is never expanded.
 
 Any schedule embeds with objective in [cost, 2*cost]; the emitted file uses
 the original machine speeds (the bound is about the adversary's machines),
@@ -36,7 +40,7 @@ from itertools import accumulate, permutations, repeat
 from operator import le, truediv
 
 from .instances import Instance
-from .numutil import REL_TOL, SOLVER_REL, close, leq
+from .numutil import REL_TOL, SOLVER_REL, close, leq, scaled_tol
 from .sim import realize_slice
 
 MAX_EMIT_TERMS = 1_000_000     # x terms in the rows of an emitted LP
@@ -53,23 +57,31 @@ class LpError(ValueError):
     """Raised for inputs outside the LP bridge's supported shapes."""
 
 
-def task_table(instance: Instance):
-    """Global task numbering: (task_id, job_id, size), 1-based, in job
-    order with each job's groups in descending size order."""
-    table = []
-    tid = 0
+def _modelled_groups(instance: Instance):
+    """Yield (first task id, job id, group) for each group of positive
+    size. Ids count every task, so a zero-size group moves them on without
+    being listed or expanded."""
+    tid = 1
     for job in instance.jobs:
         for g in job.groups:
-            for _ in range(g.count):
-                tid += 1
-                table.append((tid, job.job_id, g.size))
-    return table
+            if g.size > 0:
+                yield tid, job.job_id, g
+            tid += g.count
+
+
+def task_table(instance: Instance):
+    """The tasks the LP models, those of positive size, as (task_id,
+    job_id, size). Ids are 1-based over all tasks in job order, each job's
+    groups in descending size order; zero-size tasks keep their ids but are
+    not listed."""
+    return [(v, j, g.size) for first, j, g in _modelled_groups(instance)
+            for v in range(first, first + g.count)]
 
 
 def _positive_task_count(instance: Instance) -> int:
-    """Tasks of positive size, counted from the groups without expanding
+    """len(task_table(instance)), counted from the groups without expanding
     them."""
-    return sum(g.count for job in instance.jobs for g in job.groups if g.size > 0)
+    return sum(g.count for _, _, g in _modelled_groups(instance))
 
 
 def _check_lp_size(instance: Instance, horizon: int) -> None:
@@ -92,15 +104,15 @@ def emit_lp(instance: Instance, horizon: int) -> str:
     """Emit the LP over `horizon` unit slots in LP text format.
 
     Variables are named x_{i}_{v}_{t}, U_{j}_{t}, C_{j}. Machine speeds are
-    the original sigma values (no speedup). Zero-size tasks get no
-    variables or constraints. A comment flags a horizon that cannot cover
+    the original sigma values (no speedup). Only the tasks of task_table
+    get variables and constraints. A comment flags a horizon that cannot cover
     even the fluid lower bound total_work / total_capacity.
     """
     if horizon < 1:
         raise LpError(f"horizon must be >= 1, got {horizon}")
     _check_lp_size(instance, horizon)
     m = instance.machine_count()
-    tasks = [(v, j, p) for (v, j, p) in task_table(instance) if p > 0]
+    tasks = task_table(instance)
     speeds = instance.machine_speeds(m)
     total_work = sum(p for _, _, p in tasks)
     total_cap = sum(speeds)
@@ -222,7 +234,7 @@ def check_lp_solution(instance: Instance, values: dict, horizon: int) -> list:
         return {key: values[name] for name, key in variables if name in values}
 
     x = pick((f"x_{i}_{v}_{t}", (i, v, t)) for i in range(1, len(speeds) + 1)
-             for v, _, p in table if p for t in range(horizon))
+             for v, _, _ in table for t in range(horizon))
     U = pick((f"U_{j}_{t}", (j, t)) for j in jobs for t in range(horizon))
     C = pick((f"C_{j}", j) for j in jobs)
     return list(_violated_rows(table, x, U, C, speeds, 1.0, horizon, SOLVER_REL))
@@ -231,7 +243,7 @@ def check_lp_solution(instance: Instance, values: dict, horizon: int) -> list:
 def _violated_rows(table, x, U, C, speeds, slot, horizon, rel):
     """Yield each violated row of the LP over `horizon` slots of length
     `slot` as (name, lhs, rhs), named and ordered as emit_lp writes them:
-    per task of positive size rem_j_v_t (t descending), time_j_v and
+    per task of the table rem_j_v_t (t descending), time_j_v and
     done_j_v, then cap_i_t. Every row is compared by leq at `rel`.
 
     x maps (machine, task, slot) to an amount on machines 1..len(speeds);
@@ -250,8 +262,6 @@ def _violated_rows(table, x, U, C, speeds, slot, horizon, rel):
     slots = range(horizon - 1, -1, -1)
     u_of = {}    # job -> its U over `slots`
     for v, j, p in table:
-        if not p:
-            continue
         us = u_of.get(j)
         if us is None:
             us = u_of[j] = list(map(U.get, zip(repeat(j), slots), repeat(zero)))
@@ -364,7 +374,11 @@ def schedule_to_primal(source, instance: Instance, slot=None) -> PrimalSolution:
 
     # pass A: completion times, per-job work curves, and alive snapshots
     remaining = {v: p for v, _, p in table}
-    completion = {j.job_id: zero for j in instance.jobs}
+    # roundoff slack so a task whose quota exactly spans a segment still
+    # completes inside it
+    done_slack = {v: scaled_tol(p, REL_TOL) for v, _, p in table}
+    # a job with no task left to run completes at its release, as in simulate
+    completion = {j.job_id: j.release for j in instance.jobs}
     work_curve = {j.job_id: [(zero, zero)] for j in instance.jobs}  # (time, W)
     cum_work = {j.job_id: zero for j in instance.jobs}
     seg_alive = {}  # (segment index, job_id) -> task ids served
@@ -378,20 +392,17 @@ def schedule_to_primal(source, instance: Instance, slot=None) -> PrimalSolution:
                 if (si, job_id) in seg_alive:
                     raise LpError(f"job {job_id} split across pools in one segment")
                 alive = [
-                    (v, p) for v, p in job_tasks[job_id] if remaining[v] > 0
+                    v for v, _ in job_tasks.get(job_id, ()) if remaining[v] > 0
                 ]
                 if len(alive) != cnt:
                     raise LpError(
                         f"pool of job {job_id} covers {cnt} tasks, "
                         f"{len(alive)} alive"
                     )
-                seg_alive[(si, job_id)] = [v for v, _ in alive]
-                for v, p in alive:
-                    got = rate * length
-                    # roundoff slack so a task whose quota exactly spans
-                    # the segment still completes inside it
-                    slack = 0 if instance.exact else REL_TOL * float(p or 1)
-                    if got >= remaining[v] - slack:
+                seg_alive[(si, job_id)] = alive
+                got = rate * length
+                for v in alive:
+                    if got >= remaining[v] - done_slack[v]:
                         t_done = seg.start + min(remaining[v] / rate, length)
                         remaining[v] = zero
                         if t_done > completion[job_id]:
@@ -401,10 +412,10 @@ def schedule_to_primal(source, instance: Instance, slot=None) -> PrimalSolution:
                 curve = work_curve[job_id]
                 if curve[-1][0] < seg.start:  # idle gap: keep W flat
                     curve.append((seg.start, cum_work[job_id]))
-                cum_work[job_id] = cum_work[job_id] + rate * length
+                cum_work[job_id] = cum_work[job_id] + got
                 curve.append((seg.end, cum_work[job_id]))
-    for v, j, p in table:
-        if not remaining[v] <= (0 if instance.exact else REL_TOL * float(p or 1)):
+    for v, slack in done_slack.items():
+        if not remaining[v] <= slack:
             raise LpError(f"task {v} not finished by the given schedule")
     if hasattr(source, "completions"):
         for j, c in source.completions.items():
@@ -417,7 +428,7 @@ def schedule_to_primal(source, instance: Instance, slot=None) -> PrimalSolution:
     if slot is None:
         gap = None
         for job in instance.jobs:
-            p_max = max((p for _, p in job_tasks[job.job_id]), default=0)
+            p_max = max((p for _, p in job_tasks.get(job.job_id, ())), default=0)
             if p_max == 0:
                 continue
             area = zero
@@ -483,8 +494,6 @@ def schedule_to_primal(source, instance: Instance, slot=None) -> PrimalSolution:
     slots = range(high, -1, -1)
     u_of = {}
     for v, j, p in table:
-        if p == 0:
-            continue
         fracs = _remaining(grid.get(v, {}), p, zero, high + 1)
         us = u_of.get(j)
         u_of[j] = fracs if us is None else list(map(max, us, fracs))
@@ -504,8 +513,9 @@ def schedule_to_primal(source, instance: Instance, slot=None) -> PrimalSolution:
 
 
 def check_primal(primal: PrimalSolution, instance: Instance) -> None:
-    """Check that every x and U entry names an LP variable (a slot >= 0, and
-    a task or job of the instance), then the LP's rows on the primal's slot
+    """Check that every x and U entry names an LP variable (a slot >= 0, a
+    machine id that is an int in 1..m, and a task of the table or a job of
+    the instance), then the LP's rows on the primal's slot
     grid, then the bounds the embedding adds: U <= 1, C only for jobs of the
     instance, each job's Riemann sum slot * sum_t U_{j,t} <= C_j, and
     cost <= objective <= 2 * cost. Last,
@@ -514,11 +524,12 @@ def check_primal(primal: PrimalSolution, instance: Instance) -> None:
     LpError at the first violation."""
     weights = {j.job_id: j.weight for j in instance.jobs}
     table = task_table(instance)
+    tasks = {v for v, _, _ in table}
     machines, last = set(), -1
     for i, v, s in primal.x:
         if s < 0:
             raise LpError(f"x names slot {s}: no slot {s}")
-        if not 0 < v <= len(table):
+        if v not in tasks:
             raise LpError(f"x names task {v}: no task {v}")
         machines.add(i)
         if s > last:
@@ -528,8 +539,9 @@ def check_primal(primal: PrimalSolution, instance: Instance) -> None:
             raise LpError(f"U_{j}_{s} names no LP variable")
         if s > last:
             last = s
+    m = instance.machine_count()
     for i in machines:
-        if not (leq(1, i) and leq(i, instance.machine_count())):
+        if type(i) is not int or not 1 <= i <= m:
             raise LpError(f"x names machine {i}: no machine {i}")
     speeds = [primal.gamma * sp for sp in instance.machine_speeds(max(machines, default=0))]
     row = next(_violated_rows(table, primal.x, primal.U, primal.C,
@@ -619,7 +631,7 @@ def brute_force_opt(instance: Instance, grid: int = 2):
     job_ids = sorted(weights)
     start = tuple(
         tuple(sorted(
-            (Fraction(int(p)) for v, jj, p in table if jj == j and p > 0),
+            (Fraction(int(p)) for v, jj, p in table if jj == j),
             reverse=True,
         ))
         for j in job_ids

@@ -109,6 +109,16 @@ def tie_leq(a, b) -> bool:
     return scale != inf and a <= b + TIE_REL * scale
 
 
+def scaled_tol(scale, rel: float):
+    """The absolute slack of `rel` at `scale`: 0 for an exact scale, else
+    rel * float(scale), with a zero scale read as 1.
+
+    >>> scaled_tol(Fraction(3), REL_TOL), scaled_tol(0.0, 0.5), scaled_tol(3.0, 0.5)
+    (0, 0.5, 1.5)
+    """
+    return 0 if is_exact(scale) else rel * float(scale or 1)
+
+
 def geq(a, b) -> bool:
     return leq(b, a)
 

@@ -36,7 +36,7 @@ from operator import attrgetter
 from typing import NamedTuple
 
 from .instances import Instance, instance_to_dict
-from .numutil import EVENT_REL, REL_TOL, close, json_number, leq
+from .numutil import EVENT_REL, REL_TOL, close, json_number, leq, scaled_tol
 from .rates import AliveJob, RateProfile, assign_rates, star_witness
 
 
@@ -262,8 +262,8 @@ def realize_slice(profile: RateProfile, instance: Instance, interval) -> Schedul
             last.members[mem.job_id] = last.members.get(mem.job_id, 0) + mem.count
         else:
             pools.append(_Pool(quota, mem.count, {mem.job_id: mem.count}))
-    quota_scale = pools[0].quota if pools else 0
-    tol = 0 if instance.exact else EVENT_REL * float(quota_scale or 1)
+    quota_scale = pools[0].quota if pools else zero
+    tol = scaled_tol(quota_scale, EVENT_REL)
     cap_zero = capacity(0)
 
     # at most two events (a merge and a drain) per pool, plus slack
@@ -359,7 +359,7 @@ def realize_slice(profile: RateProfile, instance: Instance, interval) -> Schedul
         if close(t, end, rel=EVENT_REL) or t >= end:
             break
 
-    slack = 0 if instance.exact else REL_TOL * float(quota_scale or 1)
+    slack = scaled_tol(quota_scale, REL_TOL)
     if any(pool.quota > slack for pool in pools):
         _, witness = star_witness(profile, instance)
         if witness is None or witness[0] != "prefix":

@@ -399,6 +399,27 @@ def test_non_finite_json_is_a_precondition(tmp_path, capsys, field, command):
     assert "must be finite" in captured.err
 
 
+@pytest.mark.parametrize("classes, sizes", [
+    ([{"sigma": 2, "count": 1.5}], [1]),
+    ([{"sigma": 2, "count": 1}], [{"size": 2, "count": 2.5}]),
+    ([{"sigma": 2, "count": 1}], [{"size": 2, "count": "abc"}]),
+    ([{"sigma": 2, "count": True}], [1]),
+])
+def test_counts_that_are_not_whole_are_a_precondition(tmp_path, capsys,
+                                                      classes, sizes):
+    # counts were once truncated (1.5 machines ran as 1, 2.5 tasks as 2,
+    # true as 1) or died with a ValueError traceback, before any check saw
+    # them
+    path = tmp_path / "instance.json"
+    path.write_text(json.dumps(
+        {"classes": classes, "jobs": [{"weight": 1, "sizes": sizes}]}))
+    assert run_cli("simulate", str(path)) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("precondition:")
+    assert "must be a whole number >= 1" in captured.err
+
+
 @pytest.mark.parametrize("gamma", ["nan", "inf", "0", "-1"])
 def test_bad_gamma_is_a_precondition(tmp_path, capsys, gamma):
     path = gen_instance(tmp_path, "lower", "--k", "2")

@@ -5,6 +5,7 @@ import os
 import random
 import subprocess
 import sys
+import tracemalloc
 
 import dataclasses
 from fractions import Fraction
@@ -96,10 +97,50 @@ def test_emitted_lines_fit_the_width():
 
 
 def test_zero_size_task_skipped():
-    inst = make_instance([(1, 1)], [make_job(1, 1.0, [2, 0])])
+    # job 1's zero-size task keeps its id 2 unlisted, so job 2's task is 3
+    inst = make_instance([(1, 1)], [make_job(1, 1.0, [2, 0]),
+                                    make_job(2, 1.0, [2.0])])
+    assert task_table(inst) == [(1, 1, 2.0), (3, 2, 2.0)]
     text = emit_lp(inst, horizon=4)
     assert "done_1_1" in text
-    assert "done_1_2" not in text
+    assert "done_1_2" not in text and "x_1_2_" not in text
+    assert "done_2_3:" in text and "x_1_3_0" in text
+
+
+def test_a_zero_size_group_is_never_expanded():
+    # the size caps count tasks of positive size only, so a zero-size group
+    # of 10^6 tasks passed them and was then expanded by every LP function:
+    # emit_lp alone took seconds and peaked near 100 MB
+    inst = make_instance([(1, 1)], [make_job(1, 1.0, [3.0, (0.0, 10 ** 6)])])
+    assert task_table(inst) == [(1, 1, 3.0)]
+    trace = simulate(inst)
+    for call in (lambda: emit_lp(inst, 2),
+                 lambda: check_lp_solution(inst, {}, 2),
+                 lambda: schedule_to_primal(trace, inst)):
+        tracemalloc.start()
+        try:
+            call()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 ** 20
+
+
+@pytest.mark.parametrize("exact", [False, True])
+def test_a_released_job_of_zero_size_tasks_embeds(exact):
+    # such a job completes at its release, as simulate says; the embedding
+    # once started it at 0 and refused the trace
+    num = Fraction if exact else float
+    inst = make_instance(
+        [(num(1), 1)],
+        [make_job(1, num(1), [num(2)], exact=exact),
+         make_job(2, num(1), [num(0), (num(0), 3)], release=num(1), exact=exact)],
+        exact=exact)
+    trace = simulate(inst)
+    primal = schedule_to_primal(trace, inst)
+    assert primal.C[2] == 1 and type(primal.C[2]) is num
+    assert primal.cost == trace.objective
+    check_primal(primal, inst)
 
 
 def test_matched_offline_staircase_embedding():
@@ -149,7 +190,9 @@ def test_check_primal_rejects_corruption_under_optimize():
     # negative slot, an objective inside the sandwich that is not the
     # primal's own (1.9 cost where the embedding gives 1.65 cost), a cost
     # that is not sum w_j C_j, and x and C entries for a task and a job the
-    # instance lacks
+    # instance lacks; then, on an instance with a zero-size task, an x entry
+    # on that task (it names no LP variable) and a machine id that is not an
+    # int (once a TypeError)
     code = """
 import dataclasses, sys
 from bagsched import make_instance, make_job, schedule_to_primal, simulate
@@ -180,6 +223,16 @@ for bad in (dataclasses.replace(primal, x={}, objective=5 * primal.cost),
         print(exc)
     else:
         sys.exit(1)
+inst = make_instance([(2, 1), (1, 1)], [make_job(1, 1.0, [3.0, 2.0, 0.0])])
+primal = schedule_to_primal(simulate(inst), inst)
+for bad in (dataclasses.replace(primal, x={**primal.x, (1, 3, 0): 0.0}),
+            dataclasses.replace(primal, x={**primal.x, (2.0000000001, 1, 0): 0.0})):
+    try:
+        check_primal(bad, inst)
+    except LpError as exc:
+        print(exc)
+    else:
+        sys.exit(1)
 """
     env = dict(os.environ,
                PYTHONPATH=os.path.dirname(os.path.dirname(bagsched.__file__)))
@@ -200,7 +253,9 @@ for bad in (dataclasses.replace(primal, x={}, objective=5 * primal.cost),
     assert lines[9].startswith("cost ") and "is not the primal's" in lines[9]
     assert lines[10] == "C_9 names no LP variable"
     assert lines[11] == "x names task 7: no task 7"
-    assert len(lines) == 12
+    assert lines[12] == "x names task 3: no task 3"
+    assert lines[13] == "x names machine 2.0000000001: no machine 2.0000000001"
+    assert len(lines) == 14
 
 
 def test_check_primal_is_exact_in_exact_mode():
@@ -313,7 +368,7 @@ def _lp_cases(draw):
     if exact:
         inst = instance_from_dict(instance_to_dict(inst), exact=True)
     horizon = draw(st.integers(1, 3))
-    m, n, tasks = inst.machine_count(), len(jobs), len(task_table(inst))
+    m, n, tasks = inst.machine_count(), len(jobs), inst.task_count()
     # indices one past each range: machines 0 and m+1, task 0 and unknown
     # tasks (zero-size tasks come from the sizes), slot `horizon`, job 0
     # and unknown jobs; none of them is a variable of the LP
@@ -535,7 +590,7 @@ def guarded_first_check_primal(primal, instance):
     C entry names an LP variable, and the stored cost and objective are the
     primal's own, summed as schedule_to_primal sums them."""
     weights = {j.job_id: j.weight for j in instance.jobs}
-    tasks = len(task_table(instance))
+    tasks = instance.task_count()
     for _, v, s in primal.x:
         if s < 0:
             raise LpError(f"x names slot {s}: no slot {s}")
@@ -572,7 +627,7 @@ def _corrupt(primal, instance, kind, k, value):
     x, U, C = dict(primal.x), dict(primal.U), dict(primal.C)
     top = max((s for _, _, s in x), default=0)
     jobs = sorted(C)
-    m, tasks = instance.machine_count(), len(task_table(instance))
+    m, tasks = instance.machine_count(), instance.task_count()
     machine = 1 + k % m
     if kind == "U past the work":     # a slot with no work of any task
         U[(jobs[k % len(jobs)], top + 1 + k % 3)] = value

@@ -6,7 +6,8 @@ from fractions import Fraction
 
 import pytest
 
-from bagsched.numutil import REL_TOL, TIE_REL, close, geq, leq, tie_leq
+from bagsched.numutil import (
+    EVENT_REL, REL_TOL, TIE_REL, close, geq, leq, scaled_tol, tie_leq)
 
 TOLERANCES = [REL_TOL, TIE_REL]
 
@@ -130,3 +131,14 @@ def test_infinite_side_grants_no_slack():
     assert close(math.inf, math.inf) and close(-math.inf, -math.inf)
     assert not close(math.nan, math.nan) and not close(math.nan, 1.0)
     assert not geq(5.0, math.inf)
+
+
+@pytest.mark.parametrize("rel", [REL_TOL, EVENT_REL])
+def test_scaled_tol_boundaries(rel):
+    # an exact scale gets no slack, a float 0 the slack at scale 1, and a
+    # float s the slack rel * s, whatever its size
+    for exact in (Fraction(0), Fraction(3, 7), 5, 10 ** 400):
+        assert scaled_tol(exact, rel) == 0 and type(scaled_tol(exact, rel)) is int
+    assert scaled_tol(0.0, rel) == rel and scaled_tol(-0.0, rel) == rel
+    for s in (5e-324, 0.75, 3.0, 2.0 ** 900):
+        assert scaled_tol(s, rel) == rel * s

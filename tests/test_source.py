@@ -53,10 +53,12 @@ def test_tolerant_compares_go_through_numutil():
 
 
 def test_relative_compares_go_through_numutil():
-    # a slack scaled by hand, `rel * max(1.0, |x|)`, is a second relative
-    # compare beside numutil.close and leq, and one that is not exact in
-    # exact mode; numutil's own definitions are the only ones allowed
-    scaled = re.compile(r"\*\s*max\(\s*1(\.0)?\s*,")
+    # a slack scaled by hand, `rel * max(1.0, |x|)` or `rel * float(x or 1)`,
+    # is a second relative compare or slack beside numutil.close, leq and
+    # scaled_tol, and one that is not exact in exact mode; numutil's own
+    # definitions are the only ones allowed
+    scaled = re.compile(
+        r"\*\s*(max\(\s*1(\.0)?\s*,|float\([^()]*\bor\s+1(\.0)?\s*\))")
     found = [
         f"{path.name}:{lineno}: {line.strip()}"
         for path in sorted(Path(bagsched.__file__).parent.glob("*.py"))
