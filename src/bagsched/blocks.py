@@ -13,11 +13,12 @@ with a common water level. Blocks are labeled, in this priority order:
           several classes and its label records the smallest
   short   everything else
 
-The classification also scans structural facts the certificates rely on:
-shape bounds for long blocks, the cheap-block budget, that short blocks
-straddle exactly two consecutive classes and are dominated by the weight
-frozen to their left, and the final gate that simple plus long blocks carry
-at least w(A^t)/90.
+The classification also scans structural facts the general family's proof
+relies on: shape bounds for long blocks, the cheap-block budget, that short
+blocks straddle exactly two consecutive classes and are dominated by the
+weight frozen to their left, and that simple plus long blocks carry at least
+w(A^t)/90. They are lemmas, recorded as diagnostics: only
+dualcheck.check_dual decides a certificate.
 """
 from __future__ import annotations
 
@@ -160,9 +161,9 @@ def classify_blocks(trace, instance: Instance) -> BlockClassification:
     """Label every block of every trace interval and scan the block facts.
 
     Requires the capacity growth conditions (the taxonomy is meaningless
-    without them). Hard checks cover long-block shape, the cheap budget,
-    short-block structure and charging, and the 1/90 alive-weight split;
-    the simple-block job-weight comparison is recorded as a diagnostic.
+    without them). Diagnostic records cover long-block shape, the cheap
+    budget, short-block structure and charging, the 1/90 alive-weight split
+    and the simple-block job-weight comparison.
     """
     require_own_trace(trace, instance)
     if not validate_ica(instance).ok:
@@ -172,11 +173,11 @@ def classify_blocks(trace, instance: Instance) -> BlockClassification:
     bounds = thresholds(instance)  # boundaries 1..K-1
 
     checks = CheckList()
-    long_shape = checks.add("long-block-shape")
-    cheap_budget = checks.add("cheap-block-budget")
-    short_two = checks.add("short-block-two-classes")
-    short_charge = checks.add("short-block-left-charge")
-    alive_split = checks.add("alive-weight-split")
+    long_shape = checks.add("long-block-shape", diagnostic=True)
+    cheap_budget = checks.add("cheap-block-budget", diagnostic=True)
+    short_two = checks.add("short-block-two-classes", diagnostic=True)
+    short_charge = checks.add("short-block-left-charge", diagnostic=True)
+    alive_split = checks.add("alive-weight-split", diagnostic=True)
     simple_jobs = checks.add("simple-block-job-weight", diagnostic=True)
 
     intervals = []
@@ -243,7 +244,7 @@ def classify_blocks(trace, instance: Instance) -> BlockClassification:
         anchored = sum(v.block.weight for v in views if v.label in ("simple", "long"))
         alive_split.require_leq(alive_weight, ALIVE_SPLIT * anchored, (t_idx,))
 
-        # diagnostic: weight of a simple block vs its simple member jobs
+        # weight of a simple block vs its simple member jobs
         for v in views:
             if v.label != "simple":
                 continue

@@ -1,0 +1,165 @@
+"""The one checker of dual-fitting certificates.
+
+Each family in `duals` builds a DualPoint for a trace; check_dual alone
+decides whether that point is feasible for the dual program written out in
+its docstring, and computes the point's objective. It reads only the trace
+and the point, never a family's credit rules, so a bug in how credits are
+built cannot also hide in how they are checked.
+"""
+from __future__ import annotations
+
+from bisect import bisect_right
+from dataclasses import dataclass
+from itertools import islice
+from operator import itemgetter
+
+from .numutil import coerce
+from .report import AnalysisError, CheckList
+
+
+@dataclass(frozen=True)
+class DualPoint:
+    """A candidate dual solution for a trace.
+
+    Spans, a sequence of (lo, hi, value), hold value at positions lo..hi-1
+    of a job's tasks, 0-based in descending size order (position 0 finishes
+    last), and 0 elsewhere; they are non-empty, disjoint and sorted.
+
+      alpha[t][i]  spans of the i-th alive job of interval t, in the order
+                   of trace.intervals[t].jobs, within its alive count
+      beta[t][l]   credit of each machine of class l + 1 over interval t
+      delta[j]     spans of job j's task credits, within its task count; a
+                   job without an entry has none
+    """
+
+    alpha: list
+    beta: list
+    delta: dict
+
+
+_start = itemgetter(0)
+
+
+def _misplaced(what, lo, hi, bound):
+    """The error for a span that is empty, overlaps the one before it, comes
+    before it or leaves [0, bound)."""
+    return AnalysisError(
+        f"{what}: span [{lo}, {hi}) is not non-empty, disjoint, sorted "
+        f"and within [0, {bound})"
+    )
+
+
+def check_dual(trace, point: DualPoint):
+    """Decide the dual program of `trace` at `point`; return the verdict
+    records, alpha_total and beta_total.
+
+    The program. Interval t has length |I_t|. Job j has weight w_j and n_j
+    tasks; n_t(j) of them are alive in interval t, each at rate r_{t,j}
+    (speedup included). Class l has m_l machines of original speed sigma_l.
+    Positions q count a job's tasks in descending size order, so the alive
+    ones are q < n_t(j). The variables, all nonnegative:
+
+        alpha_{t,j}(q)   q < n_t(j)   per time unit of interval t
+        beta_{t,l}                    per class-l machine and time unit
+        delta_j(q)       q < n_j      per task
+
+    maximize   alpha_total - beta_total, where
+               alpha_total = sum_t |I_t| sum_{j alive} sum_q alpha_{t,j}(q)
+               beta_total  = sum_t |I_t| sum_l m_l beta_{t,l}
+    subject to
+      task-credit-budget  sum_q delta_j(q) <= w_j            every job j
+      alpha-budget        sum_q alpha_{t,j}(q) <= w_j        every t, alive j
+      rate-cover          alpha_{t,j}(q)
+                            <= (bhat_{t,l} + delta_j(q)) * r_{t,j} / sigma_l
+                          every t, alive j, q < n_t(j) and class l, where
+                          bhat_{t,l} = min_{t' <= t} beta_{t',l}
+      nonnegative         alpha, beta, delta >= 0
+
+    rate-cover charges alpha at time t against the machine credit of every
+    earlier or equal time t'; that two-time quantifier is the running
+    minimum bhat. Every record scans at numutil.leq's tolerance.
+
+    The scan. Credits are constant on each piece of the common refinement
+    of a job's alpha spans with its delta spans, so one comparison per piece
+    decides all its positions. Each class's right side is one expression
+    and leq is monotone in its right side, so one comparison against the
+    minimum over the classes decides all K; its witness (t, j, q, l) names
+    the piece's first position q and a binding class l. Outside alpha's
+    spans alpha is 0, and 0 <= the right side follows from nonnegative
+    credits, since rates and speeds are positive; those pieces are skipped.
+
+    A point whose spans or shape do not fit the trace raises AnalysisError.
+    """
+    instance = trace.instance
+    sigmas = [c.speed for c in instance.classes]
+    counts = [c.count for c in instance.classes]
+    zero = coerce(0, instance.exact)
+
+    checks = CheckList()
+    d_budget = checks.add("task-credit-budget")
+    a_budget = checks.add("alpha-budget")
+    cover = checks.add("rate-cover")
+    nonneg = checks.add("nonnegative")
+
+    jobs = {job.job_id: job for job in instance.jobs}
+    stray = sorted(set(point.delta) - set(jobs))
+    if stray:
+        raise AnalysisError(f"delta names job {stray[0]}, which the instance lacks")
+    steps = {}  # job -> [(start, delta)] from position 0 on, gaps at 0
+    for jid, job in jobs.items():
+        end, mass, bound = 0, zero, job.task_count()
+        steps[jid] = dsteps = []
+        for lo, hi, v in point.delta.get(jid, ()):
+            if not end <= lo < hi <= bound:
+                raise _misplaced(f"delta of job {jid}", lo, hi, bound)
+            if end < lo:
+                dsteps.append((end, zero))
+            dsteps.append((lo, v))
+            end = hi
+            nonneg.require_leq(zero, v, ("delta", jid, lo))
+            mass = mass + (hi - lo) * v
+        dsteps.append((end, zero))
+        d_budget.require_leq(mass, job.weight, (jid,))
+
+    if not len(point.alpha) == len(point.beta) == len(trace.intervals):
+        raise AnalysisError(
+            f"the point has {len(point.alpha)} alpha and {len(point.beta)} beta "
+            f"rows for {len(trace.intervals)} intervals"
+        )
+    alpha_total = beta_total = zero
+    bhat = None
+    for t, (iv, row, beta) in enumerate(zip(trace.intervals, point.alpha, point.beta)):
+        if len(beta) != len(counts) or len(row) != len(iv.jobs):
+            raise AnalysisError(
+                f"interval {t}: the point has {len(beta)} beta and {len(row)} "
+                f"alpha entries for {len(counts)} classes and {len(iv.jobs)} alive jobs"
+            )
+        for li, b in enumerate(beta):
+            nonneg.require_leq(zero, b, ("beta", t, li + 1))
+        bhat = beta if bhat is None else [b if b < h else h for b, h in zip(beta, bhat)]
+        classes = list(zip(bhat, sigmas))
+        length = iv.length()
+        beta_total = beta_total + length * sum(m * b for m, b in zip(counts, beta))
+
+        for ij, spans in zip(iv.jobs, row):
+            jid, rate, bound = ij.job_id, ij.rate, ij.count
+            dsteps = steps[jid]
+            end, mass = 0, zero
+            for lo, hi, a in spans:
+                if not end <= lo < hi <= bound:
+                    raise _misplaced(f"alpha of job {jid} in interval {t}", lo, hi, bound)
+                end = hi
+                nonneg.require_leq(zero, a, ("alpha", t, jid, lo))
+                mass = mass + (hi - lo) * a
+                # the pieces of [lo, hi): delta's steps that meet it
+                first = bisect_right(dsteps, lo, key=_start) - 1 if lo else 0
+                for start, d in islice(dsteps, first, None):
+                    if start >= hi:
+                        break
+                    rhs = [(b + d) * rate / s for b, s in classes]
+                    low = min(rhs)
+                    cover.require_leq(
+                        a, low, (t, jid, start if start > lo else lo, rhs.index(low) + 1))
+            a_budget.require_leq(mass, ij.weight, (t, jid))
+            alpha_total = alpha_total + length * mass
+    return checks, alpha_total, beta_total

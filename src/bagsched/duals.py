@@ -1,7 +1,7 @@
 """Dual-fitting certificates for traces of the water-filling scheduler.
 
 Three certificate families, each taking a release-free trace and producing a
-DualCertificate whose checks exhaustively scan the dual LP constraints:
+DualCertificate:
 
   weaker      works for any instance; needs speedup >= 2*max(K, log2 n).
               Task credits decay by halves along the descending-size order,
@@ -17,16 +17,16 @@ DualCertificate whose checks exhaustively scan the dual LP constraints:
               by block visits with running-max weights), on top of the
               block taxonomy from classify_blocks.
 
-Constraint conventions shared by all families: the machine index collapses
-to the K speed classes; the two-time quantifier collapses to a running
-minimum of the alive weight (_alive_weight_walk); per-task quantifiers run
-over position spans in each job's descending-size order, scanning every
-span boundary, which is exact because all credit functions are constant on
-the spans. Speeds sigma_l in constraints are the original
-(un-sped) speeds; task rates come from the trace and include the speedup.
-Each builder opens with the shared _preamble, names each record once in a
-report.CheckList, and keeps credits as sorted spans (lo, hi, value) read by
-one toolkit: _span_total, _span_value and _merge_sum.
+Each family only builds credits: a private constructor (_weaker_point,
+_single_job_point, _general_point) turns the trace into a
+dualcheck.DualPoint, and dualcheck.check_dual alone decides it, against
+the dual program its docstring writes out, and gives the dual objective.
+The machine index collapses to the K speed classes, and credits are sorted
+position spans (lo, hi, value) over each job's descending-size order.
+Every other record a builder scans is a lemma of its family's proof,
+reported with diagnostic=True: it never decides feasibility. Each builder
+opens with the shared _preamble and names each record once in a
+report.CheckList.
 """
 from __future__ import annotations
 
@@ -37,8 +37,9 @@ from fractions import Fraction
 from operator import itemgetter
 
 from .blocks import classify_blocks, nearest_qualifying_class, simple_job_classes
+from .dualcheck import DualPoint, check_dual
 from .instances import Instance, thresholds, validate_ica
-from .numutil import coerce, leq
+from .numutil import coerce
 from .report import AnalysisError, CheckList, DualCertificate, require_own_trace
 
 @dataclass(frozen=True)
@@ -86,11 +87,6 @@ def general_threshold(instance: Instance):
 # position-span helpers
 # ---------------------------------------------------------------------------
 
-def _span_total(spans):
-    """Sum of the credits over all positions of the spans."""
-    return sum((hi - lo) * v for lo, hi, v in spans)
-
-
 _span_lo = itemgetter(0)
 
 
@@ -122,14 +118,6 @@ def _merge_sum(spans, upto, zero):
     return out
 
 
-def _check_nonincreasing(spans, what):
-    """Credits must not increase along positions: the general family's cover
-    scan probes only the last position of each alpha regime."""
-    for (_, _, v1), (_, _, v2) in zip(spans, spans[1:]):
-        if not leq(v2, v1):
-            raise AnalysisError(f"{what}: span values must not increase along positions")
-
-
 def _preamble(trace, instance: Instance, family):
     """Refuse a trace of another instance or with release dates; return
     gamma, the class speeds sigma_l and the class machine counts m_l."""
@@ -143,21 +131,34 @@ def _preamble(trace, instance: Instance, family):
     return trace.instance.speedup, [c.speed for c in classes], [c.count for c in classes]
 
 
-def _alive_weight_walk(trace, monotone):
-    """Yield (t, interval, w(A^t), w_min) over the trace's intervals.
-
-    The two-time quantifier (alpha at t', machine credit at any t <= t')
-    collapses to w_min, the running minimum of the alive weight. For
-    release-free traces it is w(A^t), which `monotone` checks.
-    """
-    w_prev = w_min = None
+def _alive_weights(trace, monotone):
+    """Yield (t, interval, w(A^t)) over the trace's intervals, recording in
+    `monotone` that the alive weight never rises. Without releases it
+    cannot, so check_dual's running minimum of a machine credit
+    proportional to w(A^t) is that credit itself."""
+    w_prev = None
     for t, iv in enumerate(trace.intervals):
         w_alive = iv.alive_weight()
         if t:
             monotone.require_leq(w_alive, w_prev, (t,))
         w_prev = w_alive
-        w_min = min(w_min, w_alive) if t else w_alive
-        yield t, iv, w_alive, w_min
+        yield t, iv, w_alive
+
+
+def _certify(family, threshold, trace, point, lemmas, flags):
+    """The certificate of `point`: check_dual's records decide it, and the
+    family's lemma records follow them."""
+    checks, alpha_total, beta_total = check_dual(trace, point)
+    checks += lemmas
+    return DualCertificate(
+        family=family,
+        gamma=trace.instance.speedup,
+        gamma_required=float(threshold),
+        alpha_total=alpha_total,
+        beta_total=beta_total,
+        checks=checks,
+        flags=flags,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -181,6 +182,24 @@ def halving_spans(weight, task_count, gamma):
     return spans
 
 
+def _weaker_point(trace, instance: Instance):
+    """The weaker family's point, lemma records and flags."""
+    gamma, sigmas, counts = _preamble(trace, instance, "weaker")
+    lemmas = CheckList()
+    monotone = lemmas.add("alive-weight-monotone", diagnostic=True)
+    delta = {
+        job.job_id: halving_spans(job.weight, job.task_count(), gamma)
+        for job in instance.jobs
+    }
+    dens = [c * gamma for c in counts]
+    alpha, beta = [], []
+    for _, iv, w_alive in _alive_weights(trace, monotone):
+        beta.append([w_alive / d for d in dens])
+        alpha.append([((0, ij.count, ij.weight / ij.count),) for ij in iv.jobs])
+    flags = {"task_count": instance.task_count(), "class_count": len(sigmas)}
+    return DualPoint(alpha=alpha, beta=beta, delta=delta), lemmas, flags
+
+
 def build_weaker_duals(trace, instance: Instance) -> DualCertificate:
     """Certificate feasible at speedup >= 2*max(K, log2 n) for any instance.
 
@@ -189,56 +208,11 @@ def build_weaker_duals(trace, instance: Instance) -> DualCertificate:
     machine carries w(A^t)/(m_l*gamma). The dual objective is
     (1 - K/gamma) * (total weighted completion time).
     """
-    gamma, sigmas, counts = _preamble(trace, instance, "weaker")
-    k = len(sigmas)
-    zero = coerce(0, instance.exact)
-
-    checks = CheckList()
-    d_budget = checks.add("task-credit-budget")
-    a_budget = checks.add("alpha-budget")
-    cover = checks.add("rate-cover")
-    monotone = checks.add("alive-weight-monotone")
-    cost_id = checks.add("alpha-equals-cost", diagnostic=True)
-
-    delta = {}
-    for job in instance.jobs:
-        spans = halving_spans(job.weight, job.task_count(), gamma)
-        delta[job.job_id] = spans
-        d_budget.require_leq(_span_total(spans), job.weight, (job.job_id,))
-
-    alpha_total = zero
-    weighted_time = zero
-    for t, iv, w_alive, w_min in _alive_weight_walk(trace, monotone):
-        length = iv.length()
-        weighted_time = weighted_time + length * w_alive
-        betas = [w_min / (counts[li] * gamma) for li in range(k)]
-        for ij in iv.jobs:
-            aval = ij.weight / ij.count
-            a_budget.require_leq(ij.count * aval, ij.weight, (t, ij.job_id))
-            alpha_total = alpha_total + length * ij.count * aval
-            rate = ij.rate
-            for lo, hi, dval in delta[ij.job_id]:
-                if lo >= ij.count:
-                    break
-                for li in range(k):
-                    cover.require_leq(
-                        aval,
-                        (betas[li] + dval) * rate / sigmas[li],
-                        (t, ij.job_id, lo, li + 1),
-                    )
-
-    beta_total = k * weighted_time / gamma
-    cost_id.require_equal(alpha_total, trace.objective, ("sum",))
-
-    return DualCertificate(
-        family="weaker",
-        gamma=gamma,
-        gamma_required=float(weaker_threshold(instance)),
-        alpha_total=alpha_total,
-        beta_total=beta_total,
-        checks=checks,
-        flags={"task_count": instance.task_count(), "class_count": k},
-    )
+    cert = _certify("weaker", weaker_threshold(instance), trace,
+                    *_weaker_point(trace, instance))
+    cert.checks.add("alpha-equals-cost", diagnostic=True).require_equal(
+        cert.alpha_total, trace.objective, ("sum",))
+    return cert
 
 
 # ---------------------------------------------------------------------------
@@ -288,14 +262,8 @@ def rank_bands(instance: Instance) -> RankBands:
     return RankBands(prefix=prefix, reach=reach, band=tuple(band), tail=tail)
 
 
-def build_single_job_duals(trace, instance: Instance) -> DualCertificate:
-    """Certificate for one weight-1 job; feasible at speedup >= 2K.
-
-    Task credits follow the rank bands, each class-l machine carries
-    1/(2K*m_l) while work remains, and alpha either spreads uniformly over
-    alive tasks or concentrates on band l's positions depending on where
-    the alive count sits. The objective is exactly half the makespan.
-    """
+def _single_job_point(trace, instance: Instance):
+    """The single-job family's point, lemma records and flags."""
     gamma, sigmas, counts = _preamble(trace, instance, "single_job")
     if len(instance.jobs) != 1:
         raise AnalysisError(
@@ -314,17 +282,13 @@ def build_single_job_duals(trace, instance: Instance) -> DualCertificate:
     prefix, reach = bands.prefix, bands.reach
     n_total = job.task_count()
 
-    checks = CheckList()
-    band_order = checks.add("rank-band-order")
-    d_budget = checks.add("task-credit-budget")
-    a_budget = checks.add("alpha-budget")
-    cover = checks.add("rate-cover")
-    spread_cover = checks.add("spread-case-cover")
-    band_cover = checks.add("band-case-cover")
-    n_monotone = checks.add("alive-count-monotone")
-    beta_half = checks.add("machine-credit-half", diagnostic=True)
-    epoch_strict = checks.add("epoch-strict-order", diagnostic=True)
-    obj_half = checks.add("objective-half-makespan", diagnostic=True)
+    lemmas = CheckList()
+    band_order = lemmas.add("rank-band-order", diagnostic=True)
+    spread_cover = lemmas.add("spread-case-cover", diagnostic=True)
+    band_cover = lemmas.add("band-case-cover", diagnostic=True)
+    n_monotone = lemmas.add("alive-count-monotone", diagnostic=True)
+    beta_half = lemmas.add("machine-credit-half", diagnostic=True)
+    epoch_strict = lemmas.add("epoch-strict-order", diagnostic=True)
 
     for li in range(k - 2):
         band_order.require_leq(bands.band[li], bands.tail[li], (li + 1, "band-vs-tail"))
@@ -339,16 +303,11 @@ def build_single_job_duals(trace, instance: Instance) -> DualCertificate:
                   (reach[li], prefix[li + 2], bands.tail[li])]
     dspans = [(lo, min(hi, n_total), one / (2 * k * f))
               for lo, hi, f in slots if lo < min(hi, n_total)]
-    _check_nonincreasing(dspans, "rank-band credits")
-    d_budget.require_leq(_span_total(dspans), one, (job.job_id,))
 
     betas = [one / (2 * k * counts[li]) for li in range(k)]
-    beta_per_time = sum(counts[li] * betas[li] for li in range(k))
-    beta_half.require_equal(beta_per_time, half, ("per-time",))
+    beta_half.require_equal(sum(counts[li] * betas[li] for li in range(k)), half, ("per-time",))
 
-    zero = coerce(0, exact)
-    alpha_total = zero
-    beta_total = zero
+    alpha = []
     head_spread = False
     prev_n = None
     break_times = [None] * k       # index l - 1: first time alive <= prefix[l]
@@ -356,7 +315,7 @@ def build_single_job_duals(trace, instance: Instance) -> DualCertificate:
 
     for t, iv in enumerate(trace.intervals):
         ij = iv.jobs[0]
-        n_t, rate, length = ij.count, ij.rate, iv.length()
+        n_t, rate = ij.count, ij.rate
         if prev_n is not None:
             n_monotone.require_leq(n_t, prev_n, (t,))
         prev_n = n_t
@@ -385,25 +344,9 @@ def build_single_job_duals(trace, instance: Instance) -> DualCertificate:
                 raise AssertionError(f"alive count {n_t} escaped the rank bands")
 
         if concentrated:
-            alo, ahi, aval = prefix[lstar], reach[lstar - 1], one / bands.band[lstar - 1]
+            alpha.append([((prefix[lstar], reach[lstar - 1], one / bands.band[lstar - 1]),)])
         else:
-            alo, ahi, aval = 0, n_t, one / n_t
-        a_sum = (ahi - alo) * aval
-        a_budget.require_leq(a_sum, one, (t,))
-        alpha_total = alpha_total + length * a_sum
-        beta_total = beta_total + length * beta_per_time
-
-        # the dual rate constraint, exhaustively over band segments
-        ends = [x for lo, hi, _ in dspans for x in (lo, hi) if alo < x < ahi]
-        seams = sorted({alo, ahi, *ends})
-        for qlo in seams[:-1]:
-            dval = _span_value(dspans, qlo)
-            for li in range(k):
-                cover.require_leq(
-                    aval,
-                    (betas[li] + dval) * rate / sigmas[li],
-                    (t, qlo, li + 1),
-                )
+            alpha.append([((0, n_t, one / n_t),)])
 
         # the two named per-case inequalities, at band lstar's credit
         if lstar:
@@ -434,28 +377,36 @@ def build_single_job_duals(trace, instance: Instance) -> DualCertificate:
             rhs=float(break_times[li - 1]),
         )
 
-    obj_half.require_equal(alpha_total, makespan, ("alpha",))
-    obj_half.require_equal(beta_total, makespan / 2, ("beta",))
-
-    return DualCertificate(
-        family="single_job",
-        gamma=gamma,
-        gamma_required=float(single_job_threshold(instance)),
-        alpha_total=alpha_total,
-        beta_total=beta_total,
-        checks=checks,
-        flags={
-            "head_spread_used": head_spread,
-            "bands": {
-                "prefix": [int(x) for x in bands.prefix],
-                "reach": [int(x) for x in bands.reach],
-                "band": [int(x) for x in bands.band],
-                "tail": [int(x) for x in bands.tail],
-                "break_times": [float(x) for x in break_times],
-                "reach_times": [float(x) for x in reach_times],
-            },
+    point = DualPoint(alpha=alpha, beta=[betas] * len(alpha), delta={job.job_id: dspans})
+    flags = {
+        "head_spread_used": head_spread,
+        "bands": {
+            "prefix": [int(x) for x in bands.prefix],
+            "reach": [int(x) for x in bands.reach],
+            "band": [int(x) for x in bands.band],
+            "tail": [int(x) for x in bands.tail],
+            "break_times": [float(x) for x in break_times],
+            "reach_times": [float(x) for x in reach_times],
         },
-    )
+    }
+    return point, lemmas, flags
+
+
+def build_single_job_duals(trace, instance: Instance) -> DualCertificate:
+    """Certificate for one weight-1 job; feasible at speedup >= 2K.
+
+    Task credits follow the rank bands, each class-l machine carries
+    1/(2K*m_l) while work remains, and alpha either spreads uniformly over
+    alive tasks or concentrates on band l's positions depending on where
+    the alive count sits. The objective is exactly half the makespan.
+    """
+    cert = _certify("single_job", single_job_threshold(instance), trace,
+                    *_single_job_point(trace, instance))
+    makespan = trace.makespan
+    obj_half = cert.checks.add("objective-half-makespan", diagnostic=True)
+    obj_half.require_equal(cert.alpha_total, makespan, ("alpha",))
+    obj_half.require_equal(cert.beta_total, makespan / 2, ("beta",))
+    return cert
 
 
 # ---------------------------------------------------------------------------
@@ -491,18 +442,11 @@ def _running_max_spans(visits, coef):
         if alive > lo:
             out.append((lo, alive, val * coef))
             lo = alive
-    _check_nonincreasing(out, "long-visit credits")
     return out
 
 
-def build_general_duals(trace, instance: Instance) -> DualCertificate:
-    """Certificate for many jobs at speedup >= 1024*K*log2(K).
-
-    Combines a rate-simple half (credits at the last interval each job ran
-    near a class speed) and a long-block half (credits from block visits),
-    with machine credits w(A^t)/(K^2 log2(K) m_l). Merges in the block
-    taxonomy checks from classify_blocks.
-    """
+def _general_point(trace, instance: Instance):
+    """The general family's point, lemma records and flags."""
     gamma, sigmas, counts = _preamble(trace, instance, "general")
     k = len(sigmas)
     exact = instance.exact
@@ -535,15 +479,13 @@ def build_general_duals(trace, instance: Instance) -> DualCertificate:
                         )
 
     # ---- static per-job credit spans --------------------------------------
-    checks = classification.checks
-    simple_budget = checks.add("simple-credit-budget")
-    long_budget = checks.add("long-credit-budget")
-    total_budget = checks.add("task-credit-budget")
-    root_charge = checks.add("long-visit-charge")
-    doubling = checks.add("long-visit-doubling")
+    lemmas = classification.checks
+    root_charge = lemmas.add("long-visit-charge", diagnostic=True)
+    doubling = lemmas.add("long-visit-doubling", diagnostic=True)
 
-    dprime = {}
-    ddouble = {}
+    dprime = {}        # job_id -> the rate-simple half's credit spans
+    ddouble = {}       # job_id -> the long-block half's credit spans
+    delta = {}         # job_id -> their sum, the point's task credits
     for job in instance.jobs:
         jid = job.job_id
         n_j = job.task_count()
@@ -552,11 +494,7 @@ def build_general_duals(trace, instance: Instance) -> DualCertificate:
             n_tau = last_simple.get((jid, li))
             if n_tau:
                 raw.append((0, n_tau, job.weight / (2 * k * n_tau)))
-        merged = _merge_sum(raw, n_j, zero)
-        _check_nonincreasing(merged, "last-simple credits")
-        dprime[jid] = merged
-        simple_sum = _span_total(merged)
-        simple_budget.require_leq(simple_sum, job.weight / 2, (jid,))
+        dprime[jid] = _merge_sum(raw, n_j, zero)
 
         raw2 = []
         for li in range(1, k):
@@ -573,12 +511,8 @@ def build_general_duals(trace, instance: Instance) -> DualCertificate:
                     chain += 1
                     anchor = wb
             doubling.require_leq(chain, 1 + math.log2(10 * k), (jid, li))
-        merged2 = _merge_sum(raw2, n_j, zero)
-        _check_nonincreasing(merged2, "long-visit credits")
-        ddouble[jid] = merged2
-        long_sum = _span_total(merged2)
-        long_budget.require_leq(long_sum, job.weight / 2, (jid,))
-        total_budget.require_leq(simple_sum + long_sum, job.weight, (jid,))
+        ddouble[jid] = _merge_sum(raw2, n_j, zero)
+        delta[jid] = _merge_sum(dprime[jid] + ddouble[jid], n_j, zero)
 
     for (jid, li), vlist in visits.items():
         blend = bounds[li - 1].m_blend
@@ -589,20 +523,11 @@ def build_general_duals(trace, instance: Instance) -> DualCertificate:
                 (t, jid, li),
             )
 
-    # ---- pass 2: per-interval constraint scan ------------------------------
-    a_budget = checks.add("alpha-budget")
-    sa_budget = checks.add("simple-alpha-budget")
-    la_budget = checks.add("long-alpha-budget")
-    la_identity = checks.add("long-alpha-identity", diagnostic=True)
-    cover = checks.add("rate-cover")
-    cover_simple = checks.add("rate-cover-simple-half")
-    cover_long = checks.add("rate-cover-long-half")
-    cover_simple_half = checks.add("simple-cover-bound")
-    cover_long_half = checks.add("long-cover-bound")
-    cover_long_tight = checks.add("long-cover-tight", diagnostic=True)
-    monotone = checks.add("alive-weight-monotone")
-    beta_identity = checks.add("machine-credit-cost-identity")
-    alpha_floor = checks.add("alpha-cost-floor")
+    # ---- pass 2: per-interval credits and the per-half cover lemmas --------
+    monotone = lemmas.add("alive-weight-monotone", diagnostic=True)
+    cover_simple_half = lemmas.add("simple-cover-bound", diagnostic=True)
+    cover_long_half = lemmas.add("long-cover-bound", diagnostic=True)
+    cover_long_tight = lemmas.add("long-cover-tight", diagnostic=True)
 
     # the per-class denominators here, and the per-interval, per-job and
     # per-probe factors below, keep every product and quotient in its inline
@@ -613,50 +538,42 @@ def build_general_duals(trace, instance: Instance) -> DualCertificate:
     simple_dens = [k * gamma * c * s for c, s in zip(counts, sigmas)]
     long_dens = [CONSTANTS.long_cover_beta_div * gamma * s for s in sigmas]
     long_alpha_den = CONSTANTS.long_alpha_div * k * logk
-    alpha_total = zero
-    beta_total = zero
-    walk = _alive_weight_walk(trace, monotone)
-    for (t, iv, w_alive, w_min), cls_iv in zip(walk, classification.intervals):
-        length = iv.length()
-        beta_total = beta_total + length * w_alive / (k * logk)
-        beta_min = [w_min / d for d in beta_dens]
-        half_beta_min = [b / 2 for b in beta_min]
+    alpha, beta = [], []
+    walk = _alive_weights(trace, monotone)
+    for (t, iv, w_alive), cls_iv in zip(walk, classification.intervals):
+        beta.append([w_alive / d for d in beta_dens])
         k_beta_now = [k * (w_alive / d) for d in beta_dens]
         base_w = CONSTANTS.general_base * w_alive
+        row = []
+        alpha.append(row)
 
         for ij in iv.jobs:
             jid, n_t, rate, w_j = ij.job_id, ij.count, ij.rate, ij.weight
             lstar = chosen[(t, jid)]
+            view = cls_iv.block_for_job(jid)
+            long_block = view.block if view.label == "long" else None
+            a2 = zero
+            if long_block is not None:
+                a2 = rate * long_block.weight / (long_alpha_den * long_block.speed)
+            # alpha' = w/(4K n1) on the n1 positions alive at the last
+            # simple interval, alpha'' = a2 on every alive position
             if lstar:
                 n1 = last_simple[(jid, lstar)]
                 a1 = w_j / (CONSTANTS.simple_alpha_div * k * n1)
+                spans = ((0, n1, a1 + a2),)
+                if long_block is not None and n1 < n_t:
+                    spans += ((n1, n_t, a2),)
             else:
                 n1, a1 = 0, zero
-            view = cls_iv.block_for_job(jid)
-            long_block = view.block if view.label == "long" else None
-            if long_block is not None:
-                a2 = rate * long_block.weight / (long_alpha_den * long_block.speed)
-            else:
-                a2 = zero
-
-            s_sum = n1 * a1
-            l_sum = n_t * a2
-            if lstar:
-                sa_budget.require_leq(s_sum, w_j / 2, (t, jid))
-            if long_block is not None:
-                la_budget.require_leq(l_sum, w_j / 2, (t, jid))
-                la_identity.require_equal(l_sum, w_j / long_alpha_den, (t, jid))
-            if lstar or long_block is not None:
-                a_budget.require_leq(s_sum + l_sum, w_j, (t, jid))
-            alpha_total = alpha_total + length * (s_sum + l_sum)
-            if not lstar and long_block is None:
+                spans = ((0, n_t, a2),) if long_block is not None else ()
+            row.append(spans)
+            if not spans:
                 continue
 
-            # credits never increase along positions, so each constraint
-            # family binds at the end of an alpha regime: position n1-1
-            # (both alphas active) and n_t-1 (only the long alpha)
+            # the per-half lemmas are probed where their proofs bind: at
+            # the last position of each alpha regime, n1-1 (both alphas)
+            # and n_t-1 (only the long alpha)
             sp, dp = dprime[jid], ddouble[jid]
-            rate_over = [rate / s for s in sigmas]
             probes = []
             if lstar:
                 probes.append((n1 - 1, a1, a2))
@@ -666,37 +583,23 @@ def build_general_duals(trace, instance: Instance) -> DualCertificate:
             if long_block is not None:
                 long_beta = [kb * rate / d for kb, d in zip(k_beta_now, long_dens)]
             for q, a1q, a2q in probes:
-                d1 = _span_value(sp, q)
+                d1_rate = _span_value(sp, q) * rate
                 d2 = _span_value(dp, q)
-                a_sum = a1q + a2q
-                simple_half = lstar and a1q
-                long_half = long_block is not None and a2q
-                d1_rate = d1 * rate
                 d2_delta = CONSTANTS.long_cover_delta * d2 * rate
                 d2_stated = CONSTANTS.long_cover_stated * d2 * rate
                 for li in range(k):
-                    ls = rate_over[li]
                     witness = (t, jid, q, li + 1)
-                    cover.require_leq(a_sum, (beta_min[li] + d1 + d2) * ls, witness)
-                    cover_simple.require_leq(a1q, (half_beta_min[li] + d1) * ls, witness)
-                    cover_long.require_leq(a2q, (half_beta_min[li] + d2) * ls, witness)
-                    if simple_half:
+                    if lstar and a1q:
                         cover_simple_half.require_leq(
                             a1q, simple_beta[li] + d1_rate / gamma_sigmas[li], witness
                         )
-                    if long_half:
+                    if long_block is not None and a2q:
                         cover_long_half.require_leq(
                             a2q, long_beta[li] + d2_delta / gamma_sigmas[li], witness
                         )
                         cover_long_tight.require_leq(
                             a2q, long_beta[li] + d2_stated / gamma_sigmas[li], witness
                         )
-
-    cost = trace.objective
-    beta_identity.require_equal(beta_total, cost / (k * logk), ("total",))
-    alpha_floor.require_leq(
-        cost / (CONSTANTS.alpha_floor * k * logk), alpha_total, ("total",)
-    )
 
     flags = dict(classification.flags)
     flags.update(
@@ -706,12 +609,24 @@ def build_general_duals(trace, instance: Instance) -> DualCertificate:
             "class_count": k,
         }
     )
-    return DualCertificate(
-        family="general",
-        gamma=gamma,
-        gamma_required=float(general_threshold(instance)),
-        alpha_total=alpha_total,
-        beta_total=beta_total,
-        checks=checks,
-        flags=flags,
-    )
+    return DualPoint(alpha=alpha, beta=beta, delta=delta), lemmas, flags
+
+
+def build_general_duals(trace, instance: Instance) -> DualCertificate:
+    """Certificate for many jobs at speedup >= 1024*K*log2(K).
+
+    Combines a rate-simple half (credits at the last interval each job ran
+    near a class speed) and a long-block half (credits from block visits),
+    with machine credits w(A^t)/(K^2 log2(K) m_l). Merges in the block
+    taxonomy checks from classify_blocks.
+    """
+    cert = _certify("general", general_threshold(instance), trace,
+                    *_general_point(trace, instance))
+    k = len(instance.classes)
+    logk = _log_scale(k, instance.exact)
+    cost = trace.objective
+    cert.checks.add("machine-credit-cost-identity", diagnostic=True).require_equal(
+        cert.beta_total, cost / (k * logk), ("total",))
+    cert.checks.add("alpha-cost-floor", diagnostic=True).require_leq(
+        cost / (CONSTANTS.alpha_floor * k * logk), cert.alpha_total, ("total",))
+    return cert

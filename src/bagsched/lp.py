@@ -513,8 +513,8 @@ def schedule_to_primal(source, instance: Instance, slot=None) -> PrimalSolution:
 
 
 def check_primal(primal: PrimalSolution, instance: Instance) -> None:
-    """Check that every x and U entry names an LP variable (a slot >= 0, a
-    machine id that is an int in 1..m, and a task of the table or a job of
+    """Check that every x and U entry names an LP variable (an int slot
+    >= 0, a machine id that is an int in 1..m, and a task of the table or a job of
     the instance), then the LP's rows on the primal's slot
     grid, then the bounds the embedding adds: U <= 1, C only for jobs of the
     instance, each job's Riemann sum slot * sum_t U_{j,t} <= C_j, and
@@ -527,7 +527,7 @@ def check_primal(primal: PrimalSolution, instance: Instance) -> None:
     tasks = {v for v, _, _ in table}
     machines, last = set(), -1
     for i, v, s in primal.x:
-        if s < 0:
+        if type(s) is not int or s < 0:
             raise LpError(f"x names slot {s}: no slot {s}")
         if v not in tasks:
             raise LpError(f"x names task {v}: no task {v}")
@@ -535,7 +535,7 @@ def check_primal(primal: PrimalSolution, instance: Instance) -> None:
         if s > last:
             last = s
     for j, s in primal.U:
-        if s < 0 or j not in weights:
+        if type(s) is not int or s < 0 or j not in weights:
             raise LpError(f"U_{j}_{s} names no LP variable")
         if s > last:
             last = s
@@ -603,15 +603,15 @@ def brute_force_opt(instance: Instance, grid: int = 2):
     Exhaustive search over per-quantum injective assignments of alive tasks
     to the fastest machines, memoized on the remaining-size state. The
     result upper-bounds the true optimum and converges to it as grid grows.
-    Restricted to tiny inputs: <= 3 machines, <= 5 tasks, integer sizes
-    <= 4, grid <= 4.
+    Restricted to tiny inputs: <= 3 machines, <= 5 tasks of positive size
+    (zero-size tasks need no machine time), integer sizes <= 4, grid <= 4.
     """
     m = instance.machine_count()
     if m > BRUTE_MAX_MACHINES:
         raise LpError(f"brute force capped at {BRUTE_MAX_MACHINES} machines, got {m}")
     if not 1 <= grid <= BRUTE_MAX_GRID:
         raise LpError(f"grid must be in 1..{BRUTE_MAX_GRID}, got {grid}")
-    n = instance.task_count()
+    n = _positive_task_count(instance)
     if n > BRUTE_MAX_TASKS:
         raise LpError(f"brute force capped at {BRUTE_MAX_TASKS} tasks, got {n}")
     table = task_table(instance)

@@ -229,3 +229,74 @@ if __name__ == "__main__":
 
     failures, _ = doctest.testmod()
     raise SystemExit(1 if failures else 0)
+
+
+def unit_slot_lp_value(classes, jobs, horizon):
+    """LP*(H): the optimum of the completion-time LP over `horizon` unit
+    slots, solved with HiGHS, or None when that horizon admits no solution.
+
+    This is the LP that bagsched's lp module states, built here from plain
+    numbers: classes are (speed, count) pairs at the original speeds (no
+    speedup), and jobs are (weight, sizes) pairs listing each job's task
+    sizes; a task of size 0 gets no variables or rows. Over machines i,
+    tasks v of job j and slots t < H, with x_{ivt}, U_{jt}, C_j >= 0:
+
+        min   sum_j w_j C_j + sum_{j,t} w_j U_{jt}
+        s.t.  U_{jt} >= sum_{t' >= t} sum_i x_{ivt'} / p_v      (remaining)
+              C_j >= sum_{t,i} x_{ivt} / s_i                    (proc time)
+              sum_{i,t} x_{ivt} / p_v >= 1                      (demand)
+              sum_v x_{ivt} / s_i <= 1                          (capacity)
+              U_{jt} <= 1
+
+    Why a certificate may be judged against any feasible H: a solution
+    over H slots is one over H + 1 with the new slot's x and U at 0, so
+    LP*(H) never increases with H and never goes below the LP's infimum
+    over all horizons. A feasible dual point lower-bounds that infimum, so
+    a certificate value <= LP*(H) is necessary at every feasible H, and a
+    value above it overclaims.
+    """
+    import numpy as np
+    from scipy.optimize import linprog
+    from scipy.sparse import coo_matrix
+
+    speeds = np.array([s for s, c in classes for _ in range(c)], dtype=float)
+    tasks = [(j, float(p)) for j, (_, sizes) in enumerate(jobs) for p in sizes if p > 0]
+    m, n, h = len(speeds), len(tasks), horizon
+    u0 = m * n * h                 # x_{ivt} is column (i*n + v)*h + t
+    c0 = u0 + len(jobs) * h        # U_{jt} is u0 + j*h + t, C_j is c0 + j
+    machines = np.arange(m) * n * h
+    rows, cols, vals, rhs = [], [], [], []
+
+    def add_row(columns, coefs, bound):
+        rows.append(np.full(len(columns), len(rhs)))
+        cols.append(columns)
+        vals.append(coefs)
+        rhs.append(bound)
+
+    for v, (j, p) in enumerate(tasks):
+        base = machines + v * h
+        for t in range(h):
+            x = np.add.outer(base, np.arange(t, h)).ravel()
+            add_row(np.append(x, u0 + j * h + t),
+                    np.append(np.full(len(x), 1 / p), -1.0), 0.0)
+        every = np.add.outer(base, np.arange(h))
+        add_row(np.append(every.ravel(), c0 + j),
+                np.append(np.repeat(1 / speeds, h), -1.0), 0.0)
+        add_row(every.ravel(), np.full(every.size, -1 / p), -1.0)
+    for i in range(m):
+        for t in range(h):
+            add_row(machines[i] + np.arange(n) * h + t, np.full(n, 1 / speeds[i]), 1.0)
+
+    cost = np.zeros(c0 + len(jobs))
+    for j, (w, _) in enumerate(jobs):
+        cost[u0 + j * h:u0 + (j + 1) * h] = w
+        cost[c0 + j] = w
+    a_ub = coo_matrix((np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+                      shape=(len(rhs), len(cost))).tocsr()
+    bounds = [(0, None)] * u0 + [(0, 1)] * (len(jobs) * h) + [(0, None)] * len(jobs)
+    res = linprog(cost, A_ub=a_ub, b_ub=np.array(rhs), bounds=bounds, method="highs")
+    if res.status == 2:
+        return None
+    if res.status != 0:
+        raise RuntimeError(f"HiGHS stopped with status {res.status}: {res.message}")
+    return res.fun

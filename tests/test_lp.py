@@ -187,8 +187,9 @@ def test_check_primal_rejects_corruption_under_optimize():
     # a machine the instance does not have, slots too short for their load,
     # U below the remaining fraction, a job's U sum over its C_j (U = 1
     # on enough extra slots past the schedule), x and U entries at a
-    # negative slot, an objective inside the sandwich that is not the
-    # primal's own (1.9 cost where the embedding gives 1.65 cost), a cost
+    # negative slot and at a slot that is not an integer, an objective
+    # inside the sandwich that is not the primal's own (1.9 cost where the
+    # embedding gives 1.65 cost), a cost
     # that is not sum w_j C_j, and x and C entries for a task and a job the
     # instance lacks; then, on an instance with a zero-size task, an x entry
     # on that task (it names no LP variable) and a machine id that is not an
@@ -213,6 +214,8 @@ for bad in (dataclasses.replace(primal, x={}, objective=5 * primal.cost),
             dataclasses.replace(primal, U=padded),
             dataclasses.replace(primal, x={**primal.x, (2, 2, -1): 0.2}),
             dataclasses.replace(primal, U={**primal.U, (1, -1): -5.0}),
+            dataclasses.replace(primal, x={**primal.x, (1, 1, 1.5): 0.0}),
+            dataclasses.replace(primal, U={**primal.U, (1, 0.5): 0.0}),
             dataclasses.replace(primal, objective=1.9 * primal.cost),
             dataclasses.replace(primal, cost=1.2 * primal.cost),
             dataclasses.replace(primal, C={**primal.C, 9: 1.0}),
@@ -249,13 +252,15 @@ for bad in (dataclasses.replace(primal, x={**primal.x, (1, 3, 0): 0.0}),
     assert "U sum" in lines[5] and "exceeds C" in lines[5]
     assert lines[6] == "x names slot -1: no slot -1"
     assert lines[7] == "U_1_-1 names no LP variable"
-    assert lines[8].startswith("objective ") and "is not the primal's" in lines[8]
-    assert lines[9].startswith("cost ") and "is not the primal's" in lines[9]
-    assert lines[10] == "C_9 names no LP variable"
-    assert lines[11] == "x names task 7: no task 7"
-    assert lines[12] == "x names task 3: no task 3"
-    assert lines[13] == "x names machine 2.0000000001: no machine 2.0000000001"
-    assert len(lines) == 14
+    assert lines[8] == "x names slot 1.5: no slot 1.5"
+    assert lines[9] == "U_1_0.5 names no LP variable"
+    assert lines[10].startswith("objective ") and "is not the primal's" in lines[10]
+    assert lines[11].startswith("cost ") and "is not the primal's" in lines[11]
+    assert lines[12] == "C_9 names no LP variable"
+    assert lines[13] == "x names task 7: no task 7"
+    assert lines[14] == "x names task 3: no task 3"
+    assert lines[15] == "x names machine 2.0000000001: no machine 2.0000000001"
+    assert len(lines) == 16
 
 
 def test_check_primal_is_exact_in_exact_mode():
@@ -798,6 +803,13 @@ def test_brute_force_caps():
     ok = make_instance([(1, 1)], [make_job(1, 1.0, [1])])
     with pytest.raises(LpError):
         brute_force_opt(ok, grid=5)
+
+
+def test_brute_force_cap_counts_positive_sizes_only():
+    # zero-size tasks take no machine time: one size-1 task beside a
+    # zero-size group of 5 was once refused as 6 tasks over the cap of 5
+    inst = make_instance([(1, 1)], [make_job(1, 1.0, [(1, 1), (0, 5)])])
+    assert brute_force_opt(inst, grid=1) == pytest.approx(1.0)
     released = make_instance([(1, 1)], [make_job(1, 1.0, [1], release=1.0)])
     with pytest.raises(LpError):
         brute_force_opt(released)

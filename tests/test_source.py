@@ -187,3 +187,32 @@ def test_check_records_are_made_by_check_lists():
         if "CheckRecord(" in line
     ]
     assert found == []
+
+
+def test_only_the_checker_decides_certificates():
+    # a certifying split: dualcheck.check_dual alone makes records that
+    # decide feasibility, and it never imports the code that builds what it
+    # checks. A record is made by a CheckList's .add("name", ...); outside
+    # the checker every such call must pass diagnostic=True
+    trees = _package_trees()
+    found = []
+    for name, tree in trees.items():
+        if name == "dualcheck.py":
+            continue
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                    and node.func.attr == "add" and node.args
+                    and isinstance(node.args[0], ast.Constant)
+                    and isinstance(node.args[0].value, str)
+                    and not any(kw.arg == "diagnostic"
+                                and isinstance(kw.value, ast.Constant)
+                                and kw.value.value is True
+                                for kw in node.keywords)):
+                found.append(f"{name}:{node.lineno}: {node.args[0].value}")
+    imported = set()  # every module path part and name the checker imports
+    for node in ast.walk(trees["dualcheck.py"]):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            imported.update(part for alias in node.names for part in alias.name.split("."))
+            imported.update((getattr(node, "module", None) or "").split("."))
+    found += [f"dualcheck.py imports {m}" for m in sorted(imported & {"duals", "blocks"})]
+    assert found == []
