@@ -88,6 +88,19 @@ def check_dual(trace, point: DualPoint):
     spans alpha is 0, and 0 <= the right side follows from nonnegative
     credits, since rates and speeds are positive; those pieces are skipped.
 
+    One decision per alpha span. Along a span only delta changes, and
+    (bhat + delta) * r / sigma does not fall as delta grows, in floats and
+    Fractions, since r >= 0 and sigma > 0; nor does its minimum over the
+    classes, as a class with a NaN bhat is NaN on every piece. So if alpha
+    <= the right side at the span's least delta holds as a plain compare,
+    every piece holds, with no smaller slack; unless that slack is a new
+    minimum of the record, the pieces are only counted
+    (CheckRecord.require_leq_least) and the record is the piece-by-piece
+    scan's. Otherwise, and for a job with a NaN or infinite delta (bhat +
+    delta can then be NaN on one piece alone), the pieces are scanned.
+    nonnegative decides each job's delta and each beta row the same way,
+    at their least value, unless one of them is NaN or infinite.
+
     A point whose spans or shape do not fit the trace raises AnalysisError.
     """
     instance = trace.instance
@@ -106,19 +119,26 @@ def check_dual(trace, point: DualPoint):
     if stray:
         raise AnalysisError(f"delta names job {stray[0]}, which the instance lacks")
     steps = {}  # job -> [(start, delta)] from position 0 on, gaps at 0
+    nonfinite = set()  # jobs with a NaN or infinite delta
     for jid, job in jobs.items():
         end, mass, bound = 0, zero, job.task_count()
         steps[jid] = dsteps = []
-        for lo, hi, v in point.delta.get(jid, ()):
+        spans = point.delta.get(jid, ())
+        for lo, hi, v in spans:
             if not end <= lo < hi <= bound:
                 raise _misplaced(f"delta of job {jid}", lo, hi, bound)
             if end < lo:
                 dsteps.append((end, zero))
             dsteps.append((lo, v))
             end = hi
-            nonneg.require_leq(zero, v, ("delta", jid, lo))
             mass = mass + (hi - lo) * v
         dsteps.append((end, zero))
+        if not mass - mass == 0:  # a NaN or infinite credit, or an overflow
+            nonfinite.add(jid)
+        if spans and (jid in nonfinite or not nonneg.require_leq_least(
+                zero, min(v for _, _, v in spans), len(spans))):
+            for lo, _, v in spans:
+                nonneg.require_leq(zero, v, ("delta", jid, lo))
         d_budget.require_leq(mass, job.weight, (jid,))
 
     if not len(point.alpha) == len(point.beta) == len(trace.intervals):
@@ -134,16 +154,20 @@ def check_dual(trace, point: DualPoint):
                 f"interval {t}: the point has {len(beta)} beta and {len(row)} "
                 f"alpha entries for {len(counts)} classes and {len(iv.jobs)} alive jobs"
             )
-        for li, b in enumerate(beta):
-            nonneg.require_leq(zero, b, ("beta", t, li + 1))
+        row_mass = sum(m * b for m, b in zip(counts, beta))
+        if not row_mass - row_mass == 0 or not nonneg.require_leq_least(
+                zero, min(beta), len(beta)):
+            for li, b in enumerate(beta):
+                nonneg.require_leq(zero, b, ("beta", t, li + 1))
         bhat = beta if bhat is None else [b if b < h else h for b, h in zip(beta, bhat)]
         classes = list(zip(bhat, sigmas))
         length = iv.length()
-        beta_total = beta_total + length * sum(m * b for m, b in zip(counts, beta))
+        beta_total = beta_total + length * row_mass
 
         for ij, spans in zip(iv.jobs, row):
             jid, rate, bound = ij.job_id, ij.rate, ij.count
             dsteps = steps[jid]
+            finite = jid not in nonfinite
             end, mass = 0, zero
             for lo, hi, a in spans:
                 if not end <= lo < hi <= bound:
@@ -151,11 +175,20 @@ def check_dual(trace, point: DualPoint):
                 end = hi
                 nonneg.require_leq(zero, a, ("alpha", t, jid, lo))
                 mass = mass + (hi - lo) * a
-                # the pieces of [lo, hi): delta's steps that meet it
+                # the pieces of [lo, hi): delta's steps first..last-1
                 first = bisect_right(dsteps, lo, key=_start) - 1 if lo else 0
-                for start, d in islice(dsteps, first, None):
+                least = dsteps[first][1]
+                last = first + 1
+                for start, d in islice(dsteps, last, None):
                     if start >= hi:
                         break
+                    if d < least:
+                        least = d
+                    last += 1
+                if finite and cover.require_leq_least(
+                        a, min([(b + least) * rate / s for b, s in classes]), last - first):
+                    continue
+                for start, d in islice(dsteps, first, last):
                     rhs = [(b + d) * rate / s for b, s in classes]
                     low = min(rhs)
                     cover.require_leq(

@@ -24,17 +24,22 @@ the dual program its docstring writes out, and gives the dual objective.
 The machine index collapses to the K speed classes, and credits are sorted
 position spans (lo, hi, value) over each job's descending-size order.
 Every other record a builder scans is a lemma of its family's proof,
-reported with diagnostic=True: it never decides feasibility. Each builder
-opens with the shared _preamble and names each record once in a
-report.CheckList.
+reported with diagnostic=True: it never decides feasibility. weaker
+reports alive-weight-monotone and alpha-equals-cost; single_job
+rank-band-order, spread-case-cover, band-case-cover, alive-count-monotone,
+machine-credit-half, epoch-strict-order and objective-half-makespan;
+general classify_blocks' six records (long-block-shape, cheap-block-budget,
+short-block-two-classes, short-block-left-charge, alive-weight-split,
+simple-block-job-weight), long-visit-charge, long-visit-doubling,
+alive-weight-monotone, machine-credit-cost-identity and alpha-cost-floor.
+Each builder opens with the shared _preamble and names each record once in
+a report.CheckList.
 """
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import itemgetter
 
 from .blocks import classify_blocks, nearest_qualifying_class, simple_job_classes
 from .dualcheck import DualPoint, check_dual
@@ -53,9 +58,6 @@ class FittingConstants:
     simple_alpha_div: int = 4   # alpha' = w/(4K n)
     long_delta_div: int = 96    # delta'' = max visit weight/(96 K logK mtilde)
     long_alpha_div: int = 12    # alpha'' = L w(B)/(12 K logK s(B))
-    long_cover_delta: int = 32  # alpha'' <= K beta L/(6 g s) + 32 delta'' L/(g s)
-    long_cover_beta_div: int = 6
-    long_cover_stated: int = 8  # the looser coefficient checked as diagnostic
     root_charge: int = 6        # visit charge: w(B)/mtilde_l <= 6 w_j/n_t(j)
     alpha_floor: int = 1800     # sum alpha >= cost/(1800 K logK)
 
@@ -86,17 +88,6 @@ def general_threshold(instance: Instance):
 # ---------------------------------------------------------------------------
 # position-span helpers
 # ---------------------------------------------------------------------------
-
-_span_lo = itemgetter(0)
-
-
-def _span_value(spans, q):
-    """Value at position q in disjoint, sorted spans [(lo, hi, val)], or 0."""
-    i = bisect_right(spans, q, key=_span_lo) - 1
-    if i >= 0 and q < spans[i][1]:
-        return spans[i][2]
-    return 0
-
 
 def _merge_sum(spans, upto, zero):
     """Disjoint, sorted spans within [0, upto) whose value at q is the
@@ -483,9 +474,7 @@ def _general_point(trace, instance: Instance):
     root_charge = lemmas.add("long-visit-charge", diagnostic=True)
     doubling = lemmas.add("long-visit-doubling", diagnostic=True)
 
-    dprime = {}        # job_id -> the rate-simple half's credit spans
-    ddouble = {}       # job_id -> the long-block half's credit spans
-    delta = {}         # job_id -> their sum, the point's task credits
+    delta = {}         # job_id -> the point's task credits
     for job in instance.jobs:
         jid = job.job_id
         n_j = job.task_count()
@@ -494,7 +483,7 @@ def _general_point(trace, instance: Instance):
             n_tau = last_simple.get((jid, li))
             if n_tau:
                 raw.append((0, n_tau, job.weight / (2 * k * n_tau)))
-        dprime[jid] = _merge_sum(raw, n_j, zero)
+        dprime = _merge_sum(raw, n_j, zero)  # the rate-simple half
 
         raw2 = []
         for li in range(1, k):
@@ -511,8 +500,8 @@ def _general_point(trace, instance: Instance):
                     chain += 1
                     anchor = wb
             doubling.require_leq(chain, 1 + math.log2(10 * k), (jid, li))
-        ddouble[jid] = _merge_sum(raw2, n_j, zero)
-        delta[jid] = _merge_sum(dprime[jid] + ddouble[jid], n_j, zero)
+        ddouble = _merge_sum(raw2, n_j, zero)  # the long-block half
+        delta[jid] = _merge_sum(dprime + ddouble, n_j, zero)
 
     for (jid, li), vlist in visits.items():
         blend = bounds[li - 1].m_blend
@@ -523,38 +512,25 @@ def _general_point(trace, instance: Instance):
                 (t, jid, li),
             )
 
-    # ---- pass 2: per-interval credits and the per-half cover lemmas --------
+    # ---- pass 2: per-interval credits -------------------------------------
     monotone = lemmas.add("alive-weight-monotone", diagnostic=True)
-    cover_simple_half = lemmas.add("simple-cover-bound", diagnostic=True)
-    cover_long_half = lemmas.add("long-cover-bound", diagnostic=True)
-    cover_long_tight = lemmas.add("long-cover-tight", diagnostic=True)
-
-    # the per-class denominators here, and the per-interval, per-job and
-    # per-probe factors below, keep every product and quotient in its inline
-    # order, so each side of each check is the same float
     beta_div = k * k * logk  # beta = w(A^t)/(K^2 logK m_l)
     beta_dens = [beta_div * c for c in counts]
-    gamma_sigmas = [gamma * s for s in sigmas]
-    simple_dens = [k * gamma * c * s for c, s in zip(counts, sigmas)]
-    long_dens = [CONSTANTS.long_cover_beta_div * gamma * s for s in sigmas]
     long_alpha_den = CONSTANTS.long_alpha_div * k * logk
     alpha, beta = [], []
     walk = _alive_weights(trace, monotone)
     for (t, iv, w_alive), cls_iv in zip(walk, classification.intervals):
         beta.append([w_alive / d for d in beta_dens])
-        k_beta_now = [k * (w_alive / d) for d in beta_dens]
-        base_w = CONSTANTS.general_base * w_alive
         row = []
         alpha.append(row)
-
         for ij in iv.jobs:
-            jid, n_t, rate, w_j = ij.job_id, ij.count, ij.rate, ij.weight
+            jid, n_t, w_j = ij.job_id, ij.count, ij.weight
             lstar = chosen[(t, jid)]
             view = cls_iv.block_for_job(jid)
             long_block = view.block if view.label == "long" else None
             a2 = zero
             if long_block is not None:
-                a2 = rate * long_block.weight / (long_alpha_den * long_block.speed)
+                a2 = ij.rate * long_block.weight / (long_alpha_den * long_block.speed)
             # alpha' = w/(4K n1) on the n1 positions alive at the last
             # simple interval, alpha'' = a2 on every alive position
             if lstar:
@@ -564,42 +540,8 @@ def _general_point(trace, instance: Instance):
                 if long_block is not None and n1 < n_t:
                     spans += ((n1, n_t, a2),)
             else:
-                n1, a1 = 0, zero
                 spans = ((0, n_t, a2),) if long_block is not None else ()
             row.append(spans)
-            if not spans:
-                continue
-
-            # the per-half lemmas are probed where their proofs bind: at
-            # the last position of each alpha regime, n1-1 (both alphas)
-            # and n_t-1 (only the long alpha)
-            sp, dp = dprime[jid], ddouble[jid]
-            probes = []
-            if lstar:
-                probes.append((n1 - 1, a1, a2))
-                simple_beta = [base_w * rate / d for d in simple_dens]
-            if not lstar or n1 < n_t:
-                probes.append((n_t - 1, zero, a2))
-            if long_block is not None:
-                long_beta = [kb * rate / d for kb, d in zip(k_beta_now, long_dens)]
-            for q, a1q, a2q in probes:
-                d1_rate = _span_value(sp, q) * rate
-                d2 = _span_value(dp, q)
-                d2_delta = CONSTANTS.long_cover_delta * d2 * rate
-                d2_stated = CONSTANTS.long_cover_stated * d2 * rate
-                for li in range(k):
-                    witness = (t, jid, q, li + 1)
-                    if lstar and a1q:
-                        cover_simple_half.require_leq(
-                            a1q, simple_beta[li] + d1_rate / gamma_sigmas[li], witness
-                        )
-                    if long_block is not None and a2q:
-                        cover_long_half.require_leq(
-                            a2q, long_beta[li] + d2_delta / gamma_sigmas[li], witness
-                        )
-                        cover_long_tight.require_leq(
-                            a2q, long_beta[li] + d2_stated / gamma_sigmas[li], witness
-                        )
 
     flags = dict(classification.flags)
     flags.update(

@@ -56,10 +56,11 @@ class AliveJob:
         return self.weight / self.count
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class BlockMember:
     """One alive job inside a block: the run's one record of that job in an
-    interval, which sim.Interval.jobs lists in job-id order."""
+    interval, which sim.Interval.jobs lists in job-id order. Slotted, not
+    frozen: one is built per alive job and event."""
 
     job_id: int
     weight: object  # the AliveJob's weight, as given
@@ -183,8 +184,7 @@ def assign_rates(alive, instance: Instance) -> RateProfile:
         if not (tau_prev is None or geq(tau, tau_prev)):
             raise AssertionError(f"water level went down from {tau_prev} to {tau}")
         members = tuple(
-            BlockMember(job_id=job.job_id, weight=job.weight, count=job.count,
-                        share=share, rate=share * tau)
+            BlockMember(job.job_id, job.weight, job.count, share, share * tau)
             for share, group, _, _ in runs[a:e]
             for job in group
         )

@@ -73,10 +73,7 @@ class CheckRecord:
                 return True
             self._fail(witness, lhs, rhs)
             return False
-        try:
-            fl, fr = float(lhs), float(rhs)
-        except OverflowError:
-            fl, fr = to_float(lhs), to_float(rhs)
+        fl, fr = _floats(lhs, rhs)
         slack = fr - fl
         if slack < self.min_slack:
             self.min_slack = slack if slack < math.inf else math.inf
@@ -88,6 +85,24 @@ class CheckRecord:
         if not ok:
             self._fail(witness, fl, fr)
         return ok
+
+    def require_leq_least(self, lhs, rhs, times):
+        """Count `times` comparisons lhs <= r, rhs the least of the r's, if
+        this one decides them: lhs <= rhs holds as a plain compare and its
+        slack is no new minimum, so each holds and none names a witness.
+        Return whether they were counted; on False, record them one by one.
+        """
+        if not lhs <= rhs:
+            return False
+        if type(lhs) is float and type(rhs) is float:
+            slack = rhs - lhs
+        else:
+            fl, fr = _floats(lhs, rhs)
+            slack = fr - fl
+        if slack < self.min_slack:
+            return False
+        self.checked += times
+        return True
 
     def require_equal(self, a, b, witness):
         """Record a == b as the two comparisons a <= b and b <= a."""
@@ -127,6 +142,14 @@ class CheckRecord:
                 for v in self.violations[:5]
             ]
         return d
+
+
+def _floats(lhs, rhs):
+    """Both sides as floats; a value too large for a float counts as +-inf."""
+    try:
+        return float(lhs), float(rhs)
+    except OverflowError:
+        return to_float(lhs), to_float(rhs)
 
 
 class CheckList(list):

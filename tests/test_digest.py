@@ -41,7 +41,7 @@ DIGESTS = {
     "trace": (18, "31205fbe3805e91b30cb69d57daeea5ffb8d672476a07ce39bde0a64b9a1a7c4"),
     "jobs": (91, "a7e3f597b39ddbf3918faf978e71be623f0ac88334ab67863ba579c4b3b10bf2"),
     "segments": (91, "43e5bbfef25aaa322e1d4c5a6878e6226ed1e86f19462f31402c7f2c646321c4"),
-    "certificates": (17, "7ad318f0a60210472473f6d09ec7452b7e6d8516d21da50cfb8cebce04d5e173"),
+    "certificates": (17, "b8b3eadced2b15dafea322ea019ebc08d9c67f44ebc433d739b2a7349fac5ea0"),
     "primal": (6, "4fc338120bf23f21969423709b4928c6c202b3c8aeec9f30813447509ce3db30"),
 }
 

@@ -1,7 +1,12 @@
 """The dual checker: mutants of each family's point, the running minimum of
-the machine credit, and malformed points."""
+the machine credit, malformed points, and a per-piece reference scan that
+the checker must match record for record."""
 
 import dataclasses
+import json
+import math
+import random
+from fractions import Fraction
 
 import pytest
 
@@ -9,12 +14,16 @@ from bagsched import (
     AnalysisError,
     gen_lower_bound,
     gen_random_ica,
+    instance_from_dict,
+    instance_to_dict,
     make_instance,
     make_job,
     simulate,
     with_speedup,
 )
 from bagsched.dualcheck import DualPoint, check_dual
+from bagsched.numutil import coerce
+from bagsched.report import CheckList
 from bagsched.duals import (
     _certify,
     _general_point,
@@ -179,3 +188,205 @@ def test_points_that_do_not_fit_the_trace_raise():
                 dataclasses.replace(good, alpha=[[[]], [[], []]])):
         with pytest.raises(AnalysisError):
             check_dual(trace, bad)
+
+
+# --- the per-piece reference scan ---------------------------------------------
+
+def piece_by_piece(trace, point):
+    """check_dual's records and totals with one comparison per piece of
+    every alpha span and one per credit value: no span is decided at once.
+    The point must fit the trace."""
+    instance = trace.instance
+    sigmas = [c.speed for c in instance.classes]
+    counts = [c.count for c in instance.classes]
+    zero = coerce(0, instance.exact)
+    checks = CheckList()
+    d_budget = checks.add("task-credit-budget")
+    a_budget = checks.add("alpha-budget")
+    cover = checks.add("rate-cover")
+    nonneg = checks.add("nonnegative")
+    for job in instance.jobs:
+        mass = zero
+        for lo, hi, v in point.delta.get(job.job_id, ()):
+            nonneg.require_leq(zero, v, ("delta", job.job_id, lo))
+            mass = mass + (hi - lo) * v
+        d_budget.require_leq(mass, job.weight, (job.job_id,))
+    alpha_total = beta_total = zero
+    bhat = None
+    for t, (iv, row, beta) in enumerate(zip(trace.intervals, point.alpha, point.beta)):
+        for li, b in enumerate(beta):
+            nonneg.require_leq(zero, b, ("beta", t, li + 1))
+        bhat = beta if bhat is None else [b if b < h else h for b, h in zip(beta, bhat)]
+        beta_total = beta_total + iv.length() * sum(m * b for m, b in zip(counts, beta))
+        for ij, spans in zip(iv.jobs, row):
+            delta = point.delta.get(ij.job_id, ())
+            mass = zero
+            for lo, hi, a in spans:
+                nonneg.require_leq(zero, a, ("alpha", t, ij.job_id, lo))
+                mass = mass + (hi - lo) * a
+                # a piece starts at lo and at every delta span end inside
+                starts = sorted({lo} | {x for dlo, dhi, _ in delta
+                                        for x in (dlo, dhi) if lo < x < hi})
+                for q in starts:
+                    d = next((v for dlo, dhi, v in delta if dlo <= q < dhi), zero)
+                    rhs = [(b + d) * ij.rate / s for b, s in zip(bhat, sigmas)]
+                    low = min(rhs)
+                    cover.require_leq(a, low, (t, ij.job_id, q, rhs.index(low) + 1))
+            a_budget.require_leq(mass, ij.weight, (t, ij.job_id))
+            alpha_total = alpha_total + iv.length() * mass
+    return checks, alpha_total, beta_total
+
+
+def _same_as_piece_by_piece(trace, point):
+    """check_dual's outcome equals the reference scan's, bit for bit: every
+    record's to_dict and every kept violation, and both totals."""
+    def plain(outcome):
+        checks, alpha_total, beta_total = outcome
+        return json.dumps([
+            [r.to_dict() for r in checks],
+            [[v.witness, v.lhs, v.rhs] for r in checks for v in r.violations],
+            [r.min_slack for r in checks],
+            str(alpha_total), str(beta_total),
+        ], default=float)
+    got, want = check_dual(trace, point), piece_by_piece(trace, point)
+    assert plain(got) == plain(want)
+    return got[0]
+
+
+def _spans(rng, n, value):
+    """Disjoint, sorted spans within [0, n), some positions left out."""
+    cuts = sorted(rng.sample(range(n + 1), min(n + 1, rng.randint(2, 5))))
+    return [(lo, hi, value()) for lo, hi in zip(cuts, cuts[1:]) if rng.random() < 0.8]
+
+
+def _random_point(rng, trace, nan):
+    """A point of seeded random credits for `trace`.
+
+    delta mixes zeros, tiny values (far below beta, so that pieces of
+    different delta share one right side) and large ones, in no order;
+    alpha lands near the right side of a random position of its span, so
+    some spans fail on some pieces and hold on others. With `nan`, some
+    beta and delta values are NaN; a few values are negative.
+    """
+    instance = trace.instance
+    exact = instance.exact
+    sigmas = [c.speed for c in instance.classes]
+
+    def num(x):
+        return Fraction(x).limit_denominator(10**6) if exact else x
+
+    def credit(scale):
+        r = rng.random()
+        if nan and r < 0.05:
+            return math.nan
+        if r < 0.1:
+            return num(-scale * rng.random())
+        if r < 0.25:
+            return num(0.0)
+        if r < 0.45:
+            return Fraction(1, 10**30) * num(scale) if exact else scale * 1e-30
+        return num(scale * rng.random())
+
+    delta = {}
+    for job in instance.jobs:
+        if rng.random() < 0.9:
+            delta[job.job_id] = _spans(rng, job.task_count(), lambda: credit(job.weight))
+    alpha, beta = [], []
+    bhat = None
+    for iv in trace.intervals:
+        row_beta = [credit(1.0) for _ in sigmas]
+        beta.append(row_beta)
+        bhat = row_beta if bhat is None else [
+            b if b < h else h for b, h in zip(row_beta, bhat)]
+        row = []
+        for ij in iv.jobs:
+            dspans = delta.get(ij.job_id, [])
+
+            def near():
+                q = rng.randrange(ij.count)
+                d = next((v for lo, hi, v in dspans if lo <= q < hi), 0)
+                low = min((b + d) * ij.rate / s for b, s in zip(bhat, sigmas))
+                if low != low or rng.random() < 0.1:
+                    return num(rng.random())
+                return low * num(rng.choice([0.5, 0.999, 1.0, 1.0, 1.001, 2.0]))
+            row.append(_spans(rng, ij.count, near))
+        alpha.append(row)
+    return DualPoint(alpha=alpha, beta=beta, delta=delta)
+
+
+def _random_trace(seed):
+    inst = gen_random_ica(1 + seed % 3, 2 + seed % 4, 2 + seed % 5, seed)
+    if seed % 3 == 2:
+        inst = instance_from_dict(instance_to_dict(inst), exact=True)
+    return simulate(with_speedup(inst, 2 + seed % 7))
+
+
+@pytest.mark.parametrize("seed", range(24))
+def test_random_points_match_the_piece_by_piece_scan(seed):
+    # every third seed is exact; float seeds alternate with and without NaNs
+    trace = _random_trace(seed)
+    rng = random.Random(seed)
+    nan = not trace.instance.exact and seed % 2 == 1
+    for _ in range(6):
+        _same_as_piece_by_piece(trace, _random_point(rng, trace, nan))
+
+
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+def test_family_points_match_the_piece_by_piece_scan(family):
+    # the single family's rank-band delta is not monotone in the position
+    inst, make_point, _ = FAMILIES[family]()
+    trace = simulate(inst)
+    point, _, _ = make_point(trace, inst)
+    checks = _same_as_piece_by_piece(trace, point)
+    assert all(r.ok for r in checks)
+
+
+def test_a_span_failing_on_a_middle_piece_names_that_piece():
+    # three tasks of one job on one speed-1 machine, each at rate 1/3 at
+    # first; delta is least on the middle position, where alone the
+    # alpha span [0, 3) exceeds its right side
+    inst = make_instance([(1, 1)], [make_job(1, 1.0, [3, 2, 1])])
+    trace = simulate(inst)
+    rate = trace.intervals[0].jobs[0].rate
+    point = DualPoint(
+        alpha=[[[(0, 3, 0.2 * rate)]]] + [[[]] for _ in trace.intervals[1:]],
+        beta=[[0.1]] * len(trace.intervals),
+        delta={1: [(0, 1, 0.5), (2, 3, 0.5)]},
+    )
+    cover = next(r for r in _same_as_piece_by_piece(trace, point) if r.name == "rate-cover")
+    assert (cover.checked, cover.violation_count) == (3, 1)
+    assert cover.violations[0].witness == cover.min_witness == (0, 1, 1, 1)
+
+
+def _two_jobs():
+    # two jobs of three tasks on a fast and two slow machines
+    inst = make_instance([(2, 1), (1, 2)], [make_job(1, 1.0, [3, 2, 1]),
+                                            make_job(2, 1.0, [3, 2, 1])])
+    return simulate(inst)
+
+
+def _flat_point(trace, a, beta, delta):
+    """alpha a[i] on every alive task of the i-th job, the same beta row in
+    every interval."""
+    alpha = [[((0, ij.count, a[ij.job_id - 1]),) for ij in iv.jobs]
+             for iv in trace.intervals]
+    return DualPoint(alpha=alpha, beta=[list(beta) for _ in alpha], delta=delta)
+
+
+EDGES = {
+    # job 2's delta pieces differ, yet 1e-30 vanishes beside beta, so both
+    # share one right side, and job 2's tighter alpha sets a new minimum:
+    # the witness is the first of them, not the piece of least delta
+    "tied-right-sides": ([0.01, 0.1], [1.0, 1.0], {2: [(0, 1, 1e-30)]}),
+    # a NaN delta behind a finite one, in a job after the record's first
+    "nan-delta-behind": ([0.1, 0.01], [1.0, 1.0],
+                         {1: [(0, 1, 0.5)], 2: [(0, 1, 0.5), (1, 2, math.nan)]}),
+    # a NaN beta behind a finite one
+    "nan-beta-behind": ([0.1, 0.1], [0.5, math.nan], {}),
+}
+
+
+@pytest.mark.parametrize("edge", sorted(EDGES))
+def test_edge_points_match_the_piece_by_piece_scan(edge):
+    trace = _two_jobs()
+    _same_as_piece_by_piece(trace, _flat_point(trace, *EDGES[edge]))

@@ -216,3 +216,22 @@ def test_only_the_checker_decides_certificates():
             imported.update((getattr(node, "module", None) or "").split("."))
     found += [f"dualcheck.py imports {m}" for m in sorted(imported & {"duals", "blocks"})]
     assert found == []
+
+
+def test_every_fitting_constant_is_read():
+    # a constant that no construction reads is a second, stale statement of
+    # the analysis; every FittingConstants field must be taken as an
+    # attribute somewhere in the package
+    trees = _package_trees()
+    fields = [
+        item.target.id
+        for node in trees["duals.py"].body
+        if isinstance(node, ast.ClassDef) and node.name == "FittingConstants"
+        for item in node.body if isinstance(item, ast.AnnAssign)
+    ]
+    read = {
+        sub.attr for tree in trees.values() for sub in ast.walk(tree)
+        if isinstance(sub, ast.Attribute) and isinstance(sub.ctx, ast.Load)
+    }
+    assert fields
+    assert [f for f in fields if f not in read] == []
