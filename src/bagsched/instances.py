@@ -125,6 +125,15 @@ class Instance:
         memo[k] = value
         return value
 
+    def machine_speed(self, i: int):
+        """Speed of machine i, for 1 <= i <= machine_count(), without the
+        speedup. Its class is found by bisection, so no class is expanded.
+
+        >>> make_instance([(4, 2), (1, 3)], []).machine_speed(3)
+        1.0
+        """
+        return self.classes[bisect_left(self.class_prefix_counts, i, 1) - 1].speed
+
     def machine_speeds(self, upto: int) -> list:
         """Speeds of machines 1..upto, fastest first, without the speedup.
 

@@ -21,11 +21,15 @@ One row checker, _violated_rows, evaluates these four families for both
 check_lp_solution (ingested unit-slot solutions, at SOLVER_REL) and
 check_primal (embedded schedules on their slot grid, at REL_TOL).
 
-Cost: schedule_to_primal writes each x entry once, then reads x once to sum
-it by task and slot. check_primal reads x three times: for its machines and
-horizon, for the same task-by-slot sums, and for the machine loads and task
-times. Past those passes, U and the rem rows take a constant amount of work
-per cell of the task-by-slot grid.
+Cost: schedule_to_primal writes each x entry once, then reads x once: one
+pass (_read_x) checks every key and sums x by task and slot, by machine and
+slot, and by task as machine time. U is built from those task-by-slot sums,
+and the embedding's check runs on the same sums, so x is iterated once after
+it is written. check_primal on its own makes that same one pass over x, and
+one pass over U. Past those passes, U and the rem rows take a constant amount
+of work per cell of the task-by-slot grid, and the cap rows per cell of the
+machine-by-slot grid. Machine speeds are looked up per machine by class, so a
+class of 10^9 machines is never expanded.
 
 The "LP lower bound" reported elsewhere is (feasible dual value)/2, since
 the objective double-counts completion time.
@@ -227,71 +231,120 @@ def check_lp_solution(instance: Instance, values: dict, horizon: int) -> list:
     """
     _check_lp_size(instance, horizon)
     table = [(v, j, float(p)) for v, j, p in task_table(instance)]
-    speeds = [float(s) for s in instance.machine_speeds(instance.machine_count())]
     jobs = [job.job_id for job in instance.jobs]
 
     def pick(variables):  # {key: value} of the (name, key) pairs that are set
         return {key: values[name] for name, key in variables if name in values}
 
-    x = pick((f"x_{i}_{v}_{t}", (i, v, t)) for i in range(1, len(speeds) + 1)
+    x = pick((f"x_{i}_{v}_{t}", (i, v, t)) for i in range(1, instance.machine_count() + 1)
              for v, _, _ in table for t in range(horizon))
     U = pick((f"U_{j}_{t}", (j, t)) for j in jobs for t in range(horizon))
     C = pick((f"C_{j}", j) for j in jobs)
-    return list(_violated_rows(table, x, U, C, speeds, 1.0, horizon, SOLVER_REL))
+    sums = _read_x(x, {v for v, _, _ in table},
+                   lambda i: float(instance.machine_speed(i)), 0.0)
+    return list(_violated_rows(table, sums, U, C, 1.0, horizon, SOLVER_REL))
 
 
-def _violated_rows(table, x, U, C, speeds, slot, horizon, rel):
+@dataclass
+class _XSums:
+    """What the LP's rows need of x, from _read_x's one pass over it."""
+
+    grid: dict      # task -> {slot: amount over all machines}
+    load: dict      # machine -> {slot: amount over all tasks}
+    spent: dict     # task -> machine time, amount / rate summed
+    rate: dict      # machine -> its rate
+    machines: set   # every machine id that x names
+    last: int       # the highest slot that x names, -1 for none
+    fracs: list = None  # each table task's _remaining at the LP's horizon
+
+
+def _read_x(x, tasks, rate_of, zero) -> _XSums:
+    """Read x once: check each key (its slot is an int >= 0, then its task
+    is in `tasks`; LpError otherwise) and sum its amounts by task and slot,
+    by machine and slot, and by task as machine time, each sum taken in x's
+    order from the typed zero. rate_of(i) gives a machine's rate, or None
+    for an id that names no machine; it is called once per distinct id.
+    Past such an id, the rest of x has only its keys checked, and the caller
+    raises the machine error once it has made its earlier checks."""
+    grid = defaultdict(dict)
+    load = {}
+    spent = defaultdict(lambda: zero)
+    rate, machines, last = {}, set(), -1
+    seen = object()  # the machine of the entry before, whose load row is `mine`
+    entries = iter(x.items())
+    for (i, v, t), amt in entries:
+        if type(t) is not int or t < 0:
+            raise LpError(f"x names slot {t}: no slot {t}")
+        if v not in tasks:
+            raise LpError(f"x names task {v}: no task {v}")
+        if i != seen:  # x lists a pool's tasks machine by machine
+            r = rate.get(i)
+            if r is None:
+                machines.add(i)
+                r = rate_of(i)
+                if r is None:
+                    break
+                rate[i] = r
+                load[i] = {}
+            seen, mine = i, load[i]
+        if t > last:
+            last = t
+        row = grid[v]
+        row[t] = row[t] + amt if t in row else zero + amt
+        mine[t] = mine[t] + amt if t in mine else zero + amt
+        spent[v] += amt / r
+    for (i, v, t), _ in entries:
+        if type(t) is not int or t < 0:
+            raise LpError(f"x names slot {t}: no slot {t}")
+        if v not in tasks:
+            raise LpError(f"x names task {v}: no task {v}")
+        machines.add(i)
+        if t > last:
+            last = t
+    return _XSums(grid, load, spent, rate, machines, last)
+
+
+def _violated_rows(table, sums, U, C, slot, horizon, rel):
     """Yield each violated row of the LP over `horizon` slots of length
     `slot` as (name, lhs, rhs), named and ordered as emit_lp writes them:
     per task of the table rem_j_v_t (t descending), time_j_v and
     done_j_v, then cap_i_t. Every row is compared by leq at `rel`.
 
-    x maps (machine, task, slot) to an amount on machines 1..len(speeds);
-    U maps (job, slot) and C maps job, a missing U or C being 0. Every sum
-    starts at the slot's typed zero, so exact values stay exact.
+    sums is _read_x's reading of x; its fracs, when set, must be over
+    `horizon`, and are computed here otherwise. U maps (job, slot) and C
+    maps job, a missing U or C being 0. Every sum starts at the slot's
+    typed zero, so exact values stay exact.
     """
     zero = slot - slot
     one = zero + 1
-    grid = _task_slot_sums(x, zero)
-    load = defaultdict(dict)           # machine -> {slot: amount}
-    spent = defaultdict(lambda: zero)  # task -> machine time
-    for (i, v, t), amt in x.items():
-        row = load[i]
-        row[t] = row[t] + amt if t in row else zero + amt
-        spent[v] += amt / speeds[i - 1]
+    grid, spent, rate = sums.grid, sums.spent, sums.rate
+    fracs = sums.fracs
+    if fracs is None:
+        fracs = (_remaining(grid.get(v, {}), p, zero, horizon) for v, _, p in table)
     slots = range(horizon - 1, -1, -1)
     u_of = {}    # job -> its U over `slots`
-    for v, j, p in table:
+    for (v, j, p), fr in zip(table, fracs):
         us = u_of.get(j)
         if us is None:
             us = u_of[j] = list(map(U.get, zip(repeat(j), slots), repeat(zero)))
-        fracs = _remaining(grid.get(v, {}), p, zero, horizon)
-        if not all(map(le, fracs, us)):  # leq holds wherever <= does
-            for t, frac, u in zip(slots, fracs, us):
+        if not all(map(le, fr, us)):  # leq holds wherever <= does
+            for t, frac, u in zip(slots, fr, us):
                 if not (frac <= u or leq(frac, u, rel)):
                     yield f"rem_{j}_{v}_{t}", u, frac
         c, sp = C.get(j, zero), spent.get(v, zero)
         if not leq(sp, c, rel):
             yield f"time_{j}_{v}", c, sp
-        frac = fracs[-1] if fracs else zero  # the whole of task v
+        frac = fr[-1] if fr else zero  # the whole of task v
         if not leq(one, frac, rel):
             yield f"done_{j}_{v}", frac, one
-    over = sorted(
-        (i, t) for i, row in load.items() for t, amt in row.items()
-        if not leq(amt / speeds[i - 1], slot, rel)
-    )
+    over = []
+    for i, row in sums.load.items():
+        r = rate[i]
+        over += [(i, t) for t, amt in row.items()
+                 if not (amt / r <= slot or leq(amt / r, slot, rel))]
+    over.sort()
     for i, t in over:
-        yield f"cap_{i}_{t}", load[i][t] / speeds[i - 1], slot
-
-
-def _task_slot_sums(x, zero):
-    """{task: {slot: amount over all machines}} of x, each sum taken in x's
-    order from the typed zero."""
-    grid = defaultdict(dict)
-    for (_, v, t), amt in x.items():
-        row = grid[v]
-        row[t] = row[t] + amt if t in row else zero + amt
-    return grid
+        yield f"cap_{i}_{t}", sums.load[i][t] / rate[i], slot
 
 
 def _remaining(row, p, zero, horizon):
@@ -447,9 +500,7 @@ def schedule_to_primal(source, instance: Instance, slot=None) -> PrimalSolution:
             slot = gap / 2
 
     # pass B: bin x over the slot grid
-    speeds = instance.machine_speeds(
-        max((pl.machine_hi for seg in segments for pl in seg.placements), default=0)
-    )
+    speeds = {}  # machine -> speed, looked up once per machine
     x = {}
     high = -1  # highest slot that an earlier segment wrote
     for si, seg in enumerate(segments):
@@ -459,6 +510,9 @@ def schedule_to_primal(source, instance: Instance, slot=None) -> PrimalSolution:
                 continue
             tasks = [v for job_id, _ in pl.members for v in seg_alive[(si, job_id)]]
             machines = range(pl.machine_lo, pl.machine_hi + 1)
+            for i in machines:
+                if i not in speeds:
+                    speeds[i] = instance.machine_speed(i)
             t0, t1 = seg.start, seg.end
             s = int(t0 / slot)
             while t0 < t1:
@@ -470,7 +524,7 @@ def schedule_to_primal(source, instance: Instance, slot=None) -> PrimalSolution:
                     # a segment's keys are distinct, so a slot that no
                     # earlier segment wrote gets each amount written, not added
                     for i in machines:
-                        amount = share * speeds[i - 1]
+                        amount = share * speeds[i]
                         if s > high:
                             for v in tasks:
                                 x[i, v, s] = amount
@@ -488,17 +542,20 @@ def schedule_to_primal(source, instance: Instance, slot=None) -> PrimalSolution:
                 s += 1
         high = seg_high
 
-    # minimal U: per job and slot, the largest remaining fraction of its
-    # tasks, in slot descending then job order
-    grid = _task_slot_sums(x, zero)
-    slots = range(high, -1, -1)
+    # the one read of x; then minimal U: per job and slot, the largest
+    # remaining fraction of its tasks, in slot descending then job order.
+    # U's last slot is high and x names none above it, so the check's
+    # horizon is high + 1, that of these fracs.
+    sums = _read_x(x, remaining.keys(), lambda i: gamma * speeds[i], zero)
+    sums.fracs = [_remaining(sums.grid.get(v, {}), p, zero, high + 1)
+                  for v, _, p in table]
     u_of = {}
-    for v, j, p in table:
-        fracs = _remaining(grid.get(v, {}), p, zero, high + 1)
+    for (_, j, _), fr in zip(table, sums.fracs):
         us = u_of.get(j)
-        u_of[j] = fracs if us is None else list(map(max, us, fracs))
+        # b if b > a else a is max(a, b), without a call per slot
+        u_of[j] = fr if us is None else [b if b > a else a for a, b in zip(us, fr)]
     U = {}
-    for k, s in enumerate(slots):
+    for k, s in enumerate(range(high, -1, -1)):
         for j, us in u_of.items():
             U[j, s] = us[k]
 
@@ -508,11 +565,11 @@ def schedule_to_primal(source, instance: Instance, slot=None) -> PrimalSolution:
         slot=slot, gamma=gamma, x=x, U=U, C=dict(completion),
         cost=cost, objective=objective,
     )
-    check_primal(primal, instance)
+    check_primal(primal, instance, _sums=sums)
     return primal
 
 
-def check_primal(primal: PrimalSolution, instance: Instance) -> None:
+def check_primal(primal: PrimalSolution, instance: Instance, *, _sums=None) -> None:
     """Check that every x and U entry names an LP variable (an int slot
     >= 0, a machine id that is an int in 1..m, and a task of the table or a job of
     the instance), then the LP's rows on the primal's slot
@@ -521,46 +578,49 @@ def check_primal(primal: PrimalSolution, instance: Instance) -> None:
     cost <= objective <= 2 * cost. Last,
     the stored cost and objective must be close to sum_j w_j C_j and cost +
     slot * sum w_j U_{j,t}, summed in schedule_to_primal's order. Raise
-    LpError at the first violation."""
-    weights = {j.job_id: j.weight for j in instance.jobs}
+    LpError at the first violation.
+
+    x and U are each iterated once. schedule_to_primal passes its own
+    _read_x of the x it has just written as _sums, so that the embedding
+    reads x once in all; every other caller leaves it unset."""
     table = task_table(instance)
-    tasks = {v for v, _, _ in table}
-    machines, last = set(), -1
-    for i, v, s in primal.x:
-        if type(s) is not int or s < 0:
-            raise LpError(f"x names slot {s}: no slot {s}")
-        if v not in tasks:
-            raise LpError(f"x names task {v}: no task {v}")
-        machines.add(i)
-        if s > last:
-            last = s
-    for j, s in primal.U:
+    weights = {j.job_id: j.weight for j in instance.jobs}
+    zero = primal.slot - primal.slot
+    m = instance.machine_count()
+    if _sums is None:
+        def rate_of(i):
+            if type(i) is not int or not 1 <= i <= m:
+                return None
+            return primal.gamma * instance.machine_speed(i)
+
+        _sums = _read_x(primal.x, {v for v, _, _ in table}, rate_of, zero)
+    last = _sums.last
+    u_sum = dict.fromkeys(weights, 0)  # each job's U, summed in insertion order
+    u_cost = zero  # sum w_j U_{j,t}, in insertion order as schedule_to_primal
+    over = None  # the first U above 1, raised after the rows
+    for (j, s), u in primal.U.items():
         if type(s) is not int or s < 0 or j not in weights:
             raise LpError(f"U_{j}_{s} names no LP variable")
         if s > last:
             last = s
-    m = instance.machine_count()
-    for i in machines:
+        if over is None and not (u <= 1 or leq(u, 1)):
+            over = f"U_{j}_{s} exceeds 1"
+        u_sum[j] += u
+        u_cost = u_cost + weights[j] * u
+    for i in _sums.machines:
         if type(i) is not int or not 1 <= i <= m:
             raise LpError(f"x names machine {i}: no machine {i}")
-    speeds = [primal.gamma * sp for sp in instance.machine_speeds(max(machines, default=0))]
-    row = next(_violated_rows(table, primal.x, primal.U, primal.C,
-                              speeds, primal.slot, 1 + last, REL_TOL), None)
+    row = next(_violated_rows(table, _sums, primal.U, primal.C,
+                              primal.slot, 1 + last, REL_TOL), None)
     if row is not None:
         name, lhs, rhs = row
         raise LpError(f"row {name} violated: lhs={float(lhs)!r} rhs={float(rhs)!r}")
-    zero = primal.slot - primal.slot
-    u_sum = {}  # each job's U values are summed in insertion order
-    u_cost = zero  # sum w_j U_{j,t}, in insertion order as schedule_to_primal
-    for (j, s), u in primal.U.items():
-        if not (u <= 1 or leq(u, 1)):
-            raise LpError(f"U_{j}_{s} exceeds 1")
-        u_sum[j] = u_sum.get(j, 0) + u
-        u_cost = u_cost + weights[j] * u
+    if over is not None:
+        raise LpError(over)
     for j, c in primal.C.items():
         if j not in weights:
             raise LpError(f"C_{j} names no LP variable")
-        usum = primal.slot * u_sum.get(j, 0)
+        usum = primal.slot * u_sum[j]
         if not leq(usum, c):
             raise LpError(f"job {j}: U sum {float(usum)} exceeds C {float(c)}")
     if not (leq(primal.cost, primal.objective)

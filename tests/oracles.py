@@ -231,9 +231,12 @@ if __name__ == "__main__":
     raise SystemExit(1 if failures else 0)
 
 
-def unit_slot_lp_value(classes, jobs, horizon):
-    """LP*(H): the optimum of the completion-time LP over `horizon` unit
-    slots, solved with HiGHS, or None when that horizon admits no solution.
+def unit_slot_lp_solution(classes, jobs, horizon):
+    """An optimal solution of the completion-time LP over `horizon` unit
+    slots, solved with HiGHS, as (LP*(H), x, U, C), or None when that
+    horizon admits no solution. x[i][v][t], U[j][t] and C[j] are lists of
+    floats indexed from 0 by machine (fastest first), task of positive size
+    (in the order the jobs list them), job and slot.
 
     This is the LP that bagsched's lp module states, built here from plain
     numbers: classes are (speed, count) pairs at the original speeds (no
@@ -299,4 +302,13 @@ def unit_slot_lp_value(classes, jobs, horizon):
         return None
     if res.status != 0:
         raise RuntimeError(f"HiGHS stopped with status {res.status}: {res.message}")
-    return res.fun
+    x = res.x[:u0].reshape(m, n, h).tolist()
+    U = res.x[u0:c0].reshape(len(jobs), h).tolist()
+    return res.fun, x, U, res.x[c0:].tolist()
+
+
+def unit_slot_lp_value(classes, jobs, horizon):
+    """LP*(H): the optimum of unit_slot_lp_solution's LP, or None when that
+    horizon admits no solution."""
+    solved = unit_slot_lp_solution(classes, jobs, horizon)
+    return None if solved is None else solved[0]

@@ -17,6 +17,14 @@ def weaker_gamma(instance):
     return 2.0 * max(k, math.log2(n) if n > 1 else 0.0)
 
 
+def lp_of(instance):
+    """The instance as the LP oracle's plain classes and jobs."""
+    classes = [(float(c.speed), c.count) for c in instance.classes]
+    jobs = [(float(j.weight), [float(g.size) for g in j.groups for _ in range(g.count)])
+            for j in instance.jobs]
+    return classes, jobs
+
+
 def general_gamma(k):
     """Speedup threshold of the general certificate family."""
     return 1024.0 * k * max(math.log2(k), 1.0)

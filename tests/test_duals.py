@@ -24,7 +24,7 @@ from bagsched import (
 from bagsched.duals import halving_spans
 
 from oracles import unit_slot_lp_value
-from support import general_gamma, single_gamma, weaker_gamma
+from support import general_gamma, lp_of, single_gamma, weaker_gamma
 
 
 def run(instance, gamma):
@@ -313,14 +313,6 @@ def test_certificates_refuse_another_instances_trace():
     assert build_weaker_duals(trace, with_speedup(gen_random_ica(2, 5, 3, 1), 8)).feasible
 
 
-def _lp_of(instance):
-    """The instance as the LP oracle's plain classes and jobs."""
-    classes = [(float(c.speed), c.count) for c in instance.classes]
-    jobs = [(float(j.weight), [float(g.size) for g in j.groups for _ in range(g.count)])
-            for j in instance.jobs]
-    return classes, jobs
-
-
 def test_certificates_stay_below_the_lp_optimum():
     # an independent judge: HiGHS solves the unit-slot LP at the original
     # speeds over H = 1 + ceil(un-sped makespan) slots, and every feasible
@@ -334,7 +326,7 @@ def test_certificates_stay_below_the_lp_optimum():
         horizon = 1 + math.ceil(float(simulate(inst).makespan))
         if inst.machine_count() * inst.task_count() * horizon > 40_000:
             continue
-        lp_star = unit_slot_lp_value(*_lp_of(inst), horizon)
+        lp_star = unit_slot_lp_value(*lp_of(inst), horizon)
         assert lp_star is not None, "the horizon admits no LP solution"
         k = len(inst.classes)
         for build, gamma in ((build_weaker_duals, weaker_gamma(inst)),

@@ -286,6 +286,7 @@ def test_prefix_helpers_match_expanded_speeds(classes, exact):
             assert got == want and isinstance(got, Fraction) == exact, k
             want += expanded[k] if k < m else 0
         assert copy.machine_speeds(m + 5) == expanded
+        assert [copy.machine_speed(i) for i in range(1, m + 1)] == expanded
         for knee in knees:
             assert copy.machine_speeds(knee + 1) == expanded[:knee + 1]
     with pytest.raises(AssertionError):

@@ -3,6 +3,7 @@
 import math
 import os
 import random
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -43,8 +44,9 @@ from bagsched.lp import (
 from bagsched.numutil import REL_TOL, SOLVER_REL, close, leq
 from bagsched.sim import Placement, ScheduleSlice, Segment, realize_slice
 
-from oracles import wspt_cost
+from oracles import unit_slot_lp_solution, unit_slot_lp_value, wspt_cost
 from support import (
+    lp_of,
     random_lp_instance,
     single_machine_chain_instance,
     weaker_gamma,
@@ -284,6 +286,95 @@ def test_check_primal_is_exact_in_exact_mode():
     assert float(tight) == float(primal.slot)
     with pytest.raises(LpError, match=r"^row cap_1_0 violated"):
         check_primal(dataclasses.replace(primal, slot=tight), inst)
+
+
+class CountingDict(dict):
+    """A dict that counts the passes made over it by items() or iteration."""
+
+    passes = 0
+
+    def items(self):
+        self.passes += 1
+        return super().items()
+
+    def __iter__(self):
+        self.passes += 1
+        return super().__iter__()
+
+
+def test_check_primal_reads_x_and_u_once():
+    inst = gen_random_ica(2, 4, 2, 7)
+    primal = schedule_to_primal(simulate(inst), inst)
+    x, U = CountingDict(primal.x), CountingDict(primal.U)
+    check_primal(dataclasses.replace(primal, x=x, U=U), inst)
+    assert (x.passes, U.passes) == (1, 1)
+
+
+def test_check_primal_never_expands_a_huge_class(monkeypatch):
+    # an x entry on machine 10^9, the last of the slow class, once made
+    # check_primal list the speeds of machines 1..10^9; the spy refuses any
+    # expansion past 10^6 machines instead of allocating it
+    inst = make_instance([(2.0, 1), (1.0, 10 ** 9)], [make_job(1, 1.0, [3.0, 2.0])])
+    primal = schedule_to_primal(simulate(inst), inst)
+    primal.x[(10 ** 9, 1, 0)] = 0.0
+    expand = type(inst).machine_speeds
+
+    def spy(self, upto):
+        if upto > 10 ** 6:
+            raise AssertionError(f"speeds of {upto} machines listed")
+        return expand(self, upto)
+
+    monkeypatch.setattr(type(inst), "machine_speeds", spy)
+    tracemalloc.start()
+    try:
+        check_primal(primal, inst)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
+
+
+def test_lp_optimum_stays_below_the_embedded_objective():
+    # the embedding at unit slots is a feasible point of the LP over its H
+    # slots (gamma = 1, so its speeds are the LP's), so HiGHS's LP*(H) must
+    # not exceed its objective; the embedding refuses some runs at slot 1,
+    # where U's left-Riemann sum outgrows a C_j
+    judged = 0
+    for s in range(12):
+        inst = gen_random_ica(1 + s % 2, 2 + s % 2, 2, s)
+        assert inst.speedup == 1
+        try:
+            primal = schedule_to_primal(simulate(inst), inst, slot=1)
+        except LpError:
+            continue
+        horizon = 1 + max(t for _, t in primal.U)
+        lp_star = unit_slot_lp_value(*lp_of(inst), horizon)
+        # HiGHS solves to a relative tolerance near 1e-7
+        assert lp_star <= float(primal.objective) * (1 + 1e-6), (s, lp_star)
+        judged += 1
+    assert judged >= 6
+
+
+def test_emit_lp_names_the_oracle_optimum():
+    # the oracle builds its LP from plain numbers; named as emit_lp names
+    # them, its optimal values satisfy every row of check_lp_solution and
+    # give the same objective, so the two state the same LP
+    for s in (0, 2, 6, 9):
+        inst = gen_random_ica(1 + s % 2, 2 + s % 2, 2, s)
+        horizon = 1 + math.ceil(float(simulate(inst).makespan))
+        lp_star, x, U, C = unit_slot_lp_solution(*lp_of(inst), horizon)
+        tasks = [v for v, _, _ in task_table(inst)]
+        jobs = [job.job_id for job in inst.jobs]
+        values = {f"x_{i + 1}_{tasks[k]}_{t}": amount
+                  for i, row in enumerate(x) for k, slots in enumerate(row)
+                  for t, amount in enumerate(slots)}
+        values.update((f"U_{jobs[k]}_{t}", u) for k, us in enumerate(U)
+                      for t, u in enumerate(us))
+        values.update((f"C_{jobs[k]}", c) for k, c in enumerate(C))
+        assert check_lp_solution(inst, values, horizon) == []
+        assert solution_objective(inst, values, horizon) == pytest.approx(lp_star, rel=1e-6)
+        names = set(re.findall(r"\b[xUC](?:_\d+)+\b", emit_lp(inst, horizon)))
+        assert set(values) <= names
 
 
 def test_exact_embedding_decides_completion_exactly():
