@@ -21,15 +21,25 @@ One row checker, _violated_rows, evaluates these four families for both
 check_lp_solution (ingested unit-slot solutions, at SOLVER_REL) and
 check_primal (embedded schedules on their slot grid, at REL_TOL).
 
+Errors: every x, U and C key is checked in the one loop that reads it.
+x's loop checks each entry's slot (an int >= 0), task (an int the table
+lists) and machine (an int in 1..m) at the entry itself, so the first bad
+key in x's order is the one reported. check_lp_solution returns every
+violated row, then every broken bound (x >= 0, 0 <= U <= 1, C >= 0);
+check_primal raises at its first violation in one order: x keys, U keys,
+rows, bounds, C, the objective sandwich, then the stored cost and objective.
+
 Cost: schedule_to_primal writes each x entry once, then reads x once: one
-pass (_read_x) checks every key and sums x by task and slot, by machine and
-slot, and by task as machine time. U is built from those task-by-slot sums,
-and the embedding's check runs on the same sums, so x is iterated once after
-it is written. check_primal on its own makes that same one pass over x, and
-one pass over U. Past those passes, U and the rem rows take a constant amount
-of work per cell of the task-by-slot grid, and the cap rows per cell of the
-machine-by-slot grid. Machine speeds are looked up per machine by class, so a
-class of 10^9 machines is never expanded.
+pass (_read_x) checks every key, notes each negative amount and sums x by
+task and slot, by machine and slot, and by task as machine time. U is built
+from those task-by-slot sums, and the embedding's check runs on the same
+sums, so x is iterated once after it is written. check_primal on its own
+makes that same one pass over x, and one pass over U. Past those passes, U
+and the rem rows take a constant amount of work per cell of the
+task-by-slot grid, and the cap rows per cell of the machine-by-slot grid.
+Machine speeds are looked up per machine by class, so a class of 10^9
+machines is never expanded, and with no task of positive size no machine is
+visited at all.
 
 The "LP lower bound" reported elsewhere is (feasible dual value)/2, since
 the objective double-counts completion time.
@@ -37,7 +47,6 @@ the objective double-counts completion time.
 from __future__ import annotations
 
 import functools
-from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, permutations, repeat
@@ -45,6 +54,7 @@ from operator import le, truediv
 
 from .instances import Instance
 from .numutil import REL_TOL, SOLVER_REL, close, leq, scaled_tol
+from .report import require_own_trace
 from .sim import realize_slice
 
 MAX_EMIT_TERMS = 1_000_000     # x terms in the rows of an emitted LP
@@ -117,7 +127,8 @@ def emit_lp(instance: Instance, horizon: int) -> str:
     _check_lp_size(instance, horizon)
     m = instance.machine_count()
     tasks = task_table(instance)
-    speeds = instance.machine_speeds(m)
+    # with no task to run, no machine has a capacity row to write
+    speeds = instance.machine_speeds(m) if tasks else []
     total_work = sum(p for _, _, p in tasks)
     total_cap = sum(speeds)
 
@@ -154,11 +165,9 @@ def emit_lp(instance: Instance, horizon: int) -> str:
             for i in range(1, m + 1):
                 parts.append(f"{_num(1 / p)} x_{i}_{v}_{t}")
         lines.append(_wrap(f" done_{j}_{v}: " + " + ".join(parts) + " >= 1"))
-    for i in range(1, m + 1):
+    for i, speed in enumerate(speeds, 1):
         for t in range(horizon):
-            parts = [
-                f"{_num(1 / speeds[i - 1])} x_{i}_{v}_{t}" for v, _, _ in tasks
-            ]
+            parts = [f"{_num(1 / speed)} x_{i}_{v}_{t}" for v, _, _ in tasks]
             lines.append(_wrap(f" cap_{i}_{t}: " + " + ".join(parts) + " <= 1"))
 
     lines.append("Bounds")
@@ -222,86 +231,84 @@ def solution_objective(instance: Instance, values: dict, horizon: int) -> float:
 
 
 def check_lp_solution(instance: Instance, values: dict, horizon: int) -> list:
-    """Re-evaluate the emitted LP's rows on an ingested solution.
+    """Re-evaluate the emitted LP's rows and bounds on an ingested solution.
 
     Returns the (constraint_name, lhs, rhs) rows that _violated_rows finds
-    beyond SOLVER_REL slack. Values named after no variable of the emitted
-    LP are ignored. Uses the same original speeds and float coefficients as
+    beyond SOLVER_REL slack, then each bound the solution breaks at that
+    slack, named after its variable: x >= 0 in x's order (machine, task,
+    slot), 0 <= U <= 1 (job, slot) and C >= 0 (job), with the value as lhs
+    and the bound as rhs. Values named after no variable of the emitted LP
+    are ignored. Uses the same original speeds and float coefficients as
     emit_lp, and refuses the LPs that emit_lp refuses as too large.
     """
     _check_lp_size(instance, horizon)
     table = [(v, j, float(p)) for v, j, p in task_table(instance)]
     jobs = [job.job_id for job in instance.jobs]
+    machines = range(1, instance.machine_count() + 1) if table else ()
 
     def pick(variables):  # {key: value} of the (name, key) pairs that are set
         return {key: values[name] for name, key in variables if name in values}
 
-    x = pick((f"x_{i}_{v}_{t}", (i, v, t)) for i in range(1, instance.machine_count() + 1)
+    x = pick((f"x_{i}_{v}_{t}", (i, v, t)) for i in machines
              for v, _, _ in table for t in range(horizon))
     U = pick((f"U_{j}_{t}", (j, t)) for j in jobs for t in range(horizon))
     C = pick((f"C_{j}", j) for j in jobs)
     sums = _read_x(x, {v for v, _, _ in table},
                    lambda i: float(instance.machine_speed(i)), 0.0)
-    return list(_violated_rows(table, sums, U, C, 1.0, horizon, SOLVER_REL))
+    rows = list(_violated_rows(table, sums, U, C, 1.0, horizon, SOLVER_REL))
+    rows += [(f"x_{i}_{v}_{t}", x[i, v, t], 0.0) for i, v, t in sums.negative
+             if not leq(0.0, x[i, v, t], SOLVER_REL)]
+    rows += [(f"U_{j}_{t}", u, 0.0 if u < 0 else 1.0) for (j, t), u in U.items()
+             if not (leq(0.0, u, SOLVER_REL) and leq(u, 1.0, SOLVER_REL))]
+    rows += [(f"C_{j}", c, 0.0) for j, c in C.items() if not leq(0.0, c, SOLVER_REL)]
+    return rows
 
 
 @dataclass
 class _XSums:
     """What the LP's rows need of x, from _read_x's one pass over it."""
 
-    grid: dict      # task -> {slot: amount over all machines}
+    grid: dict      # each task -> {slot: amount over all machines}
     load: dict      # machine -> {slot: amount over all tasks}
-    spent: dict     # task -> machine time, amount / rate summed
+    spent: dict     # each task -> machine time, amount / rate summed
     rate: dict      # machine -> its rate
-    machines: set   # every machine id that x names
+    negative: list  # the keys of x's negative amounts, in x's order
     last: int       # the highest slot that x names, -1 for none
     fracs: list = None  # each table task's _remaining at the LP's horizon
 
 
 def _read_x(x, tasks, rate_of, zero) -> _XSums:
-    """Read x once: check each key (its slot is an int >= 0, then its task
-    is in `tasks`; LpError otherwise) and sum its amounts by task and slot,
-    by machine and slot, and by task as machine time, each sum taken in x's
-    order from the typed zero. rate_of(i) gives a machine's rate, or None
-    for an id that names no machine; it is called once per distinct id.
-    Past such an id, the rest of x has only its keys checked, and the caller
-    raises the machine error once it has made its earlier checks."""
-    grid = defaultdict(dict)
+    """Read x once, checking each key at its own entry and raising LpError
+    at the first bad one: its slot must be an int >= 0, its task an int in
+    `tasks`, its machine an int that rate_of accepts (rate_of(i) returns
+    the machine's rate or raises the machine error, once per distinct id).
+    The same loop notes each negative amount and sums the amounts by task
+    and slot, by machine and slot, and by task as machine time, each in x's
+    order from the typed zero."""
+    grid = {v: {} for v in tasks}
     load = {}
-    spent = defaultdict(lambda: zero)
-    rate, machines, last = {}, set(), -1
+    spent = dict.fromkeys(grid, zero)
+    rate, negative = {}, []
     seen = object()  # the machine of the entry before, whose load row is `mine`
-    entries = iter(x.items())
-    for (i, v, t), amt in entries:
+    for (i, v, t), amt in x.items():
         if type(t) is not int or t < 0:
             raise LpError(f"x names slot {t}: no slot {t}")
-        if v not in tasks:
+        if type(v) is not int or v not in grid:
             raise LpError(f"x names task {v}: no task {v}")
-        if i != seen:  # x lists a pool's tasks machine by machine
-            r = rate.get(i)
+        if i is not seen:  # x runs machine by machine; 1.0 and True are not 1
+            r = rate.get(i) if type(i) is int else None
             if r is None:
-                machines.add(i)
-                r = rate_of(i)
-                if r is None:
-                    break
-                rate[i] = r
+                r = rate[i] = rate_of(i)
                 load[i] = {}
             seen, mine = i, load[i]
-        if t > last:
-            last = t
+        if amt < zero:
+            negative.append((i, v, t))
         row = grid[v]
         row[t] = row[t] + amt if t in row else zero + amt
         mine[t] = mine[t] + amt if t in mine else zero + amt
         spent[v] += amt / r
-    for (i, v, t), _ in entries:
-        if type(t) is not int or t < 0:
-            raise LpError(f"x names slot {t}: no slot {t}")
-        if v not in tasks:
-            raise LpError(f"x names task {v}: no task {v}")
-        machines.add(i)
-        if t > last:
-            last = t
-    return _XSums(grid, load, spent, rate, machines, last)
+    last = max((max(row) for row in load.values()), default=-1)
+    return _XSums(grid, load, spent, rate, negative, last)
 
 
 def _violated_rows(table, sums, U, C, slot, horizon, rel):
@@ -320,7 +327,7 @@ def _violated_rows(table, sums, U, C, slot, horizon, rel):
     grid, spent, rate = sums.grid, sums.spent, sums.rate
     fracs = sums.fracs
     if fracs is None:
-        fracs = (_remaining(grid.get(v, {}), p, zero, horizon) for v, _, p in table)
+        fracs = (_remaining(grid[v], p, zero, horizon) for v, _, p in table)
     slots = range(horizon - 1, -1, -1)
     u_of = {}    # job -> its U over `slots`
     for (v, j, p), fr in zip(table, fracs):
@@ -385,13 +392,15 @@ class PrimalSolution:
 def schedule_to_primal(source, instance: Instance, slot=None) -> PrimalSolution:
     """Embed a realized schedule as an LP solution with objective <= 2*cost.
 
-    `source` is a Trace (each interval gets realized) or a list of
-    ScheduleSlices covering [0, makespan). x spreads each rate pool
-    uniformly over its machine span; U is the minimal feasible remaining
-    fraction; the slot defaults to half the smallest per-job gap between
-    completion time and the area under its U curve, which keeps the
-    left-Riemann U sum below C_j per job. All four constraint families and
-    both objective bounds are checked before returning (LpError otherwise).
+    `source` is a Trace of `instance` (each interval gets realized; a
+    trace of another instance raises report.AnalysisError) or a list of
+    ScheduleSlices covering [0, makespan); either ran at instance.speedup.
+    x spreads each rate pool uniformly over its machine span; U is the
+    minimal feasible remaining fraction; the slot defaults to half the
+    smallest per-job gap between completion time and the area under its U
+    curve, which keeps the left-Riemann U sum below C_j per job. All four
+    constraint families and both objective bounds are checked before
+    returning (LpError otherwise).
     Each task of positive size needs an x entry, so an instance with more
     such tasks than MAX_PRIMAL_ENTRIES is refused before anything is
     realized.
@@ -403,13 +412,13 @@ def schedule_to_primal(source, instance: Instance, slot=None) -> PrimalSolution:
             f"{n_tasks} tasks of positive size need one each"
         )
     if hasattr(source, "intervals"):
+        require_own_trace(source, instance)
         slices = [
             realize_slice(iv.profile, instance, iv) for iv in source.intervals
         ]
-        gamma = source.instance.speedup
     else:
         slices = list(source)
-        gamma = instance.speedup
+    gamma = instance.speedup
     table = task_table(instance)
     job_tasks = {}
     for v, j, p in table:
@@ -547,7 +556,7 @@ def schedule_to_primal(source, instance: Instance, slot=None) -> PrimalSolution:
     # U's last slot is high and x names none above it, so the check's
     # horizon is high + 1, that of these fracs.
     sums = _read_x(x, remaining.keys(), lambda i: gamma * speeds[i], zero)
-    sums.fracs = [_remaining(sums.grid.get(v, {}), p, zero, high + 1)
+    sums.fracs = [_remaining(sums.grid[v], p, zero, high + 1)
                   for v, _, p in table]
     u_of = {}
     for (_, j, _), fr in zip(table, sums.fracs):
@@ -570,15 +579,18 @@ def schedule_to_primal(source, instance: Instance, slot=None) -> PrimalSolution:
 
 
 def check_primal(primal: PrimalSolution, instance: Instance, *, _sums=None) -> None:
-    """Check that every x and U entry names an LP variable (an int slot
-    >= 0, a machine id that is an int in 1..m, and a task of the table or a job of
-    the instance), then the LP's rows on the primal's slot
-    grid, then the bounds the embedding adds: U <= 1, C only for jobs of the
-    instance, each job's Riemann sum slot * sum_t U_{j,t} <= C_j, and
-    cost <= objective <= 2 * cost. Last,
-    the stored cost and objective must be close to sum_j w_j C_j and cost +
-    slot * sum w_j U_{j,t}, summed in schedule_to_primal's order. Raise
-    LpError at the first violation.
+    """Check the primal and raise LpError at the first violation, in this
+    order. Every x, U and C key is checked in the one loop that reads it:
+    first x, entry by entry in its order, each key's slot (an int >= 0),
+    task (an int of the table) and machine (an int in 1..m); then U, whose
+    keys must be an int slot >= 0 and a job of the instance. Then the LP's
+    rows on the primal's slot grid, as _violated_rows orders them; then the
+    bounds: the first U above 1, then the first negative x, each in its
+    dict's order. Then C, entry by entry: a job of the instance whose
+    Riemann sum slot * sum_t U_{j,t} is at most C_j. Then cost <= objective
+    <= 2 * cost. Last, the stored cost and objective must be close to sum_j
+    w_j C_j and cost + slot * sum w_j U_{j,t}, summed in
+    schedule_to_primal's order.
 
     x and U are each iterated once. schedule_to_primal passes its own
     _read_x of the x it has just written as _sums, so that the embedding
@@ -590,7 +602,7 @@ def check_primal(primal: PrimalSolution, instance: Instance, *, _sums=None) -> N
     if _sums is None:
         def rate_of(i):
             if type(i) is not int or not 1 <= i <= m:
-                return None
+                raise LpError(f"x names machine {i}: no machine {i}")
             return primal.gamma * instance.machine_speed(i)
 
         _sums = _read_x(primal.x, {v for v, _, _ in table}, rate_of, zero)
@@ -607,9 +619,6 @@ def check_primal(primal: PrimalSolution, instance: Instance, *, _sums=None) -> N
             over = f"U_{j}_{s} exceeds 1"
         u_sum[j] += u
         u_cost = u_cost + weights[j] * u
-    for i in _sums.machines:
-        if type(i) is not int or not 1 <= i <= m:
-            raise LpError(f"x names machine {i}: no machine {i}")
     row = next(_violated_rows(table, _sums, primal.U, primal.C,
                               primal.slot, 1 + last, REL_TOL), None)
     if row is not None:
@@ -617,6 +626,9 @@ def check_primal(primal: PrimalSolution, instance: Instance, *, _sums=None) -> N
         raise LpError(f"row {name} violated: lhs={float(lhs)!r} rhs={float(rhs)!r}")
     if over is not None:
         raise LpError(over)
+    for i, v, t in _sums.negative:
+        if not leq(zero, primal.x[i, v, t]):
+            raise LpError(f"x_{i}_{v}_{t} is negative")
     for j, c in primal.C.items():
         if j not in weights:
             raise LpError(f"C_{j} names no LP variable")

@@ -18,6 +18,7 @@ from bagsched import (
     make_instance,
     make_job,
     rank_bands,
+    schedule_to_primal,
     simulate,
     with_speedup,
 )
@@ -301,16 +302,23 @@ def test_interval_bookkeeping_spans_trace():
 def test_certificates_refuse_another_instances_trace():
     # a builder reads gamma from the trace and the classes and jobs from the
     # instance; the weaker certificate of a's trace with b's instance once
-    # came out feasible at objective 24.85, where b's own has 16.67
+    # came out feasible at objective 24.85, where b's own has 16.67. The LP
+    # embedding once took its gamma from the trace, so a trace at speedup 4
+    # embedded with the instance at speedup 8 came out saying gamma = 4
     a = with_speedup(gen_random_ica(2, 5, 3, 1), 8)
     b = with_speedup(gen_random_ica(2, 5, 3, 2), 8)
     trace = simulate(a)
     for build in (build_weaker_duals, build_single_job_duals,
-                  build_general_duals, classify_blocks):
+                  build_general_duals, classify_blocks, schedule_to_primal):
         with pytest.raises(AnalysisError, match="not the one the trace simulated"):
             build(trace, b)
+    slow = with_speedup(gen_random_ica(2, 4, 2, 1), 4)
+    with pytest.raises(AnalysisError, match="not the one the trace simulated"):
+        schedule_to_primal(simulate(slow), with_speedup(slow, 8))
     # an equal copy of the trace's own instance is accepted
     assert build_weaker_duals(trace, with_speedup(gen_random_ica(2, 5, 3, 1), 8)).feasible
+    copy = with_speedup(gen_random_ica(2, 4, 2, 1), 4)
+    assert schedule_to_primal(simulate(slow), copy).gamma == 4
 
 
 def test_certificates_stay_below_the_lp_optimum():

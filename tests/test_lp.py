@@ -109,23 +109,39 @@ def test_zero_size_task_skipped():
     assert "done_2_3:" in text and "x_1_3_0" in text
 
 
-def test_a_zero_size_group_is_never_expanded():
+def test_a_zero_size_group_is_never_expanded(monkeypatch):
     # the size caps count tasks of positive size only, so a zero-size group
     # of 10^6 tasks passed them and was then expanded by every LP function:
-    # emit_lp alone took seconds and peaked near 100 MB
+    # emit_lp alone took seconds and peaked near 100 MB. With no task of
+    # positive size at all, the caps pass any machine count: emit_lp listed
+    # every machine's speed and wrote an empty cap row per machine and slot
+    # (75 s at 10^6 machines), and check_lp_solution visited every machine.
+    # The spy refuses any expansion past 10^6 machines instead of making it.
     inst = make_instance([(1, 1)], [make_job(1, 1.0, [3.0, (0.0, 10 ** 6)])])
     assert task_table(inst) == [(1, 1, 3.0)]
-    trace = simulate(inst)
-    for call in (lambda: emit_lp(inst, 2),
-                 lambda: check_lp_solution(inst, {}, 2),
-                 lambda: schedule_to_primal(trace, inst)):
-        tracemalloc.start()
-        try:
-            call()
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 2 ** 20
+    idle = make_instance([(1, 10 ** 9)], [make_job(1, 1.0, [0.0])])
+    assert task_table(idle) == []
+    expand = type(inst).machine_speeds
+
+    def spy(self, upto):
+        if upto > 10 ** 6:
+            raise AssertionError(f"speeds of {upto} machines listed")
+        return expand(self, upto)
+
+    monkeypatch.setattr(type(inst), "machine_speeds", spy)
+    for case, horizon in ((inst, 2), (idle, 1)):
+        trace = simulate(case)
+        for call in (lambda: emit_lp(case, horizon),
+                     lambda: check_lp_solution(case, {}, horizon),
+                     lambda: schedule_to_primal(trace, case)):
+            tracemalloc.start()
+            try:
+                call()
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 2 ** 20
+    assert "cap_" not in emit_lp(idle, 1)
 
 
 @pytest.mark.parametrize("exact", [False, True])
@@ -193,9 +209,12 @@ def test_check_primal_rejects_corruption_under_optimize():
     # inside the sandwich that is not the primal's own (1.9 cost where the
     # embedding gives 1.65 cost), a cost
     # that is not sum w_j C_j, and x and C entries for a task and a job the
-    # instance lacks; then, on an instance with a zero-size task, an x entry
-    # on that task (it names no LP variable) and a machine id that is not an
-    # int (once a TypeError)
+    # instance lacks; x entries past machine 1's first entry whose machine is
+    # 1.0 or True, or whose task is 2.0 (once read as machine 1 or task 2);
+    # a bad machine at x's first entry before a bad slot at its last (each
+    # key is refused at its own entry, so the machine is named); then, on an
+    # instance with a zero-size task, an x entry on that task (it names no
+    # LP variable) and a machine id that is not an int (once a TypeError)
     code = """
 import dataclasses, sys
 from bagsched import make_instance, make_job, schedule_to_primal, simulate
@@ -221,7 +240,12 @@ for bad in (dataclasses.replace(primal, x={}, objective=5 * primal.cost),
             dataclasses.replace(primal, objective=1.9 * primal.cost),
             dataclasses.replace(primal, cost=1.2 * primal.cost),
             dataclasses.replace(primal, C={**primal.C, 9: 1.0}),
-            dataclasses.replace(primal, x={**primal.x, (1, 7, 4): 0.05})):
+            dataclasses.replace(primal, x={**primal.x, (1, 7, 4): 0.05}),
+            dataclasses.replace(primal, x={**primal.x, (1.0, 2, 9): 0.0}),
+            dataclasses.replace(primal, x={**primal.x, (True, 2, 9): 0.0}),
+            dataclasses.replace(primal, x={**primal.x, (1, 2.0, 9): 0.0}),
+            dataclasses.replace(primal, x={(3, 1, 0): 0.0, **primal.x,
+                                           (1, 1, -1): 0.0})):
     try:
         check_primal(bad, inst)
     except LpError as exc:
@@ -260,9 +284,39 @@ for bad in (dataclasses.replace(primal, x={**primal.x, (1, 3, 0): 0.0}),
     assert lines[11].startswith("cost ") and "is not the primal's" in lines[11]
     assert lines[12] == "C_9 names no LP variable"
     assert lines[13] == "x names task 7: no task 7"
-    assert lines[14] == "x names task 3: no task 3"
-    assert lines[15] == "x names machine 2.0000000001: no machine 2.0000000001"
-    assert len(lines) == 16
+    assert lines[14] == "x names machine 1.0: no machine 1.0"
+    assert lines[15] == "x names machine True: no machine True"
+    assert lines[16] == "x names task 2.0: no task 2.0"
+    assert lines[17] == "x names machine 3: no machine 3"
+    assert lines[18] == "x names task 3: no task 3"
+    assert lines[19] == "x names machine 2.0000000001: no machine 2.0000000001"
+    assert len(lines) == 20
+
+
+def test_the_emitted_bounds_are_checked():
+    # emit_lp states 0 <= U <= 1, and LP format sets x >= 0 and C >= 0 by
+    # default. Both checks once passed a negative x that a later slot makes
+    # up for, and check_lp_solution a U of 5 or a negative C; each broken
+    # bound is now reported after the rows, named after its variable
+    inst = make_instance([(1, 2)], [make_job(1, 1.0, [1.0])])
+    values = {"x_1_1_0": 1.0, "x_2_1_0": -0.5, "x_2_1_1": 0.5,
+              "U_1_0": 1.0, "U_1_1": 0.5, "C_1": 2.0}
+    assert check_lp_solution(inst, values, 2) == [("x_2_1_0", -0.5, 0.0)]
+    primal = PrimalSolution(
+        slot=1.0, gamma=1.0, x={(1, 1, 0): 1.0, (2, 1, 0): -0.5, (2, 1, 1): 0.5},
+        U={(1, 0): 1.0, (1, 1): 0.5}, C={1: 2.0}, cost=2.0, objective=3.5)
+    with pytest.raises(LpError, match=r"^x_2_1_0 is negative$"):
+        check_primal(primal, inst)
+    clean = primal_to_solution_values(
+        schedule_to_primal(simulate(inst), inst, slot=1))
+    assert check_lp_solution(inst, clean, 2) == []
+    assert check_lp_solution(inst, {**clean, "U_1_0": 5.0}, 2) == [
+        ("U_1_0", 5.0, 1.0)]
+    # a job of zero-size tasks has no row, so only its bounds hold its U and C
+    both = make_instance([(1, 2)], [make_job(1, 1.0, [1.0]),
+                                    make_job(2, 1.0, [0.0])])
+    assert check_lp_solution(both, {**clean, "U_2_1": -0.25, "C_2": -1.0}, 2) == [
+        ("U_2_1", -0.25, 0.0), ("C_2", -1.0, 0.0)]
 
 
 def test_check_primal_is_exact_in_exact_mode():
@@ -394,9 +448,11 @@ def test_exact_embedding_decides_completion_exactly():
 
 def parent_check_lp_solution(instance, values, horizon):
     """check_lp_solution as first written, with its own row sums and its
-    SOLVER_REL * max(1, .) slack. Also returns whether some row's sides lie
-    within 10 SOLVER_REL (scaled) of each other without being equal, where
-    the two slack rules may disagree."""
+    SOLVER_REL * max(1, .) slack, followed by the bounds of the emitted LP
+    (x >= 0, 0 <= U <= 1, C >= 0), each named after its variable. Also
+    returns whether some row's or bound's sides lie within 10 SOLVER_REL
+    (scaled) of each other without being equal, where the two slack rules
+    may disagree."""
     m = instance.machine_count()
     tasks = [(v, j, p) for (v, j, p) in task_table(instance) if p > 0]
     speeds = instance.machine_speeds(m)
@@ -441,11 +497,27 @@ def parent_check_lp_solution(instance, values, horizon):
             edge(load, 1.0)
             if load > 1 + SOLVER_REL:
                 bad.append((f"cap_{i}_{t}", load, 1.0))
+    bounds = [(f"x_{i}_{v}_{t}", 0.0, None) for i in range(1, m + 1)
+              for v, _, _ in tasks for t in range(horizon)]
+    bounds += [(f"U_{job.job_id}_{t}", 0.0, 1.0) for job in instance.jobs
+               for t in range(horizon)]
+    bounds += [(f"C_{job.job_id}", 0.0, None) for job in instance.jobs]
+    for name, low, high in bounds:
+        if name not in values:
+            continue
+        value = values[name]
+        edge(value, low)
+        if value < low - SOLVER_REL:
+            bad.append((name, value, low))
+        elif high is not None:
+            edge(value, high)
+            if value > high + SOLVER_REL * max(1.0, value):
+                bad.append((name, value, high))
     return bad, any(near)
 
 
 _lp_values = st.one_of(
-    st.sampled_from([0.0, 0.25, 0.5, 1.0, 1.5, 2.0, 3.0]),
+    st.sampled_from([-0.5, 0.0, 0.25, 0.5, 1.0, 1.5, 2.0, 3.0]),
     st.floats(min_value=0.0, max_value=4.0),
 )
 
