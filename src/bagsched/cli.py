@@ -242,9 +242,16 @@ def _bench_row(instance, gamma, builder, k, n, seed):
     return row
 
 
+def _seed_list(text) -> list:
+    """--seeds: comma-separated ints, blanks skipped."""
+    try:
+        return [int(s) for s in text.split(",") if s.strip() != ""]
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"not a comma-separated list of integers: {text!r}") from None
+
+
 def cmd_bench(args) -> int:
-    seeds = [int(s) for s in args.seeds.split(",") if s.strip() != ""] \
-        if args.seeds else []
     rows = []
     if args.family in ("lower", "both"):
         for k in range(args.k_min, args.k_max + 1):
@@ -255,7 +262,7 @@ def cmd_bench(args) -> int:
             ))
     if args.family in ("random", "both"):
         for k in range(args.k_min, args.k_max + 1):
-            for seed in seeds:
+            for seed in args.seeds:
                 instance = gen_random_ica(k, args.jobs, args.max_tasks, seed)
                 rows.append(_bench_row(
                     instance, weaker_threshold(instance), build_weaker_duals,
@@ -329,7 +336,7 @@ def build_parser() -> argparse.ArgumentParser:
                     default="both")
     pb.add_argument("--k-min", type=int, default=1)
     pb.add_argument("--k-max", type=int, default=3)
-    pb.add_argument("--seeds", default="",
+    pb.add_argument("--seeds", type=_seed_list, default=[],
                     help="comma-separated seeds for the random family")
     pb.add_argument("--jobs", type=int, default=3)
     pb.add_argument("--max-tasks", type=int, default=4)

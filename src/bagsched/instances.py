@@ -229,8 +229,8 @@ def make_instance(classes, jobs, speedup=1, exact=False):
             raise InstanceError("class speeds must be strictly decreasing")
     jobs = tuple(jobs)
     for position, job in enumerate(jobs, start=1):
-        # the package finds job j at jobs[j - 1]
-        if job.job_id != position:
+        # the package finds job j at jobs[j - 1]; 1.0 and True are not 1
+        if type(job.job_id) is not int or job.job_id != position:
             raise InstanceError(
                 f"job {position} of the list has id {job.job_id}; "
                 f"ids must be 1..{len(jobs)} in list order"
@@ -311,7 +311,8 @@ def instance_from_dict(data: dict, exact: bool = False) -> Instance:
             )
         speedup = from_json_number(data.get("speedup", 1))
         return make_instance(classes, jobs, speedup=speedup, exact=exact)
-    except (KeyError, TypeError) as exc:
+    # ZeroDivisionError: a {"num", "den"} number with den 0
+    except (KeyError, TypeError, ZeroDivisionError) as exc:
         raise InstanceError(f"malformed instance JSON: {exc}") from exc
 
 

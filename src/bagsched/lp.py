@@ -17,17 +17,24 @@ no variables or rows, and its group is never expanded.
 Any schedule embeds with objective in [cost, 2*cost]; the emitted file uses
 the original machine speeds (the bound is about the adversary's machines),
 while schedule embedding uses the speeds that actually ran the schedule.
-One row checker, _violated_rows, evaluates these four families for both
-check_lp_solution (ingested unit-slot solutions, at SOLVER_REL) and
-check_primal (embedded schedules on their slot grid, at REL_TOL).
+One scan, _violated_rows, evaluates these four families and then the
+bounds x >= 0, 0 <= U <= 1 and C >= 0 for both check_lp_solution (ingested
+unit-slot solutions, at SOLVER_REL) and check_primal (embedded schedules on
+their slot grid, at REL_TOL). A machine's rate, gamma * sigma_i, comes from
+the instance: gamma is 1 for the emitted LP and instance.speedup for an
+embedding.
 
 Errors: every x, U and C key is checked in the one loop that reads it.
 x's loop checks each entry's slot (an int >= 0), task (an int the table
 lists) and machine (an int in 1..m) at the entry itself, so the first bad
-key in x's order is the one reported. check_lp_solution returns every
-violated row, then every broken bound (x >= 0, 0 <= U <= 1, C >= 0);
-check_primal raises at its first violation in one order: x keys, U keys,
-rows, bounds, C, the objective sandwich, then the stored cost and objective.
+key in x's order is the one reported; U's and C's job ids must be ints of
+the instance. check_lp_solution returns every violated row, then every
+broken bound: x, U, then C. check_primal raises at its first violation in
+one order: x keys, U keys, C keys; rows; bounds, x then U then C, as
+"x_i_v_t is negative", "U_j_t is negative", "U_j_t exceeds 1" or "C_j is
+negative"; each job's Riemann sum; the objective sandwich; then the stored
+cost and objective. The LP text holds floats, so emit_lp, check_lp_solution
+and solution_objective refuse a value that does not fit one.
 
 Cost: schedule_to_primal writes each x entry once, then reads x once: one
 pass (_read_x) checks every key, notes each negative amount and sums x by
@@ -50,10 +57,11 @@ import functools
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, permutations, repeat
+from math import inf
 from operator import le, truediv
 
 from .instances import Instance
-from .numutil import REL_TOL, SOLVER_REL, close, leq, scaled_tol
+from .numutil import REL_TOL, SOLVER_REL, close, leq, scaled_tol, to_float
 from .report import require_own_trace
 from .sim import realize_slice
 
@@ -120,7 +128,8 @@ def emit_lp(instance: Instance, horizon: int) -> str:
     Variables are named x_{i}_{v}_{t}, U_{j}_{t}, C_{j}. Machine speeds are
     the original sigma values (no speedup). Only the tasks of task_table
     get variables and constraints. A comment flags a horizon that cannot cover
-    even the fluid lower bound total_work / total_capacity.
+    even the fluid lower bound total_work / total_capacity. A weight, 1/size
+    or 1/speed that does not fit a float raises LpError.
     """
     if horizon < 1:
         raise LpError(f"horizon must be >= 1, got {horizon}")
@@ -136,38 +145,41 @@ def emit_lp(instance: Instance, horizon: int) -> str:
     if total_cap > 0 and total_work > horizon * total_cap:
         lines.append(
             "\\ warning: horizon {} below fluid makespan bound {:.6g}".format(
-                horizon, float(total_work / total_cap)
+                horizon, to_float(total_work / total_cap)
             )
         )
     lines.append("Minimize")
     terms = []
     for job in instance.jobs:
-        terms.append(f"{_num(job.weight)} C_{job.job_id}")
+        w = _num(job.weight, f"job {job.job_id}: weight")
+        terms.append(f"{w} C_{job.job_id}")
         for t in range(horizon):
-            terms.append(f"{_num(job.weight)} U_{job.job_id}_{t}")
+            terms.append(f"{w} U_{job.job_id}_{t}")
     lines.append(_wrap(" obj: " + " + ".join(terms)))
     lines.append("Subject To")
 
+    per_speed = [_num(1 / sp, f"machine {i}: 1/speed") for i, sp in enumerate(speeds, 1)]
     for v, j, p in tasks:
+        per_size = _num(1 / p, f"task {v}: 1/size")
         for t in range(horizon):
             parts = [f"U_{j}_{t}"]
             for tp in range(t, horizon):
                 for i in range(1, m + 1):
-                    parts.append(f"- {_num(1 / p)} x_{i}_{v}_{tp}")
+                    parts.append(f"- {per_size} x_{i}_{v}_{tp}")
             lines.append(_wrap(f" rem_{j}_{v}_{t}: " + " ".join(parts) + " >= 0"))
         parts = [f"C_{j}"]
         for t in range(horizon):
             for i in range(1, m + 1):
-                parts.append(f"- {_num(1 / speeds[i - 1])} x_{i}_{v}_{t}")
+                parts.append(f"- {per_speed[i - 1]} x_{i}_{v}_{t}")
         lines.append(_wrap(f" time_{j}_{v}: " + " ".join(parts) + " >= 0"))
         parts = []
         for t in range(horizon):
             for i in range(1, m + 1):
-                parts.append(f"{_num(1 / p)} x_{i}_{v}_{t}")
+                parts.append(f"{per_size} x_{i}_{v}_{t}")
         lines.append(_wrap(f" done_{j}_{v}: " + " + ".join(parts) + " >= 1"))
-    for i, speed in enumerate(speeds, 1):
+    for i, inverse in enumerate(per_speed, 1):
         for t in range(horizon):
-            parts = [f"{_num(1 / speed)} x_{i}_{v}_{t}" for v, _, _ in tasks]
+            parts = [f"{inverse} x_{i}_{v}_{t}" for v, _, _ in tasks]
             lines.append(_wrap(f" cap_{i}_{t}: " + " + ".join(parts) + " <= 1"))
 
     lines.append("Bounds")
@@ -178,8 +190,17 @@ def emit_lp(instance: Instance, horizon: int) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _num(x) -> str:
-    return repr(float(x))
+def _float(value, what) -> float:
+    """float(value), or LpError naming `what` when the value does not fit a
+    float: past its range, or not zero and rounding to 0."""
+    f = to_float(value)
+    if abs(f) == inf or (f == 0) != (value == 0):
+        raise LpError(f"{what} does not fit a float, and the LP text holds floats")
+    return f
+
+
+def _num(value, what) -> str:
+    return repr(_float(value, what))
 
 
 def _wrap(row: str) -> str:
@@ -221,30 +242,35 @@ def parse_lp_solution(text: str) -> dict:
 
 
 def solution_objective(instance: Instance, values: dict, horizon: int) -> float:
-    """Objective of an ingested LP solution (missing variables are 0)."""
+    """Objective of an ingested LP solution (missing variables are 0). A
+    weight that does not fit a float raises LpError."""
     total = 0.0
     for job in instance.jobs:
-        total += float(job.weight) * values.get(f"C_{job.job_id}", 0.0)
+        w = _float(job.weight, f"job {job.job_id}: weight")
+        total += w * values.get(f"C_{job.job_id}", 0.0)
         for t in range(horizon):
-            total += float(job.weight) * values.get(f"U_{job.job_id}_{t}", 0.0)
+            total += w * values.get(f"U_{job.job_id}_{t}", 0.0)
     return total
 
 
 def check_lp_solution(instance: Instance, values: dict, horizon: int) -> list:
     """Re-evaluate the emitted LP's rows and bounds on an ingested solution.
 
-    Returns the (constraint_name, lhs, rhs) rows that _violated_rows finds
-    beyond SOLVER_REL slack, then each bound the solution breaks at that
-    slack, named after its variable: x >= 0 in x's order (machine, task,
-    slot), 0 <= U <= 1 (job, slot) and C >= 0 (job), with the value as lhs
-    and the bound as rhs. Values named after no variable of the emitted LP
-    are ignored. Uses the same original speeds and float coefficients as
-    emit_lp, and refuses the LPs that emit_lp refuses as too large.
+    Returns what _violated_rows finds beyond SOLVER_REL slack: the
+    violated (constraint_name, lhs, rhs) rows, then each broken bound,
+    named after its variable with the value as lhs and the bound as rhs:
+    x >= 0 in x's order (machine, task, slot), then 0 <= U <= 1 (job,
+    slot), then C >= 0 (job). Values named after no variable of the emitted
+    LP are ignored. Uses the same original speeds and float coefficients as
+    emit_lp, and refuses the LPs that emit_lp refuses as too large, and a
+    size or speed that does not fit a float.
     """
     _check_lp_size(instance, horizon)
-    table = [(v, j, float(p)) for v, j, p in task_table(instance)]
+    table = [(v, j, _float(p, f"task {v}: size")) for v, j, p in task_table(instance)]
     jobs = [job.job_id for job in instance.jobs]
     machines = range(1, instance.machine_count() + 1) if table else ()
+    for k, c in enumerate(instance.classes if table else (), 1):
+        _float(c.speed, f"class {k}: speed")
 
     def pick(variables):  # {key: value} of the (name, key) pairs that are set
         return {key: values[name] for name, key in variables if name in values}
@@ -253,15 +279,9 @@ def check_lp_solution(instance: Instance, values: dict, horizon: int) -> list:
              for v, _, _ in table for t in range(horizon))
     U = pick((f"U_{j}_{t}", (j, t)) for j in jobs for t in range(horizon))
     C = pick((f"C_{j}", j) for j in jobs)
-    sums = _read_x(x, {v for v, _, _ in table},
-                   lambda i: float(instance.machine_speed(i)), 0.0)
-    rows = list(_violated_rows(table, sums, U, C, 1.0, horizon, SOLVER_REL))
-    rows += [(f"x_{i}_{v}_{t}", x[i, v, t], 0.0) for i, v, t in sums.negative
-             if not leq(0.0, x[i, v, t], SOLVER_REL)]
-    rows += [(f"U_{j}_{t}", u, 0.0 if u < 0 else 1.0) for (j, t), u in U.items()
-             if not (leq(0.0, u, SOLVER_REL) and leq(u, 1.0, SOLVER_REL))]
-    rows += [(f"C_{j}", c, 0.0) for j, c in C.items() if not leq(0.0, c, SOLVER_REL)]
-    return rows
+    sums = _read_x(x, {v for v, _, _ in table}, instance, 1.0, 0.0)
+    u_out = [key for key, u in U.items() if not 0.0 <= u <= 1.0]
+    return list(_violated_rows(table, sums, U, C, u_out, 1.0, horizon, SOLVER_REL))
 
 
 @dataclass
@@ -271,20 +291,20 @@ class _XSums:
     grid: dict      # each task -> {slot: amount over all machines}
     load: dict      # machine -> {slot: amount over all tasks}
     spent: dict     # each task -> machine time, amount / rate summed
-    rate: dict      # machine -> its rate
-    negative: list  # the keys of x's negative amounts, in x's order
+    rate: dict      # machine -> its rate, gamma * sigma_i
+    negative: list  # (machine, task, slot, amount) of x's negative amounts
     last: int       # the highest slot that x names, -1 for none
     fracs: list = None  # each table task's _remaining at the LP's horizon
 
 
-def _read_x(x, tasks, rate_of, zero) -> _XSums:
+def _read_x(x, tasks, instance, gamma, zero) -> _XSums:
     """Read x once, checking each key at its own entry and raising LpError
     at the first bad one: its slot must be an int >= 0, its task an int in
-    `tasks`, its machine an int that rate_of accepts (rate_of(i) returns
-    the machine's rate or raises the machine error, once per distinct id).
-    The same loop notes each negative amount and sums the amounts by task
-    and slot, by machine and slot, and by task as machine time, each in x's
-    order from the typed zero."""
+    `tasks`, its machine an int in 1..m of the instance, whose rate
+    gamma * sigma_i is looked up once per distinct id. The same loop notes
+    each negative amount and sums the amounts by task and slot, by machine
+    and slot, and by task as machine time, each in x's order from the typed
+    zero."""
     grid = {v: {} for v in tasks}
     load = {}
     spent = dict.fromkeys(grid, zero)
@@ -298,11 +318,13 @@ def _read_x(x, tasks, rate_of, zero) -> _XSums:
         if i is not seen:  # x runs machine by machine; 1.0 and True are not 1
             r = rate.get(i) if type(i) is int else None
             if r is None:
-                r = rate[i] = rate_of(i)
+                if type(i) is not int or not 1 <= i <= instance.machine_count():
+                    raise LpError(f"x names machine {i}: no machine {i}")
+                r = rate[i] = gamma * instance.machine_speed(i)
                 load[i] = {}
             seen, mine = i, load[i]
         if amt < zero:
-            negative.append((i, v, t))
+            negative.append((i, v, t, amt))
         row = grid[v]
         row[t] = row[t] + amt if t in row else zero + amt
         mine[t] = mine[t] + amt if t in mine else zero + amt
@@ -311,11 +333,15 @@ def _read_x(x, tasks, rate_of, zero) -> _XSums:
     return _XSums(grid, load, spent, rate, negative, last)
 
 
-def _violated_rows(table, sums, U, C, slot, horizon, rel):
+def _violated_rows(table, sums, U, C, u_out, slot, horizon, rel):
     """Yield each violated row of the LP over `horizon` slots of length
     `slot` as (name, lhs, rhs), named and ordered as emit_lp writes them:
     per task of the table rem_j_v_t (t descending), time_j_v and
-    done_j_v, then cap_i_t. Every row is compared by leq at `rel`.
+    done_j_v, then cap_i_t. Then each broken bound as (variable, value,
+    bound): x >= 0 over sums.negative, in x's order; 0 <= U <= 1 over
+    u_out, the keys of U that the caller found outside [0, 1] by a plain
+    compare; C >= 0 in C's order. Every row and bound is compared by leq at
+    `rel`.
 
     sums is _read_x's reading of x; its fracs, when set, must be over
     `horizon`, and are computed here otherwise. U maps (job, slot) and C
@@ -352,6 +378,16 @@ def _violated_rows(table, sums, U, C, slot, horizon, rel):
     over.sort()
     for i, t in over:
         yield f"cap_{i}_{t}", sums.load[i][t] / rate[i], slot
+    for i, v, t, amt in sums.negative:
+        if not leq(zero, amt, rel):
+            yield f"x_{i}_{v}_{t}", amt, zero
+    for j, t in u_out:
+        u = U[j, t]
+        if not (leq(zero, u, rel) and leq(u, one, rel)):
+            yield f"U_{j}_{t}", u, zero if u < zero else one
+    for j, c in C.items():
+        if not leq(zero, c, rel):
+            yield f"C_{j}", c, zero
 
 
 def _remaining(row, p, zero, horizon):
@@ -376,12 +412,12 @@ class PrimalSolution:
 
     x maps (machine, task, slot) to processing amount; U maps (job, slot)
     to the remaining fraction bound; C maps job to completion time. The
-    slot scales the capacity constraint (sum_v x/s_i <= slot) and the
-    U-term of the objective (cost_u = slot * sum w_j U_{j,t}).
+    machine rates are the instance's, at its speedup, and are not stored
+    here. The slot scales the capacity constraint (sum_v x/s_i <= slot) and
+    the U-term of the objective (cost_u = slot * sum w_j U_{j,t}).
     """
 
     slot: object
-    gamma: object
     x: dict
     U: dict
     C: dict
@@ -555,7 +591,7 @@ def schedule_to_primal(source, instance: Instance, slot=None) -> PrimalSolution:
     # remaining fraction of its tasks, in slot descending then job order.
     # U's last slot is high and x names none above it, so the check's
     # horizon is high + 1, that of these fracs.
-    sums = _read_x(x, remaining.keys(), lambda i: gamma * speeds[i], zero)
+    sums = _read_x(x, remaining.keys(), instance, gamma, zero)
     sums.fracs = [_remaining(sums.grid[v], p, zero, high + 1)
                   for v, _, p in table]
     u_of = {}
@@ -571,7 +607,7 @@ def schedule_to_primal(source, instance: Instance, slot=None) -> PrimalSolution:
     u_cost = slot * sum(weights[j] * u for (j, _), u in U.items()) if U else zero
     objective = cost + u_cost
     primal = PrimalSolution(
-        slot=slot, gamma=gamma, x=x, U=U, C=dict(completion),
+        slot=slot, x=x, U=U, C=dict(completion),
         cost=cost, objective=objective,
     )
     check_primal(primal, instance, _sums=sums)
@@ -583,14 +619,16 @@ def check_primal(primal: PrimalSolution, instance: Instance, *, _sums=None) -> N
     order. Every x, U and C key is checked in the one loop that reads it:
     first x, entry by entry in its order, each key's slot (an int >= 0),
     task (an int of the table) and machine (an int in 1..m); then U, whose
-    keys must be an int slot >= 0 and a job of the instance. Then the LP's
-    rows on the primal's slot grid, as _violated_rows orders them; then the
-    bounds: the first U above 1, then the first negative x, each in its
-    dict's order. Then C, entry by entry: a job of the instance whose
-    Riemann sum slot * sum_t U_{j,t} is at most C_j. Then cost <= objective
-    <= 2 * cost. Last, the stored cost and objective must be close to sum_j
-    w_j C_j and cost + slot * sum w_j U_{j,t}, summed in
-    schedule_to_primal's order.
+    keys must be an int slot >= 0 and an int job of the instance; then C,
+    whose keys must be int jobs of the instance. Then _violated_rows on the
+    primal's slot grid, machine i running at instance.speedup * sigma_i:
+    its first row raises "row ... violated", and after every row its first
+    broken bound, x then U then C, raises "x_i_v_t is negative", "U_j_t is
+    negative", "U_j_t exceeds 1" or "C_j is negative". Then C, entry by
+    entry: each job's Riemann sum slot * sum_t U_{j,t} must be at most C_j.
+    Then cost <= objective <= 2 * cost. Last, the stored cost and objective
+    must be close to sum_j w_j C_j and cost + slot * sum w_j U_{j,t},
+    summed in schedule_to_primal's order.
 
     x and U are each iterated once. schedule_to_primal passes its own
     _read_x of the x it has just written as _sums, so that the embedding
@@ -598,40 +636,34 @@ def check_primal(primal: PrimalSolution, instance: Instance, *, _sums=None) -> N
     table = task_table(instance)
     weights = {j.job_id: j.weight for j in instance.jobs}
     zero = primal.slot - primal.slot
-    m = instance.machine_count()
+    one = zero + 1
     if _sums is None:
-        def rate_of(i):
-            if type(i) is not int or not 1 <= i <= m:
-                raise LpError(f"x names machine {i}: no machine {i}")
-            return primal.gamma * instance.machine_speed(i)
-
-        _sums = _read_x(primal.x, {v for v, _, _ in table}, rate_of, zero)
+        _sums = _read_x(primal.x, {v for v, _, _ in table}, instance,
+                        instance.speedup, zero)
     last = _sums.last
     u_sum = dict.fromkeys(weights, 0)  # each job's U, summed in insertion order
     u_cost = zero  # sum w_j U_{j,t}, in insertion order as schedule_to_primal
-    over = None  # the first U above 1, raised after the rows
+    u_out = []  # the keys of U outside [0, 1], by a compare with typed bounds
     for (j, s), u in primal.U.items():
-        if type(s) is not int or s < 0 or j not in weights:
+        if type(s) is not int or s < 0 or type(j) is not int or j not in weights:
             raise LpError(f"U_{j}_{s} names no LP variable")
         if s > last:
             last = s
-        if over is None and not (u <= 1 or leq(u, 1)):
-            over = f"U_{j}_{s} exceeds 1"
+        if not zero <= u <= one:  # a float compares fastest with a float
+            u_out.append((j, s))
         u_sum[j] += u
         u_cost = u_cost + weights[j] * u
-    row = next(_violated_rows(table, _sums, primal.U, primal.C,
+    for j in primal.C:
+        if type(j) is not int or j not in weights:
+            raise LpError(f"C_{j} names no LP variable")
+    row = next(_violated_rows(table, _sums, primal.U, primal.C, u_out,
                               primal.slot, 1 + last, REL_TOL), None)
     if row is not None:
         name, lhs, rhs = row
+        if name[0] in "xUC":  # a bound, after every row
+            raise LpError(f"{name} {'is negative' if lhs < rhs else 'exceeds 1'}")
         raise LpError(f"row {name} violated: lhs={float(lhs)!r} rhs={float(rhs)!r}")
-    if over is not None:
-        raise LpError(over)
-    for i, v, t in _sums.negative:
-        if not leq(zero, primal.x[i, v, t]):
-            raise LpError(f"x_{i}_{v}_{t} is negative")
     for j, c in primal.C.items():
-        if j not in weights:
-            raise LpError(f"C_{j} names no LP variable")
         usum = primal.slot * u_sum[j]
         if not leq(usum, c):
             raise LpError(f"job {j}: U sum {float(usum)} exceeds C {float(c)}")

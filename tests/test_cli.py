@@ -10,6 +10,8 @@ import pytest
 
 from bagsched import cli
 from bagsched.cli import main
+from bagsched.instances import instance_from_dict
+from bagsched.lp import LpError, check_lp_solution, solution_objective
 
 
 def run_cli(*argv):
@@ -280,6 +282,33 @@ def test_emit_lp_refuses_a_horizon_past_the_term_cap(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_lp_values_past_the_float_range_are_a_precondition(tmp_path, capsys):
+    # the LP text holds floats: emit-lp --exact once died with an
+    # OverflowError traceback on a weight of 10^400, where the float run
+    # already exits 3 and points to --exact
+    data = {"classes": [{"sigma": 1, "count": 1}],
+            "jobs": [{"weight": {"num": 10 ** 400, "den": 1}, "sizes": [1]}]}
+    path = tmp_path / "heavy.json"
+    path.write_text(json.dumps(data))
+    assert run_cli("emit-lp", str(path), "--horizon", "2") == 3
+    assert "rerun with --exact" in capsys.readouterr().err
+    assert run_cli("emit-lp", str(path), "--horizon", "2", "--exact") == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("precondition: job 1: weight does not fit a float, "
+                            "and the LP text holds floats\n")
+    with pytest.raises(LpError, match="^job 1: weight does not fit a float"):
+        solution_objective(instance_from_dict(data, exact=True), {}, 2)
+    # a size of 10^-400 rounds to 0.0, and its inverse is past the range
+    data["jobs"] = [{"weight": 1, "sizes": [{"num": 1, "den": 10 ** 400}]}]
+    path.write_text(json.dumps(data))
+    assert run_cli("emit-lp", str(path), "--horizon", "2", "--exact") == 3
+    assert capsys.readouterr().err.startswith(
+        "precondition: task 1: 1/size does not fit a float")
+    with pytest.raises(LpError, match="^task 1: size does not fit a float"):
+        check_lp_solution(instance_from_dict(data, exact=True), {}, 2)
+
+
 def test_missing_file_is_io_error(capsys):
     assert run_cli("simulate", "/nonexistent/instance.json") == 2
 
@@ -337,6 +366,15 @@ def test_bench_empty_seeds_header_only(tmp_path):
                    "--out", str(out)) == 0
     lines = out.read_text().strip().splitlines()
     assert lines == ["K,n,seed,gamma,makespan,objective,lp_lb,dual_lb,ratio"]
+
+
+def test_bench_bad_seed_is_a_usage_error(capsys):
+    # a seed that is not an int once died with a ValueError traceback
+    with pytest.raises(SystemExit) as exc:
+        run_cli("bench", "--seeds", "a,1")
+    assert exc.value.code == 2
+    assert ("argument --seeds: not a comma-separated list of integers: 'a,1'"
+            in capsys.readouterr().err)
 
 
 def test_out_dir_env_redirects_relative_paths(tmp_path, monkeypatch, capsys):
@@ -397,6 +435,35 @@ def test_non_finite_json_is_a_precondition(tmp_path, capsys, field, command):
     assert captured.out == ""
     assert captured.err.startswith("precondition:")
     assert "must be finite" in captured.err
+
+
+ZERO_DENOMINATOR = {
+    "speedup": lambda data: data.__setitem__("speedup", {"num": 1, "den": 0}),
+    "weight": lambda data: data["jobs"][1].__setitem__("weight", {"num": 1, "den": 0}),
+    "size": lambda data: data["jobs"][0]["sizes"].__setitem__(0, {"num": 1, "den": 0}),
+    "speed": lambda data: data["classes"][0].__setitem__("sigma", {"num": 3, "den": 0}),
+}
+
+
+@pytest.mark.parametrize("field", sorted(ZERO_DENOMINATOR))
+@pytest.mark.parametrize("command", [("simulate",),
+                                     ("verify", "--family", "weaker"),
+                                     ("emit-lp", "--horizon", "2")])
+@pytest.mark.parametrize("exact", [(), ("--exact",)])
+def test_a_zero_denominator_is_malformed_json(tmp_path, capsys, field, command,
+                                              exact):
+    # {"num": n, "den": 0} once raised ZeroDivisionError in every command,
+    # in both modes, and exited 1 with a traceback
+    path = gen_instance(tmp_path, "random", "--k", "2", "--jobs", "2",
+                        "--max-tasks", "2", "--seed", "1")
+    data = json.loads(path.read_text())
+    ZERO_DENOMINATOR[field](data)
+    path.write_text(json.dumps(data))
+    capsys.readouterr()
+    assert run_cli(command[0], str(path), *command[1:], *exact) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("precondition: malformed instance JSON")
 
 
 @pytest.mark.parametrize("classes, sizes", [

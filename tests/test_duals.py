@@ -8,10 +8,12 @@ import pytest
 
 from bagsched import (
     AnalysisError,
+    LpError,
     build_general_duals,
     build_single_job_duals,
     build_weaker_duals,
     certified_ratio,
+    check_primal,
     classify_blocks,
     gen_lower_bound,
     gen_random_ica,
@@ -318,7 +320,11 @@ def test_certificates_refuse_another_instances_trace():
     # an equal copy of the trace's own instance is accepted
     assert build_weaker_duals(trace, with_speedup(gen_random_ica(2, 5, 3, 1), 8)).feasible
     copy = with_speedup(gen_random_ica(2, 4, 2, 1), 4)
-    assert schedule_to_primal(simulate(slow), copy).gamma == 4
+    primal = schedule_to_primal(simulate(slow), copy)
+    # the primal's check reads the speedup of the instance it is given, so
+    # the slower copy at speedup 2 finds its machines overloaded
+    with pytest.raises(LpError, match="^row "):
+        check_primal(primal, with_speedup(copy, 2))
 
 
 def test_certificates_stay_below_the_lp_optimum():

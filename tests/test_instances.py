@@ -229,10 +229,13 @@ def test_jobs_of_the_other_mode_are_rejected(exact, field):
 @pytest.mark.parametrize("jobs", [
     [make_job(2, 1.0, [3.0]), make_job(1, 1.0, [1.0])],
     [make_job(1, 1.0, [3.0]), make_job(3, 1.0, [1.0])],
+    [make_job(1.0, 1.0, [3.0]), make_job(2, 1.0, [1.0])],
+    [make_job(True, 1.0, [3.0]), make_job(2, 1.0, [1.0])],
 ])
 def test_job_ids_count_up_from_one_in_list_order(jobs):
     # job j is found at jobs[j - 1]: swapped ids would run each job with the
-    # other's tasks, and a gap would end in an IndexError
+    # other's tasks, and a gap would end in an IndexError. An id equal to
+    # its position but not an int, 1.0 or True, was once accepted
     with pytest.raises(InstanceError, match=r"ids must be 1\.\.2 in list order"):
         make_instance([(1, 1)], jobs)
 

@@ -291,6 +291,32 @@ for bad in (dataclasses.replace(primal, x={**primal.x, (1, 3, 0): 0.0}),
     assert lines[18] == "x names task 3: no task 3"
     assert lines[19] == "x names machine 2.0000000001: no machine 2.0000000001"
     assert len(lines) == 20
+    # job ids are read by type as well: a U entry of job 1.0 or True past the
+    # schedule's last slot, or C keyed by 1.0, once passed as job 1's
+    code = """
+import dataclasses, sys
+from bagsched import make_instance, make_job, schedule_to_primal, simulate
+from bagsched.lp import LpError, check_primal
+inst = make_instance([(2, 1), (1, 1)], [make_job(1, 1.0, [3, 2])])
+primal = schedule_to_primal(simulate(inst), inst)
+past = 1 + max(s for _, s in primal.U)
+for bad in (dataclasses.replace(primal, U={**primal.U, (1.0, past): 0.0}),
+            dataclasses.replace(primal, U={**primal.U, (True, past): 0.0}),
+            dataclasses.replace(primal, C={1.0: primal.C[1]})):
+    try:
+        check_primal(bad, inst)
+    except LpError as exc:
+        print(exc)
+    else:
+        sys.exit(1)
+"""
+    done = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stdout + done.stderr
+    lines = done.stdout.splitlines()
+    assert re.fullmatch(r"U_1\.0_\d+ names no LP variable", lines[0])
+    assert re.fullmatch(r"U_True_\d+ names no LP variable", lines[1])
+    assert lines[2:] == ["C_1.0 names no LP variable"]
 
 
 def test_the_emitted_bounds_are_checked():
@@ -303,7 +329,7 @@ def test_the_emitted_bounds_are_checked():
               "U_1_0": 1.0, "U_1_1": 0.5, "C_1": 2.0}
     assert check_lp_solution(inst, values, 2) == [("x_2_1_0", -0.5, 0.0)]
     primal = PrimalSolution(
-        slot=1.0, gamma=1.0, x={(1, 1, 0): 1.0, (2, 1, 0): -0.5, (2, 1, 1): 0.5},
+        slot=1.0, x={(1, 1, 0): 1.0, (2, 1, 0): -0.5, (2, 1, 1): 0.5},
         U={(1, 0): 1.0, (1, 1): 0.5}, C={1: 2.0}, cost=2.0, objective=3.5)
     with pytest.raises(LpError, match=r"^x_2_1_0 is negative$"):
         check_primal(primal, inst)
@@ -317,6 +343,38 @@ def test_the_emitted_bounds_are_checked():
                                     make_job(2, 1.0, [0.0])])
     assert check_lp_solution(both, {**clean, "U_2_1": -0.25, "C_2": -1.0}, 2) == [
         ("U_2_1", -0.25, 0.0), ("C_2", -1.0, 0.0)]
+
+
+def test_check_primal_checks_every_bound():
+    # check_primal once tested only U <= 1 and x >= 0: a zero-size job's
+    # U and C, whose rows do not exist, passed at -0.25, cost and objective
+    # restated to match. Its bounds come from the same scan as
+    # check_lp_solution's, in the order x, U, C
+    inst = make_instance([(2, 1), (1, 1)], [make_job(1, 1.0, [3.0, 2.0]),
+                                            make_job(2, 1.0, [0.0])])
+    primal = schedule_to_primal(simulate(inst), inst)
+    check_primal(primal, inst)
+    U = {**primal.U, (2, 0): -0.25}
+    C = {**primal.C, 2: -0.25 * primal.slot}
+    cost = sum(C.values())
+    bad = dataclasses.replace(primal, U=U, C=C, cost=cost,
+                              objective=cost + primal.slot * sum(U.values()))
+    with pytest.raises(LpError, match=r"^U_2_0 is negative$"):
+        check_primal(bad, inst)
+    with pytest.raises(LpError, match=r"^C_2 is negative$"):
+        check_primal(dataclasses.replace(bad, U=primal.U), inst)
+
+
+def test_check_primal_reads_the_speedup_of_its_instance():
+    # the speedup once came from a copy stored on the primal, so an
+    # embedding at speedup 2 passed against the instance at speedup 0.5,
+    # whose machines it overloads four times over
+    inst = make_instance([(2, 1), (1, 1)], [make_job(1, 1.0, [3.0, 2.0])],
+                         speedup=2)
+    primal = schedule_to_primal(simulate(inst), inst)
+    check_primal(primal, inst)
+    with pytest.raises(LpError, match=r"^row "):
+        check_primal(primal, with_speedup(inst, 0.5))
 
 
 def test_check_primal_is_exact_in_exact_mode():
@@ -680,7 +738,7 @@ def first_schedule_to_primal(slices, instance, slot=None):
                 U[key] = frac
 
     u_cost = slot * sum(weights[j] * u for (j, _), u in U.items()) if U else zero
-    return PrimalSolution(slot=slot, gamma=gamma, x=x, U=U, C=dict(completion),
+    return PrimalSolution(slot=slot, x=x, U=U, C=dict(completion),
                           cost=cost, objective=cost + u_cost)
 
 
@@ -726,7 +784,7 @@ def first_check_primal(primal, instance):
     for i in machines:
         if not (leq(1, i) and leq(i, instance.machine_count())):
             raise LpError(f"x names machine {i}: no machine {i}")
-    speeds = [primal.gamma * sp
+    speeds = [instance.speedup * sp
               for sp in instance.machine_speeds(max(machines, default=0))]
     horizon = 1 + max(max((s for _, _, s in primal.x), default=-1),
                       max((s for _, s in primal.U), default=-1))
@@ -755,8 +813,11 @@ def first_check_primal(primal, instance):
 
 def guarded_first_check_primal(primal, instance):
     """first_check_primal behind the guards added after it: every x, U and
-    C entry names an LP variable, and the stored cost and objective are the
-    primal's own, summed as schedule_to_primal sums them."""
+    C entry names an LP variable; after the rows, the LP's bounds hold,
+    x >= 0, then 0 <= U <= 1, then C >= 0, each in its dict's order, before
+    any later error of first_check_primal; and the stored cost and
+    objective are the primal's own, summed as schedule_to_primal sums
+    them."""
     weights = {j.job_id: j.weight for j in instance.jobs}
     tasks = instance.task_count()
     for _, v, s in primal.x:
@@ -770,8 +831,27 @@ def guarded_first_check_primal(primal, instance):
     for j in primal.C:
         if j not in weights:
             raise LpError(f"C_{j} names no LP variable")
-    first_check_primal(primal, instance)
+    try:
+        first_check_primal(primal, instance)
+        later = None
+    except LpError as exc:
+        if str(exc).startswith(("x names machine", "row ")):
+            raise
+        later = exc  # a U above 1, a Riemann sum or the sandwich
     zero = primal.slot - primal.slot
+    for (i, v, t), amt in primal.x.items():
+        if not leq(zero, amt):
+            raise LpError(f"x_{i}_{v}_{t} is negative")
+    for (j, s), u in primal.U.items():
+        if not leq(zero, u):
+            raise LpError(f"U_{j}_{s} is negative")
+        if not leq(u, 1):
+            raise LpError(f"U_{j}_{s} exceeds 1")
+    for j, c in primal.C.items():
+        if not leq(zero, c):
+            raise LpError(f"C_{j} is negative")
+    if later is not None:
+        raise later
     cost = sum(w * primal.C.get(j, zero) for j, w in weights.items())
     objective = cost + primal.slot * sum(
         weights[j] * u for (j, _), u in primal.U.items())
