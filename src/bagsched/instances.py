@@ -153,8 +153,11 @@ class Instance:
 
 
 def _finite(value, what, exact):
-    """`value` in the mode; rejects the NaN and inf that json and float() read,
-    and a {"num", "den"} value past the float range in float mode."""
+    """`value` in the mode; rejects a bool, the NaN and inf that json and
+    float() read, and a {"num", "den"} value past the float range in float
+    mode."""
+    if isinstance(value, bool):
+        raise InstanceError(f"{what} must be a number, got {value!r}")
     if value != value or abs(value) == math.inf:
         raise InstanceError(f"{what} must be finite, got {value}")
     try:

@@ -36,17 +36,18 @@ negative"; each job's Riemann sum; the objective sandwich; then the stored
 cost and objective. The LP text holds floats, so emit_lp, check_lp_solution
 and solution_objective refuse a value that does not fit one.
 
-Cost: schedule_to_primal writes each x entry once, then reads x once: one
-pass (_read_x) checks every key, notes each negative amount and sums x by
-task and slot, by machine and slot, and by task as machine time. U is built
-from those task-by-slot sums, and the embedding's check runs on the same
-sums, so x is iterated once after it is written. check_primal on its own
-makes that same one pass over x, and one pass over U. Past those passes, U
-and the rem rows take a constant amount of work per cell of the
-task-by-slot grid, and the cap rows per cell of the machine-by-slot grid.
-Machine speeds are looked up per machine by class, so a class of 10^9
-machines is never expanded, and with no task of positive size no machine is
-visited at all.
+Cost: schedule_to_primal never reads back the x and U it writes. It keeps
+the ledger of its check (_Ledger) as it writes them: x summed by task and
+slot, by machine and slot, and by task as machine time, each in x's order
+as _read_x sums it, and U's per-job columns, sums and weighted sum. Entries
+that only one segment writes are summed as written, one machine sum per
+piece shared by its tasks; the entries of a slot that several segments
+write are summed after pass B, in x's order. check_primal on its own makes
+one pass over x and one over U for the same ledger. Past that, U and the
+rem rows take a constant amount of work per cell of the task-by-slot grid,
+and the cap rows per cell of the machine-by-slot grid. Machine speeds are
+looked up per machine by class, so a class of 10^9 machines is never
+expanded, and with no task of positive size no machine is visited at all.
 
 The "LP lower bound" reported elsewhere is (feasible dual value)/2, since
 the objective double-counts completion time.
@@ -56,9 +57,9 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate, permutations, repeat
+from itertools import accumulate, chain, cycle, permutations, repeat
 from math import inf
-from operator import le, truediv
+from operator import add, le, mul, truediv
 
 from .instances import Instance
 from .numutil import REL_TOL, SOLVER_REL, close, leq, scaled_tol, to_float
@@ -279,32 +280,39 @@ def check_lp_solution(instance: Instance, values: dict, horizon: int) -> list:
              for v, _, _ in table for t in range(horizon))
     U = pick((f"U_{j}_{t}", (j, t)) for j in jobs for t in range(horizon))
     C = pick((f"C_{j}", j) for j in jobs)
-    sums = _read_x(x, {v for v, _, _ in table}, instance, 1.0, 0.0)
-    u_out = [key for key, u in U.items() if not 0.0 <= u <= 1.0]
-    return list(_violated_rows(table, sums, U, C, u_out, 1.0, horizon, SOLVER_REL))
+    led = _read_x(x, {v for v, _, _ in table}, instance, 1.0, 0.0)
+    _cover(led, table, U, horizon, 0.0)
+    led.u_out = [(j, t, u) for (j, t), u in U.items() if not 0.0 <= u <= 1.0]
+    return list(_violated_rows(table, led, C, 1.0, SOLVER_REL))
 
 
 @dataclass
-class _XSums:
-    """What the LP's rows need of x, from _read_x's one pass over it."""
+class _Ledger:
+    """What the LP's rows and bounds need of x and U. schedule_to_primal
+    keeps it as it writes them; check_primal's _read and check_lp_solution
+    build it by reading them once, through _read_x and _cover. Every slot
+    list runs from the top slot down to 0."""
 
-    grid: dict      # each task -> {slot: amount over all machines}
+    grid: dict      # each table task -> {slot: amount over all machines}
     load: dict      # machine -> {slot: amount over all tasks}
-    spent: dict     # each task -> machine time, amount / rate summed
+    spent: dict     # each table task -> machine time, amount / rate summed
     rate: dict      # machine -> its rate, gamma * sigma_i
     negative: list  # (machine, task, slot, amount) of x's negative amounts
-    last: int       # the highest slot that x names, -1 for none
-    fracs: list = None  # each table task's _remaining at the LP's horizon
+    fracs: list = None   # each table task's _remaining
+    cols: dict = None    # each table job -> its U, a missing one being 0
+    u_out: list = None   # (job, slot, U) of U outside [0, 1], in U's order
+    u_sum: dict = None   # each job -> its U summed in U's order
+    u_cost: object = None  # sum w_j U_{j,t}, in U's order
 
 
-def _read_x(x, tasks, instance, gamma, zero) -> _XSums:
+def _read_x(x, tasks, instance, gamma, zero) -> _Ledger:
     """Read x once, checking each key at its own entry and raising LpError
     at the first bad one: its slot must be an int >= 0, its task an int in
     `tasks`, its machine an int in 1..m of the instance, whose rate
     gamma * sigma_i is looked up once per distinct id. The same loop notes
     each negative amount and sums the amounts by task and slot, by machine
     and slot, and by task as machine time, each in x's order from the typed
-    zero."""
+    zero. The ledger's U half is left to the caller."""
     grid = {v: {} for v in tasks}
     load = {}
     spent = dict.fromkeys(grid, zero)
@@ -329,39 +337,65 @@ def _read_x(x, tasks, instance, gamma, zero) -> _XSums:
         row[t] = row[t] + amt if t in row else zero + amt
         mine[t] = mine[t] + amt if t in mine else zero + amt
         spent[v] += amt / r
-    last = max((max(row) for row in load.values()), default=-1)
-    return _XSums(grid, load, spent, rate, negative, last)
+    return _Ledger(grid, load, spent, rate, negative)
 
 
-def _violated_rows(table, sums, U, C, u_out, slot, horizon, rel):
-    """Yield each violated row of the LP over `horizon` slots of length
-    `slot` as (name, lhs, rhs), named and ordered as emit_lp writes them:
-    per task of the table rem_j_v_t (t descending), time_j_v and
-    done_j_v, then cap_i_t. Then each broken bound as (variable, value,
-    bound): x >= 0 over sums.negative, in x's order; 0 <= U <= 1 over
-    u_out, the keys of U that the caller found outside [0, 1] by a plain
-    compare; C >= 0 in C's order. Every row and bound is compared by leq at
-    `rel`.
+def _read(primal, instance, table, weights, zero) -> _Ledger:
+    """check_primal's own ledger of a primal: _read_x's one pass over x,
+    then one pass over U that checks each key (an int slot >= 0, an int
+    job of the instance), notes each value outside [0, 1] and sums each
+    job's U, and w_j U, in U's order; then _cover up to the highest slot
+    that x or U names."""
+    led = _read_x(primal.x, {v for v, _, _ in table}, instance,
+                  instance.speedup, zero)
+    one = zero + 1
+    last = max((max(row) for row in led.load.values()), default=-1)
+    u_sum = dict.fromkeys(weights, 0)
+    u_cost = zero
+    u_out = []
+    for (j, s), u in primal.U.items():
+        if type(s) is not int or s < 0 or type(j) is not int or j not in weights:
+            raise LpError(f"U_{j}_{s} names no LP variable")
+        if s > last:
+            last = s
+        if not zero <= u <= one:  # a float compares fastest with a float
+            u_out.append((j, s, u))
+        u_sum[j] += u
+        u_cost = u_cost + weights[j] * u
+    led.u_out, led.u_sum, led.u_cost = u_out, u_sum, u_cost
+    _cover(led, table, primal.U, last + 1, zero)
+    return led
 
-    sums is _read_x's reading of x; its fracs, when set, must be over
-    `horizon`, and are computed here otherwise. U maps (job, slot) and C
-    maps job, a missing U or C being 0. Every sum starts at the slot's
-    typed zero, so exact values stay exact.
+
+def _cover(led, table, U, horizon, zero):
+    """Set the ledger's fracs and U columns over slots horizon - 1 down to
+    0, from its task-by-slot sums and U's values."""
+    slots = range(horizon - 1, -1, -1)
+    led.fracs = [_remaining(led.grid[v], p, zero, horizon) for v, _, p in table]
+    led.cols = {j: list(map(U.get, zip(repeat(j), slots), repeat(zero)))
+                for j in dict.fromkeys(j for _, j, _ in table)}
+
+
+def _violated_rows(table, led, C, slot, rel):
+    """Yield each violated row of the LP on slots of length `slot` as
+    (name, lhs, rhs), named and ordered as emit_lp writes them: per task
+    of the table rem_j_v_t (t descending), time_j_v and done_j_v, then
+    cap_i_t. Then each broken bound as (variable, value, bound): x >= 0
+    over led.negative, in x's order; 0 <= U <= 1 over led.u_out, the U
+    values that a plain compare found outside [0, 1]; C >= 0 in C's order.
+    Every row and bound is compared by leq at `rel`.
+
+    led is the ledger of x and U; the LP's horizon is the length of its
+    slot lists. C maps job, a missing C being 0. Every sum starts at the
+    slot's typed zero, so exact values stay exact.
     """
     zero = slot - slot
     one = zero + 1
-    grid, spent, rate = sums.grid, sums.spent, sums.rate
-    fracs = sums.fracs
-    if fracs is None:
-        fracs = (_remaining(grid[v], p, zero, horizon) for v, _, p in table)
-    slots = range(horizon - 1, -1, -1)
-    u_of = {}    # job -> its U over `slots`
-    for (v, j, p), fr in zip(table, fracs):
-        us = u_of.get(j)
-        if us is None:
-            us = u_of[j] = list(map(U.get, zip(repeat(j), slots), repeat(zero)))
+    spent, rate, cols = led.spent, led.rate, led.cols
+    for (v, j, p), fr in zip(table, led.fracs):
+        us = cols[j]
         if not all(map(le, fr, us)):  # leq holds wherever <= does
-            for t, frac, u in zip(slots, fr, us):
+            for t, frac, u in zip(range(len(fr) - 1, -1, -1), fr, us):
                 if not (frac <= u or leq(frac, u, rel)):
                     yield f"rem_{j}_{v}_{t}", u, frac
         c, sp = C.get(j, zero), spent.get(v, zero)
@@ -371,18 +405,17 @@ def _violated_rows(table, sums, U, C, u_out, slot, horizon, rel):
         if not leq(one, frac, rel):
             yield f"done_{j}_{v}", frac, one
     over = []
-    for i, row in sums.load.items():
+    for i, row in led.load.items():
         r = rate[i]
         over += [(i, t) for t, amt in row.items()
                  if not (amt / r <= slot or leq(amt / r, slot, rel))]
     over.sort()
     for i, t in over:
-        yield f"cap_{i}_{t}", sums.load[i][t] / rate[i], slot
-    for i, v, t, amt in sums.negative:
+        yield f"cap_{i}_{t}", led.load[i][t] / rate[i], slot
+    for i, v, t, amt in led.negative:
         if not leq(zero, amt, rel):
             yield f"x_{i}_{v}_{t}", amt, zero
-    for j, t in u_out:
-        u = U[j, t]
+    for j, t, u in led.u_out:
         if not (leq(zero, u, rel) and leq(u, one, rel)):
             yield f"U_{j}_{t}", u, zero if u < zero else one
     for j, c in C.items():
@@ -544,12 +577,24 @@ def schedule_to_primal(source, instance: Instance, slot=None) -> PrimalSolution:
         else:
             slot = gap / 2
 
-    # pass B: bin x over the slot grid
-    speeds = {}  # machine -> speed, looked up once per machine
+    # pass B: bin x over the slot grid, keeping the ledger of the check as
+    # x is written. A piece is final when its slot is above every slot an
+    # earlier segment wrote and below the first that a later one can write,
+    # as no other piece then adds to its entries: its sums are taken as
+    # written. Other entries are opened: they are summed after pass B, in
+    # x's order, and a task's machine time takes them in before its next
+    # final piece, as that time is summed in x's order too.
+    speeds, rate, load = {}, {}, {}  # machine -> speed, rate, {slot: amount}
+    grid = {v: {} for v in remaining}
+    spent = dict.fromkeys(grid, zero)
+    pending = {v: [] for v in grid}  # task -> its opened keys not yet spent
+    opened = []  # opened keys, in x's order
+    plain = True  # False once a piece is outside the shape realize_slice gives
     x = {}
     high = -1  # highest slot that an earlier segment wrote
     for si, seg in enumerate(segments):
         seg_high = high
+        below = int(segments[si + 1].start / slot) if si + 1 < len(segments) else inf
         for pl in seg.placements:
             if pl.per_task_rate == 0 or pl.machine_lo > pl.machine_hi:
                 continue
@@ -558,6 +603,10 @@ def schedule_to_primal(source, instance: Instance, slot=None) -> PrimalSolution:
             for i in machines:
                 if i not in speeds:
                     speeds[i] = instance.machine_speed(i)
+                    rate[i], load[i] = gamma * speeds[i], {}
+            if pl.machine_lo < 1:  # x's key checks run on opened keys only
+                plain = False
+            spent_due = True  # the tasks' opened keys are yet to be spent
             t0, t1 = seg.start, seg.end
             s = int(t0 / slot)
             while t0 < t1:
@@ -566,17 +615,42 @@ def schedule_to_primal(source, instance: Instance, slot=None) -> PrimalSolution:
                 d = hi - t0
                 if d > 0:
                     share = d / pl.count * gamma
-                    # a segment's keys are distinct, so a slot that no
-                    # earlier segment wrote gets each amount written, not added
-                    for i in machines:
-                        amount = share * speeds[i]
-                        if s > high:
+                    if share < zero:  # negative amounts are noted in x's order
+                        plain = False
+                    if plain and high < s < below:
+                        if spent_due:
+                            spent_due = False
+                            for v in tasks:
+                                for key in pending[v]:
+                                    spent[v] += x[key] / rate[key[0]]
+                                pending[v].clear()
+                        msum = zero
+                        for i in machines:
+                            amount = share * speeds[i]
+                            msum += amount
+                            per_time = amount / rate[i]
+                            mine = load[i]
+                            run = mine.get(s, zero)
                             for v in tasks:
                                 x[i, v, s] = amount
-                        else:
+                                run += amount
+                                spent[v] += per_time
+                            mine[s] = run
+                        for v in tasks:
+                            grid[v][s] = msum
+                    else:
+                        for i in machines:
+                            amount = share * speeds[i]
                             for v in tasks:
                                 key = (i, v, s)
-                                x[key] = x.get(key, zero) + amount
+                                if key in x:
+                                    x[key] = x[key] + amount
+                                else:
+                                    # a slot that no earlier segment wrote
+                                    # gets each amount written, not added
+                                    x[key] = amount if s > high else zero + amount
+                                    opened.append(key)
+                                    pending[v].append(key)
                     if s > seg_high:
                         seg_high = s
                 if len(x) > MAX_PRIMAL_ENTRIES:
@@ -587,30 +661,52 @@ def schedule_to_primal(source, instance: Instance, slot=None) -> PrimalSolution:
                 s += 1
         high = seg_high
 
-    # the one read of x; then minimal U: per job and slot, the largest
-    # remaining fraction of its tasks, in slot descending then job order.
-    # U's last slot is high and x names none above it, so the check's
-    # horizon is high + 1, that of these fracs.
-    sums = _read_x(x, remaining.keys(), instance, gamma, zero)
-    sums.fracs = [_remaining(sums.grid[v], p, zero, high + 1)
-                  for v, _, p in table]
-    u_of = {}
-    for (_, j, _), fr in zip(table, sums.fracs):
-        us = u_of.get(j)
-        # b if b > a else a is max(a, b), without a call per slot
-        u_of[j] = fr if us is None else [b if b > a else a for a, b in zip(us, fr)]
-    U = {}
-    for k, s in enumerate(range(high, -1, -1)):
-        for j, us in u_of.items():
-            U[j, s] = us[k]
+    negative = []
+    for key in opened:  # _read_x's loop on the opened keys
+        i, v, t = key
+        if t < 0:
+            raise LpError(f"x names slot {t}: no slot {t}")
+        if i < 1:
+            raise LpError(f"x names machine {i}: no machine {i}")
+        amt = x[key]
+        if amt < zero:
+            negative.append((i, v, t, amt))
+        row, mine = grid[v], load[i]
+        row[t] = row[t] + amt if t in row else zero + amt
+        mine[t] = mine[t] + amt if t in mine else zero + amt
+    for v, keys in pending.items():
+        for key in keys:
+            spent[v] += x[key] / rate[key[0]]
 
-    u_cost = slot * sum(weights[j] * u for (j, _), u in U.items()) if U else zero
-    objective = cost + u_cost
+    # minimal U: per job and slot, the largest remaining fraction of its
+    # tasks, in slot descending then job order. U's last slot is high and x
+    # names none above it, so the check's horizon is high + 1.
+    fracs = [_remaining(grid[v], p, zero, high + 1) for v, _, p in table]
+    cols = {}
+    for (_, j, _), fr in zip(table, fracs):
+        us = cols.get(j)
+        # b if b > a else a is max(a, b), without a call per slot
+        cols[j] = fr if us is None else [b if b > a else a for a, b in zip(us, fr)]
+    # U reads the columns across, slot descending then job; its sums are
+    # taken in that order, from the columns
+    slots = range(high, -1, -1)
+    U = dict(zip(zip(cycle(cols), chain.from_iterable(map(repeat, slots, repeat(len(cols))))),
+                 chain.from_iterable(zip(*cols.values()))))
+    one = zero + 1
+    u_out = [(j, s, u) for s, row in zip(slots, zip(*cols.values()))
+             for j, u in zip(cols, row) if not zero <= u <= one]
+    u_sum = dict.fromkeys(weights, 0)
+    u_sum.update((j, functools.reduce(add, us, 0)) for j, us in cols.items())
+    u_cost = functools.reduce(add, map(mul, cycle([weights[j] for j in cols]),
+                                       chain.from_iterable(zip(*cols.values()))), zero)
+    objective = cost + (slot * u_cost if U else zero)
     primal = PrimalSolution(
         slot=slot, x=x, U=U, C=dict(completion),
         cost=cost, objective=objective,
     )
-    check_primal(primal, instance, _sums=sums)
+    ledger = _Ledger(grid, load, spent, rate, negative, fracs, cols, u_out,
+                     u_sum, u_cost)
+    check_primal(primal, instance, _sums=ledger)
     return primal
 
 
@@ -630,41 +726,26 @@ def check_primal(primal: PrimalSolution, instance: Instance, *, _sums=None) -> N
     must be close to sum_j w_j C_j and cost + slot * sum w_j U_{j,t},
     summed in schedule_to_primal's order.
 
-    x and U are each iterated once. schedule_to_primal passes its own
-    _read_x of the x it has just written as _sums, so that the embedding
-    reads x once in all; every other caller leaves it unset."""
+    x and U are each iterated once, by _read, for the ledger that the rows,
+    the bounds, the Riemann sums and the stored objective are checked on.
+    schedule_to_primal passes the ledger it kept while writing x and U as
+    _sums, so that the embedding reads neither back; every other caller
+    leaves it unset."""
     table = task_table(instance)
     weights = {j.job_id: j.weight for j in instance.jobs}
     zero = primal.slot - primal.slot
-    one = zero + 1
-    if _sums is None:
-        _sums = _read_x(primal.x, {v for v, _, _ in table}, instance,
-                        instance.speedup, zero)
-    last = _sums.last
-    u_sum = dict.fromkeys(weights, 0)  # each job's U, summed in insertion order
-    u_cost = zero  # sum w_j U_{j,t}, in insertion order as schedule_to_primal
-    u_out = []  # the keys of U outside [0, 1], by a compare with typed bounds
-    for (j, s), u in primal.U.items():
-        if type(s) is not int or s < 0 or type(j) is not int or j not in weights:
-            raise LpError(f"U_{j}_{s} names no LP variable")
-        if s > last:
-            last = s
-        if not zero <= u <= one:  # a float compares fastest with a float
-            u_out.append((j, s))
-        u_sum[j] += u
-        u_cost = u_cost + weights[j] * u
+    led = _read(primal, instance, table, weights, zero) if _sums is None else _sums
     for j in primal.C:
         if type(j) is not int or j not in weights:
             raise LpError(f"C_{j} names no LP variable")
-    row = next(_violated_rows(table, _sums, primal.U, primal.C, u_out,
-                              primal.slot, 1 + last, REL_TOL), None)
+    row = next(_violated_rows(table, led, primal.C, primal.slot, REL_TOL), None)
     if row is not None:
         name, lhs, rhs = row
         if name[0] in "xUC":  # a bound, after every row
             raise LpError(f"{name} {'is negative' if lhs < rhs else 'exceeds 1'}")
         raise LpError(f"row {name} violated: lhs={float(lhs)!r} rhs={float(rhs)!r}")
     for j, c in primal.C.items():
-        usum = primal.slot * u_sum[j]
+        usum = primal.slot * led.u_sum[j]
         if not leq(usum, c):
             raise LpError(f"job {j}: U sum {float(usum)} exceeds C {float(c)}")
     if not (leq(primal.cost, primal.objective)
@@ -675,7 +756,7 @@ def check_primal(primal: PrimalSolution, instance: Instance, *, _sums=None) -> N
         )
     cost = sum((w * primal.C.get(j, zero) for j, w in weights.items()), zero)
     for name, stored, want in (("cost", primal.cost, cost),
-                               ("objective", primal.objective, cost + primal.slot * u_cost)):
+                               ("objective", primal.objective, cost + primal.slot * led.u_cost)):
         if not close(stored, want):
             raise LpError(f"{name} {float(stored)!r} is not the primal's {float(want)!r}")
 

@@ -147,6 +147,15 @@ def json_number(x):
 def from_json_number(x):
     """A JSON number as written, or the Fraction of its {"num", "den"} form.
 
-    The caller coerces it into its mode after checking it is finite.
+    A JSON true or false is no number, alone or as a num or den, and raises
+    TypeError. The caller coerces the number into its mode after checking
+    it is finite.
+
+    >>> from_json_number({"num": 1, "den": True})
+    Traceback (most recent call last):
+    TypeError: a JSON boolean is not a number: {'num': 1, 'den': True}
     """
-    return Fraction(x["num"], x["den"]) if isinstance(x, dict) else x
+    parts = (x["num"], x["den"]) if isinstance(x, dict) else (x,)
+    if any(isinstance(part, bool) for part in parts):
+        raise TypeError(f"a JSON boolean is not a number: {x!r}")
+    return Fraction(*parts) if isinstance(x, dict) else x

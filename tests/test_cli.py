@@ -487,6 +487,40 @@ def test_counts_that_are_not_whole_are_a_precondition(tmp_path, capsys,
     assert "must be a whole number >= 1" in captured.err
 
 
+BOOLEAN_NUMBERS = {
+    "all": {"classes": [{"sigma": True, "count": 1}],
+            "jobs": [{"weight": True, "sizes": [True]}],
+            "speedup": {"num": True, "den": True}},
+    "speed": {"classes": [{"sigma": True, "count": 1}],
+              "jobs": [{"weight": 1, "sizes": [1]}]},
+    "weight": {"classes": [{"sigma": 1, "count": 1}],
+               "jobs": [{"weight": False, "sizes": [1]}]},
+    "size": {"classes": [{"sigma": 1, "count": 1}],
+             "jobs": [{"weight": 1, "sizes": [{"size": True, "count": 2}]}]},
+    "release": {"classes": [{"sigma": 1, "count": 1}],
+                "jobs": [{"weight": 1, "sizes": [1], "release": False}]},
+    "num": {"classes": [{"sigma": 1, "count": 1}],
+            "jobs": [{"weight": 1, "sizes": [1]}], "speedup": {"num": True, "den": 2}},
+    "den": {"classes": [{"sigma": 1, "count": 1}],
+            "jobs": [{"weight": {"num": 3, "den": True}, "sizes": [1]}]},
+}
+
+
+@pytest.mark.parametrize("field", sorted(BOOLEAN_NUMBERS))
+@pytest.mark.parametrize("exact", [(), ("--exact",)])
+def test_booleans_are_not_numbers(tmp_path, capsys, field, exact):
+    # true and false once read as 1 and 0 wherever a number goes: the "all"
+    # file simulated at speed, weight, size and speedup 1 (objective=1.0)
+    # and exited 0, although a count of true is refused
+    path = tmp_path / "instance.json"
+    path.write_text(json.dumps(BOOLEAN_NUMBERS[field]))
+    assert run_cli("simulate", str(path), *exact) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("precondition: malformed instance JSON: "
+                                   "a JSON boolean is not a number")
+
+
 @pytest.mark.parametrize("gamma", ["nan", "inf", "0", "-1"])
 def test_bad_gamma_is_a_precondition(tmp_path, capsys, gamma):
     path = gen_instance(tmp_path, "lower", "--k", "2")

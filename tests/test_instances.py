@@ -240,6 +240,19 @@ def test_job_ids_count_up_from_one_in_list_order(jobs):
         make_instance([(1, 1)], jobs)
 
 
+@pytest.mark.parametrize("exact", [False, True])
+def test_a_boolean_is_not_a_number(exact):
+    # True was once read as 1 wherever a number goes, though counts refuse it
+    for build, what in (
+            (lambda: make_job(1, True, [1], exact=exact), "job 1: weight"),
+            (lambda: make_job(1, 1, [False], exact=exact), "job 1: task size"),
+            (lambda: make_job(1, 1, [1], release=False, exact=exact), "job 1: release"),
+            (lambda: make_instance([(True, 1)], [], exact=exact), "speed"),
+            (lambda: make_instance([(1, 1)], [], speedup=True, exact=exact), "speedup")):
+        with pytest.raises(InstanceError, match=f"^{what} must be a number, got (True|False)$"):
+            build()
+
+
 @pytest.mark.parametrize("gamma", [0, -1, 0.0, Fraction(-1, 2)])
 def test_non_positive_speedup_is_rejected(gamma):
     inst = make_instance([(1, 1)], [make_job(1, 1, [1])])

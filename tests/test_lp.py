@@ -941,6 +941,58 @@ def test_schedule_to_primal_matches_first_definition(case):
             guarded_first_check_primal, bad, inst)
 
 
+def _by_key(value):
+    """value with each dict, at any depth, as its items sorted by key: a
+    ledger's dicts are read by key, so their insertion order is no part of
+    what it says."""
+    if isinstance(value, dict):
+        return sorted((k, _by_key(v)) for k, v in value.items())
+    if isinstance(value, list):
+        return [_by_key(v) for v in value]
+    return value
+
+
+THREE_WRITERS = gen_random_ica(1, 3, 2, 2)  # one of its slots has 3 segments
+
+
+@settings(max_examples=120, deadline=None)
+@given(_embeddings())
+@example((THREE_WRITERS, None, []))
+@example((instance_from_dict(instance_to_dict(THREE_WRITERS), exact=True), None, []))
+@example((make_instance([(2, 1), (1, 1)], [make_job(1, 1.0, [3.0, 2.0]),
+                                          make_job(2, 1.0, [1.0], release=5.0)]),
+          None, []))
+@example((make_instance([(2, 1), (1, 1)], [make_job(1, 1.0, [3.0, (0.0, 2), 2.0]),
+                                          make_job(2, 2.0, [0.0])]), None, []))
+@example((THREE_WRITERS, 1, []))
+def test_the_embedding_keeps_the_ledger_that_a_read_gives(case):
+    # schedule_to_primal sums x and U as it writes them; its ledger must be
+    # the one that check_primal's own read of the primal gives, bit for bit,
+    # and the check must decide the same on both
+    inst, slot, _ = case
+    slices = [realize_slice(iv.profile, inst, iv)
+              for iv in simulate(inst).intervals]
+    kept = []
+    check = bagsched.lp.check_primal
+
+    def keep(primal, instance, *, _sums=None):
+        kept.append((primal, _sums))
+        check(primal, instance, _sums=_sums)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(bagsched.lp, "check_primal", keep)
+        error = first_error(lambda p, i: schedule_to_primal(slices, i, slot), None, inst)
+    if not kept:  # refused before its check, as a slot given by hand can be
+        return
+    (primal, ledger), = kept
+    assert ledger is not None
+    weights = {j.job_id: j.weight for j in inst.jobs}
+    fresh = bagsched.lp._read(primal, inst, task_table(inst), weights,
+                              primal.slot - primal.slot)
+    assert repr(_by_key(vars(ledger))) == repr(_by_key(vars(fresh)))
+    assert first_error(check_primal, primal, inst) == error
+
+
 def test_primal_entry_cap(monkeypatch):
     # pass B stops as soon as x holds more entries than the cap
     inst = make_instance([(2, 1), (1, 1)], [make_job(1, 1.0, [3, 2])])

@@ -235,3 +235,40 @@ def test_every_fitting_constant_is_read():
     }
     assert fields
     assert [f for f in fields if f not in read] == []
+
+
+def test_the_embedding_never_reads_its_own_primal_back():
+    # schedule_to_primal keeps the ledger of its check as it writes x and U,
+    # and hands it to check_primal; a read of _read_x or _read, or a pass
+    # over x or U (a loop, .items(), or x or U handed to a call that may
+    # iterate it; len is the one call allowed), would read back what it has
+    # just written
+    (fn,) = [node for node in _package_trees()["lp.py"].body
+             if isinstance(node, ast.FunctionDef) and node.name == "schedule_to_primal"]
+
+    def written(node):
+        return isinstance(node, ast.Name) and node.id in ("x", "U")
+
+    found = []
+    for node in ast.walk(fn):
+        if isinstance(node, (ast.For, ast.comprehension)) and written(node.iter):
+            found.append(f"{node.iter.lineno}: iterates {node.iter.id}")
+        elif isinstance(node, ast.Attribute) and written(node.value) and node.attr != "get":
+            found.append(f"{node.lineno}: {node.value.id}.{node.attr}")
+        elif isinstance(node, (ast.Starred, ast.YieldFrom)) and written(node.value):
+            found.append(f"{node.lineno}: unpacks {node.value.id}")
+        elif isinstance(node, ast.Dict) and any(k is None and written(v)
+                                                for k, v in zip(node.keys, node.values)):
+            found.append(f"{node.lineno}: unpacks a dict of x or U")
+        elif isinstance(node, ast.Call):
+            name = node.func.id if isinstance(node.func, ast.Name) else None
+            if name in ("_read_x", "_read"):
+                found.append(f"{node.lineno}: calls {name}")
+            elif name != "len":
+                found += [f"{arg.lineno}: passes {arg.id} to a call"
+                          for arg in node.args if written(arg)]
+    checks = [node for node in ast.walk(fn) if isinstance(node, ast.Call)
+              and isinstance(node.func, ast.Name) and node.func.id == "check_primal"]
+    assert checks and all(any(kw.arg == "_sums" for kw in node.keywords)
+                          for node in checks)
+    assert found == []
