@@ -690,15 +690,15 @@ def schedule_to_primal(source, instance: Instance, slot=None) -> PrimalSolution:
     # U reads the columns across, slot descending then job; its sums are
     # taken in that order, from the columns
     slots = range(high, -1, -1)
-    U = dict(zip(zip(cycle(cols), chain.from_iterable(map(repeat, slots, repeat(len(cols))))),
-                 chain.from_iterable(zip(*cols.values()))))
+    rows = list(zip(slots, zip(*cols.values())))
+    U = {(j, s): u for s, row in rows for j, u in zip(cols, row)}
     one = zero + 1
-    u_out = [(j, s, u) for s, row in zip(slots, zip(*cols.values()))
+    u_out = [(j, s, u) for s, row in rows
              for j, u in zip(cols, row) if not zero <= u <= one]
     u_sum = dict.fromkeys(weights, 0)
     u_sum.update((j, functools.reduce(add, us, 0)) for j, us in cols.items())
     u_cost = functools.reduce(add, map(mul, cycle([weights[j] for j in cols]),
-                                       chain.from_iterable(zip(*cols.values()))), zero)
+                                       chain.from_iterable(row for _, row in rows)), zero)
     objective = cost + (slot * u_cost if U else zero)
     primal = PrimalSolution(
         slot=slot, x=x, U=U, C=dict(completion),
