@@ -26,7 +26,7 @@ import math
 from dataclasses import dataclass
 
 from .instances import Instance, thresholds, validate_ica
-from .numutil import TIE_REL, geq, leq
+from .numutil import TIE_REL, geq, leq, to_float
 from .rates import Block
 from .report import AnalysisError, CheckList, require_own_trace
 
@@ -258,7 +258,7 @@ def classify_blocks(trace, instance: Instance) -> BlockClassification:
             )
             if simple_weight > 0:
                 worst_simple_ratio = max(
-                    worst_simple_ratio, float(b.weight) / float(simple_weight)
+                    worst_simple_ratio, to_float(b.weight / simple_weight)
                 )
             else:
                 worst_simple_ratio = math.inf

@@ -1,10 +1,16 @@
 """Command-line front end: simulate, verify, emit-lp, gen, bench.
 
-Exit codes are a stable contract: 0 success/feasible certificate,
-1 infeasible certificate or failed work check, 2 I/O or parse problem,
-3 precondition violation (bad instance shape, family preconditions, size
-caps). All randomness flows from explicit --seed arguments. Relative output paths honor the
-BAGSCHED_OUT_DIR environment variable.
+Exit codes are a stable contract:
+  0  success, or a feasible certificate;
+  1  an infeasible certificate, a failed work check, or a solution that
+     violates the LP;
+  2  a file that cannot be read or parsed: an I/O error, text that is not
+     JSON or JSON lines, or a solution line that is not `name
+     finite-number` (argparse's usage errors exit 2 too);
+  3  parsed content that is refused: a malformed field, number or count,
+     or a violated precondition (family preconditions, size caps).
+All randomness flows from explicit --seed arguments. Relative output paths
+honor the BAGSCHED_OUT_DIR environment variable.
 """
 from __future__ import annotations
 

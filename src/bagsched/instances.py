@@ -14,7 +14,7 @@ from dataclasses import dataclass, replace
 from functools import cached_property
 from fractions import Fraction
 
-from .numutil import coerce, from_json_number, geq, is_exact, json_number, leq
+from .numutil import coerce, geq, is_exact, json_number, leq
 
 SPEED_BASE = 64  # speed rounding base; only this value is certified
 
@@ -153,10 +153,10 @@ class Instance:
 
 
 def _finite(value, what, exact):
-    """`value` in the mode; rejects a bool, the NaN and inf that json and
-    float() read, and a {"num", "den"} value past the float range in float
-    mode."""
-    if isinstance(value, bool):
+    """`value` in the mode: the one check of an instance number. Refuses a
+    bool, anything else that is not a number, the NaN and inf that json and
+    float() read, and in float mode a value past the float range."""
+    if isinstance(value, bool) or not isinstance(value, (int, float, Fraction)):
         raise InstanceError(f"{what} must be a number, got {value!r}")
     if value != value or abs(value) == math.inf:
         raise InstanceError(f"{what} must be finite, got {value}")
@@ -174,15 +174,18 @@ def _speedup(gamma, exact):
     return gamma
 
 
-def _count(count, what):
+def _count(count, what, exact):
     """A task or class count as an int; anything but a whole number >= 1
-    is refused, never truncated."""
+    is refused, never truncated, and so is a count past the float range in
+    float mode."""
     try:
         whole = not isinstance(count, bool) and count == int(count)
     except (TypeError, ValueError, OverflowError):
         whole = False
     if not (whole and count >= 1):
         raise InstanceError(f"{what} must be a whole number >= 1, got {count!r}")
+    if not exact:
+        _finite(count, what, exact)
     return int(count)
 
 
@@ -193,7 +196,6 @@ def _group_sizes(job_id, weight, release, size_counts):
     for size, count in size_counts:
         if size < 0:
             raise InstanceError(f"job {job_id}: negative task size {size}")
-        count = _count(count, f"job {job_id}: task count")
         merged[size] = merged.get(size, 0) + count
     if not merged:
         raise InstanceError(f"job {job_id}: needs at least one task")
@@ -210,7 +212,8 @@ def make_job(job_id, weight, sizes, release=0, exact=False):
     pairs = []
     for entry in sizes:
         size, count = entry if isinstance(entry, tuple) else (entry, 1)
-        pairs.append((_finite(size, f"job {job_id}: task size", exact), count))
+        pairs.append((_finite(size, f"job {job_id}: task size", exact),
+                      _count(count, f"job {job_id}: task count", exact)))
     return _group_sizes(job_id, weight, release, pairs)
 
 
@@ -219,7 +222,7 @@ def make_instance(classes, jobs, speedup=1, exact=False):
         (c.speed, c.count) if isinstance(c, SpeedClass) else c for c in classes
     ]
     cls = tuple(
-        SpeedClass(speed=_finite(s, "speed", exact), count=_count(c, "class count"))
+        SpeedClass(speed=_finite(s, "speed", exact), count=_count(c, "class count", exact))
         for s, c in pairs
     )
     if not cls:
@@ -289,34 +292,50 @@ def instance_to_dict(instance: Instance) -> dict:
     }
 
 
+def _json(value, kind, what):
+    """`value`, refused unless it is a JSON object (kind dict) or list."""
+    if type(value) is not kind:
+        name = "object" if kind is dict else "list"
+        raise InstanceError(f"{what} must be a JSON {name}, got {value!r}")
+    return value
+
+
+def _key(obj, key, what):
+    if key not in obj:
+        raise InstanceError(f"{what} has no {key!r}")
+    return obj[key]
+
+
 def instance_from_dict(data: dict, exact: bool = False) -> Instance:
-    try:
-        classes = [
-            (from_json_number(c["sigma"]), c["count"]) for c in data["classes"]
-        ]
-        jobs = []
-        for idx, j in enumerate(data.get("jobs", []), start=1):
-            pairs = []
-            for entry in j["sizes"]:
-                if isinstance(entry, dict) and "size" in entry:
-                    size = from_json_number(entry["size"])
-                    pairs.append((size, entry["count"]))
-                else:
-                    pairs.append((from_json_number(entry), 1))
-            jobs.append(
-                make_job(
-                    idx,
-                    from_json_number(j["weight"]),
-                    pairs,
-                    release=from_json_number(j.get("release", 0)),
-                    exact=exact,
-                )
-            )
-        speedup = from_json_number(data.get("speedup", 1))
-        return make_instance(classes, jobs, speedup=speedup, exact=exact)
-    # ZeroDivisionError: a {"num", "den"} number with den 0
-    except (KeyError, TypeError, ZeroDivisionError) as exc:
-        raise InstanceError(f"malformed instance JSON: {exc}") from exc
+    """The instance of a JSON document. Only the document's shape is checked
+    here, naming the field; make_job and make_instance check each number and
+    count. A number may be written {"num": n, "den": d}, for n/d with int n
+    and d and d != 0; any other object is left for _finite to refuse."""
+    def number(x):
+        if (type(x) is dict and x.keys() == {"num", "den"}
+                and type(x["num"]) is type(x["den"]) is int and x["den"]):
+            return Fraction(x["num"], x["den"])
+        return x
+
+    _json(data, dict, "instance")
+    classes = []
+    for idx, c in enumerate(_json(_key(data, "classes", "instance"), list, "classes"), 1):
+        what = f"class {idx}"
+        _json(c, dict, what)
+        classes.append((number(_key(c, "sigma", what)), _key(c, "count", what)))
+    jobs = []
+    for idx, j in enumerate(_json(data.get("jobs", []), list, "jobs"), start=1):
+        what = f"job {idx}"
+        _json(j, dict, what)
+        pairs = []
+        for entry in _json(_key(j, "sizes", what), list, f"{what}: sizes"):
+            if type(entry) is dict and "size" in entry:
+                pairs.append((number(entry["size"]), _key(entry, "count", f"{what}: size entry")))
+            else:
+                pairs.append((number(entry), 1))
+        jobs.append(make_job(idx, number(_key(j, "weight", what)), pairs,
+                             release=number(j.get("release", 0)), exact=exact))
+    return make_instance(classes, jobs, speedup=number(data.get("speedup", 1)), exact=exact)
 
 
 # ---------------------------------------------------------------------------

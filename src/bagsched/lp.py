@@ -58,7 +58,7 @@ import functools
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, chain, cycle, permutations, repeat
-from math import inf
+from math import inf, isfinite, nan
 from operator import add, le, mul, truediv
 
 from .instances import Instance
@@ -225,7 +225,8 @@ def _wrap(row: str) -> str:
 def parse_lp_solution(text: str) -> dict:
     """Parse whitespace-separated name/value pairs into a dict.
 
-    Lines starting with # or \\ are comments; blank lines are skipped.
+    Lines starting with # or \\ are comments; blank lines are skipped. Any
+    other line that is not a name and a finite number raises LpError.
 
     >>> parse_lp_solution("x_1_1_0 1.0\\nC_1 1.0\\n")
     {'x_1_1_0': 1.0, 'C_1': 1.0}
@@ -235,10 +236,14 @@ def parse_lp_solution(text: str) -> dict:
         line = line.strip()
         if not line or line.startswith("#") or line.startswith("\\"):
             continue
-        parts = line.split()
-        if len(parts) != 2:
+        try:
+            name, word = line.split()
+            value = float(word)
+        except ValueError:  # not two fields, or not a number
+            value = nan
+        if not isfinite(value):
             raise LpError(f"bad solution line: {line!r}")
-        values[parts[0]] = float(parts[1])
+        values[name] = value
     return values
 
 

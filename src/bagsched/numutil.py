@@ -143,19 +143,3 @@ def json_number(x):
         return {"num": x.numerator, "den": x.denominator}
     return x
 
-
-def from_json_number(x):
-    """A JSON number as written, or the Fraction of its {"num", "den"} form.
-
-    A JSON true or false is no number, alone or as a num or den, and raises
-    TypeError. The caller coerces the number into its mode after checking
-    it is finite.
-
-    >>> from_json_number({"num": 1, "den": True})
-    Traceback (most recent call last):
-    TypeError: a JSON boolean is not a number: {'num': 1, 'den': True}
-    """
-    parts = (x["num"], x["den"]) if isinstance(x, dict) else (x,)
-    if any(isinstance(part, bool) for part in parts):
-        raise TypeError(f"a JSON boolean is not a number: {x!r}")
-    return Fraction(*parts) if isinstance(x, dict) else x

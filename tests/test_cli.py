@@ -1,17 +1,24 @@
 """Command-line interface: subcommands, exit codes, output contracts."""
 
+import copy
+import io
 import json
 import math
 import os
 import subprocess
 import sys
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from bagsched import cli
 from bagsched.cli import main
 from bagsched.instances import instance_from_dict
 from bagsched.lp import LpError, check_lp_solution, solution_objective
+from bagsched.sim import simulate, write_trace
 
 
 def run_cli(*argv):
@@ -346,6 +353,23 @@ def test_emit_lp_and_solution_flow(tmp_path, capsys):
                    "--solution", str(bad)) == 1
 
 
+@pytest.mark.parametrize("value", ["abc", "nan", "inf", "-Infinity", "1e400"])
+def test_a_solution_value_that_is_no_finite_number_is_a_parse_error(
+        tmp_path, capsys, value):
+    # "abc" once died with a ValueError traceback and exit 1, and nan and
+    # inf were read and printed as "solution objective=nan"
+    inst = tmp_path / "unit.json"
+    inst.write_text(json.dumps({"classes": [{"sigma": 1, "count": 1}],
+                                "jobs": [{"weight": 1, "sizes": [1]}]}))
+    sol = tmp_path / "values.sol"
+    sol.write_text(f"x_1_1_0 1\nC_1 {value}\n")
+    assert run_cli("emit-lp", str(inst), "--horizon", "2", "--out",
+                   str(tmp_path / "model.lp"), "--solution", str(sol)) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"solution parse error: bad solution line: 'C_1 {value}'\n"
+
+
 def test_bench_csv_contract(tmp_path, capsys):
     out_a = tmp_path / "a.csv"
     out_b = tmp_path / "b.csv"
@@ -463,7 +487,8 @@ def test_a_zero_denominator_is_malformed_json(tmp_path, capsys, field, command,
     assert run_cli(command[0], str(path), *command[1:], *exact) == 3
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.startswith("precondition: malformed instance JSON")
+    assert captured.err.startswith("precondition: ")
+    assert " must be a number, got {'num': " in captured.err
 
 
 @pytest.mark.parametrize("classes, sizes", [
@@ -485,6 +510,39 @@ def test_counts_that_are_not_whole_are_a_precondition(tmp_path, capsys,
     assert captured.out == ""
     assert captured.err.startswith("precondition:")
     assert "must be a whole number >= 1" in captured.err
+
+
+@pytest.mark.parametrize("classes, sizes, what", [
+    ([{"sigma": 2, "count": 10 ** 400}], [1], "class count"),
+    ([{"sigma": 2, "count": 1}], [{"size": 2, "count": 10 ** 400}], "job 1: task count"),
+])
+def test_counts_past_the_float_range_need_exact(tmp_path, capsys, classes, sizes, what):
+    # a count of 10^400 is a valid JSON int; float runs of it once died with
+    # an OverflowError traceback in SpeedClass.capacity or AliveJob.share
+    path = tmp_path / "instance.json"
+    path.write_text(json.dumps(
+        {"classes": classes, "jobs": [{"weight": 1, "sizes": sizes}]}))
+    for command in (("simulate",), ("verify", "--family", "weaker")):
+        assert run_cli(command[0], str(path), *command[1:]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"precondition: {what} is too large for a float; "
+                                "rerun with --exact\n")
+    assert run_cli("simulate", str(path), "--exact") == 0
+
+
+def test_general_family_takes_a_weight_past_the_float_range_in_exact_mode(
+        tmp_path, capsys):
+    # the worst simple-block ratio once converted a weight of 10^400/3 to a
+    # float before dividing, and verify died with an OverflowError traceback
+    path = gen_instance(tmp_path, "random", "--k", "2", "--jobs", "3",
+                        "--max-tasks", "2", "--seed", "1")
+    data = json.loads(path.read_text())
+    data["jobs"][0]["weight"] = {"num": 10 ** 400, "den": 3}
+    path.write_text(json.dumps(data))
+    capsys.readouterr()
+    assert run_cli("verify", str(path), "--family", "general", "--exact") == 0
+    assert "feasible=True" in capsys.readouterr().out
 
 
 BOOLEAN_NUMBERS = {
@@ -517,8 +575,8 @@ def test_booleans_are_not_numbers(tmp_path, capsys, field, exact):
     assert run_cli("simulate", str(path), *exact) == 3
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.startswith("precondition: malformed instance JSON: "
-                                   "a JSON boolean is not a number")
+    assert captured.err.startswith("precondition: ")
+    assert " must be a number, got " in captured.err
 
 
 @pytest.mark.parametrize("gamma", ["nan", "inf", "0", "-1"])
@@ -597,3 +655,89 @@ def test_python_m_bagsched_runs_from_a_checkout(tmp_path):
     assert done.returncode == 0, done.stderr
     data = json.loads(done.stdout)
     assert [c["sigma"] for c in data["classes"]] == [64, 1]
+
+
+FUZZ_INSTANCE = {
+    "classes": [{"sigma": 2, "count": 1}, {"sigma": 1, "count": 2}],
+    "jobs": [{"weight": {"num": 3, "den": 2}, "release": 0,
+              "sizes": [1, {"size": 2, "count": 2}]},
+             {"weight": 1, "sizes": [{"num": 1, "den": 2}]}],
+    "speedup": 2,
+}
+_FUZZ_TRACE = io.StringIO()
+write_trace(simulate(instance_from_dict(FUZZ_INSTANCE)), _FUZZ_TRACE)
+FUZZ_META, FUZZ_TRACE_REST = _FUZZ_TRACE.getvalue().split("\n", 1)
+FUZZ_BASES = {
+    "instance": FUZZ_INSTANCE,
+    "trace": json.loads(FUZZ_META),
+    "solution": {"x_1_1_0": 0.5, "x_2_2_0": 1, "U_1_0": 1, "C_1": 1.0, "C_2": 2},
+}
+ODD_VALUES = [True, False, None, "1", [1], 10 ** 400, {"num": 1, "den": 0},
+              {"num": 1.5, "den": 2}, {"num": 1, "den": 2.0}, math.nan, math.inf]
+DUPLICATE = "__duplicate__"  # renamed to the duplicated key once dumped
+
+
+def _slots(node):
+    """(container, key or index) of every value in a JSON tree."""
+    items = node.items() if isinstance(node, dict) else enumerate(node)
+    for key, value in list(items):
+        yield node, key
+        if isinstance(value, (dict, list)):
+            yield from _slots(value)
+
+
+def _render(kind, doc, key):
+    if kind == "solution":
+        text = "".join(f"{name} {json.dumps(value)}\n" for name, value in doc.items())
+    else:
+        text = json.dumps(doc) + ("\n" + FUZZ_TRACE_REST if kind == "trace" else "")
+    return text.replace(DUPLICATE, str(key))
+
+
+@st.composite
+def mutated_files(draw):
+    """A valid instance, trace or solution file with one value swapped for an
+    odd one, or one key dropped or duplicated with an odd value last."""
+    kind = draw(st.sampled_from(sorted(FUZZ_BASES)))
+    doc = copy.deepcopy(FUZZ_BASES[kind])
+    parent, key = draw(st.sampled_from(list(_slots(doc))))
+    actions = ["swap", "drop"] + ["duplicate"] * isinstance(parent, dict)
+    action = draw(st.sampled_from(actions))
+    if action == "drop":
+        del parent[key]
+    elif action == "swap":
+        parent[key] = draw(st.sampled_from(ODD_VALUES))
+    else:
+        parent[DUPLICATE] = draw(st.sampled_from(ODD_VALUES))
+    return kind, _render(kind, doc, key)
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=mutated_files(), exact=st.booleans())
+@example(case=("instance", '{"classes": "x"}'), exact=False)
+@example(case=("solution", "x_1_1_0 abc\n"), exact=False)
+def test_every_input_file_ends_in_a_documented_exit(case, exact):
+    # emit-lp reads an instance, a trace's meta line or a solution file
+    # without simulating; each bad field once escaped as a Python error
+    # (a traceback, or a message such as "string indices must be integers")
+    kind, text = case
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "input")
+        argv = ["emit-lp", path, "--horizon", "1"] + ["--exact"] * exact
+        if kind == "solution":
+            with open(path, "w", encoding="utf-8") as fh:
+                json.dump(FUZZ_INSTANCE, fh)
+            argv += ["--solution", path + ".sol"]
+            path += ".sol"
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            code = main(argv)
+    allowed = (0, 1, 2, 3) if kind == "solution" else (0, 2, 3)
+    assert code in allowed, err.getvalue()
+    refusal = {0: "", 1: "  ", 2: "error: ", 3: "precondition: "}[code]
+    if kind == "solution" and code == 2:
+        refusal = "solution parse error: bad solution line: "
+    assert err.getvalue().startswith(refusal), err.getvalue()
+    assert "Error" not in err.getvalue() and "Traceback" not in err.getvalue()

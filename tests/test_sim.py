@@ -531,3 +531,32 @@ def test_realize_slice_matches_first_definition(case):
     assert _bits(segments) == _bits(want[0])
     assert _bits(got.work) == _bits(want[1])
     assert (got.start, got.end) == (start, end)
+
+
+def _intervals_seen(intervals):
+    return [(iv.start, iv.end, [(j.job_id, j.count, j.rate) for j in iv.jobs])
+            for iv in intervals]
+
+
+@pytest.mark.parametrize("seed", range(30))
+def test_the_run_before_t_never_sees_the_sizes_left_at_t(seed):
+    # the scheduler is non-clairvoyant: making every task group that is not
+    # complete by an interval start t 4/3 as large leaves every interval
+    # before t as it was, its ends, alive jobs, counts and rates alike
+    inst = with_speedup(instance_from_dict(instance_to_dict(
+        gen_random_ica(1 + seed % 3, 8, 3, seed)), exact=True), 8)
+    trace = simulate(inst)
+    n = len(trace.intervals)
+    for cut in (n // 4, n // 2, 3 * n // 4):
+        t = trace.intervals[cut].start
+        jobs = [
+            make_job(job.job_id, job.weight, [
+                (g.size * Fraction(4, 3) if trace.group_completions[(job.job_id, gi)] > t
+                 else g.size, g.count)
+                for gi, g in enumerate(job.groups)], release=job.release, exact=True)
+            for job in inst.jobs
+        ]
+        enlarged = simulate(make_instance(inst.classes, jobs, speedup=inst.speedup, exact=True))
+        assert enlarged.intervals[cut].start == t
+        assert (_intervals_seen(enlarged.intervals[:cut])
+                == _intervals_seen(trace.intervals[:cut]))

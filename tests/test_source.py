@@ -168,6 +168,18 @@ def test_public_names_have_a_package_caller():
     assert found == [], found
 
 
+def test_rates_never_read_a_size():
+    # the scheduler is non-clairvoyant: assign_rates sees alive jobs'
+    # weights and counts and the machines, never a task size, so no code in
+    # rates.py takes an instance's jobs, a job's groups or a group's size
+    found = [
+        f"rates.py:{node.lineno}: .{node.attr}"
+        for node in ast.walk(_package_trees()["rates.py"])
+        if isinstance(node, ast.Attribute) and node.attr in ("jobs", "groups", "size")
+    ]
+    assert found == []
+
+
 def test_one_export_list():
     # bagsched/__init__.py is the package's export list; a module's own
     # __all__ would be a second one that can drift from it
