@@ -251,6 +251,8 @@ def make_instance(classes, jobs, speedup=1, exact=False):
                     + ("a float in an exact" if exact else "exact in a float")
                     + " instance"
                 )
+    if not exact:  # the float rate code takes sums of task counts
+        _finite(sum(job.task_count() for job in jobs), "total task count", exact)
     return Instance(
         classes=cls,
         jobs=jobs,

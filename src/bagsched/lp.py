@@ -409,11 +409,20 @@ def _violated_rows(table, led, C, slot, rel):
         frac = fr[-1] if fr else zero  # the whole of task v
         if not leq(one, frac, rel):
             yield f"done_{j}_{v}", frac, one
+    # a load at most `bound` passes leq(load, slot, rel) without the call:
+    # leq's slack rel * max(|a|, |b|, 1) is at least rel * max(slot, 1),
+    # and float rounding is monotone, so slot plus the larger slack rounds
+    # to at least `bound` and every row is decided as before. An exact slot
+    # gets no slack, as in leq, and neither does a sum that overflows, as
+    # leq grants an infinite load none.
+    bound = slot + rel * max(slot, 1.0) if type(slot) is float else slot
+    if bound == inf:
+        bound = slot
     over = []
     for i, row in led.load.items():
         r = rate[i]
         over += [(i, t) for t, amt in row.items()
-                 if not (amt / r <= slot or leq(amt / r, slot, rel))]
+                 if not (amt / r <= bound or leq(amt / r, slot, rel))]
     over.sort()
     for i, t in over:
         yield f"cap_{i}_{t}", led.load[i][t] / rate[i], slot

@@ -16,26 +16,38 @@ their machines and deplete together. This yields piecewise-constant segments
 whose breakpoints are quota merges and quota exhaustions, at most two per
 pooled entry.
 
-Each pool's record keeps its placement, its per-task rate, the capacity of
-the machines through it and its rate gap to the pool ahead. The placement,
-rate and capacity are refreshed only when the pool is re-placed: when pools
-merge into it, or when a drained pool ahead of it shifts its position. The
-gap is refreshed only when the pool or the pool ahead of it is re-placed.
-A segment thus costs one pass that finds the next event (a drain time and
-a catch time per pool), one that delivers its work (one addition per
-member), and one placement and capacity lookup per re-placed pool. Every
-value that reaches an output is computed by the same float operations, in
-the same order, as a placement derived afresh in every segment.
+Adjacent pools of equal per-task rate form a run, as pools on machines of
+one speed do, and pools past the last machine at rate 0. Each pool's
+record keeps its placement, its per-task rate, the capacity of the
+machines through it, and its rate gap to the pool ahead as the two tests
+the event search makes of it: a zero gap continues the run ahead, and a
+positive gap lets the pool catch up with the pool ahead. The placement,
+rate and capacity are refreshed only when the pool is re-placed: when
+pools merge into it, or when a drained pool ahead of it shifts its
+position. The gap is refreshed only when the pool or the pool ahead of it
+is re-placed.
+
+A segment thus costs, per run, one division for its drain time, at most
+one for a catch at its head and one product for the work it delivers; per
+pool, one comparison for its run's least quota and one subtraction; one
+addition per member; and one placement and capacity lookup per re-placed
+pool. The least quota of a run drains first, at the time its pools' own
+divisions give, because float rounding is monotone: for a rate r > 0,
+q <= q' implies fl(q / r) <= fl(q' / r), so the least fl(q / r) over the
+run is fl(min q / r). Every value that reaches an output is thus computed
+by the same float operations, in the same order, as a placement derived
+afresh in every segment.
 """
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
 from functools import cached_property
+from math import isfinite
 from operator import attrgetter
 from typing import NamedTuple
 
-from .instances import Instance, instance_to_dict
+from .instances import Instance, InstanceError, instance_to_dict
 from .numutil import EVENT_REL, REL_TOL, close, json_number, leq, scaled_tol
 from .rates import AliveJob, RateProfile, assign_rates, star_witness
 
@@ -111,7 +123,11 @@ class Trace:
 
 
 def simulate(instance: Instance) -> Trace:
-    """Run the policy to completion and record every constant-rate interval."""
+    """Run the policy to completion and record every constant-rate interval.
+
+    A float run that leaves the float range, so that time stops advancing
+    or the objective is not finite, is refused with InstanceError; the
+    exact mode runs it."""
     exact = instance.exact
     zero = instance.speedup - instance.speedup
     alive = {}  # job_id -> [AliveJob, alive group count, depletion]
@@ -155,13 +171,17 @@ def simulate(instance: Instance) -> Trace:
             for (a, g, depleted), rate in rated
         ]
         dt = min(dts)
-        if not dt > 0:
-            raise AssertionError(f"completion event at t={t} does not advance time")
         released = pending_idx < len(pending) and pending[pending_idx].release - t < dt
         if released:  # release only; nobody completes
             dt = pending[pending_idx].release - t
 
         end = t + dt
+        if not end > t:
+            # exact time always advances; float time stops when the rates
+            # overflow (every dt is 0) or an event lies within an ulp of t
+            if exact:
+                raise AssertionError(f"completion event at t={t} does not advance time")
+            raise InstanceError(f"time stops at t={t} in float arithmetic; rerun with --exact")
         intervals.append(Interval(start=t, end=end, profile=profile))
 
         for (rec, rate), d in zip(rated, dts):
@@ -179,7 +199,11 @@ def simulate(instance: Instance) -> Trace:
         t = end
         admit(t)
 
-    return Trace(instance=instance, intervals=intervals, group_completions=group_completions)
+    trace = Trace(instance=instance, intervals=intervals, group_completions=group_completions)
+    if not exact and not isfinite(trace.objective):
+        raise InstanceError(
+            f"objective is {trace.objective} in float arithmetic; rerun with --exact")
+    return trace
 
 
 # ---------------------------------------------------------------------------
@@ -214,7 +238,8 @@ class _Pool:
     segment loop reads off it (see the module notes for when each is
     refreshed)."""
 
-    __slots__ = ("quota", "count", "members", "placement", "rate", "gap", "cap_hi")
+    __slots__ = ("quota", "count", "members", "placement", "rate", "cap_hi",
+                 "head", "gap", "drain_rate")
 
     def __init__(self, quota, count, members):
         self.quota = quota        # per-task quota left
@@ -222,8 +247,17 @@ class _Pool:
         self.members = members    # job_id -> task count
         self.placement = None     # None until placed and once the members change
         self.rate = 0             # per-task rate of the placement
-        self.gap = 0              # rate of the pool ahead minus this rate
         self.cap_hi = None        # capacity of the machines through this pool
+        self.head = True          # first of its run: its rate differs from the pool ahead
+        self.gap = None           # rate of the pool ahead minus this rate, if positive
+        self.drain_rate = None    # the rate, if positive
+
+
+def _set_gap(pool, gap):
+    """Record a pool's rate gap to the pool ahead as the two tests the
+    event search makes of it."""
+    pool.head = gap != 0
+    pool.gap = gap if gap > 0 else None
 
 
 def realize_slice(profile: RateProfile, instance: Instance, interval) -> ScheduleSlice:
@@ -244,6 +278,7 @@ def realize_slice(profile: RateProfile, instance: Instance, interval) -> Schedul
     m = instance.machine_count()
     capacity = instance.capacity_prefix
     zero = gamma - gamma  # typed zero
+    new = tuple.__new__  # a record without the NamedTuple's Python-level __new__
 
     # one pass over the members: the work of every alive job, and the
     # pools of equal quota, quota descending
@@ -265,6 +300,9 @@ def realize_slice(profile: RateProfile, instance: Instance, interval) -> Schedul
     quota_scale = pools[0].quota if pools else zero
     tol = scaled_tol(quota_scale, EVENT_REL)
     cap_zero = capacity(0)
+    # a float slice ends once t is close to its end; as start <= t, that
+    # needs end - t <= near, close's largest slack over [start, end]
+    near = EVENT_REL * max(abs(start), abs(end), 1.0) if type(end) is float else None
 
     # at most two events (a merge and a drain) per pool, plus slack
     max_segments = 4 * len(profile.blocks) + 4 * member_count + 8
@@ -288,53 +326,69 @@ def realize_slice(profile: RateProfile, instance: Instance, interval) -> Schedul
                 cap_lo = ahead.cap_hi
             else:
                 pos, cap_lo = 0, cap_zero
-            hi = min(pos + count, m)
+            hi = pos + count
+            if hi > m:
+                hi = m
             cap_hi = pool.cap_hi = capacity(hi)
             rate = pool.rate = gamma * (cap_hi - cap_lo) / count
+            pool.drain_rate = rate if rate > 0 else None
             old = pool.placement
-            # by position, which costs half of by keyword: members, count,
-            # position_lo, machine_lo, machine_hi, per_task_rate
-            pool.placement = Placement(
+            # members, count, position_lo, machine_lo, machine_hi, per_task_rate
+            pool.placement = new(Placement, (
                 old.members if old is not None else tuple(sorted(pool.members.items())),
-                count, pos, min(pos, m) + 1, hi, rate)
-            pool.gap = ahead.rate - rate if i else 0
+                count, pos, pos + 1 if pos < m else m + 1, hi, rate))
+            if i:
+                _set_gap(pool, ahead.rate - rate)
+            else:
+                pool.head, pool.gap = True, None
             if i + 1 < len(pools):
                 behind = pools[i + 1]
-                behind.gap = rate - behind.rate
-        # the next event: a pool drains, or a faster pool catches the one
-        # ahead of it
+                _set_gap(behind, rate - behind.rate)
+        # the next event: a run of equal rates drains, or a faster run
+        # catches the pool ahead of it. A run's rate is its head's, and its
+        # least quota drains first (see the module notes)
         dt = end - t
+        least = None  # least quota of the run so far, if the run drains
         ahead_quota = None
         for pool in pools:
             quota = pool.quota
-            rate = pool.rate
-            if rate > 0:
-                drain = quota / rate
-                if drain < dt:
-                    dt = drain
-            gap = pool.gap
-            # per-block rounding can leave adjacent quotas inverted by an
-            # ulp; a non-positive lead is not a catch event
-            if gap > 0:
-                lead = ahead_quota - quota
-                if lead > 0:
-                    catch = lead / gap
-                    if catch < dt:
-                        dt = catch
+            if pool.head:
+                if least is not None:
+                    drain = least / run_rate
+                    if drain < dt:
+                        dt = drain
+                gap = pool.gap
+                # per-block rounding can leave adjacent quotas inverted by
+                # an ulp; a non-positive lead is not a catch event
+                if gap is not None:
+                    lead = ahead_quota - quota
+                    if lead > 0:
+                        catch = lead / gap
+                        if catch < dt:
+                            dt = catch
+                run_rate = pool.drain_rate
+                least = quota if run_rate is not None else None
+            elif least is not None and quota < least:
+                least = quota
             ahead_quota = quota
+        if least is not None:
+            drain = least / run_rate
+            if drain < dt:
+                dt = drain
         if dt <= 0:
             break
         seg_end = t + dt
-        segments.append(Segment(t, seg_end, tuple([p.placement for p in pools])))
+        segments.append(new(Segment, (t, seg_end, tuple([p.placement for p in pools]))))
         t = seg_end
-        # deliver the segment's work, drop drained pools and merge equalized
-        # neighbours; a merged pool, and every pool behind a dropped one,
-        # goes stale
+        # deliver the segment's work, one product per run, drop drained
+        # pools and merge equalized neighbours; a merged pool, and every
+        # pool behind a dropped one, goes stale
         kept = []
         stale = []
         dropped = False
         for pool in pools:
-            done = pool.rate * dt
+            if pool.head:
+                done = pool.rate * dt
             quota = pool.quota = pool.quota - done
             for job in pool.members:
                 work[job] = work[job] + done
@@ -356,7 +410,7 @@ def realize_slice(profile: RateProfile, instance: Instance, interval) -> Schedul
             kept.append(pool)
             ahead_quota = quota
         pools = kept
-        if close(t, end, rel=EVENT_REL) or t >= end:
+        if t >= end or ((near is None or end - t <= near) and close(t, end, rel=EVENT_REL)):
             break
 
     slack = scaled_tol(quota_scale, REL_TOL)

@@ -712,32 +712,79 @@ def mutated_files(draw):
     return kind, _render(kind, doc, key)
 
 
+FLOAT_RANGE_FILES = {
+    # rates overflow to inf, so every event time is 0
+    "speedup": {"classes": [{"sigma": 2, "count": 1}, {"sigma": 1, "count": 2}],
+                "jobs": [{"weight": 1.5, "sizes": [1, {"size": 2, "count": 2}]},
+                         {"weight": 1, "sizes": [0.5]}], "speedup": 1e308},
+    # job 2 runs for 0.125, less than one ulp of its release
+    "release": {"classes": [{"sigma": 2, "count": 1}, {"sigma": 1, "count": 2}],
+                "jobs": [{"weight": 1.5, "sizes": [1, {"size": 2, "count": 2}]},
+                         {"weight": 1, "release": 2 ** 64, "sizes": [0.5]}],
+                "speedup": 2},
+    # each count fits a float, their sum does not
+    "groups": {"classes": [{"sigma": 1, "count": 1}],
+               "jobs": [{"weight": 1, "sizes": [{"size": 2, "count": 10 ** 308},
+                                                {"size": 1, "count": 10 ** 308}]}]},
+    "jobs": {"classes": [{"sigma": 1, "count": 1}],
+             "jobs": [{"weight": 1, "sizes": [{"size": 1, "count": 10 ** 308}]},
+                      {"weight": 1, "sizes": [{"size": 1, "count": 10 ** 308}]}]},
+}
+
+
 @settings(max_examples=150, deadline=None)
 @given(case=mutated_files(), exact=st.booleans())
 @example(case=("instance", '{"classes": "x"}'), exact=False)
 @example(case=("solution", "x_1_1_0 abc\n"), exact=False)
+@example(case=("instance", json.dumps(FLOAT_RANGE_FILES["speedup"])), exact=False)
+@example(case=("instance", json.dumps(FLOAT_RANGE_FILES["release"])), exact=False)
+@example(case=("instance", json.dumps(FLOAT_RANGE_FILES["groups"])), exact=False)
+@example(case=("instance", json.dumps(FLOAT_RANGE_FILES["jobs"])), exact=False)
 def test_every_input_file_ends_in_a_documented_exit(case, exact):
     # emit-lp reads an instance, a trace's meta line or a solution file
-    # without simulating; each bad field once escaped as a Python error
-    # (a traceback, or a message such as "string indices must be integers")
+    # without simulating, and simulate --realize runs an instance or trace;
+    # each bad field once escaped as a Python error (a traceback, or a
+    # message such as "string indices must be integers"), and so did a
+    # float run that left the float range
     kind, text = case
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "input")
-        argv = ["emit-lp", path, "--horizon", "1"] + ["--exact"] * exact
+        runs = [["emit-lp", path, "--horizon", "1"]]
         if kind == "solution":
             with open(path, "w", encoding="utf-8") as fh:
                 json.dump(FUZZ_INSTANCE, fh)
-            argv += ["--solution", path + ".sol"]
+            runs[0] += ["--solution", path + ".sol"]
             path += ".sol"
+        else:
+            runs.append(["simulate", path, "--realize"])
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(text)
-        out, err = io.StringIO(), io.StringIO()
-        with redirect_stdout(out), redirect_stderr(err):
-            code = main(argv)
-    allowed = (0, 1, 2, 3) if kind == "solution" else (0, 2, 3)
-    assert code in allowed, err.getvalue()
-    refusal = {0: "", 1: "  ", 2: "error: ", 3: "precondition: "}[code]
-    if kind == "solution" and code == 2:
-        refusal = "solution parse error: bad solution line: "
-    assert err.getvalue().startswith(refusal), err.getvalue()
-    assert "Error" not in err.getvalue() and "Traceback" not in err.getvalue()
+        for argv in runs:
+            out, err = io.StringIO(), io.StringIO()
+            with redirect_stdout(out), redirect_stderr(err):
+                code = main(argv + ["--exact"] * exact)
+            allowed = (0, 1, 2, 3) if kind == "solution" else (0, 2, 3)
+            assert code in allowed, err.getvalue()
+            refusal = {0: "", 1: "  ", 2: "error: ", 3: "precondition: "}[code]
+            if kind == "solution" and code == 2:
+                refusal = "solution parse error: bad solution line: "
+            assert err.getvalue().startswith(refusal), err.getvalue()
+            assert "Error" not in err.getvalue() and "Traceback" not in err.getvalue()
+
+
+@pytest.mark.parametrize("name, words", [
+    ("speedup", "time stops at t=0.0 in float arithmetic"),
+    ("release", "time stops at t=1.8446744073709552e+19 in float arithmetic"),
+    ("groups", "total task count is too large for a float"),
+    ("jobs", "total task count is too large for a float"),
+])
+def test_float_runs_past_the_float_range_need_exact(tmp_path, capsys, name, words):
+    # each float run once died with a traceback and exit 1: an AssertionError
+    # where time stopped, or an OverflowError in rates on a task count sum
+    path = tmp_path / "instance.json"
+    path.write_text(json.dumps(FLOAT_RANGE_FILES[name]))
+    assert run_cli("simulate", str(path), "--realize") == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"precondition: {words}; rerun with --exact\n"
+    assert run_cli("simulate", str(path), "--realize", "--exact") == 0

@@ -1162,3 +1162,19 @@ def test_exact_embedding_is_scale_invariant_past_the_float_range():
     tiny = Fraction(1, 10 ** 400)
     assert ratio(2 * tiny, tiny) == ratio(Fraction(2), Fraction(1))
     assert ratio(Fraction(2), Fraction(1)) == Fraction(19901659, 12000000)
+
+
+@pytest.mark.parametrize("slot", [0.25, 1.0, 3.0, 1e300, 1.7976931348623157e308])
+def test_cap_rows_are_decided_as_leq_decides(slot):
+    # the cap rows pass a load up to slot + REL_TOL * max(slot, 1) without
+    # calling leq; loads an ulp either side of that bound and of the slot,
+    # and an infinite one, are each decided as leq decides them
+    edge = slot + REL_TOL * max(slot, 1.0)
+    loads = sorted({load for x in (slot, edge, math.inf) for load in [x] + [
+        math.nextafter(x, math.copysign(math.inf, steps)) for steps in (-1, 1)]})
+    led = bagsched.lp._Ledger(grid={}, load={1: dict(enumerate(loads))}, spent={},
+                               rate={1: 1.0}, negative=[], fracs=[], cols={}, u_out=[])
+    rows = [name for name, _, _ in bagsched.lp._violated_rows([], led, {}, slot, REL_TOL)]
+    assert rows == [f"cap_1_{t}" for t, load in enumerate(loads)
+                    if not leq(load, slot, REL_TOL)]
+    assert len(rows) < len(loads)

@@ -8,7 +8,7 @@ from dataclasses import replace
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bagsched import (
@@ -25,6 +25,7 @@ from bagsched import (
     write_trace,
 )
 from bagsched.numutil import EVENT_REL
+from bagsched.rates import Block, BlockMember
 
 from oracles import step_realize
 from support import alive_instance, alive_jobs, classes_of
@@ -512,8 +513,45 @@ def _realize_cases(draw):
     return RateProfile(gamma=gamma, blocks=blocks), inst, (start, end)
 
 
+def _one_block_case(exact, classes, members, interval):
+    """A realize case at speedup 1: machine classes (speed, count), one
+    block whose (count, per-task rate) members make the pools in list order,
+    and a slice, all Fractions converted to the mode."""
+    num = Fraction if exact else float
+    block = Block(0, num(1), 0, sum(c for c, _ in members), num(1), tuple(
+        BlockMember(job_id, num(rate * count), count, num(rate), num(rate))
+        for job_id, (count, rate) in enumerate(members, start=1)))
+    inst = alive_instance([(num(s), c) for s, c in classes], num(1), exact=exact)
+    return RateProfile(gamma=num(1), blocks=(block,)), inst, tuple(map(num, interval))
+
+
+ULP = Fraction(1, 2 ** 52)  # one ulp of 1.0
+REALIZE_RUN_CASES = {
+    # one run of rate 2; its least quota, 1, is not its last pool's, 1 + ulp
+    "least-not-last": ([(2, 3)], [(1, Fraction(3, 2)), (1, 1), (1, 1 + ULP)], (0, 1)),
+    # a run of rate 2 on the two machines, then a run of rate 0 past them
+    "rate-0-run": ([(2, 2)], [(1, 1), (1, Fraction(3, 4)), (1, Fraction(1, 2)),
+                              (1, Fraction(1, 4))], (0, 1)),
+    # one run of rate 2 whose second pool drains first, shifting the pools
+    # behind it
+    "inside-drains": ([(2, 4)], [(1, 1), (1, Fraction(1, 4)), (1, Fraction(3, 4)),
+                                 (1, Fraction(1, 2))], (0, 1)),
+    # a quota past the machine's capacity by less than REL_TOL: the float
+    # segment ends an ulp below 6.87, close enough to end the slice
+    "ends-an-ulp-early": ([(2, 1)], [(1, 2 + Fraction(1, 2 ** 34))],
+                          (Fraction(8, 5), Fraction(687, 100))),
+}
+
+
 @settings(max_examples=300, deadline=None)
 @given(_realize_cases())
+@example(_one_block_case(False, *REALIZE_RUN_CASES["least-not-last"]))
+@example(_one_block_case(True, *REALIZE_RUN_CASES["least-not-last"]))
+@example(_one_block_case(False, *REALIZE_RUN_CASES["rate-0-run"]))
+@example(_one_block_case(True, *REALIZE_RUN_CASES["rate-0-run"]))
+@example(_one_block_case(False, *REALIZE_RUN_CASES["inside-drains"]))
+@example(_one_block_case(True, *REALIZE_RUN_CASES["inside-drains"]))
+@example(_one_block_case(False, *REALIZE_RUN_CASES["ends-an-ulp-early"]))
 def test_realize_slice_matches_first_definition(case):
     # per-pool cached rates and gaps must give the segments, placements and
     # work of a realization that re-derives them every segment, bit for bit
