@@ -1,5 +1,7 @@
 """Dual certificates: worked examples, identities, thresholds, rejections."""
 
+import hashlib
+import json
 import math
 import random
 from fractions import Fraction
@@ -17,6 +19,8 @@ from bagsched import (
     classify_blocks,
     gen_lower_bound,
     gen_random_ica,
+    instance_from_dict,
+    instance_to_dict,
     make_instance,
     make_job,
     rank_bands,
@@ -24,7 +28,7 @@ from bagsched import (
     simulate,
     with_speedup,
 )
-from bagsched.duals import halving_spans
+from bagsched.duals import general_threshold, halving_spans
 
 from oracles import unit_slot_lp_value
 from support import general_gamma, lp_of, single_gamma, weaker_gamma
@@ -282,6 +286,51 @@ def test_general_random_instances():
         split = cert.check("alive-weight-split")
         assert split.ok
         assert split.checked == len(trace.intervals)
+
+
+def _hexed(value):
+    """A JSON value with every float written as its hex form."""
+    if isinstance(value, float):
+        return value.hex()
+    if isinstance(value, dict):
+        return {key: _hexed(v) for key, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_hexed(v) for v in value]
+    return value
+
+
+def _spread_weights(i):
+    """gen_random_ica(K=2 or 3, 6 jobs) with weights log-uniform in
+    [1e-3, 1e3], at the general threshold over 1, 4 or 64; every fifth
+    instance is exact. Weights in [1, 10], as the generator draws them,
+    never make a block cheap."""
+    k = 2 + i % 2
+    base = gen_random_ica(k, 6, 3, i)
+    rng = random.Random(i)
+    inst = make_instance(base.classes, [
+        make_job(j.job_id, 10 ** rng.uniform(-3, 3),
+                 [(g.size, g.count) for g in j.groups])
+        for j in base.jobs])
+    if i % 5 == 4:
+        inst = instance_from_dict(instance_to_dict(inst), exact=True)
+    return with_speedup(inst, general_threshold(inst) / (1, 4, 64)[i % 3])
+
+
+def test_general_spread_weights_reach_cheap_blocks():
+    # pins the general family's certificates, bit for bit, on instances
+    # whose blocks turn cheap
+    digest = hashlib.sha256()
+    cheap = 0
+    for i in range(40):
+        inst = _spread_weights(i)
+        trace = simulate(inst)
+        cheap += sum(v.label == "cheap" for iv in classify_blocks(trace, inst).intervals
+                     for v in iv.blocks)
+        cert = build_general_duals(trace, inst)
+        digest.update(json.dumps(_hexed(cert.to_dict()), sort_keys=True).encode() + b"\n")
+    assert cheap > 0
+    assert digest.hexdigest() == (
+        "26a0745e9221a514cf3ca964e1a628f0105e7f6cc0d632003c655ada967cd606")
 
 
 def test_general_rejects_release_dates():
