@@ -5,8 +5,8 @@ from .blocks import (
     BlockClassification,
     BlockView,
     IntervalBlocks,
+    JobView,
     classify_blocks,
-    simple_job_classes,
 )
 from .duals import (
     CONSTANTS,

@@ -49,13 +49,20 @@ class BlockView:
     class_machine_counts: tuple  # machines of each class inside the span
 
 
+@dataclass(slots=True)
+class JobView:
+    """An alive job's block and simple classes in one interval. Slotted, not
+    frozen: one is built per alive job and interval."""
+
+    view: BlockView             # the job's block
+    simple: tuple               # classes the job's rate is simple with respect to
+    nearest: int                # the class of `simple` nearest in log scale, or 0
+
+
 @dataclass(frozen=True)
 class IntervalBlocks:
     blocks: tuple
-    job_block: dict             # job_id -> index into blocks
-
-    def block_for_job(self, job_id: int) -> BlockView:
-        return self.blocks[self.job_block[job_id]]
+    jobs: dict                  # job_id -> JobView
 
 
 @dataclass
@@ -63,22 +70,20 @@ class BlockClassification:
     intervals: list
     checks: list
     flags: dict
+    thresholds: tuple           # instances.thresholds: boundaries 1..K-1
 
 
-def simple_job_classes(rate, gamma, classes):
-    """Classes l with rate in [gamma*sigma_l/64, 64*gamma*sigma_l].
+def class_windows(gamma, classes, width):
+    """Per class l, the window [gamma*sigma_l/width, gamma*sigma_l*width]."""
+    return [(gamma * c.speed / width, gamma * c.speed * width) for c in classes]
 
-    Windows of adjacent classes overlap (speeds drop by >= 64), so a rate
-    can qualify for two consecutive classes.
-    """
-    out = []
-    for li, c in enumerate(classes, start=1):
-        center = gamma * c.speed
-        if geq(rate, center / SIMPLE_JOB_WINDOW) and leq(
-            rate, center * SIMPLE_JOB_WINDOW
-        ):
-            out.append(li)
-    return tuple(out)
+
+def window_classes(value, windows):
+    """Classes l, ascending, whose window holds value. Job windows of
+    adjacent classes overlap (speeds drop by >= 64), so a rate can be simple
+    with respect to two consecutive classes; block windows are disjoint."""
+    return tuple(li for li, (lo, hi) in enumerate(windows, start=1)
+                 if geq(value, lo) and leq(value, hi))
 
 
 def _log(x):
@@ -91,26 +96,26 @@ def _log(x):
         return math.log(x.numerator) - math.log(x.denominator)
 
 
-def nearest_qualifying_class(qualifying, rate, gamma, classes):
-    """The class of `qualifying`, which is simple_job_classes(rate, gamma,
-    classes), whose speed is nearest to rate in log scale.
+def nearest_class(held, value, log_centres):
+    """The class of `held` whose centre gamma*sigma_l, logged in
+    log_centres, is nearest to value in log scale.
 
-    Ties (rate exactly between two class speeds) go to the faster class.
-    Returns 0 when no class qualifies.
+    Ties (value exactly between two class centres) go to the faster class.
+    Returns 0 when `held` is empty.
     """
-    if not qualifying:
+    if not held:
         return 0
     best = 0
     best_gap = math.inf
-    log_rate = _log(rate)
-    for li in qualifying:
-        gap = abs(log_rate - _log(gamma * classes[li - 1].speed))
+    log_value = _log(value)
+    for li in held:
+        gap = abs(log_value - log_centres[li - 1])
         if gap < best_gap - TIE_REL or (abs(gap - best_gap) <= TIE_REL and li < best):
             best, best_gap = li, gap
     return best
 
 
-def _classify_block(block, instance, gamma, alive_weight, k):
+def _classify_block(block, instance, block_windows, alive_weight, k):
     counts = instance.class_prefix_counts
     m = counts[-1]
     lo_c = min(block.lo, m)
@@ -119,16 +124,8 @@ def _classify_block(block, instance, gamma, alive_weight, k):
         max(0, min(hi_c, counts[li]) - max(lo_c, counts[li - 1]))
         for li in range(1, k + 1)
     )
-    avg = block.speed / block.task_count()
-
-    simple_class = 0
-    for li in range(1, k + 1):
-        center = gamma * instance.classes[li - 1].speed
-        if geq(avg, center / SIMPLE_BLOCK_WINDOW) and leq(
-            avg, center * SIMPLE_BLOCK_WINDOW
-        ):
-            simple_class = li
-            break
+    held = window_classes(block.speed / block.task_count(), block_windows)
+    simple_class = held[0] if held else 0
 
     long_classes = []
     for li in range(1, k + 1):
@@ -158,7 +155,8 @@ def _classify_block(block, instance, gamma, alive_weight, k):
 
 
 def classify_blocks(trace, instance: Instance) -> BlockClassification:
-    """Label every block of every trace interval and scan the block facts.
+    """Label every block of every trace interval, record each alive job's
+    block, simple classes and nearest simple class, and scan the block facts.
 
     Requires the capacity growth conditions (the taxonomy is meaningless
     without them). Diagnostic records cover long-block shape, the cheap
@@ -171,6 +169,9 @@ def classify_blocks(trace, instance: Instance) -> BlockClassification:
     k = len(instance.classes)
     gamma = trace.instance.speedup
     bounds = thresholds(instance)  # boundaries 1..K-1
+    job_windows = class_windows(gamma, instance.classes, SIMPLE_JOB_WINDOW)
+    block_windows = class_windows(gamma, instance.classes, SIMPLE_BLOCK_WINDOW)
+    log_centres = [_log(gamma * c.speed) for c in instance.classes]
 
     checks = CheckList()
     long_shape = checks.add("long-block-shape", diagnostic=True)
@@ -187,13 +188,15 @@ def classify_blocks(trace, instance: Instance) -> BlockClassification:
     for t_idx, iv in enumerate(trace.intervals):
         alive_weight = iv.alive_weight()
         views = tuple(
-            _classify_block(b, instance, gamma, alive_weight, k)
+            _classify_block(b, instance, block_windows, alive_weight, k)
             for b in iv.profile.blocks
         )
-        job_block = {
-            mb.job_id: b.index for b in iv.profile.blocks for mb in b.members
-        }
-        intervals.append(IntervalBlocks(blocks=views, job_block=job_block))
+        jobs = {}
+        for v in views:
+            for mb in v.block.members:
+                simple = window_classes(mb.rate, job_windows)
+                jobs[mb.job_id] = JobView(v, simple, nearest_class(simple, mb.rate, log_centres))
+        intervals.append(IntervalBlocks(blocks=views, jobs=jobs))
 
         # long-block shape facts: |B| <= m_blend_l and s(B) close to the
         # class capacity; for the last class only the speed lower bound
@@ -249,10 +252,8 @@ def classify_blocks(trace, instance: Instance) -> BlockClassification:
             if v.label != "simple":
                 continue
             b = v.block
-            simple_weight = 0
-            for mb in b.members:
-                if v.label_class in simple_job_classes(mb.rate, gamma, instance.classes):
-                    simple_weight += mb.share * mb.count
+            simple_weight = sum(mb.share * mb.count for mb in b.members
+                                if v.label_class in jobs[mb.job_id].simple)
             simple_jobs.require_leq(
                 b.weight, SIMPLE_BLOCK_RATIO * simple_weight, (t_idx, b.index)
             )
@@ -270,4 +271,5 @@ def classify_blocks(trace, instance: Instance) -> BlockClassification:
             "long_wrt_last_class": long_wrt_last,
             "worst_simple_block_ratio": worst_simple_ratio,
         },
+        thresholds=bounds,
     )

@@ -41,7 +41,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .blocks import classify_blocks, nearest_qualifying_class, simple_job_classes
+from .blocks import classify_blocks
 from .dualcheck import DualPoint, check_dual
 from .instances import Instance, thresholds, validate_ica
 from .numutil import coerce
@@ -186,7 +186,7 @@ def _weaker_point(trace, instance: Instance):
     alpha, beta = [], []
     for _, iv, w_alive in _alive_weights(trace, monotone):
         beta.append([w_alive / d for d in dens])
-        alpha.append([((0, ij.count, ij.weight / ij.count),) for ij in iv.jobs])
+        alpha.append([((0, ij.count, ij.share),) for ij in iv.jobs])
     flags = {"task_count": instance.task_count(), "class_count": len(sigmas)}
     return DualPoint(alpha=alpha, beta=beta, delta=delta), lemmas, flags
 
@@ -438,29 +438,26 @@ def _running_max_spans(visits, coef):
 
 def _general_point(trace, instance: Instance):
     """The general family's point, lemma records and flags."""
-    gamma, sigmas, counts = _preamble(trace, instance, "general")
+    _, sigmas, counts = _preamble(trace, instance, "general")
     k = len(sigmas)
     exact = instance.exact
     logk = _log_scale(k, exact)
     zero = coerce(0, exact)
 
     classification = classify_blocks(trace, instance)
-    bounds = thresholds(instance)
+    bounds = classification.thresholds
 
     # ---- pass 1: last-simple intervals and long-block visits -------------
     last_simple = {}   # (job_id, class) -> alive count at the last simple interval
-    chosen = {}        # (interval, job_id) -> class the job is simple wrt, or 0
     visits = {}        # (job_id, class) -> [(interval, alive, block weight)]
-    long_job_intervals = 0
+    simple_job_intervals = long_job_intervals = 0
     for t, (iv, cls_iv) in enumerate(zip(trace.intervals, classification.intervals)):
         for ij in iv.jobs:
-            qual = simple_job_classes(ij.rate, gamma, instance.classes)
-            for li in qual:
+            jv = cls_iv.jobs[ij.job_id]
+            for li in jv.simple:
                 last_simple[(ij.job_id, li)] = ij.count
-            chosen[(t, ij.job_id)] = nearest_qualifying_class(
-                qual, ij.rate, gamma, instance.classes
-            )
-            view = cls_iv.block_for_job(ij.job_id)
+            simple_job_intervals += bool(jv.nearest)
+            view = jv.view
             if view.label == "long":
                 long_job_intervals += 1
                 for li in view.long_classes:
@@ -519,22 +516,21 @@ def _general_point(trace, instance: Instance):
     long_alpha_den = CONSTANTS.long_alpha_div * k * logk
     alpha, beta = [], []
     walk = _alive_weights(trace, monotone)
-    for (t, iv, w_alive), cls_iv in zip(walk, classification.intervals):
+    for (_, iv, w_alive), cls_iv in zip(walk, classification.intervals):
         beta.append([w_alive / d for d in beta_dens])
         row = []
         alpha.append(row)
         for ij in iv.jobs:
             jid, n_t, w_j = ij.job_id, ij.count, ij.weight
-            lstar = chosen[(t, jid)]
-            view = cls_iv.block_for_job(jid)
-            long_block = view.block if view.label == "long" else None
+            jv = cls_iv.jobs[jid]
+            long_block = jv.view.block if jv.view.label == "long" else None
             a2 = zero
             if long_block is not None:
                 a2 = ij.rate * long_block.weight / (long_alpha_den * long_block.speed)
             # alpha' = w/(4K n1) on the n1 positions alive at the last
             # simple interval, alpha'' = a2 on every alive position
-            if lstar:
-                n1 = last_simple[(jid, lstar)]
+            if jv.nearest:
+                n1 = last_simple[(jid, jv.nearest)]
                 a1 = w_j / (CONSTANTS.simple_alpha_div * k * n1)
                 spans = ((0, n1, a1 + a2),)
                 if long_block is not None and n1 < n_t:
@@ -546,7 +542,7 @@ def _general_point(trace, instance: Instance):
     flags = dict(classification.flags)
     flags.update(
         {
-            "simple_job_intervals": sum(1 for v in chosen.values() if v),
+            "simple_job_intervals": simple_job_intervals,
             "long_job_intervals": long_job_intervals,
             "class_count": k,
         }

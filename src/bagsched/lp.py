@@ -478,6 +478,11 @@ def schedule_to_primal(source, instance: Instance, slot=None) -> PrimalSolution:
     `source` is a Trace of `instance` (each interval gets realized; a
     trace of another instance raises report.AnalysisError) or a list of
     ScheduleSlices covering [0, makespan); either ran at instance.speedup.
+    Each segment of a slice list is checked once, as it is flattened, and
+    LpError names the first bad one: it must start at time 0 or later, and
+    each pool must hold >= 1 task at a rate >= 0, on no machines or on
+    machines in 1..m, and its members >= 1 task each of a job of the
+    instance that no other pool of the segment holds.
     x spreads each rate pool uniformly over its machine span; U is the
     minimal feasible remaining fraction; the slot defaults to half the
     smallest per-job gap between completion time and the area under its U
@@ -509,12 +514,31 @@ def schedule_to_primal(source, instance: Instance, slot=None) -> PrimalSolution:
     weights = {j.job_id: j.weight for j in instance.jobs}
     zero = instance.speedup - instance.speedup  # typed zero
 
-    # flatten to (start, end, placement) in time order
+    # flatten to segments in time order, checking each once
+    m = instance.machine_count()
     segments = []
     for sl in slices:
         for seg in sl.segments:
-            if seg.end > seg.start:
-                segments.append(seg)
+            if not seg.end > seg.start:
+                continue
+            if not seg.start >= 0:
+                raise LpError(f"segment starts at {seg.start}, before time 0")
+            placed = set()
+            for pl in seg.placements:
+                lo, hi = pl.machine_lo, pl.machine_hi
+                if not (pl.count >= 1 and pl.per_task_rate >= 0):
+                    raise LpError(f"pool of count {pl.count} at rate {pl.per_task_rate}"
+                                  ": needs count >= 1 and rate >= 0")
+                if lo <= hi and not (1 <= lo and hi <= m):
+                    raise LpError(f"pool on machines {lo}..{hi}, not 1..{m}")
+                for job_id, cnt in pl.members:
+                    if not (job_id in weights and cnt >= 1):
+                        raise LpError(f"pool member ({job_id}, {cnt}) is not >= 1 task"
+                                      " of a job of the instance")
+                    if job_id in placed:
+                        raise LpError(f"job {job_id} split across pools in one segment")
+                    placed.add(job_id)
+            segments.append(seg)
     segments.sort(key=lambda s: s.start)
 
     # pass A: completion times, per-job work curves, and alive snapshots
@@ -534,8 +558,6 @@ def schedule_to_primal(source, instance: Instance, slot=None) -> PrimalSolution:
             if rate == 0:
                 continue
             for job_id, cnt in pl.members:
-                if (si, job_id) in seg_alive:
-                    raise LpError(f"job {job_id} split across pools in one segment")
                 alive = [
                     v for v, _ in job_tasks.get(job_id, ()) if remaining[v] > 0
                 ]
@@ -603,7 +625,6 @@ def schedule_to_primal(source, instance: Instance, slot=None) -> PrimalSolution:
     spent = dict.fromkeys(grid, zero)
     pending = {v: [] for v in grid}  # task -> its opened keys not yet spent
     opened = []  # opened keys, in x's order
-    plain = True  # False once a piece is outside the shape realize_slice gives
     x = {}
     high = -1  # highest slot that an earlier segment wrote
     for si, seg in enumerate(segments):
@@ -618,8 +639,6 @@ def schedule_to_primal(source, instance: Instance, slot=None) -> PrimalSolution:
                 if i not in speeds:
                     speeds[i] = instance.machine_speed(i)
                     rate[i], load[i] = gamma * speeds[i], {}
-            if pl.machine_lo < 1:  # x's key checks run on opened keys only
-                plain = False
             spent_due = True  # the tasks' opened keys are yet to be spent
             t0, t1 = seg.start, seg.end
             s = int(t0 / slot)
@@ -629,9 +648,7 @@ def schedule_to_primal(source, instance: Instance, slot=None) -> PrimalSolution:
                 d = hi - t0
                 if d > 0:
                     share = d / pl.count * gamma
-                    if share < zero:  # negative amounts are noted in x's order
-                        plain = False
-                    if plain and high < s < below:
+                    if high < s < below:
                         if spent_due:
                             spent_due = False
                             for v in tasks:
@@ -660,9 +677,7 @@ def schedule_to_primal(source, instance: Instance, slot=None) -> PrimalSolution:
                                 if key in x:
                                     x[key] = x[key] + amount
                                 else:
-                                    # a slot that no earlier segment wrote
-                                    # gets each amount written, not added
-                                    x[key] = amount if s > high else zero + amount
+                                    x[key] = amount
                                     opened.append(key)
                                     pending[v].append(key)
                     if s > seg_high:
@@ -675,16 +690,8 @@ def schedule_to_primal(source, instance: Instance, slot=None) -> PrimalSolution:
                 s += 1
         high = seg_high
 
-    negative = []
-    for key in opened:  # _read_x's loop on the opened keys
-        i, v, t = key
-        if t < 0:
-            raise LpError(f"x names slot {t}: no slot {t}")
-        if i < 1:
-            raise LpError(f"x names machine {i}: no machine {i}")
-        amt = x[key]
-        if amt < zero:
-            negative.append((i, v, t, amt))
+    for i, v, t in opened:  # _read_x's sums, on the opened keys
+        amt = x[i, v, t]
         row, mine = grid[v], load[i]
         row[t] = row[t] + amt if t in row else zero + amt
         mine[t] = mine[t] + amt if t in mine else zero + amt
@@ -718,8 +725,8 @@ def schedule_to_primal(source, instance: Instance, slot=None) -> PrimalSolution:
         slot=slot, x=x, U=U, C=dict(completion),
         cost=cost, objective=objective,
     )
-    ledger = _Ledger(grid, load, spent, rate, negative, fracs, cols, u_out,
-                     u_sum, u_cost)
+    # amounts are positive, so x has no negative amount to note
+    ledger = _Ledger(grid, load, spent, rate, [], fracs, cols, u_out, u_sum, u_cost)
     check_primal(primal, instance, _sums=ledger)
     return primal
 

@@ -25,7 +25,7 @@ EVENT_REL = 1e-12
 # Argmin ties: water levels of run ends in assign_rates (compared by
 # tie_leq, relative to the larger level with no absolute floor, so a tie
 # means the same at every weight scale), and log-scale gaps to class speeds
-# in nearest_qualifying_class, this close count as tied. Absorbs the rounding
+# in blocks.nearest_class, this close count as tied. Absorbs the rounding
 # of a single quotient, so the tie-break rule decides.
 TIE_REL = 1e-12
 

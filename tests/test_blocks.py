@@ -1,5 +1,6 @@
 """Block taxonomy: rate windows, labels, per-interval structural claims."""
 
+import math
 import random
 
 import pytest
@@ -11,8 +12,12 @@ from bagsched import (
     simulate,
     with_speedup,
 )
-from bagsched.blocks import nearest_qualifying_class, simple_job_classes
+from bagsched.blocks import class_windows, nearest_class, window_classes
 from bagsched.instances import thresholds
+
+
+def simple_job_classes(rate, gamma, classes):
+    return window_classes(rate, class_windows(gamma, classes, 64))
 
 
 def test_rate_window_membership():
@@ -33,8 +38,8 @@ def test_nearest_class_resolves_overlap():
     gamma = 2.0
 
     def nearest(rate):
-        qualifying = simple_job_classes(rate, gamma, classes)
-        return nearest_qualifying_class(qualifying, rate, gamma, classes)
+        log_centres = [math.log(gamma * c.speed) for c in classes]
+        return nearest_class(simple_job_classes(rate, gamma, classes), rate, log_centres)
 
     # geometric midpoint of 64*gamma and 1*gamma is 8*gamma: closer to slow
     assert nearest(4.0 * gamma) == 2

@@ -233,7 +233,7 @@ def test_speedup_past_the_float_range(tmp_path, capsys):
     # a speedup of 10^400 once killed float simulate with an OverflowError
     # traceback in instances._finite, verify --exact with one in the
     # certificate's threshold test, and verify --family general --exact with
-    # one in blocks.nearest_qualifying_class's log; all exited 1
+    # one in the log blocks takes of each class centre; all exited 1
     path = gen_instance(tmp_path, "lower", "--k", "2")
     data = json.loads(path.read_text())
     data["speedup"] = {"num": 10 ** 400, "den": 1}

@@ -1074,6 +1074,44 @@ def wspt_slices(order, speed=1.0):
     return slices
 
 
+MALFORMED = {  # kind -> (change to the first segment, LpError message)
+    "machine past m": ({"machine_hi": 3}, "pool on machines 1..3, not 1..2"),
+    "empty pool": ({"count": 0},
+                   "pool of count 0 at rate 1.0: needs count >= 1 and rate >= 0"),
+    "machine 0": ({"machine_lo": 0}, "pool on machines 0..1, not 1..2"),
+    "negative rate": ({"per_task_rate": -1.0},
+                      "pool of count 1 at rate -1.0: needs count >= 1 and rate >= 0"),
+    "negative start": ({"start": -1.0}, "segment starts at -1.0, before time 0"),
+    "job in two pools": ({"machine_lo": 2, "machine_hi": 2},
+                         "job 2 split across pools in one segment"),
+    "job past the instance": ({"members": ((2, 1), (3, 0))},
+                              "pool member (3, 0) is not >= 1 task of a job of the instance"),
+}
+
+
+@pytest.mark.parametrize("kind", MALFORMED)
+def test_a_malformed_slice_list_is_refused(kind):
+    # each segment of a hand-built slice list is checked as it is flattened;
+    # a machine past m once died with IndexError, and an empty pool with
+    # ZeroDivisionError, and a member naming no job of the instance with
+    # KeyError. The slices run two jobs on machine 1 of 2.
+    inst = make_instance([(1, 2)], [make_job(1, 1.0, [4]), make_job(2, 2.0, [3])])
+    first, *rest = wspt_slices([(2, 3.0), (1, 4.0)])
+    schedule_to_primal([first] + rest, inst)
+    change, message = MALFORMED[kind]
+    seg = first.segments[0]
+    (pl,) = seg.placements
+    if kind == "negative start":
+        seg = seg._replace(**change)
+    elif kind == "job in two pools":
+        seg = seg._replace(placements=(pl, pl._replace(**change)))
+    else:
+        seg = seg._replace(placements=(pl._replace(**change),))
+    with pytest.raises(LpError) as err:
+        schedule_to_primal([dataclasses.replace(first, segments=[seg])] + rest, inst)
+    assert str(err.value) == message
+
+
 def test_brute_force_examples():
     two = make_instance(
         [(1, 1)], [make_job(1, 1.0, [1]), make_job(2, 2.0, [1])])

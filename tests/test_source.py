@@ -230,6 +230,23 @@ def test_only_the_checker_decides_certificates():
     assert found == []
 
 
+def test_general_family_reads_one_classification():
+    # classify_blocks decides each alive job's block and simple classes once
+    # per interval, and the general family reads that record: duals takes
+    # nothing else from blocks, and no module but blocks reads a window
+    trees = _package_trees()
+    taken = [
+        alias.name
+        for node in ast.walk(trees["duals.py"]) if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+        if node.module == "blocks" or (node.module is None and alias.name == "blocks")
+    ]
+    assert taken == ["classify_blocks"]
+    windows = {"SIMPLE_JOB_WINDOW", "SIMPLE_BLOCK_WINDOW"}
+    assert [name for name, tree in trees.items()
+            if name != "blocks.py" and _names_used(tree) & windows] == []
+
+
 def test_every_fitting_constant_is_read():
     # a constant that no construction reads is a second, stale statement of
     # the analysis; every FittingConstants field must be taken as an
