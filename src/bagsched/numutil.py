@@ -19,7 +19,9 @@ REL_TOL = 1e-9
 
 # Batching of simultaneous events: completions and releases this close to the
 # next event time, and realization quotas this close to drained or to each
-# other, are one event. Absorbs the rounding of a single quotient.
+# other, are one event; a release and a slice's end are tested relative to
+# the time, with no absolute floor. Absorbs the rounding of a single
+# quotient.
 EVENT_REL = 1e-12
 
 # Argmin ties: water levels of run ends in assign_rates (compared by
@@ -92,10 +94,10 @@ def leq(a, b, rel: float = REL_TOL) -> bool:
     return scale != inf and a <= b + rel * scale
 
 
-def tie_leq(a, b) -> bool:
-    """a <= b up to TIE_REL of the larger side, with no absolute floor.
+def tie_leq(a, b, rel: float = TIE_REL) -> bool:
+    """a <= b up to rel of the larger side, with no absolute floor.
 
-    leq's floor of 1 would make levels below 1 tie when they are far apart
+    leq's floor of 1 would make values below 1 tie when they are far apart
     relative to their size; here the slack shrinks with the values. Exact
     sides compare exactly, and an infinite side grants no slack.
     """
@@ -106,7 +108,7 @@ def tie_leq(a, b) -> bool:
     if a <= b:
         return True
     scale = max(abs(a), abs(b))
-    return scale != inf and a <= b + TIE_REL * scale
+    return scale != inf and a <= b + rel * scale
 
 
 def scaled_tol(scale, rel: float):

@@ -30,8 +30,10 @@ That tie (numutil.tie_leq) has no absolute floor, so it means the same at
 every weight scale. Each stack entry keeps its share sum from the entry
 below, so X_e - X_a is always a sum of run shares and never a difference
 of running totals, which would cancel when the shares span many orders of
-magnitude. Each block's tau is then recomputed from its own share sum,
-taken from zero in run order.
+magnitude. In exact mode each block's tau is the water level held by the
+hull entry that ends it, gamma * (S(N_e) - S(N_a)) over that entry's share
+sum, which is the exact sum of the block's run shares. In float mode tau is
+recomputed from the block's own share sum, taken from zero in run order.
 """
 from __future__ import annotations
 
@@ -165,14 +167,18 @@ def assign_rates(alive, instance: Instance) -> RateProfile:
             level = gamma * (s - hull[-1][2]) / x
         hull.append((e, n, s, x, level))
 
+    exact = instance.exact
     blocks = []
     tau_prev = None
-    for (a, lo, s_lo, _, _), (e, hi, s_hi, _, _) in zip(hull, hull[1:]):
-        # the block's share sum, from zero in run order
-        share_sum = 0
-        for run in runs[a:e]:
-            share_sum = share_sum + run[3]
-        tau = gamma * (s_hi - s_lo) / share_sum
+    for (a, lo, s_lo, _, _), (e, hi, s_hi, _, level) in zip(hull, hull[1:]):
+        speed = gamma * (s_hi - s_lo)
+        if exact:
+            tau = level
+        else:  # the block's share sum, from zero in run order
+            share_sum = 0
+            for run in runs[a:e]:
+                share_sum = share_sum + run[3]
+            tau = speed / share_sum
         if not tau > 0:
             # Tasks past the machine count would get rate 0 only if capacity
             # stopped growing before any was assigned; the freeze order makes
@@ -194,7 +200,7 @@ def assign_rates(alive, instance: Instance) -> RateProfile:
                 tau=tau,
                 lo=lo,
                 hi=hi,
-                speed=gamma * (s_hi - s_lo),
+                speed=speed,
                 members=members,
             )
         )

@@ -30,13 +30,27 @@ is re-placed.
 A segment thus costs, per run, one division for its drain time, at most
 one for a catch at its head and one product for the work it delivers; per
 pool, one comparison for its run's least quota and one subtraction; one
-addition per member; and one placement and capacity lookup per re-placed
-pool. The least quota of a run drains first, at the time its pools' own
-divisions give, because float rounding is monotone: for a rate r > 0,
-q <= q' implies fl(q / r) <= fl(q' / r), so the least fl(q / r) over the
-run is fl(min q / r). Every value that reaches an output is thus computed
-by the same float operations, in the same order, as a placement derived
-afresh in every segment.
+addition per member in float mode; and one placement and capacity lookup
+per re-placed pool. The least quota of a run drains first, at the time its
+pools' own divisions give, because float rounding is monotone: for a rate
+r > 0, q <= q' implies fl(q / r) <= fl(q' / r), so the least fl(q / r)
+over the run is fl(min q / r). Every value that reaches an output is thus
+computed by the same float operations, in the same order, as a placement
+derived afresh in every segment.
+
+An exact slice adds no work per member: its work is each job's quota. It
+has no slack, no segment takes a pool below zero (dt is at most a run's
+least quota over its rate), a pool drops only at quota 0, pools merge only
+at equal quotas, and the slice raises unless every quota is left at 0; so
+each member's delivered work sums to its quota exactly.
+
+Time tests are relative with no absolute floor, so that scaling every size
+and release by a power of two scales every time by it: a job is admitted
+once its release is within EVENT_REL of the event time, relative to the
+larger of the two, and a float slice ends once t is within EVENT_REL of
+its end, relative to the slice's larger end. A float slice whose largest
+quota is so small that EVENT_REL of it underflows to 0.0 is refused, as
+no drain or merge could be told from rounding there.
 """
 from __future__ import annotations
 
@@ -48,7 +62,7 @@ from operator import attrgetter
 from typing import NamedTuple
 
 from .instances import Instance, InstanceError, instance_to_dict
-from .numutil import EVENT_REL, REL_TOL, close, json_number, leq, scaled_tol
+from .numutil import EVENT_REL, REL_TOL, json_number, scaled_tol, tie_leq
 from .rates import AliveJob, RateProfile, assign_rates, star_witness
 
 
@@ -140,7 +154,7 @@ def simulate(instance: Instance) -> Trace:
 
     def admit(upto):
         nonlocal pending_idx
-        while pending_idx < len(pending) and leq(pending[pending_idx].release, upto, rel=EVENT_REL):
+        while pending_idx < len(pending) and tie_leq(pending[pending_idx].release, upto, EVENT_REL):
             job = pending[pending_idx]
             pending_idx += 1
             g = len(job.groups)
@@ -265,7 +279,9 @@ def realize_slice(profile: RateProfile, instance: Instance, interval) -> Schedul
 
     `interval` is an (start, end) pair or any object with start/end. Raises
     InfeasibleSliceError, with star_witness's overfull prefix, when the
-    quotas cannot fit (never for profiles that pass star_witness).
+    quotas cannot fit (never for profiles that pass star_witness), and
+    InstanceError for a float slice whose quotas are deep subnormal; the
+    exact mode runs it.
     """
     if hasattr(interval, "start"):
         start, end = interval.start, interval.end
@@ -281,14 +297,16 @@ def realize_slice(profile: RateProfile, instance: Instance, interval) -> Schedul
     new = tuple.__new__  # a record without the NamedTuple's Python-level __new__
 
     # one pass over the members: the work of every alive job, and the
-    # pools of equal quota, quota descending
+    # pools of equal quota, quota descending. An exact slice delivers each
+    # quota in full (see the module notes), so its work is the quota.
+    exact = instance.exact
     work = {}
     pools = []
     member_count = 0
     for mem in profile.members():
         member_count += 1
-        work[mem.job_id] = zero
         quota = mem.rate * length
+        work[mem.job_id] = quota if exact else zero
         if quota == 0:
             continue
         if pools and pools[-1].quota == quota:
@@ -299,10 +317,13 @@ def realize_slice(profile: RateProfile, instance: Instance, interval) -> Schedul
             pools.append(_Pool(quota, mem.count, {mem.job_id: mem.count}))
     quota_scale = pools[0].quota if pools else zero
     tol = scaled_tol(quota_scale, EVENT_REL)
+    if pools and not (exact or tol):  # see the module notes
+        raise InstanceError(
+            f"quotas of [{start}, {end}) are too small for float arithmetic; "
+            "rerun with --exact")
     cap_zero = capacity(0)
-    # a float slice ends once t is close to its end; as start <= t, that
-    # needs end - t <= near, close's largest slack over [start, end]
-    near = EVENT_REL * max(abs(start), abs(end), 1.0) if type(end) is float else None
+    # a float slice ends once end - t is at most near (see the module notes)
+    near = None if exact else EVENT_REL * max(abs(start), abs(end))
 
     # at most two events (a merge and a drain) per pool, plus slack
     max_segments = 4 * len(profile.blocks) + 4 * member_count + 8
@@ -390,8 +411,9 @@ def realize_slice(profile: RateProfile, instance: Instance, interval) -> Schedul
             if pool.head:
                 done = pool.rate * dt
             quota = pool.quota = pool.quota - done
-            for job in pool.members:
-                work[job] = work[job] + done
+            if not exact:
+                for job in pool.members:
+                    work[job] = work[job] + done
             if not quota > tol:
                 dropped = True
                 continue
@@ -410,7 +432,7 @@ def realize_slice(profile: RateProfile, instance: Instance, interval) -> Schedul
             kept.append(pool)
             ahead_quota = quota
         pools = kept
-        if t >= end or ((near is None or end - t <= near) and close(t, end, rel=EVENT_REL)):
+        if t >= end or (near is not None and end - t <= near):
             break
 
     slack = scaled_tol(quota_scale, REL_TOL)

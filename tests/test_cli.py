@@ -18,6 +18,7 @@ from bagsched import cli
 from bagsched.cli import main
 from bagsched.instances import instance_from_dict
 from bagsched.lp import LpError, check_lp_solution, solution_objective
+from bagsched.numutil import EVENT_REL
 from bagsched.sim import simulate, write_trace
 
 
@@ -770,6 +771,50 @@ def test_every_input_file_ends_in_a_documented_exit(case, exact):
                 refusal = "solution parse error: bad solution line: "
             assert err.getvalue().startswith(refusal), err.getvalue()
             assert "Error" not in err.getvalue() and "Traceback" not in err.getvalue()
+
+
+def test_a_slice_shorter_than_1e_12_realizes(tmp_path, capsys):
+    # one of the general-threshold runs: its slice [8.386655e-08,
+    # 8.386749e-08) ended after its first segment while the end test granted
+    # 1e-12 absolute, and the slice died with a LivelockError
+    path = gen_instance(tmp_path, "random", "--k", "4", "--jobs", "20",
+                        "--max-tasks", "4", "--seed", "4042006")
+    capsys.readouterr()
+    assert run_cli("simulate", str(path), "--gamma", "8192", "--realize") == 0
+    assert capsys.readouterr().out.startswith("realized 48 intervals\n")
+
+
+def test_deep_subnormal_quotas_need_exact(tmp_path, capsys):
+    # one task on one machine at speedup 1 has its size as its quota; below
+    # the least quota whose EVENT_REL share is not 0.0, a float slice can
+    # tell no drain from rounding, and is refused. The search starts where
+    # that share is half the least subnormal
+    edge = math.ldexp(0.5 / EVENT_REL, -1074)
+    while EVENT_REL * edge > 0:
+        edge = math.nextafter(edge, 0)
+    while not EVENT_REL * edge > 0:
+        edge = math.nextafter(edge, 1)
+    path = tmp_path / "instance.json"
+    for size, code in ((edge, 0), (math.nextafter(edge, 0), 3)):
+        path.write_text(json.dumps({"classes": [{"sigma": 1, "count": 1}],
+                                    "jobs": [{"weight": 1, "sizes": [size]}]}))
+        assert run_cli("simulate", str(path), "--realize") == code
+        captured = capsys.readouterr()
+        if code == 0:
+            assert captured.out.startswith("realized 1 intervals\n")
+        else:
+            assert captured.err == (f"precondition: quotas of [0.0, {size!r}) are too "
+                                    "small for float arithmetic; rerun with --exact\n")
+        assert run_cli("simulate", str(path), "--realize", "--exact") == 0
+        assert capsys.readouterr().out.startswith("realized 1 intervals\n")
+    # sizes near 1e-314 stalled with a LivelockError in the first slice
+    path.write_text(json.dumps({
+        "classes": [{"sigma": 2, "count": 1}, {"sigma": 1, "count": 2}],
+        "jobs": [{"weight": 1, "sizes": [3e-314, {"size": 1e-314, "count": 2}]},
+                 {"weight": 2.5, "sizes": [2e-314, 2e-314]}], "speedup": 3}))
+    assert run_cli("simulate", str(path), "--realize") == 3
+    assert capsys.readouterr().err.endswith("rerun with --exact\n")
+    assert run_cli("simulate", str(path), "--realize", "--exact") == 0
 
 
 @pytest.mark.parametrize("name, words", [

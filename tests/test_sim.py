@@ -12,6 +12,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bagsched import (
+    check_primal,
     gen_lower_bound,
     gen_random_ica,
     instance_from_dict,
@@ -20,10 +21,12 @@ from bagsched import (
     make_job,
     RateProfile,
     realize_slice,
+    schedule_to_primal,
     simulate,
     with_speedup,
     write_trace,
 )
+from bagsched.duals import weaker_threshold
 from bagsched.numutil import EVENT_REL
 from bagsched.rates import Block, BlockMember
 
@@ -598,3 +601,102 @@ def test_the_run_before_t_never_sees_the_sizes_left_at_t(seed):
         assert enlarged.intervals[cut].start == t
         assert (_intervals_seen(enlarged.intervals[:cut])
                 == _intervals_seen(trace.intervals[:cut]))
+
+
+def _scaled(instance, k):
+    """The float instance with every size and release times 2^-k."""
+    return make_instance(instance.classes, [
+        make_job(job.job_id, job.weight,
+                 [(math.ldexp(g.size, -k), g.count) for g in job.groups],
+                 release=math.ldexp(job.release, -k))
+        for job in instance.jobs], speedup=instance.speedup)
+
+
+def _run_at_scale(instance, k):
+    """The run and its realized slices, every time and work times 2^k."""
+    def up(t):
+        return math.ldexp(t, k)
+    trace = simulate(instance)
+    run = []
+    for iv in trace.intervals:
+        sl = realize_slice(iv.profile, instance, iv)
+        run.append((
+            up(iv.start), up(iv.end), [(j.job_id, j.count, j.rate) for j in iv.jobs],
+            [(up(seg.start), up(seg.end), seg.placements) for seg in sl.segments],
+            {job: up(w) for job, w in sl.work.items()}))
+    return up(trace.objective), run
+
+
+def _scale_cases():
+    cases = []
+    for seed in range(12):
+        inst = gen_random_ica(1 + seed % 4, 6 + seed, 3, seed)
+        cases.append(pytest.param(with_speedup(inst, weaker_threshold(inst)),
+                                  id=f"seed{seed}-weaker"))
+        cases.append(pytest.param(with_speedup(inst, 8192), id=f"seed{seed}-8192"))
+    # releases admit job 3 before job 2 (test_digest's _released)
+    cases.append(pytest.param(make_instance(
+        [(4, 1), (1, 3)],
+        [make_job(1, 1.0, [3, 2]), make_job(2, 6.0, [2], release=1.5),
+         make_job(3, 2.0, [4, 4, 1], release=0.5)],
+        speedup=2), id="released"))
+    return cases
+
+
+@pytest.mark.parametrize("inst", _scale_cases())
+def test_scaling_sizes_by_a_power_of_two_scales_every_time(inst):
+    # every time test is relative with no absolute floor, so the run at
+    # 2^-k of the sizes and releases is the run at full size with every
+    # time, segment and work value times 2^-k, and the same placements.
+    # With a floor of 1, a slice shorter than 1e-12 ended after its first
+    # segment and stalled, and a release within 1e-12 of an event time was
+    # admitted early
+    want = _run_at_scale(inst, 0)
+    for k in (40, 200, 600):
+        assert _run_at_scale(_scaled(inst, k), k) == want
+
+
+@st.composite
+def _exact_pipeline_cases(draw):
+    """A small exact gen_random_ica instance whose weights are redrawn from
+    a few values, each nudged by a few parts in 2^52 so that shares tie or
+    nearly tie, and whose jobs may gain a zero-size group and a release."""
+    inst = gen_random_ica(draw(st.integers(1, 2)), draw(st.integers(1, 4)),
+                          draw(st.integers(1, 3)), draw(st.integers(0, 2 ** 16)))
+    weights = [Fraction(1), Fraction(2), Fraction(7, 2)]
+    jobs = []
+    for job in inst.jobs:
+        weight = draw(st.sampled_from(weights)) * (
+            1 + Fraction(draw(st.integers(-2, 2)), 2 ** 52))
+        sizes = [(Fraction(g.size), g.count) for g in job.groups]
+        if draw(st.booleans()):
+            sizes.append((Fraction(0), draw(st.integers(1, 3))))
+        release = draw(st.sampled_from([Fraction(0), Fraction(0), Fraction(1, 2), Fraction(3)]))
+        jobs.append(make_job(job.job_id, weight, sizes, release=release, exact=True))
+    gamma = draw(st.sampled_from([Fraction(1), Fraction(3), Fraction(8)]))
+    return make_instance([(Fraction(c.speed), c.count) for c in inst.classes], jobs,
+                         speedup=gamma, exact=True)
+
+
+@settings(max_examples=40, deadline=None)
+@given(_exact_pipeline_cases())
+def test_exact_segments_deliver_every_quota(inst):
+    # an exact slice reports each job's quota as its work without summing
+    # its segments, so the segments are summed here: per alive job, the
+    # per-task rate times the length of every segment whose placement
+    # holds it must be the quota exactly. Then the slices embed as a
+    # checked LP primal
+    slices = []
+    for iv in simulate(inst).intervals:
+        sl = realize_slice(iv.profile, inst, iv)
+        delivered = {}
+        for seg in sl.segments:
+            for pl in seg.placements:
+                for job, _ in pl.members:
+                    delivered[job] = delivered.get(job, 0) + pl.per_task_rate * (seg.end - seg.start)
+        for j in iv.jobs:
+            quota = j.rate * iv.length()
+            assert type(quota) is Fraction
+            assert delivered[j.job_id] == quota == sl.work[j.job_id]
+        slices.append(sl)
+    check_primal(schedule_to_primal(slices, inst), inst)
