@@ -40,7 +40,7 @@ from .instances import (
     with_speedup,
 )
 from .lp import LpError, check_lp_solution, emit_lp, parse_lp_solution, solution_objective
-from .numutil import WORK_REL, close, to_float
+from .numutil import WORK_REL, scaled_tol, to_float
 from .rates import RateError
 from .report import AnalysisError, certified_ratio
 from .sim import realize_slice, simulate, write_trace
@@ -118,13 +118,21 @@ def cmd_simulate(args) -> int:
     trace = simulate(instance)
     if args.realize:
         for index, iv in enumerate(trace.intervals):
-            sl = realize_slice(iv.profile, instance, iv)
-            for j in iv.jobs:
-                want = j.rate * iv.length()
-                got = sl.work.get(j.job_id, 0)
-                if not close(got, want, WORK_REL):
+            # the per-task work the segments deliver to each job, against its
+            # quota: exactly in exact mode, else within WORK_REL of the
+            # slice's largest quota, with no absolute floor
+            got = {}
+            for seg in realize_slice(iv.profile, instance, iv).segments:
+                for pl in seg.placements:
+                    work = pl.per_task_rate * (seg.end - seg.start)
+                    for job, _ in pl.members:
+                        got[job] = got.get(job, 0) + work
+            want = {j.job_id: j.rate * iv.length() for j in iv.jobs}
+            tol = scaled_tol(max(want.values(), default=0), WORK_REL)
+            for job, quota in want.items():
+                if not abs(got.get(job, 0) - quota) <= tol:
                     print(f"realize: interval {index} [{iv.start}, {iv.end}): "
-                          f"job {j.job_id} got work {got}, expected {want}",
+                          f"job {job} got work {got.get(job, 0)}, expected {quota}",
                           file=sys.stderr)
                     return EXIT_INFEASIBLE
         print(f"realized {len(trace.intervals)} intervals")

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from itertools import islice
 from operator import itemgetter
 
-from .numutil import coerce
+from .numutil import SCREEN_MARGIN, coerce, screen_float, to_float
 from .report import AnalysisError, CheckList
 
 
@@ -47,6 +47,13 @@ def _misplaced(what, lo, hi, bound):
         f"{what}: span [{lo}, {hi}) is not non-empty, disjoint, sorted "
         f"and within [0, {bound})"
     )
+
+
+def _screen(fd, factors):
+    """A float at most float(min_l (bhat_l + delta) * rate / sigma_l), from
+    fd = screen_float(delta) and the factors (screen_float(bhat_l),
+    screen_float(rate) / screen_float(sigma_l)); see numutil.SCREEN_MARGIN."""
+    return min([(fb + fd) * c for fb, c in factors]) * SCREEN_MARGIN
 
 
 def check_dual(trace, point: DualPoint):
@@ -101,12 +108,28 @@ def check_dual(trace, point: DualPoint):
     nonnegative decides each job's delta and each beta row the same way,
     at their least value, unless one of them is NaN or infinite.
 
+    The float screen, in exact mode. Each rate-cover decision, of a span at
+    its least delta or of one piece, is first tried in floats. screen_float
+    reads bhat_l, sigma_l, the rate and delta as correctly rounded floats,
+    if each is exact, >= 0 and 0 or inside numutil.SCREEN_WINDOW; then low
+    = min_l (bhat_l + delta) * (rate / sigma_l) in floats, times
+    SCREEN_MARGIN, is at most float of the exact minimum (numutil has the
+    bound). If float(alpha) < low, alpha is below the exact right side, as
+    float rounding is monotone, and the exact path's slack is at least
+    fl(low - float(alpha)); if that is no new minimum, the exact path would
+    only count the checks, and CheckRecord.require_below counts them so.
+    The records are then the exact path's, bit for bit. Every other case,
+    an input outside the window or an alpha too large for a float
+    included, runs the exact path. Float mode has no screen.
+
     A point whose spans or shape do not fit the trace raises AnalysisError.
     """
     instance = trace.instance
     sigmas = [c.speed for c in instance.classes]
     counts = [c.count for c in instance.classes]
     zero = coerce(0, instance.exact)
+    fsigmas = [screen_float(s) for s in sigmas] if instance.exact else [None]
+    screen = all(fsigmas)  # exact speeds whose floats a screen may read
 
     checks = CheckList()
     d_budget = checks.add("task-credit-budget")
@@ -119,6 +142,7 @@ def check_dual(trace, point: DualPoint):
     if stray:
         raise AnalysisError(f"delta names job {stray[0]}, which the instance lacks")
     steps = {}  # job -> [(start, delta)] from position 0 on, gaps at 0
+    fsteps = {}  # job -> screen_float of each step's delta, if all have one
     nonfinite = set()  # jobs with a NaN or infinite delta
     for jid, job in jobs.items():
         end, mass, bound = 0, zero, job.task_count()
@@ -133,6 +157,9 @@ def check_dual(trace, point: DualPoint):
             end = hi
             mass = mass + (hi - lo) * v
         dsteps.append((end, zero))
+        if screen:
+            fd = [screen_float(d) for _, d in dsteps]
+            fsteps[jid] = None if None in fd else fd
         if not mass - mass == 0:  # a NaN or infinite credit, or an overflow
             nonfinite.add(jid)
         if spans and (jid in nonfinite or not nonneg.require_leq_least(
@@ -161,6 +188,7 @@ def check_dual(trace, point: DualPoint):
                 nonneg.require_leq(zero, b, ("beta", t, li + 1))
         bhat = beta if bhat is None else [b if b < h else h for b, h in zip(beta, bhat)]
         classes = list(zip(bhat, sigmas))
+        fbhat = [screen_float(b) for b in bhat] if screen else [None]
         length = iv.length()
         beta_total = beta_total + length * row_mass
 
@@ -168,6 +196,11 @@ def check_dual(trace, point: DualPoint):
             jid, rate, bound = ij.job_id, ij.rate, ij.count
             dsteps = steps[jid]
             finite = jid not in nonfinite
+            # the screen's factors: float bhat_l and float rate / float sigma_l
+            fdeltas = fsteps.get(jid)
+            frate = screen_float(rate) if fdeltas and None not in fbhat else None
+            factors = None if frate is None else [
+                (fb, frate / fs) for fb, fs in zip(fbhat, fsigmas)]
             end, mass = 0, zero
             for lo, hi, a in spans:
                 if not end <= lo < hi <= bound:
@@ -185,10 +218,18 @@ def check_dual(trace, point: DualPoint):
                     if d < least:
                         least = d
                     last += 1
+                if factors:
+                    fa = to_float(a)
+                    if cover.require_below(
+                            fa, _screen(min(islice(fdeltas, first, last)), factors),
+                            last - first):
+                        continue
                 if finite and cover.require_leq_least(
                         a, min([(b + least) * rate / s for b, s in classes]), last - first):
                     continue
-                for start, d in islice(dsteps, first, last):
+                for k, (start, d) in enumerate(islice(dsteps, first, last), first):
+                    if factors and cover.require_below(fa, _screen(fdeltas[k], factors), 1):
+                        continue
                     rhs = [(b + d) * rate / s for b, s in classes]
                     low = min(rhs)
                     cover.require_leq(

@@ -61,7 +61,9 @@ class CheckRecord:
 
         Unless both sides are floats, each is converted to float once; a
         value too large for a float counts as +-inf. The outcome is leq's:
-        on the floats unless both sides are exact.
+        on the floats unless both sides are exact. Conversion to float is
+        monotone, so float(lhs) < float(rhs) settles that lhs <= rhs holds
+        without leq; exact sides compare exactly only when it does not.
         """
         self.checked += 1
         if type(lhs) is float and type(rhs) is float:
@@ -81,7 +83,7 @@ class CheckRecord:
         if type(lhs) is float or type(rhs) is float:
             ok = leq(fl, fr)
         else:
-            ok = leq(lhs, rhs)
+            ok = fl < fr or leq(lhs, rhs)
         if not ok:
             self._fail(witness, fl, fr)
         return ok
@@ -90,19 +92,35 @@ class CheckRecord:
         """Count `times` comparisons lhs <= r, rhs the least of the r's, if
         this one decides them: lhs <= rhs holds as a plain compare and its
         slack is no new minimum, so each holds and none names a witness.
+        As in require_leq, float(lhs) < float(rhs) settles the compare.
         Return whether they were counted; on False, record them one by one.
         """
-        if not lhs <= rhs:
-            return False
         if type(lhs) is float and type(rhs) is float:
+            if not lhs <= rhs:
+                return False
             slack = rhs - lhs
         else:
             fl, fr = _floats(lhs, rhs)
+            if not (fl < fr or lhs <= rhs):
+                return False
             slack = fr - fl
         if slack < self.min_slack:
             return False
         self.checked += times
         return True
+
+    def require_below(self, flhs, low, times):
+        """Count `times` comparisons lhs <= r, given flhs = float(lhs) and a
+        float low <= float(r) for each r, if the floats decide them:
+        flhs < low, so each lhs < r, as conversion to float is monotone,
+        and fl(low - flhs), at most each slack float(r) - flhs as rounding
+        is monotone too, is no new minimum. The records are then those of
+        require_leq or require_leq_least. Return whether they were counted.
+        """
+        if flhs < low and not low - flhs < self.min_slack:
+            self.checked += times
+            return True
+        return False
 
     def require_equal(self, a, b, witness):
         """Record a == b as the two comparisons a <= b and b <= a."""

@@ -14,9 +14,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from bagsched import cli
+from bagsched import cli, gen_random_ica, make_instance, make_job
 from bagsched.cli import main
-from bagsched.instances import instance_from_dict
+from bagsched.instances import instance_from_dict, instance_to_dict
 from bagsched.lp import LpError, check_lp_solution, solution_objective
 from bagsched.numutil import EVENT_REL
 from bagsched.sim import simulate, write_trace
@@ -112,11 +112,14 @@ def test_simulate_preprocess_never_expands_machines(tmp_path, capsys):
 
 
 def test_simulate_realize_rejects_short_work(tmp_path, monkeypatch, capsys):
+    # every pool runs at half its rate, so each job gets half its quota
     realize = cli.realize_slice
 
     def short(profile, instance, interval):
         sl = realize(profile, instance, interval)
-        sl.work = {job: work / 2 for job, work in sl.work.items()}
+        sl.segments = [seg._replace(placements=tuple(
+            pl._replace(per_task_rate=pl.per_task_rate / 2) for pl in seg.placements))
+            for seg in sl.segments]
         return sl
 
     monkeypatch.setattr(cli, "realize_slice", short)
@@ -124,6 +127,49 @@ def test_simulate_realize_rejects_short_work(tmp_path, monkeypatch, capsys):
     assert run_cli("simulate", str(inst), "--gamma", "4", "--realize") == 1
     err = capsys.readouterr().err
     assert "interval 0" in err and "job 1" in err
+
+
+def _tiny_instance(tmp_path):
+    """gen_random_ica(2, 6, 3, 1) with every size times 2^-60: its first
+    quota is about 3.4e-18, far below an absolute floor of WORK_REL."""
+    inst = gen_random_ica(2, 6, 3, 1)
+    inst = make_instance(inst.classes, [
+        make_job(job.job_id, job.weight,
+                 [(math.ldexp(g.size, -60), g.count) for g in job.groups])
+        for job in inst.jobs])
+    path = tmp_path / "tiny.json"
+    path.write_text(json.dumps(instance_to_dict(inst)))
+    return path
+
+
+@pytest.mark.parametrize("mode", [(), ("--exact",)], ids=["float", "exact"])
+def test_simulate_realize_checks_what_the_segments_deliver(tmp_path, monkeypatch,
+                                                         capsys, mode):
+    # the slices' work records are left as realized, but the least job
+    # alive in a slice is taken out of every segment: the check sums the
+    # segments, so it names that job in the first interval, in exact mode
+    # and in float mode at quotas far below 1e-6
+    path = _tiny_instance(tmp_path)
+    argv = ("simulate", str(path), "--gamma", "8", "--realize") + mode
+    assert run_cli(*argv) == 0
+    realize = cli.realize_slice
+
+    def dropped(profile, instance, interval):
+        sl = realize(profile, instance, interval)
+        job = min(m.job_id for m in profile.members())
+        sl.segments = [seg._replace(placements=tuple(
+            pl._replace(members=tuple(m for m in pl.members if m[0] != job))
+            for pl in seg.placements)) for seg in sl.segments]
+        return sl
+
+    monkeypatch.setattr(cli, "realize_slice", dropped)
+    capsys.readouterr()
+    assert run_cli(*argv) == 1
+    job = simulate(cli.with_speedup(cli._load_any(str(path), exact=bool(mode)), 8)
+                   ).intervals[0].jobs[0].job_id
+    err = capsys.readouterr().err
+    assert err.startswith("realize: interval 0 [")
+    assert f"job {job} got work 0, expected " in err
 
 
 def test_jobs_of_the_other_mode_are_a_precondition(tmp_path, monkeypatch,

@@ -9,6 +9,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from bagsched import (
     AnalysisError,
@@ -22,7 +24,7 @@ from bagsched import (
     with_speedup,
 )
 from bagsched.dualcheck import DualPoint, check_dual
-from bagsched.numutil import coerce
+from bagsched.numutil import coerce, leq, to_float
 from bagsched.report import CheckList
 from bagsched.duals import (
     _certify,
@@ -237,19 +239,22 @@ def piece_by_piece(trace, point):
     return checks, alpha_total, beta_total
 
 
+def _plain(outcome):
+    """A checker's outcome as text: every record's to_dict and every kept
+    violation, and both totals."""
+    checks, alpha_total, beta_total = outcome
+    return json.dumps([
+        [r.to_dict() for r in checks],
+        [[v.witness, v.lhs, v.rhs] for r in checks for v in r.violations],
+        [r.min_slack for r in checks],
+        str(alpha_total), str(beta_total),
+    ], default=float)
+
+
 def _same_as_piece_by_piece(trace, point):
-    """check_dual's outcome equals the reference scan's, bit for bit: every
-    record's to_dict and every kept violation, and both totals."""
-    def plain(outcome):
-        checks, alpha_total, beta_total = outcome
-        return json.dumps([
-            [r.to_dict() for r in checks],
-            [[v.witness, v.lhs, v.rhs] for r in checks for v in r.violations],
-            [r.min_slack for r in checks],
-            str(alpha_total), str(beta_total),
-        ], default=float)
+    """check_dual's outcome equals the reference scan's, bit for bit."""
     got, want = check_dual(trace, point), piece_by_piece(trace, point)
-    assert plain(got) == plain(want)
+    assert _plain(got) == _plain(want)
     return got[0]
 
 
@@ -390,3 +395,207 @@ EDGES = {
 def test_edge_points_match_the_piece_by_piece_scan(edge):
     trace = _two_jobs()
     _same_as_piece_by_piece(trace, _flat_point(trace, *EDGES[edge]))
+
+
+# --- the screened checker against its first definition ------------------------
+
+def _first_leq(record, lhs, rhs, witness):
+    """CheckRecord.require_leq as first written: exact sides compare
+    exactly, whatever their floats."""
+    record.checked += 1
+    fl, fr = to_float(lhs), to_float(rhs)
+    slack = fr - fl
+    if slack < record.min_slack:
+        record.min_slack = slack if slack < math.inf else math.inf
+        record.min_witness = witness
+    ok = leq(fl, fr) if type(lhs) is float or type(rhs) is float else leq(lhs, rhs)
+    if not ok:
+        record._fail(witness, fl, fr)
+    return ok
+
+
+def _first_leq_least(record, lhs, rhs, times):
+    """CheckRecord.require_leq_least as first written."""
+    if not lhs <= rhs:
+        return False
+    if to_float(rhs) - to_float(lhs) < record.min_slack:
+        return False
+    record.checked += times
+    return True
+
+
+def first_check_dual(trace, point):
+    """check_dual as it was before its float screen, with the record
+    methods of that time: every rate-cover right side in the point's own
+    arithmetic, every exact compare exact. The point must fit the trace."""
+    instance = trace.instance
+    sigmas = [c.speed for c in instance.classes]
+    counts = [c.count for c in instance.classes]
+    zero = coerce(0, instance.exact)
+    checks = CheckList()
+    d_budget = checks.add("task-credit-budget")
+    a_budget = checks.add("alpha-budget")
+    cover = checks.add("rate-cover")
+    nonneg = checks.add("nonnegative")
+    steps = {}
+    nonfinite = set()
+    for job in instance.jobs:
+        jid = job.job_id
+        end, mass = 0, zero
+        steps[jid] = dsteps = []
+        spans = point.delta.get(jid, ())
+        for lo, hi, v in spans:
+            if end < lo:
+                dsteps.append((end, zero))
+            dsteps.append((lo, v))
+            end = hi
+            mass = mass + (hi - lo) * v
+        dsteps.append((end, zero))
+        if not mass - mass == 0:
+            nonfinite.add(jid)
+        if spans and (jid in nonfinite or not _first_leq_least(
+                nonneg, zero, min(v for _, _, v in spans), len(spans))):
+            for lo, _, v in spans:
+                _first_leq(nonneg, zero, v, ("delta", jid, lo))
+        _first_leq(d_budget, mass, job.weight, (jid,))
+    alpha_total = beta_total = zero
+    bhat = None
+    for t, (iv, row, beta) in enumerate(zip(trace.intervals, point.alpha, point.beta)):
+        row_mass = sum(m * b for m, b in zip(counts, beta))
+        if not row_mass - row_mass == 0 or not _first_leq_least(
+                nonneg, zero, min(beta), len(beta)):
+            for li, b in enumerate(beta):
+                _first_leq(nonneg, zero, b, ("beta", t, li + 1))
+        bhat = beta if bhat is None else [b if b < h else h for b, h in zip(beta, bhat)]
+        classes = list(zip(bhat, sigmas))
+        length = iv.length()
+        beta_total = beta_total + length * row_mass
+        for ij, spans in zip(iv.jobs, row):
+            jid, rate = ij.job_id, ij.rate
+            dsteps = steps[jid]
+            mass = zero
+            for lo, hi, a in spans:
+                _first_leq(nonneg, zero, a, ("alpha", t, jid, lo))
+                mass = mass + (hi - lo) * a
+                first = max(i for i, (start, _) in enumerate(dsteps) if start <= lo)
+                last = max(i for i, (start, _) in enumerate(dsteps) if start < hi) + 1
+                least = min(d for _, d in dsteps[first:last])
+                if jid not in nonfinite and _first_leq_least(
+                        cover, a, min([(b + least) * rate / s for b, s in classes]),
+                        last - first):
+                    continue
+                for start, d in dsteps[first:last]:
+                    rhs = [(b + d) * rate / s for b, s in classes]
+                    low = min(rhs)
+                    _first_leq(cover, a, low,
+                               (t, jid, start if start > lo else lo, rhs.index(low) + 1))
+            _first_leq(a_budget, mass, ij.weight, (t, jid))
+            alpha_total = alpha_total + length * mass
+    return checks, alpha_total, beta_total
+
+
+# every credit times one of these: 1; near either edge of
+# numutil.SCREEN_WINDOW; below the float range and past it; deep subnormal,
+# where a read rounds up by a third; and in the float range but outside the
+# window on both sides
+CREDIT_SCALES = (Fraction(1), Fraction(1, 2 ** 295), Fraction(2 ** 295),
+                 Fraction(1, 2 ** 1100), Fraction(10) ** 400, Fraction(3, 2 ** 1076),
+                 Fraction(1, 2 ** 1000), Fraction(2 ** 1000))
+# alpha tight on a right side, or off it by one part in 2^60 either way
+TIGHT = (Fraction(1), 1 - Fraction(1, 2 ** 60), 1 + Fraction(1, 2 ** 60))
+
+
+def _screen_run(k, jobs, tasks, seed, halvings):
+    """An exact gen_random_ica run at the weaker threshold over 2^halvings."""
+    inst = instance_from_dict(instance_to_dict(gen_random_ica(k, jobs, tasks, seed)),
+                              exact=True)
+    inst = with_speedup(inst, Fraction(weaker_threshold(inst)) / 2 ** halvings)
+    return simulate(inst), inst
+
+
+def _tighten(trace, point, place, piece, tight):
+    """Set the alpha span at `place`, (t, i, s), to its rate-cover right
+    side at one of its pieces, times `tight`."""
+    sigmas = [c.speed for c in trace.instance.classes]
+    t, i, s = place
+    bhat = [min(row[l] for row in point.beta[:t + 1]) for l in range(len(sigmas))]
+    ij = trace.intervals[t].jobs[i]
+    lo, hi, _ = point.alpha[t][i][s]
+    delta = point.delta.get(ij.job_id, [])
+    starts = sorted({lo} | {x for dlo, dhi, _ in delta for x in (dlo, dhi) if lo < x < hi})
+    q = starts[piece % len(starts)]
+    d = next((v for dlo, dhi, v in delta if dlo <= q < dhi), 0)
+    rhs = min((b + d) * ij.rate / sg for b, sg in zip(bhat, sigmas))
+    point.alpha[t][i][s] = (lo, hi, rhs * tight)
+
+
+@st.composite
+def _screen_cases(draw):
+    """(run, credit scale, edits) for an exact weaker point: each edit
+    zeroes or negates one beta or one delta span value, or puts one alpha
+    span, or every one, on a right side (of its least piece or another,
+    which sends the span piece by piece) or one part in 2^60 off it."""
+    run = (draw(st.integers(1, 3)), draw(st.integers(1, 8)), draw(st.integers(1, 4)),
+           draw(st.integers(0, 2 ** 16)), draw(st.integers(0, 4)))
+    scale = draw(st.one_of(st.just(0), st.integers(0, len(CREDIT_SCALES) - 1)))
+    edit = st.one_of(
+        st.tuples(st.sampled_from(["beta", "delta"]), st.integers(0, 99),
+                  st.integers(0, 9), st.sampled_from([0, -1])),
+        st.tuples(st.sampled_from(["alpha", "every alpha"]), st.integers(0, 99),
+                  st.integers(0, 9), st.sampled_from(range(len(TIGHT)))))
+    return run, scale, tuple(draw(st.lists(edit, max_size=4)))
+
+
+def _screen_point(trace, inst, scale, edits):
+    point, _, _ = _weaker_point(trace, inst)
+    c = CREDIT_SCALES[scale]
+    point = DualPoint(
+        alpha=[[[(lo, hi, v * c) for lo, hi, v in spans] for spans in row]
+               for row in point.alpha],
+        beta=[[b * c for b in row] for row in point.beta],
+        delta={j: [(lo, hi, v * c) for lo, hi, v in spans]
+               for j, spans in point.delta.items()})
+    places = [(t, i, s) for t, row in enumerate(point.alpha)
+              for i, spans in enumerate(row) for s in range(len(spans))]
+    # credits first, so that a tight alpha is tight on the credits checked
+    for kind, index, sub, factor in sorted(edits, key=lambda e: "alpha" in e[0]):
+        if kind == "beta":
+            row = point.beta[index % len(point.beta)]
+            row[sub % len(row)] *= factor
+        elif kind == "delta":
+            spans = point.delta[1 + index % len(point.delta)]
+            lo, hi, v = spans[sub % len(spans)]
+            spans[sub % len(spans)] = (lo, hi, v * factor)
+        elif places:
+            chosen = places if kind == "every alpha" else [places[index % len(places)]]
+            for place in chosen:
+                _tighten(trace, point, place, sub, TIGHT[factor])
+    return point
+
+
+@settings(max_examples=80, deadline=None)
+@given(_screen_cases())
+# the first check of a record names its witness: the min_slack test
+@example(case=((1, 1, 1, 0, 0), 0, ()))
+# alpha one part in 2^60 above its right side, with the same float: the
+# exact compare on float ties
+@example(case=((1, 1, 1, 0, 0), 0, (("alpha", 0, 0, 2),)))
+# the same, where the float right side rounds above float(alpha): the margin
+@example(case=((1, 2, 1, 1, 0), 0, (("delta", 0, 0, 0), ("alpha", 1, 0, 2))))
+@example(case=((1, 3, 1, 2, 0), 0, (("every alpha", 0, 0, 2),)))
+# subnormal credits, read a third too high: the window
+@example(case=((1, 3, 1, 2, 0), 5, ()))
+# credits near either edge of the window, tight on a piece past the least
+@example(case=((2, 6, 3, 1, 0), 1, (("every alpha", 0, 1, 0),)))
+@example(case=((2, 6, 3, 1, 0), 2, (("every alpha", 0, 1, 1),)))
+# credits below the float range and past it
+@example(case=((2, 6, 3, 1, 0), 3, ()))
+@example(case=((3, 8, 4, 7, 4), 4, (("beta", 0, 0, -1),)))
+def test_screened_checker_matches_its_first_definition(case):
+    # the float screen and the float decisions of the record methods only
+    # count checks the exact path would have counted: every record, every
+    # kept violation and both totals equal the exact path's
+    (k, jobs, tasks, seed, halvings), scale, edits = case
+    trace, inst = _screen_run(k, jobs, tasks, seed, halvings)
+    point = _screen_point(trace, inst, scale, edits)
+    assert _plain(check_dual(trace, point)) == _plain(first_check_dual(trace, point))

@@ -579,25 +579,29 @@ def _intervals_seen(intervals):
             for iv in intervals]
 
 
-@pytest.mark.parametrize("seed", range(30))
-def test_the_run_before_t_never_sees_the_sizes_left_at_t(seed):
+@pytest.mark.parametrize("seed, exact", [
+    pytest.param(seed, exact, id=str(seed) if exact else f"float-{seed}")
+    for exact in (True, False) for seed in range(30)])
+def test_the_run_before_t_never_sees_the_sizes_left_at_t(seed, exact):
     # the scheduler is non-clairvoyant: making every task group that is not
     # complete by an interval start t 4/3 as large leaves every interval
-    # before t as it was, its ends, alive jobs, counts and rates alike
+    # before t as it was, its ends, alive jobs, counts and rates alike, bit
+    # for bit in float mode too
     inst = with_speedup(instance_from_dict(instance_to_dict(
-        gen_random_ica(1 + seed % 3, 8, 3, seed)), exact=True), 8)
+        gen_random_ica(1 + seed % 3, 8, 3, seed)), exact=exact), 8)
     trace = simulate(inst)
     n = len(trace.intervals)
+    grow = Fraction(4, 3) if exact else 4 / 3
     for cut in (n // 4, n // 2, 3 * n // 4):
         t = trace.intervals[cut].start
         jobs = [
             make_job(job.job_id, job.weight, [
-                (g.size * Fraction(4, 3) if trace.group_completions[(job.job_id, gi)] > t
+                (g.size * grow if trace.group_completions[(job.job_id, gi)] > t
                  else g.size, g.count)
-                for gi, g in enumerate(job.groups)], release=job.release, exact=True)
+                for gi, g in enumerate(job.groups)], release=job.release, exact=exact)
             for job in inst.jobs
         ]
-        enlarged = simulate(make_instance(inst.classes, jobs, speedup=inst.speedup, exact=True))
+        enlarged = simulate(make_instance(inst.classes, jobs, speedup=inst.speedup, exact=exact))
         assert enlarged.intervals[cut].start == t
         assert (_intervals_seen(enlarged.intervals[:cut])
                 == _intervals_seen(trace.intervals[:cut]))
