@@ -110,9 +110,10 @@ def check_dual(trace, point: DualPoint):
 
     The float screen, in exact mode. Each rate-cover decision, of a span at
     its least delta or of one piece, is first tried in floats. screen_float
-    reads bhat_l, sigma_l, the rate and delta as correctly rounded floats,
-    if each is exact, >= 0 and 0 or inside numutil.SCREEN_WINDOW; then low
-    = min_l (bhat_l + delta) * (rate / sigma_l) in floats, times
+    reads bhat_l, sigma_l, the rate and delta as correctly rounded floats
+    when each is exact and is 0 or has its float inside
+    numutil.SCREEN_WINDOW; then low = min_l (bhat_l + delta) * (rate /
+    sigma_l) in floats, times
     SCREEN_MARGIN, is at most float of the exact minimum (numutil has the
     bound). If float(alpha) < low, alpha is below the exact right side, as
     float rounding is monotone, and the exact path's slack is at least
