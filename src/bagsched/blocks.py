@@ -26,7 +26,7 @@ import math
 from dataclasses import dataclass
 
 from .instances import Instance, thresholds, validate_ica
-from .numutil import TIE_REL, geq, leq, to_float
+from .numutil import TIE_REL, leq, to_float
 from .rates import Block
 from .report import AnalysisError, CheckList, require_own_trace
 
@@ -83,7 +83,7 @@ def window_classes(value, windows):
     adjacent classes overlap (speeds drop by >= 64), so a rate can be simple
     with respect to two consecutive classes; block windows are disjoint."""
     return tuple(li for li, (lo, hi) in enumerate(windows, start=1)
-                 if geq(value, lo) and leq(value, hi))
+                 if leq(lo, value) and leq(value, hi))
 
 
 def _log(x):
@@ -137,7 +137,7 @@ def _classify_block(block, instance, block_windows, alive_weight, k):
     if simple_class:
         label, label_class = "simple", simple_class
         long_classes = []
-    elif not geq(block.weight * CHEAP_FRACTION * k, alive_weight):
+    elif not leq(alive_weight, block.weight * CHEAP_FRACTION * k):
         label, label_class = "cheap", 0
         long_classes = []
     elif long_classes:

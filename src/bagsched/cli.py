@@ -83,10 +83,6 @@ def _load_any(path, exact=False):
     A trace's instance is the one its meta line embeds, speedup included.
     """
     with open(path, "r", encoding="utf-8") as fh:
-        head = fh.read(1)
-        fh.seek(0)
-        if head == "":
-            raise InstanceError(f"{path}: empty file")
         first_line = fh.readline()
         try:
             first = json.loads(first_line)

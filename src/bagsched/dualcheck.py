@@ -95,41 +95,41 @@ def check_dual(trace, point: DualPoint):
     spans alpha is 0, and 0 <= the right side follows from nonnegative
     credits, since rates and speeds are positive; those pieces are skipped.
 
-    One decision per alpha span. Along a span only delta changes, and
-    (bhat + delta) * r / sigma does not fall as delta grows, in floats and
-    Fractions, since r >= 0 and sigma > 0; nor does its minimum over the
-    classes, as a class with a NaN bhat is NaN on every piece. So if alpha
-    <= the right side at the span's least delta holds as a plain compare,
-    every piece holds, with no smaller slack; unless that slack is a new
-    minimum of the record, the pieces are only counted
-    (CheckRecord.require_leq_least) and the record is the piece-by-piece
-    scan's. Otherwise, and for a job with a NaN or infinite delta (bhat +
-    delta can then be NaN on one piece alone), the pieces are scanned.
-    nonnegative decides each job's delta and each beta row the same way,
-    at their least value, unless one of them is NaN or infinite.
+    Runs settled at once. A run of comparisons lhs <= r is only counted,
+    by CheckRecord.require_below, when one float test settles it: a float
+    low at most float(r) for every r of the run, float(lhs) < low, and
+    fl(low - float(lhs)) no new minimum of the record. Then each compare
+    holds, and no slack float(r) - float(lhs) is a new minimum either, as
+    conversion to float and float rounding are monotone; so the record is
+    the one-by-one scan's, bit for bit. A run the test declines, or has no
+    low for, is scanned one by one. The runs and their lows:
 
-    The float screen, in exact mode. Each rate-cover decision, of a span at
-    its least delta or of one piece, is first tried in floats. screen_float
-    reads bhat_l, sigma_l, the rate and delta as correctly rounded floats
-    when each is exact and is 0 or has its float inside
-    numutil.SCREEN_WINDOW; then low = min_l (bhat_l + delta) * (rate /
-    sigma_l) in floats, times
-    SCREEN_MARGIN, is at most float of the exact minimum (numutil has the
-    bound). If float(alpha) < low, alpha is below the exact right side, as
-    float rounding is monotone, and the exact path's slack is at least
-    fl(low - float(alpha)); if that is no new minimum, the exact path would
-    only count the checks, and CheckRecord.require_below counts them so.
-    The records are then the exact path's, bit for bit. Every other case,
-    an input outside the window or an alpha too large for a float
-    included, runs the exact path. Float mode has no screen.
+      an alpha span, float mode: min_l (bhat_l + delta) * r / sigma_l at
+        the span's least delta, computed as each piece computes its own.
+        It does not fall as delta grows, since r >= 0 and sigma > 0, nor
+        does its minimum over the classes, as a class with a NaN bhat is
+        NaN on every piece. A job with a NaN or infinite delta (bhat +
+        delta can then be NaN on one piece alone) has no low.
+      an alpha span or one of its pieces, exact mode: the float screen.
+        screen_float reads bhat_l, sigma_l, the rate and delta as correctly
+        rounded floats when each is exact and is 0 or has its float inside
+        numutil.SCREEN_WINDOW; then min_l (bhat_l + delta) * (rate /
+        sigma_l) in floats, at the least delta of the span or the piece's
+        own, times SCREEN_MARGIN, is at most float of the exact minimum
+        (numutil has the bound). A span the screen declines goes piece by
+        piece, and a piece it declines, or an input outside the window, is
+        compared exactly; no exact minimum is taken per span.
+      each job's delta spans and each beta row, against 0: the float of
+        their least value, unless one of them is NaN or infinite.
 
     A point whose spans or shape do not fit the trace raises AnalysisError.
     """
     instance = trace.instance
     sigmas = [c.speed for c in instance.classes]
     counts = [c.count for c in instance.classes]
-    zero = coerce(0, instance.exact)
-    fsigmas = [screen_float(s) for s in sigmas] if instance.exact else [None]
+    exact = instance.exact
+    zero = coerce(0, exact)
+    fsigmas = [screen_float(s) for s in sigmas] if exact else [None]
     screen = all(fsigmas)  # exact speeds whose floats a screen may read
 
     checks = CheckList()
@@ -163,8 +163,8 @@ def check_dual(trace, point: DualPoint):
             fsteps[jid] = None if None in fd else fd
         if not mass - mass == 0:  # a NaN or infinite credit, or an overflow
             nonfinite.add(jid)
-        if spans and (jid in nonfinite or not nonneg.require_leq_least(
-                zero, min(v for _, _, v in spans), len(spans))):
+        if spans and (jid in nonfinite or not nonneg.require_below(
+                0.0, to_float(min(v for _, _, v in spans)), len(spans))):
             for lo, _, v in spans:
                 nonneg.require_leq(zero, v, ("delta", jid, lo))
         d_budget.require_leq(mass, job.weight, (jid,))
@@ -183,8 +183,8 @@ def check_dual(trace, point: DualPoint):
                 f"alpha entries for {len(counts)} classes and {len(iv.jobs)} alive jobs"
             )
         row_mass = sum(m * b for m, b in zip(counts, beta))
-        if not row_mass - row_mass == 0 or not nonneg.require_leq_least(
-                zero, min(beta), len(beta)):
+        if not row_mass - row_mass == 0 or not nonneg.require_below(
+                0.0, to_float(min(beta)), len(beta)):
             for li, b in enumerate(beta):
                 nonneg.require_leq(zero, b, ("beta", t, li + 1))
         bhat = beta if bhat is None else [b if b < h else h for b, h in zip(beta, bhat)]
@@ -196,7 +196,7 @@ def check_dual(trace, point: DualPoint):
         for ij, spans in zip(iv.jobs, row):
             jid, rate, bound = ij.job_id, ij.rate, ij.count
             dsteps = steps[jid]
-            finite = jid not in nonfinite
+            floats = not exact and jid not in nonfinite
             # the screen's factors: float bhat_l and float rate / float sigma_l
             fdeltas = fsteps.get(jid)
             frate = screen_float(rate) if fdeltas and None not in fbhat else None
@@ -225,7 +225,7 @@ def check_dual(trace, point: DualPoint):
                             fa, _screen(min(islice(fdeltas, first, last)), factors),
                             last - first):
                         continue
-                if finite and cover.require_leq_least(
+                elif floats and cover.require_below(
                         a, min([(b + least) * rate / s for b, s in classes]), last - first):
                     continue
                 for k, (start, d) in enumerate(islice(dsteps, first, last), first):

@@ -14,7 +14,7 @@ from dataclasses import dataclass, replace
 from functools import cached_property
 from fractions import Fraction
 
-from .numutil import coerce, geq, is_exact, json_number, leq
+from .numutil import coerce, is_exact, json_number, leq
 
 SPEED_BASE = 64  # speed rounding base; only this value is certified
 
@@ -443,8 +443,8 @@ def validate_ica(instance: Instance) -> IcaReport:
             cum = c.capacity()
             continue
         prev = instance.classes[li - 1]
-        ratio_ok = bool(geq(prev.speed, SPEED_BASE * c.speed))
-        cap_ok = bool(geq(c.capacity(), 2 * cum))
+        ratio_ok = bool(leq(SPEED_BASE * c.speed, prev.speed))
+        cap_ok = bool(leq(2 * cum, c.capacity()))
         boundaries.append(
             IcaBoundary(index=li, speed_ratio_ok=ratio_ok, capacity_ok=cap_ok)
         )
@@ -476,11 +476,11 @@ def thresholds(instance: Instance):
         m_reach = m_prefix + m_blend
         if not leq(2 * m_blend, nxt.count):
             raise AssertionError(f"boundary {li + 1}: 2*{m_blend} > m_{li + 2} = {nxt.count}")
-        if not geq(m_reach, 2 * m_prefix):
+        if not leq(2 * m_prefix, m_reach):
             raise AssertionError(f"boundary {li + 1}: m_reach {m_reach} < 2*{m_prefix}")
-        if not geq(cur.capacity(), m_blend * nxt.speed / 2):
+        if not leq(m_blend * nxt.speed / 2, cur.capacity()):
             raise AssertionError(f"boundary {li + 1}: class capacity below m_blend sigma / 2")
-        if not geq(m_blend, 2 * cur.count):
+        if not leq(2 * cur.count, m_blend):
             raise AssertionError(f"boundary {li + 1}: m_blend {m_blend} < 2*{cur.count}")
         out.append(ClassThresholds(index=li + 1, m_blend=m_blend))
         cum_cap = cum_cap + nxt.capacity()

@@ -12,7 +12,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import inf
 
-# Default slack of close/leq/geq and of every certificate, rate-feasibility,
+# Default slack of close/leq and of every certificate, rate-feasibility,
 # realization and primal check: absorbs the rounding that accumulates in the
 # float sums and quotients of one run.
 REL_TOL = 1e-9
@@ -135,10 +135,6 @@ def scaled_tol(scale, rel: float):
     (0, 0.5, 1.5)
     """
     return 0 if is_exact(scale) else rel * float(scale or 1)
-
-
-def geq(a, b) -> bool:
-    return leq(b, a)
 
 
 def to_float(x) -> float:

@@ -41,7 +41,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .instances import Instance
-from .numutil import geq, leq, tie_leq
+from .numutil import leq, tie_leq
 
 
 class RateError(ValueError):
@@ -187,7 +187,7 @@ def assign_rates(alive, instance: Instance) -> RateProfile:
             raise AssertionError(
                 f"zero water level at prefix {hi} of {instance.machine_count()} machines"
             )
-        if not (tau_prev is None or geq(tau, tau_prev)):
+        if not (tau_prev is None or leq(tau_prev, tau)):
             raise AssertionError(f"water level went down from {tau_prev} to {tau}")
         members = tuple(
             BlockMember(job.job_id, job.weight, job.count, share, share * tau)
@@ -236,7 +236,7 @@ def star_witness(profile: RateProfile, instance: Instance):
         if not leq(rate_sum, cap):
             return False, ("prefix", k, rate_sum, cap)
     for (r1, _), (r2, _) in zip(rates, rates[1:]):
-        if not geq(r1, r2):
+        if not leq(r2, r1):
             return False, ("order", r1, r2)
     return True, None
 

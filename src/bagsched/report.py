@@ -75,7 +75,7 @@ class CheckRecord:
                 return True
             self._fail(witness, lhs, rhs)
             return False
-        fl, fr = _floats(lhs, rhs)
+        fl, fr = to_float(lhs), to_float(rhs)
         slack = fr - fl
         if slack < self.min_slack:
             self.min_slack = slack if slack < math.inf else math.inf
@@ -88,34 +88,15 @@ class CheckRecord:
             self._fail(witness, fl, fr)
         return ok
 
-    def require_leq_least(self, lhs, rhs, times):
-        """Count `times` comparisons lhs <= r, rhs the least of the r's, if
-        this one decides them: lhs <= rhs holds as a plain compare and its
-        slack is no new minimum, so each holds and none names a witness.
-        As in require_leq, float(lhs) < float(rhs) settles the compare.
-        Return whether they were counted; on False, record them one by one.
-        """
-        if type(lhs) is float and type(rhs) is float:
-            if not lhs <= rhs:
-                return False
-            slack = rhs - lhs
-        else:
-            fl, fr = _floats(lhs, rhs)
-            if not (fl < fr or lhs <= rhs):
-                return False
-            slack = fr - fl
-        if slack < self.min_slack:
-            return False
-        self.checked += times
-        return True
-
     def require_below(self, flhs, low, times):
         """Count `times` comparisons lhs <= r, given flhs = float(lhs) and a
         float low <= float(r) for each r, if the floats decide them:
         flhs < low, so each lhs < r, as conversion to float is monotone,
         and fl(low - flhs), at most each slack float(r) - flhs as rounding
         is monotone too, is no new minimum. The records are then those of
-        require_leq or require_leq_least. Return whether they were counted.
+        require_leq on each. A NaN low, or a record's first check, is never
+        counted. This is the one way to settle a run of comparisons at once;
+        return whether they were counted, and on False record them one by one.
         """
         if flhs < low and not low - flhs < self.min_slack:
             self.checked += times
@@ -160,14 +141,6 @@ class CheckRecord:
                 for v in self.violations[:5]
             ]
         return d
-
-
-def _floats(lhs, rhs):
-    """Both sides as floats; a value too large for a float counts as +-inf."""
-    try:
-        return float(lhs), float(rhs)
-    except OverflowError:
-        return to_float(lhs), to_float(rhs)
 
 
 class CheckList(list):

@@ -373,6 +373,18 @@ def test_malformed_json_is_io_error(tmp_path, capsys):
     assert run_cli("simulate", str(bad)) == 2
 
 
+@pytest.mark.parametrize("text", ["", " \n"], ids=["empty", "blank"])
+@pytest.mark.parametrize("command", [("simulate",), ("verify", "--family", "weaker"),
+                                     ("emit-lp", "--horizon", "1")])
+def test_a_file_without_json_is_io_error(tmp_path, capsys, text, command):
+    # an empty file once exited 3 as an "empty file" precondition, while a
+    # blank one exited 2: neither holds JSON
+    path = tmp_path / "input.json"
+    path.write_text(text)
+    assert run_cli(command[0], str(path), *command[1:]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_emit_lp_and_solution_flow(tmp_path, capsys):
     inst = tmp_path / "unit.json"
     inst.write_text(json.dumps({

@@ -388,6 +388,10 @@ EDGES = {
                          {1: [(0, 1, 0.5)], 2: [(0, 1, 0.5), (1, 2, math.nan)]}),
     # a NaN beta behind a finite one
     "nan-beta-behind": ([0.1, 0.1], [0.5, math.nan], {}),
+    # alpha equal in floats to its least right side, (0.5 + 0) * (2/3) / 2,
+    # in the first interval: job 1's span sets the minimum slack 0, and job
+    # 2's span ties it on its pieces of delta 0 and clears it on the other
+    "tied-at-least-delta": ([2 / 3 / 4, 2 / 3 / 4], [0.5, 1.0], {2: [(1, 2, 0.5)]}),
 }
 
 

@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 from bagsched.numutil import (
-    EVENT_REL, REL_TOL, TIE_REL, close, geq, leq, scaled_tol, tie_leq)
+    EVENT_REL, REL_TOL, TIE_REL, close, leq, scaled_tol, tie_leq)
 
 TOLERANCES = [REL_TOL, TIE_REL]
 
@@ -68,10 +68,11 @@ def test_tie_leq_exact_and_infinite_sides():
     assert tie_leq(math.inf, math.inf) and not tie_leq(math.nan, 1.0)
 
 
-def test_geq_boundary():
-    assert geq(0.0, REL_TOL) and geq(Fraction(0), REL_TOL)
-    assert not geq(0.0, up(REL_TOL)) and not geq(Fraction(0), up(REL_TOL))
-    assert geq(-REL_TOL, 0.0) and not geq(down(-REL_TOL), 0.0)
+def test_leq_default_tolerance_boundary():
+    # leq's default slack is REL_TOL, on either side and for exact sides
+    assert leq(REL_TOL, 0.0) and leq(REL_TOL, Fraction(0))
+    assert not leq(up(REL_TOL), 0.0) and not leq(up(REL_TOL), Fraction(0))
+    assert leq(0.0, -REL_TOL) and not leq(0.0, down(-REL_TOL))
 
 
 @pytest.mark.parametrize("rel", TOLERANCES)
@@ -98,10 +99,10 @@ def test_exact_sides_compare_without_tolerance(rel):
     # both sides exact: no slack at all, even where a float compare at rel
     # would pass
     big = 10 ** 15
-    assert leq(big, big, rel) and close(big, big, rel) and geq(big, big)
+    assert leq(big, big, rel) and close(big, big, rel) and leq(big, big)
     assert not leq(big + 1, big, rel)
     assert not close(big + 1, big, rel)
-    assert not geq(big, big + 1)
+    assert not leq(big + 1, big)
     assert leq(float(big + 1), big, rel)  # one float side: tolerance applies
     b = Fraction(1, 3)
     tiny = Fraction(1, 10 ** 30)
@@ -130,7 +131,7 @@ def test_infinite_side_grants_no_slack():
     assert not close(-math.inf, math.inf) and not close(-math.inf, -1e308)
     assert close(math.inf, math.inf) and close(-math.inf, -math.inf)
     assert not close(math.nan, math.nan) and not close(math.nan, 1.0)
-    assert not geq(5.0, math.inf)
+    assert not leq(math.inf, 5.0)
 
 
 @pytest.mark.parametrize("rel", [REL_TOL, EVENT_REL])

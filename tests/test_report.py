@@ -231,3 +231,25 @@ def test_a_non_finite_slack_hides_no_later_minimum():
         assert not rec.require_leq(math.nan, 1.0, (3,))
         assert rec.min_slack == 0.5 and rec.min_witness == (1,)
         assert rec.to_dict()["min_slack_witness"] == [1]
+
+
+def test_require_below_counts_only_what_the_floats_settle():
+    # a fresh record declines, so that its first check names a witness
+    fresh = CheckRecord("fresh")
+    assert not fresh.require_below(0.0, 1.0, 3)
+    assert fresh.checked == 0 and fresh.min_witness == ()
+
+    rec = CheckRecord("run")
+    rec.require_leq(1.0, 1.5, ("a",))
+    kept = (rec.to_dict(), rec.min_slack, rec.min_witness)
+    # a tie is not below, and a NaN low settles nothing: both decline and
+    # leave the record as it was
+    assert not rec.require_below(2.0, 2.0, 4)
+    assert not rec.require_below(0.0, math.nan, 4)
+    assert (rec.to_dict(), rec.min_slack, rec.min_witness) == kept
+    # a slack one ulp below the minimum is a new minimum: declined
+    assert not rec.require_below(1.0, math.nextafter(1.5, 0.0), 4)
+    # a slack equal to the minimum is none: counted, the witness kept
+    assert rec.require_below(1.0, 1.5, 4)
+    assert rec.checked == 5 and rec.violation_count == 0
+    assert rec.min_slack == 0.5 and rec.min_witness == ("a",)
