@@ -10,8 +10,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
-from itertools import islice
-from operator import itemgetter
+from math import inf, nan
 
 from .numutil import SCREEN_MARGIN, coerce, screen_float, to_float
 from .report import AnalysisError, CheckList
@@ -37,9 +36,6 @@ class DualPoint:
     delta: dict
 
 
-_start = itemgetter(0)
-
-
 def _misplaced(what, lo, hi, bound):
     """The error for a span that is empty, overlaps the one before it, comes
     before it or leaves [0, bound)."""
@@ -49,11 +45,12 @@ def _misplaced(what, lo, hi, bound):
     )
 
 
-def _screen(fd, factors):
-    """A float at most float(min_l (bhat_l + delta) * rate / sigma_l), from
-    fd = screen_float(delta) and the factors (screen_float(bhat_l),
-    screen_float(rate) / screen_float(sigma_l)); see numutil.SCREEN_MARGIN."""
-    return min([(fb + fd) * c for fb, c in factors]) * SCREEN_MARGIN
+def _reads(values, read):
+    """read(v) for each of `values` if each is finite, else NaN for each:
+    the walk's < and min can pass over a NaN among finite floats, while a
+    low read from NaNs alone is NaN and settles nothing."""
+    out = [read(v) for v in values]
+    return out if all(f - f == 0 for f in out) else [nan] * len(out)
 
 
 def check_dual(trace, point: DualPoint):
@@ -101,24 +98,23 @@ def check_dual(trace, point: DualPoint):
     fl(low - float(lhs)) no new minimum of the record. Then each compare
     holds, and no slack float(r) - float(lhs) is a new minimum either, as
     conversion to float and float rounding are monotone; so the record is
-    the one-by-one scan's, bit for bit. A run the test declines, or has no
-    low for, is scanned one by one. The runs and their lows:
+    the one-by-one scan's, bit for bit. A run the test declines is scanned
+    one by one, in the point's own arithmetic. The runs and their lows:
 
-      an alpha span, float mode: min_l (bhat_l + delta) * r / sigma_l at
-        the span's least delta, computed as each piece computes its own.
-        It does not fall as delta grows, since r >= 0 and sigma > 0, nor
-        does its minimum over the classes, as a class with a NaN bhat is
-        NaN on every piece. A job with a NaN or infinite delta (bhat +
-        delta can then be NaN on one piece alone) has no low.
-      an alpha span or one of its pieces, exact mode: the float screen.
-        screen_float reads bhat_l, sigma_l, the rate and delta as correctly
-        rounded floats when each is exact and is 0 or has its float inside
-        numutil.SCREEN_WINDOW; then min_l (bhat_l + delta) * (rate /
-        sigma_l) in floats, at the least delta of the span or the piece's
-        own, times SCREEN_MARGIN, is at most float of the exact minimum
-        (numutil has the bound). A span the screen declines goes piece by
-        piece, and a piece it declines, or an input outside the window, is
-        compared exactly; no exact minimum is taken per span.
+      each alpha span, in both modes: min_l (bhat_l + delta) * r / sigma_l
+        times a margin, in floats, at the least read delta of the span.
+        The test reads sigma and each job's deltas once per point, bhat
+        once per interval, r once per interval and job, and alpha once per
+        span. Float mode reads each value's float, with margin 1, so the
+        low is the scan's own float right side at the span's least delta;
+        that does not fall as delta grows, since r >= 0 and sigma > 0.
+        Exact mode reads numutil.screen_float, with margin SCREEN_MARGIN,
+        so the low is at most float of the exact right side at the least
+        delta (numutil has the bound), which does not fall as delta grows
+        either. A list of reads, a point's sigmas, a job's deltas or an
+        interval's bhat, is all NaN unless each read is finite, and
+        screen_float reads NaN outside its window; a NaN low settles
+        nothing.
       each job's delta spans and each beta row, against 0: the float of
         their least value, unless one of them is NaN or infinite.
 
@@ -129,8 +125,8 @@ def check_dual(trace, point: DualPoint):
     counts = [c.count for c in instance.classes]
     exact = instance.exact
     zero = coerce(0, exact)
-    fsigmas = [screen_float(s) for s in sigmas] if exact else [None]
-    screen = all(fsigmas)  # exact speeds whose floats a screen may read
+    read, margin = (screen_float, SCREEN_MARGIN) if exact else (float, 1.0)
+    fsigmas = _reads(sigmas, read)
 
     checks = CheckList()
     d_budget = checks.add("task-credit-budget")
@@ -142,25 +138,27 @@ def check_dual(trace, point: DualPoint):
     stray = sorted(set(point.delta) - set(jobs))
     if stray:
         raise AnalysisError(f"delta names job {stray[0]}, which the instance lacks")
-    steps = {}  # job -> [(start, delta)] from position 0 on, gaps at 0
-    fsteps = {}  # job -> screen_float of each step's delta, if all have one
+    # job -> the starts of its delta steps from position 0 on, then inf;
+    # their deltas, gaps at 0; and the deltas' reads
+    steps = {}
     nonfinite = set()  # jobs with a NaN or infinite delta
     for jid, job in jobs.items():
         end, mass, bound = 0, zero, job.task_count()
-        steps[jid] = dsteps = []
+        starts, deltas = [], []
         spans = point.delta.get(jid, ())
         for lo, hi, v in spans:
             if not end <= lo < hi <= bound:
                 raise _misplaced(f"delta of job {jid}", lo, hi, bound)
             if end < lo:
-                dsteps.append((end, zero))
-            dsteps.append((lo, v))
+                starts.append(end)
+                deltas.append(zero)
+            starts.append(lo)
+            deltas.append(v)
             end = hi
             mass = mass + (hi - lo) * v
-        dsteps.append((end, zero))
-        if screen:
-            fd = [screen_float(d) for _, d in dsteps]
-            fsteps[jid] = None if None in fd else fd
+        starts += end, inf
+        deltas.append(zero)
+        steps[jid] = starts, deltas, _reads(deltas, read)
         if not mass - mass == 0:  # a NaN or infinite credit, or an overflow
             nonfinite.add(jid)
         if spans and (jid in nonfinite or not nonneg.require_below(
@@ -189,19 +187,14 @@ def check_dual(trace, point: DualPoint):
                 nonneg.require_leq(zero, b, ("beta", t, li + 1))
         bhat = beta if bhat is None else [b if b < h else h for b, h in zip(beta, bhat)]
         classes = list(zip(bhat, sigmas))
-        fbhat = [screen_float(b) for b in bhat] if screen else [None]
+        fclasses = list(zip(_reads(bhat, read), fsigmas))
         length = iv.length()
         beta_total = beta_total + length * row_mass
 
         for ij, spans in zip(iv.jobs, row):
             jid, rate, bound = ij.job_id, ij.rate, ij.count
-            dsteps = steps[jid]
-            floats = not exact and jid not in nonfinite
-            # the screen's factors: float bhat_l and float rate / float sigma_l
-            fdeltas = fsteps.get(jid)
-            frate = screen_float(rate) if fdeltas and None not in fbhat else None
-            factors = None if frate is None else [
-                (fb, frate / fs) for fb, fs in zip(fbhat, fsigmas)]
+            starts, deltas, fdeltas = steps[jid]
+            fr = read(rate)
             end, mass = 0, zero
             for lo, hi, a in spans:
                 if not end <= lo < hi <= bound:
@@ -209,28 +202,20 @@ def check_dual(trace, point: DualPoint):
                 end = hi
                 nonneg.require_leq(zero, a, ("alpha", t, jid, lo))
                 mass = mass + (hi - lo) * a
-                # the pieces of [lo, hi): delta's steps first..last-1
-                first = bisect_right(dsteps, lo, key=_start) - 1 if lo else 0
-                least = dsteps[first][1]
+                # the pieces of [lo, hi) are the steps first..last-1, and
+                # least is the least read of their deltas
+                first = bisect_right(starts, lo) - 1 if lo else 0
+                least = fdeltas[first]
                 last = first + 1
-                for start, d in islice(dsteps, last, None):
-                    if start >= hi:
-                        break
-                    if d < least:
-                        least = d
+                while starts[last] < hi:
+                    if fdeltas[last] < least:
+                        least = fdeltas[last]
                     last += 1
-                if factors:
-                    fa = to_float(a)
-                    if cover.require_below(
-                            fa, _screen(min(islice(fdeltas, first, last)), factors),
-                            last - first):
-                        continue
-                elif floats and cover.require_below(
-                        a, min([(b + least) * rate / s for b, s in classes]), last - first):
+                if cover.require_below(
+                        read(a), min([(fb + least) * fr / fs for fb, fs in fclasses]) * margin,
+                        last - first):
                     continue
-                for k, (start, d) in enumerate(islice(dsteps, first, last), first):
-                    if factors and cover.require_below(fa, _screen(fdeltas[k], factors), 1):
-                        continue
+                for start, d in zip(starts[first:last], deltas[first:last]):
                     rhs = [(b + d) * rate / s for b, s in classes]
                     low = min(rhs)
                     cover.require_leq(

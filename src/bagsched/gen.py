@@ -159,6 +159,10 @@ def gen_raw_speeds(profile: str, seed: int, count: int = 5):
     clustered  a tiny fast cluster and a large slow one whose rounded
                capacities differ enough that both survive class selection.
     """
+    if not (count >= 1 and seed >= 0):
+        raise InstanceError(
+            f"need count >= 1 and seed >= 0, got count={count} seed={seed}"
+        )
     rng = SplitMix64(seed)
     if profile == "uniform":
         s = 1 + 99 * rng.random()

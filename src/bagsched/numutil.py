@@ -10,7 +10,7 @@ compare exactly wherever a tolerance would apply.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import inf
+from math import inf, nan
 
 # Default slack of close/leq and of every certificate, rate-feasibility,
 # realization and primal check: absorbs the rounding that accumulates in the
@@ -44,19 +44,19 @@ WORK_REL = 1e-6
 # tolerance of the external solver that produced it.
 SOLVER_REL = 1e-6
 
-# Float screens of exact checks (dualcheck.check_dual). A screen evaluates
-# (b + d) * (r / s) from the screen_floats of exact b, d >= 0, r >= 0 and
-# s > 0. Each read and each of the three operations is within a relative
-# u = 2**-53 of its exact value, and the reads of b and d together too, as
-# both are >= 0; so the float is at most (1 + u)**5 / (1 - u) times the
-# exact value, and the least float over the classes at most that times the
-# least exact value. Times SCREEN_MARGIN, with one more rounding, it is at most
-# float(exact) >= exact * (1 - u) for any factor up to (1 - u)**2 /
-# (1 + u)**6, about 1 - 8u; SCREEN_MARGIN is 1 - 32u.
+# Float screen of exact rate-cover checks (dualcheck.check_dual). It
+# evaluates (b + d) * r / s from the screen_floats of exact b, d >= 0,
+# r >= 0 and s > 0. Each read and each of the three operations is within a
+# relative u = 2**-53 of its exact value, and the reads of b and d together
+# too, as both are >= 0; so the float is at most (1 + u)**5 / (1 - u) times
+# the exact value, and the least float over the classes at most that times
+# the least exact value. Times SCREEN_MARGIN, with one more rounding, it is
+# at most float(exact) >= exact * (1 - u) for any factor up to
+# (1 - u)**2 / (1 + u)**6, about 1 - 8u; SCREEN_MARGIN is 1 - 32u.
 SCREEN_MARGIN = 1 - 2 ** -48
 
-# The floats a screen reads are 0.0 for an exact zero or lie in this window:
-# there each read is within u, and (b + d) * (r / s) is 0 or inside
+# The floats the screen reads are 0.0 for an exact zero or lie in this
+# window: there each read is within u, and (b + d) * r / s is 0 or inside
 # [2**-900, 2**901], in the normal range where each operation is too.
 SCREEN_WINDOW = (2.0 ** -300, 2.0 ** 300)
 
@@ -150,24 +150,24 @@ def to_float(x) -> float:
 
 
 def screen_float(x):
-    """float(x) for an exact x that a screen may read: 0, or a value whose
-    float lies in SCREEN_WINDOW; None for any other x, negative, a float
-    or out of the window. float of an int or a Fraction is correctly
-    rounded, as CPython's int / int is.
+    """float(x) for an exact x that the screen may read: 0, or a value
+    whose float lies in SCREEN_WINDOW; NaN for any other x, negative, a
+    float or out of the window, as a NaN bound settles nothing. float of
+    an int or a Fraction is correctly rounded, as CPython's int / int is.
 
     >>> screen_float(Fraction(1, 4)), screen_float(0.25), screen_float(Fraction(-1, 4))
-    (0.25, None, None)
+    (0.25, nan, nan)
     >>> screen_float(Fraction(0)), screen_float(Fraction(1, 2 ** 1100)), screen_float(10 ** 400)
-    (0.0, None, None)
+    (0.0, nan, nan)
     """
     if not is_exact(x):
-        return None
+        return nan
     try:
         f = float(x)
     except OverflowError:
-        return None
+        return nan
     lo, hi = SCREEN_WINDOW
-    return f if lo <= f <= hi or not x else None
+    return f if lo <= f <= hi or not x else nan
 
 
 def json_number(x):

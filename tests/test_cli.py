@@ -488,6 +488,11 @@ def test_output_goes_to_stdout_or_a_file_closed_on_error(tmp_path, monkeypatch,
     ("random", "--k", "0"),
     ("random", "--jobs", "0"),
     ("lower", "--k", "0"),
+    # gen speeds once wrote "speeds": [] for a count below 1, which
+    # preprocess_raw_speeds refuses, and took a negative seed
+    ("speeds", "--count", "0"),
+    ("speeds", "--count", "-1"),
+    ("speeds", "--seed", "-1"),
 ])
 def test_gen_bad_arguments_are_preconditions(tmp_path, capsys, argv):
     assert run_cli("gen", *argv, "--out", str(tmp_path / "x.json")) == 3

@@ -507,12 +507,23 @@ CREDIT_SCALES = (Fraction(1), Fraction(1, 2 ** 295), Fraction(2 ** 295),
                  Fraction(1, 2 ** 1000), Fraction(2 ** 1000))
 # alpha tight on a right side, or off it by one part in 2^60 either way
 TIGHT = (Fraction(1), 1 - Fraction(1, 2 ** 60), 1 + Fraction(1, 2 ** 60))
+# the float half: every credit times one of these: 1; near either edge of
+# the exact window, which float mode does not read; 1e-300 and 1e300, which
+# round each credit; subnormal; so large that masses overflow to inf; and
+# so large that credits do, and a zeroed one is NaN
+FLOAT_SCALES = (1.0, 2.0 ** -295, 2.0 ** 295, 1e-300, 1e300, 2.0 ** -1070,
+                2.0 ** 1020, 2.0 ** 1023)
+# alpha tight on a right side, or off it by 2^-52 either way: one ulp
+# above it, two below
+FLOAT_TIGHT = (1.0, 1 - 2.0 ** -52, 1 + 2.0 ** -52)
 
 
-def _screen_run(k, jobs, tasks, seed, halvings):
-    """An exact gen_random_ica run at the weaker threshold over 2^halvings."""
-    inst = instance_from_dict(instance_to_dict(gen_random_ica(k, jobs, tasks, seed)),
-                              exact=True)
+def _screen_run(k, jobs, tasks, seed, halvings, exact=True):
+    """A gen_random_ica run at the weaker threshold over 2^halvings, exact
+    unless `exact` is false."""
+    inst = gen_random_ica(k, jobs, tasks, seed)
+    if exact:
+        inst = instance_from_dict(instance_to_dict(inst), exact=True)
     inst = with_speedup(inst, Fraction(weaker_threshold(inst)) / 2 ** halvings)
     return simulate(inst), inst
 
@@ -535,10 +546,10 @@ def _tighten(trace, point, place, piece, tight):
 
 @st.composite
 def _screen_cases(draw):
-    """(run, credit scale, edits) for an exact weaker point: each edit
+    """(run, credit scale, edits) for a weaker point: each edit
     zeroes or negates one beta or one delta span value, or puts one alpha
     span, or every one, on a right side (of its least piece or another,
-    which sends the span piece by piece) or one part in 2^60 off it."""
+    which sends the span piece by piece) or just off it."""
     run = (draw(st.integers(1, 3)), draw(st.integers(1, 8)), draw(st.integers(1, 4)),
            draw(st.integers(0, 2 ** 16)), draw(st.integers(0, 4)))
     scale = draw(st.one_of(st.just(0), st.integers(0, len(CREDIT_SCALES) - 1)))
@@ -551,8 +562,9 @@ def _screen_cases(draw):
 
 
 def _screen_point(trace, inst, scale, edits):
+    scales, tight = (CREDIT_SCALES, TIGHT) if inst.exact else (FLOAT_SCALES, FLOAT_TIGHT)
     point, _, _ = _weaker_point(trace, inst)
-    c = CREDIT_SCALES[scale]
+    c = scales[scale]
     point = DualPoint(
         alpha=[[[(lo, hi, v * c) for lo, hi, v in spans] for spans in row]
                for row in point.alpha],
@@ -573,7 +585,7 @@ def _screen_point(trace, inst, scale, edits):
         elif places:
             chosen = places if kind == "every alpha" else [places[index % len(places)]]
             for place in chosen:
-                _tighten(trace, point, place, sub, TIGHT[factor])
+                _tighten(trace, point, place, sub, tight[factor])
     return point
 
 
@@ -601,5 +613,27 @@ def test_screened_checker_matches_its_first_definition(case):
     # kept violation and both totals equal the exact path's
     (k, jobs, tasks, seed, halvings), scale, edits = case
     trace, inst = _screen_run(k, jobs, tasks, seed, halvings)
+    point = _screen_point(trace, inst, scale, edits)
+    assert _plain(check_dual(trace, point)) == _plain(first_check_dual(trace, point))
+
+
+@settings(max_examples=80, deadline=None)
+@given(_screen_cases())
+# every alpha on a right side, or one ulp above it
+@example(case=((1, 3, 1, 2, 0), 0, (("every alpha", 0, 0, 0),)))
+@example(case=((2, 6, 3, 1, 0), 0, (("every alpha", 0, 1, 2),)))
+# credits at the top of the float range: masses overflow to inf, and a
+# credit of inf times 0 is NaN, in beta and delta, and in a delta behind
+# a finite one
+@example(case=((2, 6, 3, 1, 0), 6, ()))
+@example(case=((1, 3, 1, 2, 0), 7, (("beta", 0, 0, 0), ("delta", 0, 0, 0))))
+@example(case=((3, 8, 4, 7, 4), 7, (("delta", 0, 1, 0),)))
+# subnormal credits
+@example(case=((3, 8, 4, 7, 4), 5, (("every alpha", 0, 0, 1),)))
+def test_float_checker_matches_its_first_definition(case):
+    # the float half: the span test on the floats themselves, with margin
+    # 1, counts only what the first definition's float compares count
+    (k, jobs, tasks, seed, halvings), scale, edits = case
+    trace, inst = _screen_run(k, jobs, tasks, seed, halvings, exact=False)
     point = _screen_point(trace, inst, scale, edits)
     assert _plain(check_dual(trace, point)) == _plain(first_check_dual(trace, point))

@@ -1112,6 +1112,84 @@ def test_a_malformed_slice_list_is_refused(kind):
     assert str(err.value) == message
 
 
+
+def _two_job_slices(change=None):
+    """test_a_malformed_slice_list_is_refused's instance and slices, with
+    the first pool's fields changed by `change`."""
+    inst = make_instance([(1, 2)], [make_job(1, 1.0, [4]), make_job(2, 2.0, [3])])
+    first, *rest = wspt_slices([(2, 3.0), (1, 4.0)])
+    if change:
+        seg = first.segments[0]
+        (pl,) = seg.placements
+        seg = seg._replace(placements=(pl._replace(**change),))
+        first = dataclasses.replace(first, segments=[seg])
+    return inst, [first] + rest
+
+
+@pytest.mark.parametrize("inst, slices, message", [
+    # job 2's one task, pooled as two
+    (*_two_job_slices({"members": ((2, 2),)}), "pool of job 2 covers 2 tasks, 1 alive"),
+    # job 1's two tasks, pooled as one
+    (make_instance([(1, 2)], [make_job(1, 1.0, [4, 2])]), wspt_slices([(1, 2.0)]),
+     "pool of job 1 covers 1 tasks, 2 alive"),
+])
+def test_a_pool_must_cover_the_alive_tasks_of_its_jobs(inst, slices, message):
+    with pytest.raises(LpError) as err:
+        schedule_to_primal(slices, inst)
+    assert str(err.value) == message
+
+
+def test_a_task_the_slices_never_finish_is_refused():
+    # job 1's task of size 4 runs for 2 time units at rate 1
+    inst, _ = _two_job_slices()
+    with pytest.raises(LpError) as err:
+        schedule_to_primal(wspt_slices([(2, 3.0), (1, 2.0)]), inst)
+    assert str(err.value) == "task 1 not finished by the given schedule"
+
+
+def test_the_embedding_audits_the_completions_of_its_trace():
+    # a trace whose recorded completion of job 1 is a time unit late
+    inst, _ = _two_job_slices()
+    trace = simulate(inst)
+    late = dataclasses.replace(trace, group_completions={
+        **trace.group_completions, (1, 0): trace.group_completions[(1, 0)] + 1})
+    with pytest.raises(LpError) as err:
+        schedule_to_primal(late, inst)
+    assert str(err.value) == "job 1: derived completion 4.0 vs trace 5.0"
+
+
+def _embedded():
+    inst, _ = _two_job_slices()
+    primal = schedule_to_primal(simulate(inst), inst)
+    assert (primal.cost, primal.objective) == (10.0, 16.140625)
+    return inst, primal
+
+
+def test_check_primal_refuses_a_c_key_that_is_not_an_int():
+    inst, primal = _embedded()
+    with pytest.raises(LpError) as err:
+        check_primal(dataclasses.replace(primal, C={**primal.C, 1.5: 0.0}), inst)
+    assert str(err.value) == "C_1.5 names no LP variable"
+
+
+def test_check_primal_refuses_an_objective_outside_the_sandwich():
+    inst, primal = _embedded()
+    with pytest.raises(LpError) as err:
+        check_primal(dataclasses.replace(primal, objective=50.0), inst)
+    assert str(err.value) == "objective 50.0 outside [cost, 2 cost] for cost 10.0"
+
+
+@pytest.mark.parametrize("change, message", [
+    ({"objective": 19.0}, "objective 19.0 is not the primal's 16.140625"),
+    ({"cost": 12.0}, "cost 12.0 is not the primal's 10.0"),
+])
+def test_check_primal_refuses_a_stored_value_that_is_not_the_primals(change, message):
+    # both stay inside [cost, 2 cost], so only the restatement catches them
+    inst, primal = _embedded()
+    with pytest.raises(LpError) as err:
+        check_primal(dataclasses.replace(primal, **change), inst)
+    assert str(err.value) == message
+
 def test_brute_force_examples():
     two = make_instance(
         [(1, 1)], [make_job(1, 1.0, [1]), make_job(2, 2.0, [1])])

@@ -307,3 +307,29 @@ def test_the_embedding_never_reads_its_own_primal_back():
     assert checks and all(any(kw.arg == "_sums" for kw in node.keywords)
                           for node in checks)
     assert found == []
+
+
+def test_alpha_spans_have_one_settle_path():
+    # check_dual settles an alpha span, in both modes, with one float test
+    # on the reads of its inputs: one call of cover.require_below, and
+    # SCREEN_MARGIN read once in the package, where check_dual picks the
+    # exact mode's reads and margin, so that no helper between the reads
+    # and that call screens a span or a piece a second way
+    trees = _package_trees()
+    (fn,) = [node for node in trees["dualcheck.py"].body
+             if isinstance(node, ast.FunctionDef) and node.name == "check_dual"]
+    inside = {id(node) for node in ast.walk(fn)}
+    settles = [
+        node for node in ast.walk(trees["dualcheck.py"])
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+        and node.func.attr == "require_below"
+        and isinstance(node.func.value, ast.Name) and node.func.value.id == "cover"
+    ]
+    assert [id(node) in inside for node in settles] == [True]
+    margins = [
+        (name, id(node) in inside) for name, tree in trees.items()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Name) and node.id == "SCREEN_MARGIN"
+        and isinstance(node.ctx, ast.Load)
+    ]
+    assert margins == [("dualcheck.py", True)]
