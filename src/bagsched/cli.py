@@ -327,7 +327,9 @@ def build_parser() -> argparse.ArgumentParser:
     pg.add_argument("--seed", type=int, default=0)
     pg.add_argument("--profile", choices=["uniform", "geometric", "clustered"],
                     default="uniform")
-    pg.add_argument("--count", type=int, default=5)
+    pg.add_argument("--count", type=int, default=None,
+                    help="speeds to write (default 5); read by the uniform "
+                         "and geometric profiles, refused by clustered")
     pg.add_argument("--out", default=None)
     pg.set_defaults(func=cmd_gen)
 

@@ -39,7 +39,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .blocks import classify_blocks
 from .dualcheck import DualPoint, check_dual
@@ -408,7 +407,7 @@ def _log_scale(k: int, exact: bool):
     """max(log2 K, 1), kept rational when it is integral."""
     val = max(math.log2(k), 1.0)
     if exact and val == int(val):
-        return Fraction(int(val))
+        return coerce(int(val), True)
     return val
 
 

@@ -150,15 +150,25 @@ def gen_random_ica(k: int, jobs: int, max_tasks: int, seed: int) -> Instance:
     return instance
 
 
-def gen_raw_speeds(profile: str, seed: int, count: int = 5):
+def gen_raw_speeds(profile: str, seed: int, count: int | None = None):
     """Raw machine speeds that violate the speed-class assumptions.
 
-    uniform    `count` equal speeds; rounding yields a single class.
-    geometric  ratio-2 ladder; rounding collapses runs of six into one
-               power-of-64 class.
+    uniform    `count` (default 5) equal speeds; rounding yields a single
+               class.
+    geometric  ratio-2 ladder of `count` (default 5) speeds; rounding
+               collapses runs of six into one power-of-64 class.
     clustered  a tiny fast cluster and a large slow one whose rounded
-               capacities differ enough that both survive class selection.
+               capacities differ enough that both survive class selection:
+               a fixed shape of 2 fast and 16,500 slow speeds, so it refuses
+               a count.
     """
+    if profile == "clustered" and count is not None:
+        raise InstanceError(
+            f"the clustered profile has a fixed shape of 2 fast and 16,500 "
+            f"slow speeds and takes no count, got count={count}"
+        )
+    if count is None:
+        count = 5
     if not (count >= 1 and seed >= 0):
         raise InstanceError(
             f"need count >= 1 and seed >= 0, got count={count} seed={seed}"

@@ -89,7 +89,7 @@ class Instance:
     @cached_property
     def class_prefix_capacities(self) -> tuple:
         """Cumulative class capacities (S(M_0)=0, S(M_1), .., S(M_K))."""
-        zero = Fraction(0) if self.exact else 0.0
+        zero = coerce(0, self.exact)
         out = [zero]
         for c in self.classes:
             out.append(out[-1] + c.capacity())
@@ -316,7 +316,7 @@ def instance_from_dict(data: dict, exact: bool = False) -> Instance:
     def number(x):
         if (type(x) is dict and x.keys() == {"num", "den"}
                 and type(x["num"]) is type(x["den"]) is int and x["den"]):
-            return Fraction(x["num"], x["den"])
+            return coerce(x["num"], True) / x["den"]
         return x
 
     _json(data, dict, "instance")

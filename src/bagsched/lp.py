@@ -56,13 +56,12 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import accumulate, chain, cycle, permutations, repeat
 from math import inf, isfinite, nan
 from operator import add, le, mul, truediv
 
 from .instances import Instance
-from .numutil import REL_TOL, SOLVER_REL, close, leq, scaled_tol, to_float
+from .numutil import REL_TOL, SOLVER_REL, close, coerce, leq, scaled_tol, to_float
 from .report import require_own_trace
 from .sim import realize_slice
 
@@ -828,16 +827,17 @@ def brute_force_opt(instance: Instance, grid: int = 2):
         raise LpError("brute force handles release time 0 only")
 
     speeds = sorted(
-        (Fraction(int(sp)) if float(sp).is_integer() else Fraction(float(sp))
+        (coerce(int(sp) if float(sp).is_integer() else float(sp), True)
          for sp in instance.machine_speeds(m)),
         reverse=True,
     )
-    quantum = Fraction(1, grid)
+    quantum = coerce(1, True) / grid
+    zero = coerce(0, True)
     weights = {j.job_id: float(j.weight) for j in instance.jobs}
     job_ids = sorted(weights)
     start = tuple(
         tuple(sorted(
-            (Fraction(int(p)) for v, jj, p in table if jj == j),
+            (coerce(int(p), True) for v, jj, p in table if jj == j),
             reverse=True,
         ))
         for j in job_ids
@@ -859,7 +859,7 @@ def brute_force_opt(instance: Instance, grid: int = 2):
             nxt = [list(rem) for rem in state]
             for slot_i, (k, ti) in enumerate(chosen):
                 nxt[k][ti] = max(
-                    Fraction(0), nxt[k][ti] - quantum * speeds[slot_i]
+                    zero, nxt[k][ti] - quantum * speeds[slot_i]
                 )
             key = tuple(
                 tuple(sorted((r for r in rem if r > 0), reverse=True))

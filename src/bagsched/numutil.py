@@ -1,8 +1,13 @@
-"""Numeric helpers and the package's float tolerances.
+"""Numeric helpers, the exact-mode number type and the package's float
+tolerances.
 
-Two value modes coexist: plain floats for speed, and fractions.Fraction for
-exact arithmetic. Every routine here is duck-typed so both modes pass through
-unchanged; nothing calls math.* on scheduling values.
+Two value modes coexist: plain floats for speed, and Rational for exact
+arithmetic. Rational is a fractions.Fraction whose arithmetic and compares
+with a Fraction or an int read the slots directly; coerce builds every exact
+number, so every value derived from an exact instance is one. Its values,
+str and repr are Fraction's, so exact outputs are unchanged. Every routine
+here is duck-typed so both modes pass through unchanged; nothing calls
+math.* on scheduling values.
 
 Every float tolerance of the package is named here, once. Exact-mode values
 compare exactly wherever a tolerance would apply.
@@ -10,7 +15,8 @@ compare exactly wherever a tolerance would apply.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import inf, nan
+from math import gcd, inf, nan
+from operator import ge, gt, le, lt
 
 # Default slack of close/leq and of every certificate, rate-feasibility,
 # realization and primal check: absorbs the rounding that accumulates in the
@@ -61,22 +67,156 @@ SCREEN_MARGIN = 1 - 2 ** -48
 SCREEN_WINDOW = (2.0 ** -300, 2.0 ** 300)
 
 
+_new = object.__new__
+
+
+def _rational(n: int, d: int):
+    """The Rational n/d of n and d > 0 in lowest terms, built on the slots."""
+    r = _new(Rational)
+    r._numerator = n
+    r._denominator = d
+    return r
+
+
+# Fraction's gcd-reduced algorithms (Knuth, TAOCP 4.5.1) on the slots of
+# a = na/da and b = nb/db in lowest terms with positive denominators; each
+# result is in lowest terms with a positive denominator, the one form of its
+# value, so it is the (numerator, denominator) Fraction computes.
+
+def _add(na, da, nb, db):
+    g = gcd(da, db)
+    if g == 1:
+        return _rational(na * db + da * nb, da * db)
+    s = da // g
+    t = na * (db // g) + nb * s
+    g2 = gcd(t, g)
+    if g2 == 1:
+        return _rational(t, s * db)
+    return _rational(t // g2, s * (db // g2))
+
+
+def _sub(na, da, nb, db):
+    return _add(na, da, -nb, db)
+
+
+def _mul(na, da, nb, db):
+    g1 = gcd(na, db)
+    if g1 > 1:
+        na //= g1
+        db //= g1
+    g2 = gcd(nb, da)
+    if g2 > 1:
+        nb //= g2
+        da //= g2
+    return _rational(na * nb, db * da)
+
+
+def _div(na, da, nb, db):
+    if nb > 0:
+        return _mul(na, da, db, nb)
+    if nb < 0:
+        return _mul(-na, da, db, -nb)
+    raise ZeroDivisionError(f"Fraction({na}, 0)")
+
+
+def _arithmetic(op, forward, reverse):
+    """Rational's operator and its reflection: op on the slots when the
+    other operand is an int or a Fraction, else Fraction's own method."""
+    def fast(a, b):
+        t = type(b)
+        if t is int:
+            return op(a._numerator, a._denominator, b, 1)
+        if t is Rational or isinstance(b, Fraction):
+            return op(a._numerator, a._denominator, b._numerator, b._denominator)
+        return forward(a, b)
+
+    def reflected(a, b):
+        t = type(b)
+        if t is int:
+            return op(b, 1, a._numerator, a._denominator)
+        if isinstance(b, Fraction):
+            return op(b._numerator, b._denominator, a._numerator, a._denominator)
+        return reverse(a, b)
+
+    return fast, reflected
+
+
+def _comparison(op, slow):
+    """Rational's compare: na * db op nb * da when the other operand is an
+    int or a Fraction, else Fraction's own method."""
+    def compare(a, b):
+        t = type(b)
+        if t is int:
+            return op(a._numerator, b * a._denominator)
+        if t is Rational or isinstance(b, Fraction):
+            return op(a._numerator * b._denominator, b._numerator * a._denominator)
+        return slow(a, b)
+
+    return compare
+
+
+class Rational(Fraction):
+    """The exact-mode number: a Fraction whose + - * /, compares, unary
+    minus, abs and float with an int or a Fraction read the slots and give a
+    Rational. Any other operand, and every other operation, is Fraction's.
+    Hash and str are Fraction's, and repr reads as Fraction's.
+
+    >>> x = Rational(1, 3) + 1
+    >>> x, type(x).__name__, x == Fraction(4, 3), str(-x)
+    (Fraction(4, 3), 'Rational', True, '-4/3')
+    """
+
+    __slots__ = ()
+
+    __add__, __radd__ = _arithmetic(_add, Fraction.__add__, Fraction.__radd__)
+    __sub__, __rsub__ = _arithmetic(_sub, Fraction.__sub__, Fraction.__rsub__)
+    __mul__, __rmul__ = _arithmetic(_mul, Fraction.__mul__, Fraction.__rmul__)
+    __truediv__, __rtruediv__ = _arithmetic(
+        _div, Fraction.__truediv__, Fraction.__rtruediv__)
+    __lt__ = _comparison(lt, Fraction.__lt__)
+    __le__ = _comparison(le, Fraction.__le__)
+    __gt__ = _comparison(gt, Fraction.__gt__)
+    __ge__ = _comparison(ge, Fraction.__ge__)
+    __hash__ = Fraction.__hash__  # a class that defines __eq__ loses it
+
+    def __eq__(a, b):
+        t = type(b)
+        if t is Rational or t is Fraction:
+            return a._numerator == b._numerator and a._denominator == b._denominator
+        if t is int:
+            return a._numerator == b and a._denominator == 1
+        return Fraction.__eq__(a, b)
+
+    def __neg__(a):
+        return _rational(-a._numerator, a._denominator)
+
+    def __abs__(a):
+        return _rational(abs(a._numerator), a._denominator)
+
+    def __float__(a):
+        return a._numerator / a._denominator  # correctly rounded
+
+    def __repr__(self):
+        return f"Fraction({self._numerator}, {self._denominator})"
+
+
 def is_exact(x) -> bool:
     if type(x) is float:  # the common case; skips the slow ABC check
         return False
-    return isinstance(x, (int, Fraction))
+    return type(x) is Rational or isinstance(x, (int, Fraction))
 
 
 def coerce(x, exact: bool):
-    """Normalize a JSON-ish number into the requested mode.
+    """Normalize a JSON-ish number into the requested mode: a Rational when
+    exact, the one way the package builds an exact number.
 
-    >>> coerce(0.5, True)
-    Fraction(1, 2)
+    >>> coerce(0.5, True), type(coerce(Fraction(1, 2), True)).__name__
+    (Fraction(1, 2), 'Rational')
     >>> coerce(3, False)
     3.0
     """
     if exact:
-        return x if isinstance(x, Fraction) else Fraction(x)
+        return x if type(x) is Rational else Rational(x)
     return float(x)
 
 

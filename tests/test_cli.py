@@ -49,6 +49,21 @@ def test_gen_speeds_profile(tmp_path):
     assert len(data["speeds"]) == 6
 
 
+def test_gen_speeds_count_defaults_and_clustered_refusal(tmp_path, capsys):
+    # uniform and geometric read --count, 5 when it is not given; clustered
+    # writes its fixed shape and refuses an explicit count, naming the shape
+    path = tmp_path / "speeds.json"
+    for profile in ("uniform", "geometric"):
+        assert run_cli("gen", "speeds", "--profile", profile, "--out", str(path)) == 0
+        assert len(json.loads(path.read_text())["speeds"]) == 5
+    assert run_cli("gen", "speeds", "--profile", "clustered", "--out", str(path)) == 0
+    assert len(json.loads(path.read_text())["speeds"]) == 16502
+    capsys.readouterr()
+    assert run_cli("gen", "speeds", "--profile", "clustered", "--count", "5",
+                   "--out", str(path)) == 3
+    assert "2 fast and 16,500 slow" in capsys.readouterr().err
+
+
 def test_simulate_prints_objective(tmp_path, capsys):
     path = gen_instance(tmp_path, "lower", "--k", "2")
     assert run_cli("simulate", str(path)) == 0
@@ -493,6 +508,8 @@ def test_output_goes_to_stdout_or_a_file_closed_on_error(tmp_path, monkeypatch,
     ("speeds", "--count", "0"),
     ("speeds", "--count", "-1"),
     ("speeds", "--seed", "-1"),
+    # the clustered profile has a fixed shape and once ignored a count
+    ("speeds", "--profile", "clustered", "--count", "3"),
 ])
 def test_gen_bad_arguments_are_preconditions(tmp_path, capsys, argv):
     assert run_cli("gen", *argv, "--out", str(tmp_path / "x.json")) == 3

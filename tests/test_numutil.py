@@ -1,13 +1,18 @@
 """Tolerant comparisons at their boundaries: one ulp inside and one ulp
-outside each named tolerance, for every mix of value types."""
+outside each named tolerance, for every mix of value types; and the
+exact-mode kernel Rational, checked against stdlib Fraction."""
 
 import math
+import operator
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from bagsched.numutil import (
-    EVENT_REL, REL_TOL, TIE_REL, close, leq, scaled_tol, tie_leq)
+    EVENT_REL, REL_TOL, TIE_REL, Rational, close, coerce, is_exact, leq,
+    scaled_tol, tie_leq)
 
 TOLERANCES = [REL_TOL, TIE_REL]
 
@@ -143,3 +148,110 @@ def test_scaled_tol_boundaries(rel):
     assert scaled_tol(0.0, rel) == rel and scaled_tol(-0.0, rel) == rel
     for s in (5e-324, 0.75, 3.0, 2.0 ** 900):
         assert scaled_tol(s, rel) == rel * s
+
+
+# ---------------------------------------------------------------------------
+# the exact-mode kernel: Rational against stdlib Fraction
+# ---------------------------------------------------------------------------
+
+BIG = 2 ** 760  # the benchmark universe's denominators reach 749 bits
+
+# zero, negatives, whole numbers and denominators beyond 700 bits
+exact_values = st.builds(
+    Fraction,
+    st.integers(-10, 10) | st.integers(-BIG, BIG),
+    st.integers(1, 10) | st.integers(2 ** 700, BIG),
+)
+KINDS = {"Rational": Rational, "Fraction": Fraction, "int": int}
+operands = st.builds(lambda v, kind: KINDS[kind](v), exact_values,
+                     st.sampled_from(sorted(KINDS)))
+ARITHMETIC = (operator.add, operator.sub, operator.mul, operator.truediv)
+COMPARES = (operator.lt, operator.le, operator.gt, operator.ge, operator.eq,
+            operator.ne)
+WIDE = Fraction(3 ** 470 + 1, 2 ** 748 + 5)
+
+
+def plain(x):
+    """x as stdlib computes with it: a Fraction for any Fraction."""
+    return Fraction(x) if isinstance(x, Fraction) else x
+
+
+def exact_outcome(fn, *args):
+    try:
+        value = fn(*args)
+    except ZeroDivisionError:
+        return ZeroDivisionError
+    return type(value), value.numerator, value.denominator
+
+
+def float_outcome(fn, *args):
+    try:
+        value = fn(*args)
+    except (ZeroDivisionError, OverflowError) as exc:
+        return type(exc)
+    return type(value), repr(value)
+
+
+@settings(max_examples=300, deadline=None)
+@given(exact_values, operands)
+@example(WIDE, Fraction(0))
+@example(WIDE, -WIDE + 1)
+def test_kernel_arithmetic_is_fractions(x, y):
+    # each operator on either side of an int, a Fraction or a Rational gives
+    # Fraction's numerator and denominator, as a Rational; a zero divisor
+    # raises ZeroDivisionError as Fraction does
+    r = Rational(x)
+    for op in ARITHMETIC:
+        for got, want in ((exact_outcome(op, r, y), exact_outcome(op, x, plain(y))),
+                          (exact_outcome(op, y, r), exact_outcome(op, plain(y), x))):
+            if want is ZeroDivisionError:
+                assert got is ZeroDivisionError
+            else:
+                assert got == (Rational,) + want[1:]
+
+
+@settings(max_examples=300, deadline=None)
+@given(exact_values, operands | st.floats())
+@example(Fraction(1, 3), math.inf)
+@example(Fraction(-1, 3), -math.inf)
+@example(Fraction(0), math.nan)
+@example(Fraction(5), 5)
+@example(WIDE, float(WIDE))
+def test_kernel_compares_are_fractions(x, y):
+    # against a Rational, a Fraction, an int and a float (inf and NaN too)
+    r = Rational(x)
+    for op in COMPARES:
+        assert op(r, y) is op(x, plain(y))
+        assert op(y, r) is op(plain(y), x)
+
+
+@settings(max_examples=200, deadline=None)
+@given(exact_values, st.floats())
+@example(Fraction(10 ** 400, 3), 1.0)
+@example(Fraction(1, 3), 0.0)
+def test_kernel_float_operands_give_fractions_float(x, f):
+    r = Rational(x)
+    for op in ARITHMETIC:
+        assert float_outcome(op, r, f) == float_outcome(op, x, f)
+        assert float_outcome(op, f, r) == float_outcome(op, f, x)
+
+
+@settings(max_examples=200, deadline=None)
+@given(exact_values)
+@example(Fraction(10 ** 400, 3))
+@example(Fraction(-1, 2 ** 1100))
+def test_kernel_looks_like_a_fraction(x):
+    r = Rational(x)
+    assert (hash(r), repr(r), str(r)) == (hash(x), repr(x), str(x))
+    assert float_outcome(float, r) == float_outcome(float, x)
+    for op in (operator.neg, abs):
+        assert exact_outcome(op, r) == (Rational,) + exact_outcome(op, x)[1:]
+
+
+def test_coerce_builds_a_rational_for_every_exact_input():
+    for x in (3, 0.75, Fraction(3, 4), Rational(3, 4)):
+        got = coerce(x, True)
+        assert type(got) is Rational and got == x and is_exact(got)
+    third = Rational(1, 3)
+    assert coerce(third, True) is third
+    assert type(coerce(third, False)) is float

@@ -333,3 +333,22 @@ def test_alpha_spans_have_one_settle_path():
         and isinstance(node.ctx, ast.Load)
     ]
     assert margins == [("dualcheck.py", True)]
+
+
+def test_exact_numbers_are_built_in_numutil():
+    # numutil.coerce builds every exact number as a Rational, whose
+    # arithmetic is the kernel's fast path; a Fraction(...) call, or a call
+    # of a Fraction method such as from_float, elsewhere would build a plain
+    # Fraction whose arithmetic silently falls off it
+    def names_fraction(node):
+        return any(isinstance(sub, ast.Name) and sub.id == "Fraction"
+                   or isinstance(sub, ast.Attribute) and sub.attr == "Fraction"
+                   for sub in ast.walk(node))
+
+    found = [
+        f"{name}:{node.lineno}"
+        for name, tree in _package_trees().items() if name != "numutil.py"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and names_fraction(node.func)
+    ]
+    assert found == []
