@@ -115,8 +115,11 @@ def check_dual(trace, point: DualPoint):
         interval's bhat, is all NaN unless each read is finite, and
         screen_float reads NaN outside its window; a NaN low settles
         nothing.
-      each job's delta spans and each beta row, against 0: the float of
-        their least value, unless one of them is NaN or infinite.
+      each job's delta spans, each beta row and each interval's alpha
+        spans (its alpha row), against 0: the float of their least value,
+        unless one of them is NaN or infinite. An alpha row is scanned one
+        by one also after any earlier alpha is NaN or infinite, as the
+        running alpha_total then is.
 
     A point whose spans or shape do not fit the trace raises AnalysisError.
     """
@@ -191,6 +194,7 @@ def check_dual(trace, point: DualPoint):
         length = iv.length()
         beta_total = beta_total + length * row_mass
 
+        alphas = []  # the row's alphas, in span order
         for ij, spans in zip(iv.jobs, row):
             jid, rate, bound = ij.job_id, ij.rate, ij.count
             starts, deltas, fdeltas = steps[jid]
@@ -200,7 +204,7 @@ def check_dual(trace, point: DualPoint):
                 if not end <= lo < hi <= bound:
                     raise _misplaced(f"alpha of job {jid} in interval {t}", lo, hi, bound)
                 end = hi
-                nonneg.require_leq(zero, a, ("alpha", t, jid, lo))
+                alphas.append(a)
                 mass = mass + (hi - lo) * a
                 # the pieces of [lo, hi) are the steps first..last-1, and
                 # least is the least read of their deltas
@@ -222,4 +226,10 @@ def check_dual(trace, point: DualPoint):
                         a, low, (t, jid, start if start > lo else lo, rhs.index(low) + 1))
             a_budget.require_leq(mass, ij.weight, (t, jid))
             alpha_total = alpha_total + length * mass
+        # alpha_total is finite unless an alpha so far is NaN or infinite
+        if alphas and (not alpha_total - alpha_total == 0 or not nonneg.require_below(
+                0.0, to_float(min(alphas)), len(alphas))):
+            for ij, spans in zip(iv.jobs, row):
+                for lo, _, a in spans:
+                    nonneg.require_leq(zero, a, ("alpha", t, ij.job_id, lo))
     return checks, alpha_total, beta_total

@@ -311,9 +311,18 @@ def screen_float(x):
 
 
 def json_number(x):
-    """Representation for JSON output that round-trips exact values."""
-    if type(x) is float or type(x) is int:  # skips the slow ABC check
+    """Representation for JSON output that round-trips exact values.
+
+    >>> json_number(Rational(3, 4)), json_number(Rational(2)), json_number(Fraction(3, 4))
+    ({'num': 3, 'den': 4}, 2, {'num': 3, 'den': 4})
+    """
+    t = type(x)
+    if t is float or t is int:  # skips the slow ABC check
         return x
+    if t is Rational:  # every exact value; its slots, without the ABC check
+        if x._denominator == 1:
+            return x._numerator
+        return {"num": x._numerator, "den": x._denominator}
     if isinstance(x, Fraction):
         if x.denominator == 1:
             return x.numerator

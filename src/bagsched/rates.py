@@ -34,11 +34,20 @@ magnitude. In exact mode each block's tau is the water level held by the
 hull entry that ends it, gamma * (S(N_e) - S(N_a)) over that entry's share
 sum, which is the exact sum of the block's run shares. In float mode tau is
 recomputed from the block's own share sum, taken from zero in run order.
+
+The work per call, which the simulator pays at every event: one pass over
+the alive jobs checks and keys each, one sort orders them, one loop over
+the sorted jobs forms the runs and counts their tasks, the hull reads
+capacity_prefix once per run end, and the blocks build one member per
+job. A job's share is divided, and its weight and count checked, once per
+alive count: an AliveJob does both when it is built, and the simulator
+builds one when a job is admitted and when one of its groups completes.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
+from operator import itemgetter
 
 from .instances import Instance
 from .numutil import leq, tie_leq
@@ -48,14 +57,25 @@ class RateError(ValueError):
     """Raised when a rate profile request is malformed."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AliveJob:
+    """A job's alive tasks. Its share is divided once, when it is built, and
+    is None for a job that assign_rates refuses, which builds without error."""
+
     job_id: int
-    weight: object  # > 0
+    weight: object  # > 0 and finite
     count: int      # alive tasks, >= 1
+    _share: object = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        w, n = self.weight, self.count
+        # w > 0 is false for NaN, and w - w is NaN for an infinite w
+        share = w / n if n >= 1 and w > 0 and w - w == 0 else None
+        object.__setattr__(self, "_share", share)
 
     def share(self):
-        return self.weight / self.count
+        """weight / count, or None for a job that assign_rates refuses."""
+        return self._share
 
 
 @dataclass(slots=True)
@@ -97,10 +117,8 @@ class RateProfile:
     @cached_property
     def _rates(self) -> dict:
         """job_id -> per-task rate, built on first lookup."""
-        rates = {}
-        for m in self.members():
-            rates.setdefault(m.job_id, m.rate)
-        return rates
+        # read backwards, so a job listed twice keeps its first rate
+        return {m.job_id: m.rate for b in reversed(self.blocks) for m in reversed(b.members)}
 
     def rate_of(self, job_id: int):
         try:
@@ -116,55 +134,68 @@ class RateProfile:
 def assign_rates(alive, instance: Instance) -> RateProfile:
     """Compute the water-filling rate profile for the alive jobs.
 
-    `alive` is an iterable of AliveJob. Returns blocks in freeze order with
-    strictly increasing tau. All alive tasks of a job land in one block.
-    """
-    alive = list(alive)
-    if not alive:
-        return RateProfile(gamma=instance.speedup, blocks=())
-    for a in alive:
-        if a.weight <= 0:
-            raise RateError(f"job {a.job_id}: non-positive weight {a.weight}")
-        if a.count < 1:
-            raise RateError(f"job {a.job_id}: empty alive set")
-    gamma = instance.speedup
+    `alive` is an iterable of AliveJob, each with a positive finite weight
+    and at least one task, else RateError names the job. Returns blocks in
+    freeze order with strictly increasing tau. All alive tasks of a job land
+    in one block.
 
-    # each share divided once; ties go to the lower job id
-    entries = sorted(((a.share(), a) for a in alive),
-                     key=lambda e: (e[0], -e[1].job_id), reverse=True)
+    Per call, which the simulator makes once per event: one pass over the
+    alive jobs, one sort, one capacity_prefix call per run end and one
+    member per job. No share is divided or weight checked here: each
+    AliveJob did both once, when it was built, so once per alive count of
+    a job.
+    """
+    entries = []
+    for a in alive:
+        share = a._share
+        if share is None:  # checked once, when the job was built
+            if a.count < 1:
+                raise RateError(f"job {a.job_id}: empty alive set")
+            raise RateError(f"job {a.job_id}: weight {a.weight} is not positive and finite")
+        entries.append((share, -a.job_id, a))
+    gamma = instance.speedup
+    if not entries:
+        return RateProfile(gamma=gamma, blocks=())
+    # ties go to the lower job id
+    entries.sort(key=itemgetter(0, 1), reverse=True)
     # runs of exactly equal share; a run freezes atomically
-    runs = []  # [share, members, task count, share * task count]
-    for share, a in entries:
-        if runs and runs[-1][0] == share:
-            runs[-1][1].append(a)
+    runs = []  # (share, members, task count, share * task count)
+    share, _, a = entries[0]
+    group, count = [a], a.count
+    for next_share, _, a in entries[1:]:
+        if next_share == share:
+            group.append(a)
+            count += a.count
         else:
-            runs.append([share, [a]])
-    for run in runs:
-        count = sum(a.count for a in run[1])
-        run += [count, run[0] * count]
+            runs.append((share, group, count, share * count))
+            share, group, count = next_share, [a], a.count
+    runs.append((share, group, count, share * count))
 
     # stack of run ends on the lower hull: (runs, tasks, S, share sum and
     # water level from the entry below); run end 0 is the base. The top is
     # always the previous run end, and a pop adds the popped share sum to
     # the new end's, so no share sum is a difference that could cancel.
-    hull = [(0, 0, instance.capacity_prefix(0), None, None)]
+    capacity = instance.capacity_prefix
+    hull = [(0, 0, capacity(0), None, None)]
     n = 0
-    for e, run in enumerate(runs, start=1):
-        n += run[2]
-        s = instance.capacity_prefix(n)
-        x = run[3]
+    for e, (_, _, count, x) in enumerate(runs, start=1):
+        n += count
+        s = capacity(n)
         level = None  # from the top of the stack, known after a pop
-        # rightmost minimizer wins: pop on <= (with float tie slack)
-        while len(hull) > 1:
-            _, _, _, x_top, level_top = hull[-1]
-            x_below = x_top + x
-            from_below = gamma * (s - hull[-2][2]) / x_below
-            if not tie_leq(from_below, level_top):
+        top = hull[-1]
+        # rightmost minimizer wins: pop on <= (with float tie slack) until
+        # the base, whose run count is 0
+        while top[0]:
+            below = hull[-2]
+            x_below = top[3] + x
+            from_below = gamma * (s - below[2]) / x_below
+            level_top = top[4]
+            if not (from_below <= level_top or tie_leq(from_below, level_top)):
                 break
             hull.pop()
-            x, level = x_below, from_below
+            x, level, top = x_below, from_below, below
         if level is None:
-            level = gamma * (s - hull[-1][2]) / x
+            level = gamma * (s - top[2]) / x
         hull.append((e, n, s, x, level))
 
     exact = instance.exact
@@ -187,25 +218,16 @@ def assign_rates(alive, instance: Instance) -> RateProfile:
             raise AssertionError(
                 f"zero water level at prefix {hi} of {instance.machine_count()} machines"
             )
-        if not (tau_prev is None or leq(tau_prev, tau)):
+        if not (tau_prev is None or tau_prev <= tau or leq(tau_prev, tau)):
             raise AssertionError(f"water level went down from {tau_prev} to {tau}")
-        members = tuple(
+        members = tuple([
             BlockMember(job.job_id, job.weight, job.count, share, share * tau)
             for share, group, _, _ in runs[a:e]
             for job in group
-        )
-        blocks.append(
-            Block(
-                index=len(blocks),
-                tau=tau,
-                lo=lo,
-                hi=hi,
-                speed=speed,
-                members=members,
-            )
-        )
+        ])
+        blocks.append(Block(len(blocks), tau, lo, hi, speed, members))
         tau_prev = tau
-    return RateProfile(gamma=gamma, blocks=tuple(blocks))
+    return RateProfile(gamma, tuple(blocks))
 
 
 def star_witness(profile: RateProfile, instance: Instance):

@@ -5,6 +5,11 @@ the same cumulative depletion, so per job it tracks one number and the count
 of leading task groups still alive (groups are sorted by descending size, and
 tasks die in ascending size order, so the alive groups always form a prefix).
 Events are group completions and job releases; rates are constant in between.
+An event hands the alive jobs to one assign_rates call and then makes two
+passes over them: each alive record keeps the size of its next group to
+complete, so the first pass reads each job's rate and divides once for its
+completion time, and the second adds its depletion or records its
+completion.
 Each interval holds only its span and its rate profile, and reads its alive
 jobs (weight, count, rate) from the profile's members. A trace records the
 time each group completed and derives the rest: a job completes with its
@@ -67,8 +72,7 @@ from .rates import AliveJob, RateProfile, assign_rates, star_witness
 
 
 class LivelockError(RuntimeError):
-    """Work remains but the run stops progressing: every alive task has rate
-    zero, or a slice realization stalls or fails to terminate."""
+    """Work remains but a slice realization stalls or fails to terminate."""
 
 
 class InfeasibleSliceError(RuntimeError):
@@ -139,12 +143,14 @@ class Trace:
 def simulate(instance: Instance) -> Trace:
     """Run the policy to completion and record every constant-rate interval.
 
-    A float run that leaves the float range, so that time stops advancing
-    or the objective is not finite, is refused with InstanceError; the
-    exact mode runs it."""
+    A float run that leaves the float range, so that a rate underflows to
+    0, time stops advancing or the objective is not finite, is refused with
+    InstanceError; the exact mode runs it."""
     exact = instance.exact
     zero = instance.speedup - instance.speedup
-    alive = {}  # job_id -> [AliveJob, alive group count, depletion]
+    # job_id -> [AliveJob, alive group count, depletion, size of the next
+    # group to complete, the job's groups]
+    alive = {}
     group_completions = {}
     pending = sorted(instance.jobs, key=lambda j: (j.release, j.job_id))
     pending_idx = 0
@@ -157,14 +163,16 @@ def simulate(instance: Instance) -> Trace:
         while pending_idx < len(pending) and tie_leq(pending[pending_idx].release, upto, EVENT_REL):
             job = pending[pending_idx]
             pending_idx += 1
-            g = len(job.groups)
+            groups = job.groups
+            g = len(groups)
             # zero-size tasks finish the moment they appear
-            while g > 0 and job.groups[g - 1].size == 0:
+            while g > 0 and groups[g - 1].size == 0:
                 g -= 1
                 group_completions[(job.job_id, g)] = job.release
             if g > 0:
-                count = sum(grp.count for grp in job.groups[:g])
-                alive[job.job_id] = [AliveJob(job.job_id, job.weight, count), g, zero]
+                count = sum(grp.count for grp in groups[:g])
+                alive[job.job_id] = [
+                    AliveJob(job.job_id, job.weight, count), g, zero, groups[g - 1].size, groups]
 
     admit(t)
     while True:
@@ -175,16 +183,25 @@ def simulate(instance: Instance) -> Trace:
             admit(t)
             continue
         profile = assign_rates([rec[0] for rec in alive.values()], instance)
-        rated = [(rec, profile.rate_of(rec[0].job_id)) for rec in alive.values()]
-        if all(rate <= 0 for _, rate in rated):
-            raise LivelockError(f"no progress at t={t} with {len(rated)} jobs alive")
-
-        # next completion per job: its smallest alive size
-        dts = [
-            (instance.jobs[a.job_id - 1].groups[g - 1].size - depleted) / rate
-            for (a, g, depleted), rate in rated
-        ]
-        dt = min(dts)
+        rate_of = profile.rate_of
+        # next completion per job: its smallest alive size, less its
+        # depletion, over its rate
+        rated = []
+        dt = None
+        for rec in alive.values():
+            job_id = rec[0].job_id
+            rate = rate_of(job_id)
+            if not rate > 0:
+                # a positive share times a positive water level is 0 only
+                # when a float product underflows
+                if exact:
+                    raise AssertionError(f"job {job_id} has rate {rate} at t={t}")
+                raise InstanceError(f"job {job_id}'s rate is {rate} at t={t} in float "
+                                    "arithmetic; rerun with --exact")
+            d = (rec[3] - rec[2]) / rate
+            if dt is None or d < dt:
+                dt = d
+            rated.append((rec, rate, d))
         released = pending_idx < len(pending) and pending[pending_idx].release - t < dt
         if released:  # release only; nobody completes
             dt = pending[pending_idx].release - t
@@ -196,20 +213,22 @@ def simulate(instance: Instance) -> Trace:
             if exact:
                 raise AssertionError(f"completion event at t={t} does not advance time")
             raise InstanceError(f"time stops at t={t} in float arithmetic; rerun with --exact")
-        intervals.append(Interval(start=t, end=end, profile=profile))
+        intervals.append(Interval(t, end, profile))
 
-        for (rec, rate), d in zip(rated, dts):
-            a, g, depleted = rec
-            if released or not (d == dt if exact else d <= dt * (1 + EVENT_REL)):
-                rec[2] = depleted + rate * dt
+        cutoff = None if exact else dt * (1 + EVENT_REL)
+        for rec, rate, d in rated:
+            if released or not (d == dt if exact else d <= cutoff):
+                rec[2] = rec[2] + rate * dt
                 continue
+            a, g, _, _, groups = rec
             g -= 1
-            group = instance.jobs[a.job_id - 1].groups[g]
+            group = groups[g]
             group_completions[(a.job_id, g)] = end
             if g == 0:
                 del alive[a.job_id]
             else:  # snap the depletion to the group's boundary
-                rec[:] = [AliveJob(a.job_id, a.weight, a.count - group.count), g, group.size]
+                rec[:4] = [AliveJob(a.job_id, a.weight, a.count - group.count), g,
+                           group.size, groups[g - 1].size]
         t = end
         admit(t)
 

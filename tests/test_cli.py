@@ -803,6 +803,9 @@ FLOAT_RANGE_FILES = {
                 "jobs": [{"weight": 1.5, "sizes": [1, {"size": 2, "count": 2}]},
                          {"weight": 1, "release": 2 ** 64, "sizes": [0.5]}],
                 "speedup": 2},
+    # job 2's rate, its share 1e-320 times the water level 1e-13, is 0.0
+    "rate": {"classes": [{"sigma": 1e-13, "count": 1}],
+             "jobs": [{"weight": 1, "sizes": [1]}, {"weight": 1e-320, "sizes": [1]}]},
     # each count fits a float, their sum does not
     "groups": {"classes": [{"sigma": 1, "count": 1}],
                "jobs": [{"weight": 1, "sizes": [{"size": 2, "count": 10 ** 308},
@@ -819,6 +822,7 @@ FLOAT_RANGE_FILES = {
 @example(case=("solution", "x_1_1_0 abc\n"), exact=False)
 @example(case=("instance", json.dumps(FLOAT_RANGE_FILES["speedup"])), exact=False)
 @example(case=("instance", json.dumps(FLOAT_RANGE_FILES["release"])), exact=False)
+@example(case=("instance", json.dumps(FLOAT_RANGE_FILES["rate"])), exact=False)
 @example(case=("instance", json.dumps(FLOAT_RANGE_FILES["groups"])), exact=False)
 @example(case=("instance", json.dumps(FLOAT_RANGE_FILES["jobs"])), exact=False)
 def test_every_input_file_ends_in_a_documented_exit(case, exact):
@@ -900,12 +904,14 @@ def test_deep_subnormal_quotas_need_exact(tmp_path, capsys):
 @pytest.mark.parametrize("name, words", [
     ("speedup", "time stops at t=0.0 in float arithmetic"),
     ("release", "time stops at t=1.8446744073709552e+19 in float arithmetic"),
+    ("rate", "job 2's rate is 0.0 at t=0.0 in float arithmetic"),
     ("groups", "total task count is too large for a float"),
     ("jobs", "total task count is too large for a float"),
 ])
 def test_float_runs_past_the_float_range_need_exact(tmp_path, capsys, name, words):
     # each float run once died with a traceback and exit 1: an AssertionError
-    # where time stopped, or an OverflowError in rates on a task count sum
+    # where time stopped, a ZeroDivisionError on a rate of 0.0, or an
+    # OverflowError in rates on a task count sum
     path = tmp_path / "instance.json"
     path.write_text(json.dumps(FLOAT_RANGE_FILES[name]))
     assert run_cli("simulate", str(path), "--realize") == 3

@@ -388,6 +388,11 @@ EDGES = {
                          {1: [(0, 1, 0.5)], 2: [(0, 1, 0.5), (1, 2, math.nan)]}),
     # a NaN beta behind a finite one
     "nan-beta-behind": ([0.1, 0.1], [0.5, math.nan], {}),
+    # a NaN, an infinite and a negative alpha behind a finite one, in every
+    # interval: each alpha row is scanned one by one
+    "nan-alpha-behind": ([0.1, math.nan], [1.0, 1.0], {}),
+    "inf-alpha-behind": ([0.1, math.inf], [1.0, 1.0], {}),
+    "negative-alpha-behind": ([0.1, -0.01], [1.0, 1.0], {}),
     # alpha equal in floats to its least right side, (0.5 + 0) * (2/3) / 2,
     # in the first interval: job 1's span sets the minimum slack 0, and job
     # 2's span ties it on its pieces of delta 0 and clears it on the other

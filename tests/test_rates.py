@@ -1,5 +1,6 @@
 """Water-filling rate assignment: worked cases, oracle agreement, invariants."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -183,6 +184,17 @@ def test_job_lookups_match_a_scan_and_reject_absent_jobs():
     empty = assign_rates([], alive_instance([(1.0, 1)]))
     with pytest.raises(RateError):
         empty.rate_of(1)
+
+
+@pytest.mark.parametrize("weight, count", [
+    (0.0, 1), (-1.0, 1), (math.nan, 1), (math.inf, 1), (1.0, 0), (1.0, -1)])
+def test_assign_rates_refuses_a_bad_weight_or_count(weight, count):
+    # building the job raises nothing, an empty alive set included, whose
+    # share is never divided; assign_rates refuses the job and names it
+    bad = AliveJob(7, weight, count)
+    assert bad.share() is None
+    with pytest.raises(RateError, match="^job 7: "):
+        assign_rates([AliveJob(1, 1.0, 1), bad], make_instance([(2.0, 2)], []))
 
 
 def test_assign_rates_reads_each_run_end_once(monkeypatch):
