@@ -319,13 +319,9 @@ def json_number(x):
     t = type(x)
     if t is float or t is int:  # skips the slow ABC check
         return x
-    if t is Rational:  # every exact value; its slots, without the ABC check
+    if t is Rational or isinstance(x, Fraction):  # Rational skips the ABC check
         if x._denominator == 1:
             return x._numerator
         return {"num": x._numerator, "den": x._denominator}
-    if isinstance(x, Fraction):
-        if x.denominator == 1:
-            return x.numerator
-        return {"num": x.numerator, "den": x.denominator}
     return x
 
