@@ -161,7 +161,10 @@ def classify_blocks(trace, instance: Instance) -> BlockClassification:
     Requires the capacity growth conditions (the taxonomy is meaningless
     without them). Diagnostic records cover long-block shape, the cheap
     budget, short-block structure and charging, the 1/90 alive-weight split
-    and the simple-block job-weight comparison.
+    and the simple-block job-weight comparison. Each interval takes one pass
+    per interval over its blocks, each labeled, its members' JobViews built
+    and its own checks run in turn; the cheap budget and the alive-weight
+    split follow the pass.
     """
     require_own_trace(trace, instance)
     if not validate_ica(instance).ok:
@@ -187,82 +190,72 @@ def classify_blocks(trace, instance: Instance) -> BlockClassification:
 
     for t_idx, iv in enumerate(trace.intervals):
         alive_weight = iv.alive_weight()
-        views = tuple(
-            _classify_block(b, instance, block_windows, alive_weight, k)
-            for b in iv.profile.blocks
-        )
-        jobs = {}
-        for v in views:
-            for mb in v.block.members:
+        views, jobs = [], {}
+        cheap, anchored = [], []  # block weights, summed after the pass
+        left = 0  # weight since the previous short block, or the first block
+        for b in iv.profile.blocks:
+            v = _classify_block(b, instance, block_windows, alive_weight, k)
+            views.append(v)
+            label = v.label
+            for mb in b.members:
                 simple = window_classes(mb.rate, job_windows)
-                jobs[mb.job_id] = JobView(v, simple, nearest_class(simple, mb.rate, log_centres))
-        intervals.append(IntervalBlocks(blocks=views, jobs=jobs))
+                jobs[mb.job_id] = JobView(v, simple,
+                                          nearest_class(simple, mb.rate, log_centres))
 
-        # long-block shape facts: |B| <= m_blend_l and s(B) close to the
-        # class capacity; for the last class only the speed lower bound
-        # applies (there is no faster boundary to cap the block)
-        for v in views:
-            b = v.block
-            for li in v.long_classes:
-                cls = instance.classes[li - 1]
-                cap = gamma * cls.capacity()
-                long_shape.require_leq(cap / 2, b.speed, (t_idx, b.index, li, "speed-lo"))
-                if li < k:
-                    long_shape.require_leq(
-                        b.speed, 4 * cap, (t_idx, b.index, li, "speed-hi")
-                    )
-                    long_shape.require_leq(
-                        b.task_count(), bounds[li - 1].m_blend, (t_idx, b.index, li, "size")
-                    )
-                else:
-                    long_wrt_last += 1
-
-        cheap_views = [v for v in views if v.label == "cheap"]
-        cheap_budget.require_leq(len(cheap_views), k, (t_idx, "count"))
-        cheap_budget.require_leq(
-            sum(v.block.weight for v in cheap_views),
-            alive_weight / CHEAP_FRACTION,
-            (t_idx, "weight"),
-        )
-
-        acc = None  # weight since the previous short block; None until a block
-        for v in views:
-            if v.label == "short":
+            if label == "short":
                 present = [li for li in range(1, k + 1) if v.class_machine_counts[li - 1]]
                 short_two.require(
                     len(present) == 2 and present[1] == present[0] + 1,
-                    (t_idx, v.block.index, tuple(present)),
+                    (t_idx, b.index, tuple(present)),
                 )
-                left = acc if acc is not None else 0
                 short_charge.require(
-                    left > 0, (t_idx, v.block.index, "left-weight"), lhs=0.0, rhs=float(left)
+                    left > 0, (t_idx, b.index, "left-weight"), lhs=0.0, rhs=to_float(left)
                 )
                 short_charge.require_leq(
-                    v.block.weight, SHORT_CHARGE * left, (t_idx, v.block.index, "charge")
+                    b.weight, SHORT_CHARGE * left, (t_idx, b.index, "charge")
                 )
-                acc = 0
+                left = 0
             else:
-                acc = (acc or 0) + v.block.weight
+                left = left + b.weight
 
-        anchored = sum(v.block.weight for v in views if v.label in ("simple", "long"))
-        alive_split.require_leq(alive_weight, ALIVE_SPLIT * anchored, (t_idx,))
-
-        # weight of a simple block vs its simple member jobs
-        for v in views:
-            if v.label != "simple":
-                continue
-            b = v.block
-            simple_weight = sum(mb.share * mb.count for mb in b.members
-                                if v.label_class in jobs[mb.job_id].simple)
-            simple_jobs.require_leq(
-                b.weight, SIMPLE_BLOCK_RATIO * simple_weight, (t_idx, b.index)
-            )
-            if simple_weight > 0:
-                worst_simple_ratio = max(
-                    worst_simple_ratio, to_float(b.weight / simple_weight)
+            if label == "cheap":
+                cheap.append(b.weight)
+            elif label == "long":
+                anchored.append(b.weight)
+                # shape facts: |B| <= m_blend_l and s(B) close to the class
+                # capacity; for the last class only the speed lower bound
+                # applies (there is no faster boundary to cap the block)
+                for li in v.long_classes:
+                    cap = gamma * instance.classes[li - 1].capacity()
+                    long_shape.require_leq(cap / 2, b.speed, (t_idx, b.index, li, "speed-lo"))
+                    if li < k:
+                        long_shape.require_leq(
+                            b.speed, 4 * cap, (t_idx, b.index, li, "speed-hi")
+                        )
+                        long_shape.require_leq(
+                            b.task_count(), bounds[li - 1].m_blend, (t_idx, b.index, li, "size")
+                        )
+                    else:
+                        long_wrt_last += 1
+            elif label == "simple":
+                anchored.append(b.weight)
+                # a simple block's weight vs that of its simple member jobs
+                simple_weight = sum(mb.share * mb.count for mb in b.members
+                                    if v.label_class in jobs[mb.job_id].simple)
+                simple_jobs.require_leq(
+                    b.weight, SIMPLE_BLOCK_RATIO * simple_weight, (t_idx, b.index)
                 )
-            else:
-                worst_simple_ratio = math.inf
+                if simple_weight > 0:
+                    worst_simple_ratio = max(
+                        worst_simple_ratio, to_float(b.weight / simple_weight)
+                    )
+                else:
+                    worst_simple_ratio = math.inf
+        intervals.append(IntervalBlocks(blocks=tuple(views), jobs=jobs))
+
+        cheap_budget.require_leq(len(cheap), k, (t_idx, "count"))
+        cheap_budget.require_leq(sum(cheap), alive_weight / CHEAP_FRACTION, (t_idx, "weight"))
+        alive_split.require_leq(alive_weight, ALIVE_SPLIT * sum(anchored), (t_idx,))
 
     return BlockClassification(
         intervals=intervals,

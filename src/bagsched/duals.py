@@ -43,7 +43,7 @@ from dataclasses import dataclass
 from .blocks import classify_blocks
 from .dualcheck import DualPoint, check_dual
 from .instances import Instance, thresholds, validate_ica
-from .numutil import coerce
+from .numutil import coerce, to_float
 from .report import AnalysisError, CheckList, DualCertificate, require_own_trace
 
 @dataclass(frozen=True)
@@ -143,7 +143,7 @@ def _certify(family, threshold, trace, point, lemmas, flags):
     return DualCertificate(
         family=family,
         gamma=trace.instance.speedup,
-        gamma_required=float(threshold),
+        gamma_required=to_float(threshold),
         alpha_total=alpha_total,
         beta_total=beta_total,
         checks=checks,
@@ -363,8 +363,8 @@ def _single_job_point(trace, instance: Instance):
         epoch_strict.require(
             break_times[li] < reach_times[li - 1] < break_times[li - 1],
             (li,),
-            lhs=float(break_times[li]),
-            rhs=float(break_times[li - 1]),
+            lhs=to_float(break_times[li]),
+            rhs=to_float(break_times[li - 1]),
         )
 
     point = DualPoint(alpha=alpha, beta=[betas] * len(alpha), delta={job.job_id: dspans})
@@ -375,8 +375,8 @@ def _single_job_point(trace, instance: Instance):
             "reach": [int(x) for x in bands.reach],
             "band": [int(x) for x in bands.band],
             "tail": [int(x) for x in bands.tail],
-            "break_times": [float(x) for x in break_times],
-            "reach_times": [float(x) for x in reach_times],
+            "break_times": [to_float(x) for x in break_times],
+            "reach_times": [to_float(x) for x in reach_times],
         },
     }
     return point, lemmas, flags
@@ -404,11 +404,8 @@ def build_single_job_duals(trace, instance: Instance) -> DualCertificate:
 # ---------------------------------------------------------------------------
 
 def _log_scale(k: int, exact: bool):
-    """max(log2 K, 1), kept rational when it is integral."""
-    val = max(math.log2(k), 1.0)
-    if exact and val == int(val):
-        return coerce(int(val), True)
-    return val
+    """max(log2 K, 1): the float, or its exact value in exact mode."""
+    return coerce(max(math.log2(k), 1.0), exact)
 
 
 def _running_max_spans(visits, coef):

@@ -25,29 +25,31 @@ the instance: gamma is 1 for the emitted LP and instance.speedup for an
 embedding.
 
 Errors: every x, U and C key is checked in the one loop that reads it.
-x's loop checks each entry's slot (an int >= 0), task (an int the table
-lists) and machine (an int in 1..m) at the entry itself, so the first bad
-key in x's order is the one reported; U's and C's job ids must be ints of
-the instance. check_lp_solution returns every violated row, then every
-broken bound: x, U, then C. check_primal raises at its first violation in
-one order: x keys, U keys, C keys; rows; bounds, x then U then C, as
-"x_i_v_t is negative", "U_j_t is negative", "U_j_t exceeds 1" or "C_j is
-negative"; each job's Riemann sum; the objective sandwich; then the stored
-cost and objective. The LP text holds floats, so emit_lp, check_lp_solution
-and solution_objective refuse a value that does not fit one.
+_read, the one reader of x and U, checks each x entry's slot (an int >=
+0), task (an int the table lists) and machine (an int in 1..m) at the
+entry itself, so the first bad key in x's order is the one reported; U's
+and C's job ids must be ints of the instance. check_lp_solution returns
+every violated row, then every broken bound: x, U, then C. check_primal
+raises at its first violation in one order: x keys, U keys, C keys;
+rows; bounds, x then U then C, as "x_i_v_t is negative", "U_j_t is
+negative", "U_j_t exceeds 1" or "C_j is negative"; each job's Riemann
+sum; the objective sandwich; then the stored cost and objective. The LP
+text holds floats, so emit_lp, check_lp_solution and solution_objective
+refuse a value that does not fit one.
 
 Cost: schedule_to_primal never reads back the x and U it writes. It keeps
 the ledger of its check (_Ledger) as it writes them: x summed by task and
 slot, by machine and slot, and by task as machine time, each in x's order
-as _read_x sums it, and U's per-job columns, sums and weighted sum. Entries
+as _read sums it, and U's per-job columns, sums and weighted sum. Entries
 that only one segment writes are summed as written, one machine sum per
 piece shared by its tasks; the entries of a slot that several segments
-write are summed after pass B, in x's order. check_primal on its own makes
-one pass over x and one over U for the same ledger. Past that, U and the
-rem rows take a constant amount of work per cell of the task-by-slot grid,
-and the cap rows per cell of the machine-by-slot grid. Machine speeds are
-looked up per machine by class, so a class of 10^9 machines is never
-expanded, and with no task of positive size no machine is visited at all.
+write are summed after pass B, in x's order. check_primal on its own and
+check_lp_solution build the same ledger through _read, in one pass over
+x and one over U. Past that, U and the rem rows take a constant amount of
+work per cell of the task-by-slot grid, and the cap rows per cell of the
+machine-by-slot grid. Machine speeds are looked up per machine by class,
+so a class of 10^9 machines is never expanded, and with no task of
+positive size no machine is visited at all.
 
 The "LP lower bound" reported elsewhere is (feasible dual value)/2, since
 the objective double-counts completion time.
@@ -268,11 +270,12 @@ def check_lp_solution(instance: Instance, values: dict, horizon: int) -> list:
     slot), then C >= 0 (job). Values named after no variable of the emitted
     LP are ignored. Uses the same original speeds and float coefficients as
     emit_lp, and refuses the LPs that emit_lp refuses as too large, and a
-    size or speed that does not fit a float.
+    size, speed or weight that does not fit a float.
     """
     _check_lp_size(instance, horizon)
     table = [(v, j, _float(p, f"task {v}: size")) for v, j, p in task_table(instance)]
-    jobs = [job.job_id for job in instance.jobs]
+    weights = {job.job_id: _float(job.weight, f"job {job.job_id}: weight")
+               for job in instance.jobs}
     machines = range(1, instance.machine_count() + 1) if table else ()
     for k, c in enumerate(instance.classes if table else (), 1):
         _float(c.speed, f"class {k}: speed")
@@ -282,42 +285,44 @@ def check_lp_solution(instance: Instance, values: dict, horizon: int) -> list:
 
     x = pick((f"x_{i}_{v}_{t}", (i, v, t)) for i in machines
              for v, _, _ in table for t in range(horizon))
-    U = pick((f"U_{j}_{t}", (j, t)) for j in jobs for t in range(horizon))
-    C = pick((f"C_{j}", j) for j in jobs)
-    led = _read_x(x, {v for v, _, _ in table}, instance, 1.0, 0.0)
-    _cover(led, table, U, horizon, 0.0)
-    led.u_out = [(j, t, u) for (j, t), u in U.items() if not 0.0 <= u <= 1.0]
+    U = pick((f"U_{j}_{t}", (j, t)) for j in weights for t in range(horizon))
+    C = pick((f"C_{j}", j) for j in weights)
+    led = _read(x, U, instance, table, weights, 1.0, 0.0, horizon)
     return list(_violated_rows(table, led, C, 1.0, SOLVER_REL))
 
 
 @dataclass
 class _Ledger:
     """What the LP's rows and bounds need of x and U. schedule_to_primal
-    keeps it as it writes them; check_primal's _read and check_lp_solution
-    build it by reading them once, through _read_x and _cover. Every slot
-    list runs from the top slot down to 0."""
+    keeps it as it writes them; check_primal and check_lp_solution build it
+    by reading them once, through _read. Every slot list runs from the top
+    slot down to 0."""
 
     grid: dict      # each table task -> {slot: amount over all machines}
     load: dict      # machine -> {slot: amount over all tasks}
     spent: dict     # each table task -> machine time, amount / rate summed
     rate: dict      # machine -> its rate, gamma * sigma_i
     negative: list  # (machine, task, slot, amount) of x's negative amounts
-    fracs: list = None   # each table task's _remaining
-    cols: dict = None    # each table job -> its U, a missing one being 0
-    u_out: list = None   # (job, slot, U) of U outside [0, 1], in U's order
-    u_sum: dict = None   # each job -> its U summed in U's order
-    u_cost: object = None  # sum w_j U_{j,t}, in U's order
+    fracs: list     # each table task's _remaining
+    cols: dict      # each table job -> its U, a missing one being 0
+    u_out: list     # (job, slot, U) of U outside [0, 1], in U's order
+    u_sum: dict     # each job -> its U summed in U's order
+    u_cost: object  # sum w_j U_{j,t}, in U's order
 
 
-def _read_x(x, tasks, instance, gamma, zero) -> _Ledger:
-    """Read x once, checking each key at its own entry and raising LpError
-    at the first bad one: its slot must be an int >= 0, its task an int in
-    `tasks`, its machine an int in 1..m of the instance, whose rate
-    gamma * sigma_i is looked up once per distinct id. The same loop notes
-    each negative amount and sums the amounts by task and slot, by machine
-    and slot, and by task as machine time, each in x's order from the typed
-    zero. The ledger's U half is left to the caller."""
-    grid = {v: {} for v in tasks}
+def _read(x, U, instance, table, weights, gamma, zero, horizon) -> _Ledger:
+    """The ledger of the point (x, U), from one pass over x and one over U,
+    each checking every key at its own entry and raising LpError at the
+    first bad one. An x key's slot must be an int >= 0, its task an int of
+    the table, its machine an int in 1..m of the instance, whose rate
+    gamma * sigma_i is looked up once per distinct id; the pass notes each
+    negative amount and sums the amounts by task and slot, by machine and
+    slot, and by task as machine time, from the typed zero. A U key must
+    be an int slot >= 0 and an int job of `weights`; the pass notes each
+    value outside [0, 1] and sums each job's U, and w_j U. All sums are in
+    x's and U's orders. The slot lists cover the horizon, or up to the
+    highest slot that x or U names if that is higher."""
+    grid = {v: {} for v, _, _ in table}
     load = {}
     spent = dict.fromkeys(grid, zero)
     rate, negative = {}, []
@@ -341,23 +346,12 @@ def _read_x(x, tasks, instance, gamma, zero) -> _Ledger:
         row[t] = row[t] + amt if t in row else zero + amt
         mine[t] = mine[t] + amt if t in mine else zero + amt
         spent[v] += amt / r
-    return _Ledger(grid, load, spent, rate, negative)
-
-
-def _read(primal, instance, table, weights, zero) -> _Ledger:
-    """check_primal's own ledger of a primal: _read_x's one pass over x,
-    then one pass over U that checks each key (an int slot >= 0, an int
-    job of the instance), notes each value outside [0, 1] and sums each
-    job's U, and w_j U, in U's order; then _cover up to the highest slot
-    that x or U names."""
-    led = _read_x(primal.x, {v for v, _, _ in table}, instance,
-                  instance.speedup, zero)
     one = zero + 1
-    last = max((max(row) for row in led.load.values()), default=-1)
+    last = max(horizon - 1, max(map(max, load.values()), default=-1))
     u_sum = dict.fromkeys(weights, 0)
     u_cost = zero
     u_out = []
-    for (j, s), u in primal.U.items():
+    for (j, s), u in U.items():
         if type(s) is not int or s < 0 or type(j) is not int or j not in weights:
             raise LpError(f"U_{j}_{s} names no LP variable")
         if s > last:
@@ -366,18 +360,11 @@ def _read(primal, instance, table, weights, zero) -> _Ledger:
             u_out.append((j, s, u))
         u_sum[j] += u
         u_cost = u_cost + weights[j] * u
-    led.u_out, led.u_sum, led.u_cost = u_out, u_sum, u_cost
-    _cover(led, table, primal.U, last + 1, zero)
-    return led
-
-
-def _cover(led, table, U, horizon, zero):
-    """Set the ledger's fracs and U columns over slots horizon - 1 down to
-    0, from its task-by-slot sums and U's values."""
-    slots = range(horizon - 1, -1, -1)
-    led.fracs = [_remaining(led.grid[v], p, zero, horizon) for v, _, p in table]
-    led.cols = {j: list(map(U.get, zip(repeat(j), slots), repeat(zero)))
-                for j in dict.fromkeys(j for _, j, _ in table)}
+    slots = range(last, -1, -1)
+    fracs = [_remaining(grid[v], p, zero, last + 1) for v, _, p in table]
+    cols = {j: list(map(U.get, zip(repeat(j), slots), repeat(zero)))
+            for j in dict.fromkeys(j for _, j, _ in table)}
+    return _Ledger(grid, load, spent, rate, negative, fracs, cols, u_out, u_sum, u_cost)
 
 
 def _violated_rows(table, led, C, slot, rel):
@@ -689,7 +676,7 @@ def schedule_to_primal(source, instance: Instance, slot=None) -> PrimalSolution:
                 s += 1
         high = seg_high
 
-    for i, v, t in opened:  # _read_x's sums, on the opened keys
+    for i, v, t in opened:  # _read's x sums, on the opened keys
         amt = x[i, v, t]
         row, mine = grid[v], load[i]
         row[t] = row[t] + amt if t in row else zero + amt
@@ -754,7 +741,8 @@ def check_primal(primal: PrimalSolution, instance: Instance, *, _sums=None) -> N
     table = task_table(instance)
     weights = {j.job_id: j.weight for j in instance.jobs}
     zero = primal.slot - primal.slot
-    led = _read(primal, instance, table, weights, zero) if _sums is None else _sums
+    led = _sums or _read(primal.x, primal.U, instance, table, weights,
+                         instance.speedup, zero, 0)
     for j in primal.C:
         if type(j) is not int or j not in weights:
             raise LpError(f"C_{j} names no LP variable")

@@ -111,7 +111,7 @@ class CheckRecord:
         """Record a plain boolean condition (slack bookkeeping skipped)."""
         self.checked += 1
         if not cond:
-            self._fail(witness, float(lhs), float(rhs))
+            self._fail(witness, to_float(lhs), to_float(rhs))
         return bool(cond)
 
     def _fail(self, witness, lhs: float, rhs: float):
@@ -161,7 +161,7 @@ def require_own_trace(trace, instance):
 def _plain(x):
     if isinstance(x, (int, str, bool)) or x is None:
         return x
-    return float(x)
+    return to_float(x)
 
 
 @dataclass

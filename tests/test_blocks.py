@@ -13,7 +13,9 @@ from bagsched import (
     with_speedup,
 )
 from bagsched.blocks import class_windows, nearest_class, window_classes
-from bagsched.instances import thresholds
+from bagsched.instances import make_instance, make_job, thresholds
+from bagsched.rates import Block, BlockMember, RateProfile
+from bagsched.sim import Interval, Trace
 
 
 def simple_job_classes(rate, gamma, classes):
@@ -124,3 +126,27 @@ def test_classification_invariants_on_random_traces():
                 float(b.block.weight) for b in iv_cls.blocks
                 if b.label in ("simple", "long"))
             assert float(iv.alive_weight()) <= 90 * simple_long + 1e-9
+
+
+def test_a_simple_block_without_simple_jobs_fails_its_job_weight_check():
+    # a block whose average rate is gamma * sigma_2 is simple with respect
+    # to class 2, yet job 1's one task runs at 100 * gamma * sigma_2 and
+    # job 2's 99 tasks at gamma * sigma_2 / 100, outside the job window
+    # [1/64, 64] of class 2: the block's simple weight is 0
+    gamma = 2.0
+    inst = make_instance([(64.0, 1), (1.0, 128)],
+                         [make_job(1, 100.0, [1.0]), make_job(2, 0.99, [(1.0, 99)])],
+                         speedup=gamma)
+    members = (BlockMember(1, 100.0, 1, 100.0, 100.0 * gamma),
+               BlockMember(2, 0.99, 99, 0.01, 0.01 * gamma))
+    block = Block(index=0, tau=gamma, lo=0, hi=100, speed=100.99 * gamma, members=members)
+    profile = RateProfile(gamma=gamma, blocks=(block,))
+    trace = Trace(inst, [Interval(0.0, 1.0, profile)], {})
+    cls = classify_blocks(trace, inst)
+    (view,) = cls.intervals[0].blocks
+    assert (view.label, view.label_class) == ("simple", 2)
+    assert [cls.intervals[0].jobs[j].simple for j in (1, 2)] == [(1,), ()]
+    assert cls.flags["worst_simple_block_ratio"] == math.inf
+    (check,) = [r for r in cls.checks if r.name == "simple-block-job-weight"]
+    assert (check.checked, check.violation_count) == (1, 1)
+    assert check.violations[0].witness == (0, 0)

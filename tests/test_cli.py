@@ -366,8 +366,9 @@ def test_lp_values_past_the_float_range_are_a_precondition(tmp_path, capsys):
     assert captured.out == ""
     assert captured.err == ("precondition: job 1: weight does not fit a float, "
                             "and the LP text holds floats\n")
-    with pytest.raises(LpError, match="^job 1: weight does not fit a float"):
-        solution_objective(instance_from_dict(data, exact=True), {}, 2)
+    for read in (solution_objective, check_lp_solution):
+        with pytest.raises(LpError, match="^job 1: weight does not fit a float"):
+            read(instance_from_dict(data, exact=True), {}, 2)
     # a size of 10^-400 rounds to 0.0, and its inverse is past the range
     data["jobs"] = [{"weight": 1, "sizes": [{"num": 1, "den": 10 ** 400}]}]
     path.write_text(json.dumps(data))
@@ -612,18 +613,40 @@ def test_counts_past_the_float_range_need_exact(tmp_path, capsys, classes, sizes
     assert run_cli("simulate", str(path), "--exact") == 0
 
 
+@pytest.mark.parametrize("k", ["2", "3"])
 def test_general_family_takes_a_weight_past_the_float_range_in_exact_mode(
-        tmp_path, capsys):
+        tmp_path, capsys, k):
     # the worst simple-block ratio once converted a weight of 10^400/3 to a
-    # float before dividing, and verify died with an OverflowError traceback
-    path = gen_instance(tmp_path, "random", "--k", "2", "--jobs", "3",
+    # float before dividing, and verify died with an OverflowError traceback;
+    # at K = 3, log2 K was a float, so the certificate held floats and
+    # multiplying that weight by one died with an OverflowError too
+    path = gen_instance(tmp_path, "random", "--k", k, "--jobs", "3",
                         "--max-tasks", "2", "--seed", "1")
     data = json.loads(path.read_text())
     data["jobs"][0]["weight"] = {"num": 10 ** 400, "den": 3}
     path.write_text(json.dumps(data))
     capsys.readouterr()
-    assert run_cli("verify", str(path), "--family", "general", "--exact") == 0
+    out = tmp_path / "cert.json"
+    assert run_cli("verify", str(path), "--family", "general", "--exact",
+                   "--out", str(out)) == 0
     assert "feasible=True" in capsys.readouterr().out
+    cert = json.loads(out.read_text())
+    assert [type(cert[total]) for total in ("alpha_total", "beta_total")] == [dict, dict]
+
+
+def test_single_family_takes_sizes_past_the_float_range_in_exact_mode(capsys, tmp_path):
+    # the band flags' break and reach times, and the epoch-strict-order
+    # sides, were converted by a bare float(), and verify died with an
+    # OverflowError traceback on sizes of 10^400
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps({
+        "classes": [{"sigma": 64, "count": 1}, {"sigma": 1, "count": 128}],
+        "jobs": [{"weight": 1, "sizes": [{"size": 64 * 10 ** 400, "count": 1},
+                                         {"size": 10 ** 400, "count": 128}]}],
+        "speedup": 4}))
+    assert run_cli("verify", str(path), "--family", "single", "--exact") == 0
+    out = capsys.readouterr().out
+    assert "certified_ratio=16.0" in out and "feasible=True" in out
 
 
 BOOLEAN_NUMBERS = {

@@ -330,7 +330,7 @@ def test_general_spread_weights_reach_cheap_blocks():
         digest.update(json.dumps(_hexed(cert.to_dict()), sort_keys=True).encode() + b"\n")
     assert cheap > 0
     assert digest.hexdigest() == (
-        "26a0745e9221a514cf3ca964e1a628f0105e7f6cc0d632003c655ada967cd606")
+        "2e51d947b7d1b20842071be35e25e510161a8448085adbd2860f7e6d0650cc6d")
 
 
 def test_general_rejects_release_dates():

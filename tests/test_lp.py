@@ -989,8 +989,8 @@ def test_the_embedding_keeps_the_ledger_that_a_read_gives(case):
     (primal, ledger), = kept
     assert ledger is not None
     weights = {j.job_id: j.weight for j in inst.jobs}
-    fresh = bagsched.lp._read(primal, inst, task_table(inst), weights,
-                              primal.slot - primal.slot)
+    fresh = bagsched.lp._read(primal.x, primal.U, inst, task_table(inst), weights,
+                              inst.speedup, primal.slot - primal.slot, 0)
     assert repr(_by_key(vars(ledger))) == repr(_by_key(vars(fresh)))
     assert first_error(check_primal, primal, inst) == error
 
@@ -1291,7 +1291,8 @@ def test_cap_rows_are_decided_as_leq_decides(slot):
     loads = sorted({load for x in (slot, edge, math.inf) for load in [x] + [
         math.nextafter(x, math.copysign(math.inf, steps)) for steps in (-1, 1)]})
     led = bagsched.lp._Ledger(grid={}, load={1: dict(enumerate(loads))}, spent={},
-                               rate={1: 1.0}, negative=[], fracs=[], cols={}, u_out=[])
+                               rate={1: 1.0}, negative=[], fracs=[], cols={}, u_out=[],
+                               u_sum={}, u_cost=0.0)
     rows = [name for name, _, _ in bagsched.lp._violated_rows([], led, {}, slot, REL_TOL)]
     assert rows == [f"cap_1_{t}" for t, load in enumerate(loads)
                     if not leq(load, slot, REL_TOL)]

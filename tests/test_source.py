@@ -274,10 +274,9 @@ def test_every_fitting_constant_is_read():
 
 def test_the_embedding_never_reads_its_own_primal_back():
     # schedule_to_primal keeps the ledger of its check as it writes x and U,
-    # and hands it to check_primal; a read of _read_x or _read, or a pass
-    # over x or U (a loop, .items(), or x or U handed to a call that may
-    # iterate it; len is the one call allowed), would read back what it has
-    # just written
+    # and hands it to check_primal; a call of _read, or a pass over x or U
+    # (a loop, .items(), or x or U handed to a call that may iterate it; len
+    # is the one call allowed), would read back what it has just written
     (fn,) = [node for node in _package_trees()["lp.py"].body
              if isinstance(node, ast.FunctionDef) and node.name == "schedule_to_primal"]
 
@@ -297,7 +296,7 @@ def test_the_embedding_never_reads_its_own_primal_back():
             found.append(f"{node.lineno}: unpacks a dict of x or U")
         elif isinstance(node, ast.Call):
             name = node.func.id if isinstance(node.func, ast.Name) else None
-            if name in ("_read_x", "_read"):
+            if name == "_read":
                 found.append(f"{node.lineno}: calls {name}")
             elif name != "len":
                 found += [f"{arg.lineno}: passes {arg.id} to a call"
@@ -350,5 +349,26 @@ def test_exact_numbers_are_built_in_numutil():
         for name, tree in _package_trees().items() if name != "numutil.py"
         for node in ast.walk(tree)
         if isinstance(node, ast.Call) and names_fraction(node.func)
+    ]
+    assert found == []
+
+
+def test_certificates_convert_exact_values_with_to_float():
+    # a bare float() of an exact value past the float range raises
+    # OverflowError: the band flags of a single-job certificate on sizes of
+    # 10^400, and a failed check's sides, once killed verify --exact with
+    # a traceback. The certificate modules convert with numutil.to_float,
+    # which reads such a value as +-inf; blocks._log alone calls float(),
+    # as it catches the OverflowError itself
+    trees = _package_trees()
+    (log,) = [node for node in trees["blocks.py"].body
+              if isinstance(node, ast.FunctionDef) and node.name == "_log"]
+    allowed = {id(node) for node in ast.walk(log)}
+    found = [
+        f"{name}:{node.lineno}"
+        for name in ("blocks.py", "dualcheck.py", "duals.py", "report.py")
+        for node in ast.walk(trees[name])
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+        and node.func.id == "float" and id(node) not in allowed
     ]
     assert found == []
