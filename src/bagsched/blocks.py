@@ -161,10 +161,10 @@ def classify_blocks(trace, instance: Instance) -> BlockClassification:
     Requires the capacity growth conditions (the taxonomy is meaningless
     without them). Diagnostic records cover long-block shape, the cheap
     budget, short-block structure and charging, the 1/90 alive-weight split
-    and the simple-block job-weight comparison. Each interval takes one pass
-    per interval over its blocks, each labeled, its members' JobViews built
-    and its own checks run in turn; the cheap budget and the alive-weight
-    split follow the pass.
+    and the simple-block job-weight comparison. It makes one pass per
+    interval over the interval's blocks: each block is labeled, its
+    members' JobViews are built and the block's own checks run; the
+    interval's cheap budget and alive-weight split follow the pass.
     """
     require_own_trace(trace, instance)
     if not validate_ica(instance).ok:
@@ -216,7 +216,7 @@ def classify_blocks(trace, instance: Instance) -> BlockClassification:
                 )
                 left = 0
             else:
-                left = left + b.weight
+                left += b.weight
 
             if label == "cheap":
                 cheap.append(b.weight)
