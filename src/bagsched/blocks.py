@@ -206,7 +206,7 @@ def classify_blocks(trace, instance: Instance) -> BlockClassification:
                 present = [li for li in range(1, k + 1) if v.class_machine_counts[li - 1]]
                 short_two.require(
                     len(present) == 2 and present[1] == present[0] + 1,
-                    (t_idx, b.index, tuple(present)),
+                    (t_idx, b.index, *present),
                 )
                 short_charge.require(
                     left > 0, (t_idx, b.index, "left-weight"), lhs=0.0, rhs=to_float(left)

@@ -38,6 +38,7 @@ a report.CheckList.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 
 from .blocks import classify_blocks
@@ -253,7 +254,15 @@ def rank_bands(instance: Instance) -> RankBands:
 
 
 def _single_job_point(trace, instance: Instance):
-    """The single-job family's point, lemma records and flags."""
+    """The single-job family's point, lemma records and flags.
+
+    The edges (M_1, M_1 + f_1, M_2, .., M_K) increase strictly by the facts
+    thresholds asserts. Gap g runs from edge g-1 to edge g and its width is
+    its slot count: odd gap 2l-1 is band l, even gap 2l band l's tail. An
+    alive count n_t lies in gap bisect_right(edges, n_t); an odd gap spreads
+    alpha at band l, an even gap concentrates it on band l, and a count in
+    no gap (below M_1, or at or past M_K) spreads it.
+    """
     gamma, sigmas, counts = _preamble(trace, instance, "single_job")
     if len(instance.jobs) != 1:
         raise AnalysisError(
@@ -269,7 +278,8 @@ def _single_job_point(trace, instance: Instance):
     half = one / 2
 
     bands = rank_bands(instance)
-    prefix, reach = bands.prefix, bands.reach
+    edges = tuple(sorted(bands.prefix[1:] + bands.reach))
+    widths = [hi - lo for lo, hi in zip(edges, edges[1:])]  # f_1, ftilde_1, f_2, ..
     n_total = job.task_count()
 
     lemmas = CheckList()
@@ -280,17 +290,11 @@ def _single_job_point(trace, instance: Instance):
     beta_half = lemmas.add("machine-credit-half", diagnostic=True)
     epoch_strict = lemmas.add("epoch-strict-order", diagnostic=True)
 
-    for li in range(k - 2):
-        band_order.require_leq(bands.band[li], bands.tail[li], (li + 1, "band-vs-tail"))
-        band_order.require_leq(bands.tail[li], bands.band[li + 1], (li + 1, "tail-vs-next"))
-    if k >= 2:
-        band_order.require_leq(bands.band[k - 2], bands.tail[k - 2], (k - 1, "band-vs-tail"))
+    for g, (a, b) in enumerate(zip(widths, widths[1:])):
+        band_order.require_leq(a, b, (g // 2 + 1, "tail-vs-next" if g % 2 else "band-vs-tail"))
 
-    # task-credit spans over 0-based positions; head positions reuse band 1
-    slots = [(0, prefix[1], bands.band[0])] if k >= 2 else []
-    for li in range(k - 1):
-        slots += [(prefix[li + 1], reach[li], bands.band[li]),
-                  (reach[li], prefix[li + 2], bands.tail[li])]
+    # one task-credit span per gap; the head positions [0, M_1) reuse band 1
+    slots = zip((0,) + edges, edges, widths[:1] + widths)
     dspans = [(lo, min(hi, n_total), one / (2 * k * f))
               for lo, hi, f in slots if lo < min(hi, n_total)]
 
@@ -300,8 +304,10 @@ def _single_job_point(trace, instance: Instance):
     alpha = []
     head_spread = False
     prev_n = None
-    break_times = [None] * k       # index l - 1: first time alive <= prefix[l]
-    reach_times = [None] * (k - 1)  # index l - 1: first time alive <= reach[l - 1]
+    # first time the alive count is <= each edge; the edges reached so far
+    # are always the suffix edges[reached:]
+    times = [trace.makespan] * len(edges)
+    reached = len(edges)
 
     for t, iv in enumerate(trace.intervals):
         ij = iv.jobs[0]
@@ -309,32 +315,16 @@ def _single_job_point(trace, instance: Instance):
         if prev_n is not None:
             n_monotone.require_leq(n_t, prev_n, (t,))
         prev_n = n_t
-        for li in range(k):
-            if break_times[li] is None and n_t <= prefix[li + 1]:
-                break_times[li] = iv.start
-        for li in range(k - 1):
-            if reach_times[li] is None and n_t <= reach[li]:
-                reach_times[li] = iv.start
+        while reached and n_t <= edges[reached - 1]:
+            reached -= 1
+            times[reached] = iv.start
 
-        # resolve the alpha case from the alive count
-        lstar = 0
-        concentrated = False
-        if n_t >= prefix[k] or n_t < prefix[1]:
-            head_spread = head_spread or n_t < prefix[1]
-        else:
-            for li in range(1, k):
-                if prefix[li] <= n_t < reach[li - 1]:
-                    lstar = li
-                    break
-                if reach[li - 1] <= n_t < prefix[li + 1]:
-                    lstar = li
-                    concentrated = True
-                    break
-            if not lstar:
-                raise AssertionError(f"alive count {n_t} escaped the rank bands")
-
+        g = bisect_right(edges, n_t)
+        head_spread = head_spread or not g
+        lstar = (g + 1) // 2 if 0 < g < len(edges) else 0
+        concentrated = bool(lstar) and g % 2 == 0
         if concentrated:
-            alpha.append([((prefix[lstar], reach[lstar - 1], one / bands.band[lstar - 1]),)])
+            alpha.append([((edges[g - 2], edges[g - 1], one / widths[g - 2]),)])
         else:
             alpha.append([((0, n_t, one / n_t),)])
 
@@ -354,9 +344,7 @@ def _single_job_point(trace, instance: Instance):
                         one / n_t, (rate / sigmas[li]) * (betas[li] + dband), witness
                     )
 
-    makespan = trace.makespan
-    break_times = [makespan if bt is None else bt for bt in break_times]
-    reach_times = [makespan if rt is None else rt for rt in reach_times]
+    break_times, reach_times = times[0::2], times[1::2]
     for li in range(1, k - 1):
         # strictly interleaved breakpoints fail when whole size groups
         # finish together, hence diagnostic

@@ -433,31 +433,27 @@ def validate_ica(instance: Instance) -> IcaReport:
 
     Boundary l (between class l and l+1) requires
       sigma_l / sigma_{l+1} >= SPEED_BASE, and
-      m_{l+1} sigma_{l+1} >= 2 * sum_{l' <= l} m_{l'} sigma_{l'}.
+      m_{l+1} sigma_{l+1} >= 2 * S(M_l),
+    with S(M_l) = sum_{l' <= l} m_{l'} sigma_{l'} read off
+    class_prefix_capacities.
     """
-    boundaries = []
-    ok = True
-    cum = None
-    for li, c in enumerate(instance.classes):
-        if cum is None:
-            cum = c.capacity()
-            continue
-        prev = instance.classes[li - 1]
-        ratio_ok = bool(leq(SPEED_BASE * c.speed, prev.speed))
-        cap_ok = bool(leq(2 * cum, c.capacity()))
-        boundaries.append(
-            IcaBoundary(index=li, speed_ratio_ok=ratio_ok, capacity_ok=cap_ok)
-        )
-        ok = ok and ratio_ok and cap_ok
-        cum = cum + c.capacity()
-    return IcaReport(ok=ok, boundaries=tuple(boundaries))
+    classes, caps = instance.classes, instance.class_prefix_capacities
+    boundaries = tuple(
+        IcaBoundary(index=li,
+                    speed_ratio_ok=bool(leq(SPEED_BASE * c.speed, classes[li - 1].speed)),
+                    capacity_ok=bool(leq(2 * caps[li], c.capacity())))
+        for li, c in enumerate(classes[1:], start=1)
+    )
+    ok = all(b.speed_ratio_ok and b.capacity_ok for b in boundaries)
+    return IcaReport(ok=ok, boundaries=boundaries)
 
 
 def thresholds(instance: Instance):
     """Machine-count thresholds per class boundary, used by certificates.
 
-    For l = 1..K-1, m_blend_l = (sum_{i<=l} m_i sigma_i) / sigma_{l+1}.
-    Requires the capacity conditions; with m_prefix_l = sum_{i<=l} m_i
+    For l = 1..K-1, m_blend_l = S(M_l) / sigma_{l+1}, with S(M_l) =
+    sum_{i<=l} m_i sigma_i read off class_prefix_capacities. Requires the
+    capacity conditions; with m_prefix_l = sum_{i<=l} m_i
     (class_prefix_counts) and m_reach_l = m_prefix_l + m_blend_l, checks
     the derived facts
       2*m_blend_l <= m_{l+1},  m_reach_l >= 2*m_prefix_l,
@@ -467,11 +463,10 @@ def thresholds(instance: Instance):
     if not report.ok:
         raise InstanceError("thresholds require the capacity growth conditions")
     out = []
-    cum_cap = instance.classes[0].capacity()
     for li in range(len(instance.classes) - 1):
         cur = instance.classes[li]
         nxt = instance.classes[li + 1]
-        m_blend = cum_cap / nxt.speed
+        m_blend = instance.class_prefix_capacities[li + 1] / nxt.speed
         m_prefix = instance.class_prefix_counts[li + 1]
         m_reach = m_prefix + m_blend
         if not leq(2 * m_blend, nxt.count):
@@ -483,5 +478,4 @@ def thresholds(instance: Instance):
         if not leq(2 * cur.count, m_blend):
             raise AssertionError(f"boundary {li + 1}: m_blend {m_blend} < 2*{cur.count}")
         out.append(ClassThresholds(index=li + 1, m_blend=m_blend))
-        cum_cap = cum_cap + nxt.capacity()
     return out

@@ -38,18 +38,18 @@ text holds floats, so emit_lp, check_lp_solution and solution_objective
 refuse a value that does not fit one.
 
 Cost: schedule_to_primal never reads back the x and U it writes. It keeps
-the ledger of its check (_Ledger) as it writes them: x summed by task and
-slot, by machine and slot, and by task as machine time, each in x's order
-as _read sums it, and U's per-job columns, sums and weighted sum. Entries
-that only one segment writes are summed as written, one machine sum per
-piece shared by its tasks; the entries of a slot that several segments
-write are summed after pass B, in x's order. check_primal on its own and
-check_lp_solution build the same ledger through _read, in one pass over
-x and one over U. Past that, U and the rem rows take a constant amount of
-work per cell of the task-by-slot grid, and the cap rows per cell of the
-machine-by-slot grid. Machine speeds are looked up per machine by class,
-so a class of 10^9 machines is never expanded, and with no task of
-positive size no machine is visited at all.
+the ledger of its check (_Ledger) as it writes them: x summed by machine
+and slot and by task as machine time, and each task's remaining share by
+slot, in x's order as _read sums it, and U's per-job columns, sums and
+weighted sum. Entries that only one segment writes are summed as written,
+one machine sum per piece shared by its tasks; the entries of a slot that
+several segments write are summed after pass B, in x's order. check_primal
+on its own and check_lp_solution build the same ledger through _read, in
+one pass over x and one over U. Past that, U and the rem rows take a
+constant amount of work per cell of the task-by-slot grid, and the cap
+rows per cell of the machine-by-slot grid. Machine speeds are looked up
+per machine by class, so a class of 10^9 machines is never expanded, and
+with no task of positive size no machine is visited at all.
 
 The "LP lower bound" reported elsewhere is (feasible dual value)/2, since
 the objective double-counts completion time.
@@ -298,7 +298,6 @@ class _Ledger:
     by reading them once, through _read. Every slot list runs from the top
     slot down to 0."""
 
-    grid: dict      # each table task -> {slot: amount over all machines}
     load: dict      # machine -> {slot: amount over all tasks}
     spent: dict     # each table task -> machine time, amount / rate summed
     rate: dict      # machine -> its rate, gamma * sigma_i
@@ -364,7 +363,7 @@ def _read(x, U, instance, table, weights, gamma, zero, horizon) -> _Ledger:
     fracs = [_remaining(grid[v], p, zero, last + 1) for v, _, p in table]
     cols = {j: list(map(U.get, zip(repeat(j), slots), repeat(zero)))
             for j in dict.fromkeys(j for _, j, _ in table)}
-    return _Ledger(grid, load, spent, rate, negative, fracs, cols, u_out, u_sum, u_cost)
+    return _Ledger(load, spent, rate, negative, fracs, cols, u_out, u_sum, u_cost)
 
 
 def _violated_rows(table, led, C, slot, rel):
@@ -712,7 +711,7 @@ def schedule_to_primal(source, instance: Instance, slot=None) -> PrimalSolution:
         cost=cost, objective=objective,
     )
     # amounts are positive, so x has no negative amount to note
-    ledger = _Ledger(grid, load, spent, rate, [], fracs, cols, u_out, u_sum, u_cost)
+    ledger = _Ledger(load, spent, rate, [], fracs, cols, u_out, u_sum, u_cost)
     check_primal(primal, instance, _sums=ledger)
     return primal
 

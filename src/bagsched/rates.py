@@ -73,10 +73,6 @@ class AliveJob:
         share = w / n if n >= 1 and w > 0 and w - w == 0 else None
         object.__setattr__(self, "_share", share)
 
-    def share(self):
-        """weight / count, or None for a job that assign_rates refuses."""
-        return self._share
-
 
 @dataclass(slots=True)
 class BlockMember:

@@ -1,5 +1,6 @@
 """Block taxonomy: rate windows, labels, per-interval structural claims."""
 
+import json
 import math
 import random
 
@@ -150,3 +151,21 @@ def test_a_simple_block_without_simple_jobs_fails_its_job_weight_check():
     (check,) = [r for r in cls.checks if r.name == "simple-block-job-weight"]
     assert (check.checked, check.violation_count) == (1, 1)
     assert check.violations[0].witness == (0, 0)
+
+
+def test_a_run_with_more_alive_tasks_than_machines():
+    # gen_random_ica tops up its last class to host every task at once, so
+    # no random run has tasks waiting for a machine. Here 570 tasks share
+    # 129 machines: at t=0 job 2's block is short on the slow class alone,
+    # and its short-block-two-classes violation has a flat witness, as
+    # report's JSON output needs
+    inst = make_instance([(64.0, 1), (1.0, 128)],
+                         [make_job(1, 10.0, [(5.0, 70)]), make_job(2, 1.0, [(1.0, 500)])])
+    trace = simulate(inst)
+    cls = classify_blocks(trace, inst)
+    assert [[(v.label, v.class_machine_counts) for v in iv.blocks]
+            for iv in cls.intervals] == [[("simple", (1, 69)), ("short", (0, 59))],
+                                         [("long", (1, 128))]]
+    assert {r.name: [v.witness for v in r.violations] for r in cls.checks if not r.ok} == {
+        "short-block-two-classes": [(0, 1, 2)]}
+    json.loads(json.dumps([r.to_dict() for r in cls.checks]))

@@ -229,6 +229,55 @@ def test_verify_exit_codes(tmp_path, capsys):
 
 
 
+@pytest.mark.parametrize("gamma", ["1", "2048"])
+def test_general_family_writes_a_short_block_violation(tmp_path, capsys, gamma):
+    # 570 alive tasks on 129 machines: at t=0 job 1's 70 tasks hold the
+    # fast machine and 69 slow ones, and job 2's block is short on the 59
+    # slow machines left, one class only. The short-block-two-classes
+    # witness once nested that class list, and --out died with a TypeError
+    # and exit 1
+    path = tmp_path / "instance.json"
+    path.write_text(json.dumps({
+        "classes": [{"sigma": 64, "count": 1}, {"sigma": 1, "count": 128}],
+        "jobs": [{"weight": 10, "sizes": [{"size": 5, "count": 70}]},
+                 {"weight": 1, "sizes": [{"size": 1, "count": 500}]}],
+    }))
+    out = tmp_path / "cert.json"
+    assert run_cli("verify", str(path), "--family", "general", "--gamma", gamma,
+                   "--out", str(out)) == 0
+    capsys.readouterr()
+    cert = json.loads(out.read_text())
+    assert cert["feasible"]
+    (record,) = [c for c in cert["checks"] if c["name"] == "short-block-two-classes"]
+    assert record["violations"] == 1
+    assert record["violation_sample"][0]["witness"] == [0, 1, 2]
+
+
+def test_a_trace_without_an_embedded_instance_is_a_precondition(tmp_path, capsys):
+    path = gen_instance(tmp_path, "lower", "--k", "2")
+    trace = tmp_path / "trace.jsonl"
+    assert run_cli("simulate", str(path), "--out", str(trace)) == 0
+    lines = trace.read_text().splitlines()
+    meta = json.loads(lines[0])
+    del meta["instance"]
+    trace.write_text("\n".join([json.dumps(meta)] + lines[1:]) + "\n")
+    capsys.readouterr()
+    assert run_cli("verify", str(trace), "--family", "weaker") == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"precondition: {trace}: trace lacks an embedded instance record\n")
+
+
+def test_emit_lp_refuses_a_horizon_below_one(tmp_path, capsys):
+    path = gen_instance(tmp_path, "lower", "--k", "2")
+    capsys.readouterr()
+    assert run_cli("emit-lp", str(path), "--horizon", "0") == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "precondition: horizon must be >= 1, got 0\n"
+
+
 def test_general_family_needs_the_capacity_conditions(tmp_path, capsys):
     # 100 slow machines fall short of the capacity growth 2*64 needs of
     # the one fast machine

@@ -367,6 +367,16 @@ def test_check_primal_checks_every_bound():
         check_primal(dataclasses.replace(bad, U=primal.U), inst)
 
 
+@pytest.mark.parametrize("machine", [0, 3])
+def test_check_primal_names_a_machine_outside_the_instance(machine):
+    # machines are 1..m: an x entry at machine 0 or m + 1 is refused by name
+    inst = make_instance([(2, 1), (1, 1)], [make_job(1, 1.0, [3.0, 2.0])])
+    primal = schedule_to_primal(simulate(inst), inst)
+    bad = dataclasses.replace(primal, x={**primal.x, (machine, 1, 0): 0.0})
+    with pytest.raises(LpError, match=rf"^x names machine {machine}: no machine {machine}$"):
+        check_primal(bad, inst)
+
+
 def test_check_primal_reads_the_speedup_of_its_instance():
     # the speedup once came from a copy stored on the primal, so an
     # embedding at speedup 2 passed against the instance at speedup 0.5,
@@ -1290,9 +1300,9 @@ def test_cap_rows_are_decided_as_leq_decides(slot):
     edge = slot + REL_TOL * max(slot, 1.0)
     loads = sorted({load for x in (slot, edge, math.inf) for load in [x] + [
         math.nextafter(x, math.copysign(math.inf, steps)) for steps in (-1, 1)]})
-    led = bagsched.lp._Ledger(grid={}, load={1: dict(enumerate(loads))}, spent={},
-                               rate={1: 1.0}, negative=[], fracs=[], cols={}, u_out=[],
-                               u_sum={}, u_cost=0.0)
+    led = bagsched.lp._Ledger(load={1: dict(enumerate(loads))}, spent={}, rate={1: 1.0},
+                               negative=[], fracs=[], cols={}, u_out=[], u_sum={},
+                               u_cost=0.0)
     rows = [name for name, _, _ in bagsched.lp._violated_rows([], led, {}, slot, REL_TOL)]
     assert rows == [f"cap_1_{t}" for t, load in enumerate(loads)
                     if not leq(load, slot, REL_TOL)]

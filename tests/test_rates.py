@@ -192,7 +192,7 @@ def test_assign_rates_refuses_a_bad_weight_or_count(weight, count):
     # building the job raises nothing, an empty alive set included, whose
     # share is never divided; assign_rates refuses the job and names it
     bad = AliveJob(7, weight, count)
-    assert bad.share() is None
+    assert bad._share is None
     with pytest.raises(RateError, match="^job 7: "):
         assign_rates([AliveJob(1, 1.0, 1), bad], make_instance([(2.0, 2)], []))
 
@@ -218,13 +218,13 @@ def first_assign_rates(alive, instance):
     later run end for the least water level, the rightmost one on ties
     (tie_leq: within TIE_REL of the larger level, at every scale)."""
     gamma = instance.speedup
-    entries = sorted(alive, key=lambda a: (a.share(), -a.job_id), reverse=True)
+    entries = sorted(alive, key=lambda a: (a._share, -a.job_id), reverse=True)
     runs = []  # [share, members, task count, share * task count]
     for a in entries:
-        if runs and runs[-1][0] == a.share():
+        if runs and runs[-1][0] == a._share:
             runs[-1][1].append(a)
         else:
-            runs.append([a.share(), [a]])
+            runs.append([a._share, [a]])
     for run in runs:
         count = sum(a.count for a in run[1])
         run += [count, run[0] * count]

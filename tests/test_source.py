@@ -142,8 +142,10 @@ def test_public_names_have_a_package_caller():
     # for them alone. A top-level name needs a use outside its own
     # definition: in another statement of its module, in another module, or
     # in the acceptance gate. An export from bagsched/__init__.py is not a
-    # use by itself, since any name can be exported. A method needs an
-    # attribute access somewhere in the package.
+    # use by itself, since any name can be exported. A method needs a call
+    # (x.m(...)) or a binding (f = x.m) in the package or the gate, and a
+    # property a read in the package: a read of another record's field of
+    # the same name is no use of a method.
     trees = _package_trees()
     statements = [
         (name, node, _names_used(node))
@@ -151,11 +153,27 @@ def test_public_names_have_a_package_caller():
         for node in tree.body
     ]
     gate = Path(__file__).with_name("test_acceptance.py")
-    acceptance = _names_used(ast.parse(gate.read_text(), filename=str(gate)))
+    gate_tree = ast.parse(gate.read_text(), filename=str(gate))
+    acceptance = _names_used(gate_tree)
     attributes = {
         sub.attr for tree in trees.values() for sub in ast.walk(tree)
         if isinstance(sub, ast.Attribute)
     }
+    called = set()
+    for tree in (*trees.values(), gate_tree):
+        for sub in ast.walk(tree):
+            target = sub.func if isinstance(sub, ast.Call) else (
+                sub.value if isinstance(sub, (ast.Assign, ast.AnnAssign)) else None)
+            if isinstance(target, ast.Attribute):
+                called.add(target.attr)
+
+    def used(item):
+        properties = {"property", "cached_property"}
+        if any(getattr(d, "id", getattr(d, "attr", None)) in properties
+               for d in item.decorator_list):
+            return item.name in attributes
+        return item.name in called
+
     found = []
     for name, node, _ in statements:
         if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
@@ -169,7 +187,7 @@ def test_public_names_have_a_package_caller():
                 f"{name}: {node.name}.{item.name}" for item in node.body
                 if isinstance(item, ast.FunctionDef)
                 and not item.name.startswith("_")
-                and item.name not in attributes
+                and not used(item)
             ]
     assert found == [], found
 
