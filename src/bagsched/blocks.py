@@ -25,7 +25,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .instances import Instance, thresholds, validate_ica
+from .instances import Instance, InstanceError, thresholds
 from .numutil import TIE_REL, leq, to_float
 from .rates import Block
 from .report import AnalysisError, CheckList, require_own_trace
@@ -167,11 +167,13 @@ def classify_blocks(trace, instance: Instance) -> BlockClassification:
     interval's cheap budget and alive-weight split follow the pass.
     """
     require_own_trace(trace, instance)
-    if not validate_ica(instance).ok:
-        raise AnalysisError("block classification requires the capacity growth conditions")
+    try:
+        bounds = thresholds(instance)  # boundaries 1..K-1
+    except InstanceError:
+        raise AnalysisError(
+            "block classification requires the capacity growth conditions") from None
     k = len(instance.classes)
     gamma = trace.instance.speedup
-    bounds = thresholds(instance)  # boundaries 1..K-1
     job_windows = class_windows(gamma, instance.classes, SIMPLE_JOB_WINDOW)
     block_windows = class_windows(gamma, instance.classes, SIMPLE_BLOCK_WINDOW)
     log_centres = [_log(gamma * c.speed) for c in instance.classes]

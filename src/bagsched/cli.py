@@ -11,7 +11,9 @@ Exit codes are a stable contract:
      a violated precondition (family preconditions, size caps), or a
      float run past the float range (rerun with --exact).
 All randomness flows from explicit --seed arguments. Relative output paths
-honor the BAGSCHED_OUT_DIR environment variable.
+honor the BAGSCHED_OUT_DIR environment variable. A command whose document
+(trace, certificate, LP) goes to stdout prints its report lines to stderr,
+so that stdout holds the document alone.
 """
 from __future__ import annotations
 
@@ -112,6 +114,7 @@ def cmd_simulate(args) -> int:
     if args.gamma is not None:
         instance = with_speedup(instance, args.gamma)
     trace = simulate(instance)
+    report = sys.stderr if args.out == "-" else sys.stdout
     if args.realize:
         for index, iv in enumerate(trace.intervals):
             # the per-task work the segments deliver to each job, against its
@@ -131,11 +134,12 @@ def cmd_simulate(args) -> int:
                           f"job {job} got work {got.get(job, 0)}, expected {quota}",
                           file=sys.stderr)
                     return EXIT_INFEASIBLE
-        print(f"realized {len(trace.intervals)} intervals")
+        print(f"realized {len(trace.intervals)} intervals", file=report)
     if args.out:
         with _output(args.out) as fh:
             write_trace(trace, fh)
-    print(f"objective={to_float(trace.objective)!r} makespan={to_float(trace.makespan)!r}")
+    print(f"objective={to_float(trace.objective)!r} makespan={to_float(trace.makespan)!r}",
+          file=report)
     return EXIT_OK
 
 
@@ -145,17 +149,18 @@ def cmd_verify(args) -> int:
         instance = with_speedup(instance, args.gamma)
     trace = simulate(instance)
     cert = FAMILIES[args.family](trace, instance)
+    report = sys.stderr if args.out == "-" else sys.stdout
 
     print(f"family={cert.family} gamma={to_float(cert.gamma)!r} "
-          f"required={cert.gamma_required!r} gamma_ok={cert.gamma_ok}")
+          f"required={cert.gamma_required!r} gamma_ok={cert.gamma_ok}", file=report)
     if not cert.gamma_ok:
         print("warning: speedup below the family's threshold; "
               "violations are expected", file=sys.stderr)
     print(f"alpha_total={to_float(cert.alpha_total)!r} "
           f"beta_total={to_float(cert.beta_total)!r} "
-          f"objective={to_float(cert.objective)!r}")
+          f"objective={to_float(cert.objective)!r}", file=report)
     for name, slack, witness in cert.min_slack_table():
-        print(f"  check {name}: min_slack={slack!r} at {witness}")
+        print(f"  check {name}: min_slack={slack!r} at {witness}", file=report)
     for v in cert.violations()[:10]:
         print(f"  violation {v.check} at {v.witness}: "
               f"lhs={v.lhs!r} rhs={v.rhs!r}", file=sys.stderr)
@@ -163,10 +168,10 @@ def cmd_verify(args) -> int:
     if total > 10:
         print(f"  ... {total} violations total", file=sys.stderr)
     try:
-        print(f"certified_ratio={to_float(certified_ratio(cert, trace))!r}")
+        print(f"certified_ratio={to_float(certified_ratio(cert, trace))!r}", file=report)
     except AnalysisError as exc:
         print(f"no certified ratio: {exc}", file=sys.stderr)
-    print(f"feasible={cert.feasible}")
+    print(f"feasible={cert.feasible}", file=report)
     if args.out:
         with _output(args.out) as fh:
             json.dump(cert.to_dict(), fh, indent=2)
@@ -188,7 +193,8 @@ def cmd_emit_lp(args) -> int:
             return EXIT_IO
         bad = check_lp_solution(instance, values, args.horizon)
         value = solution_objective(instance, values, args.horizon)
-        print(f"solution objective={value!r} violations={len(bad)}")
+        report = sys.stderr if args.out in (None, "-") else sys.stdout
+        print(f"solution objective={value!r} violations={len(bad)}", file=report)
         for name, lhs, rhs in bad[:10]:
             print(f"  {name}: lhs={lhs!r} rhs={rhs!r}", file=sys.stderr)
         if bad:
@@ -252,23 +258,21 @@ def _seed_list(text) -> list:
 
 
 def cmd_bench(args) -> int:
-    rows = []
-    if args.family in ("lower", "both"):
-        for k in range(args.k_min, args.k_max + 1):
+    rows = []  # by K, the lower-bound row first, then the seeds in numeric order
+    for k in range(args.k_min, args.k_max + 1):
+        if args.family in ("lower", "both"):
             instance = gen_lower_bound(k)
             rows.append(_bench_row(
                 instance, single_job_threshold(instance), build_single_job_duals,
                 k, instance.task_count(), "",
             ))
-    if args.family in ("random", "both"):
-        for k in range(args.k_min, args.k_max + 1):
-            for seed in args.seeds:
+        if args.family in ("random", "both"):
+            for seed in sorted(args.seeds):
                 instance = gen_random_ica(k, args.jobs, args.max_tasks, seed)
                 rows.append(_bench_row(
                     instance, weaker_threshold(instance), build_weaker_duals,
                     k, instance.task_count(), seed,
                 ))
-    rows.sort(key=lambda r: (r["K"], str(r["seed"])))
     with _output(args.out) as fh:
         writer = csv.DictWriter(
             fh, fieldnames=["K", "n", "seed", "gamma", "makespan", "objective",

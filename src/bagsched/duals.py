@@ -43,7 +43,7 @@ from dataclasses import dataclass
 
 from .blocks import classify_blocks
 from .dualcheck import DualPoint, check_dual
-from .instances import Instance, thresholds, validate_ica
+from .instances import Instance, InstanceError, thresholds
 from .numutil import coerce, to_float
 from .report import AnalysisError, CheckList, DualCertificate, require_own_trace
 
@@ -233,9 +233,10 @@ def rank_bands(instance: Instance) -> RankBands:
     Requires capacity validation and integral blended machine counts, since
     band cardinalities count whole tasks.
     """
-    if not validate_ica(instance).ok:
-        raise AnalysisError("rank bands require the capacity growth conditions")
-    bounds = thresholds(instance)
+    try:
+        bounds = thresholds(instance)
+    except InstanceError:
+        raise AnalysisError("rank bands require the capacity growth conditions") from None
     band = []
     for b in bounds:
         blend = b.m_blend

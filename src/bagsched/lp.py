@@ -33,9 +33,12 @@ every violated row, then every broken bound: x, U, then C. check_primal
 raises at its first violation in one order: x keys, U keys, C keys;
 rows; bounds, x then U then C, as "x_i_v_t is negative", "U_j_t is
 negative", "U_j_t exceeds 1" or "C_j is negative"; each job's Riemann
-sum; the objective sandwich; then the stored cost and objective. The LP
-text holds floats, so emit_lp, check_lp_solution and solution_objective
-refuse a value that does not fit one.
+sum; the objective sandwich; then the stored cost and objective.
+schedule_to_primal checks a slice list in time order, as pass A reads
+each segment, so of faults in several segments the earliest in time is
+the one reported. The LP text holds floats, so emit_lp,
+check_lp_solution and solution_objective refuse a value that does not
+fit one.
 
 Cost: schedule_to_primal never reads back the x and U it writes. It keeps
 the ledger of its check (_Ledger) as it writes them: x summed by machine
@@ -463,11 +466,11 @@ def schedule_to_primal(source, instance: Instance, slot=None) -> PrimalSolution:
     `source` is a Trace of `instance` (each interval gets realized; a
     trace of another instance raises report.AnalysisError) or a list of
     ScheduleSlices covering [0, makespan); either ran at instance.speedup.
-    Each segment of a slice list is checked once, as it is flattened, and
-    LpError names the first bad one: it must start at time 0 or later, and
-    each pool must hold >= 1 task at a rate >= 0, on no machines or on
-    machines in 1..m, and its members >= 1 task each of a job of the
-    instance that no other pool of the segment holds.
+    A slice list is checked in time order, as pass A reads each segment,
+    and LpError names the first fault read: a segment must start at time 0
+    or later, and each pool must hold >= 1 task at a rate >= 0, on no
+    machines or on machines in 1..m, and its members >= 1 task each of a
+    job of the instance that no other pool of the segment holds.
     x spreads each rate pool uniformly over its machine span; U is the
     minimal feasible remaining fraction; the slot defaults to half the
     smallest per-job gap between completion time and the area under its U
@@ -499,50 +502,42 @@ def schedule_to_primal(source, instance: Instance, slot=None) -> PrimalSolution:
     weights = {j.job_id: j.weight for j in instance.jobs}
     zero = instance.speedup - instance.speedup  # typed zero
 
-    # flatten to segments in time order, checking each once
+    # pass A, in time order: check each segment where it is read, and take
+    # the completion times, per-job work curves (time, W) and, per segment,
+    # the pools that put work on machines with the task ids they serve
     m = instance.machine_count()
-    segments = []
-    for sl in slices:
-        for seg in sl.segments:
-            if not seg.end > seg.start:
-                continue
-            if not seg.start >= 0:
-                raise LpError(f"segment starts at {seg.start}, before time 0")
-            placed = set()
-            for pl in seg.placements:
-                lo, hi = pl.machine_lo, pl.machine_hi
-                if not (pl.count >= 1 and pl.per_task_rate >= 0):
-                    raise LpError(f"pool of count {pl.count} at rate {pl.per_task_rate}"
-                                  ": needs count >= 1 and rate >= 0")
-                if lo <= hi and not (1 <= lo and hi <= m):
-                    raise LpError(f"pool on machines {lo}..{hi}, not 1..{m}")
-                for job_id, cnt in pl.members:
-                    if not (job_id in weights and cnt >= 1):
-                        raise LpError(f"pool member ({job_id}, {cnt}) is not >= 1 task"
-                                      " of a job of the instance")
-                    if job_id in placed:
-                        raise LpError(f"job {job_id} split across pools in one segment")
-                    placed.add(job_id)
-            segments.append(seg)
-    segments.sort(key=lambda s: s.start)
-
-    # pass A: completion times, per-job work curves, and alive snapshots
     remaining = {v: p for v, _, p in table}
     # roundoff slack so a task whose quota exactly spans a segment still
     # completes inside it
     done_slack = {v: scaled_tol(p, REL_TOL) for v, _, p in table}
     # a job with no task left to run completes at its release, as in simulate
     completion = {j.job_id: j.release for j in instance.jobs}
-    work_curve = {j.job_id: [(zero, zero)] for j in instance.jobs}  # (time, W)
-    cum_work = {j.job_id: zero for j in instance.jobs}
-    seg_alive = {}  # (segment index, job_id) -> task ids served
-    for si, seg in enumerate(segments):
+    work_curve = {j.job_id: [(zero, zero)] for j in instance.jobs}
+    plan = []  # (segment, [(pool, task ids)]) for each segment, in time order
+    for seg in sorted((seg for sl in slices for seg in sl.segments if seg.end > seg.start),
+                      key=lambda s: s.start):
+        if not seg.start >= 0:
+            raise LpError(f"segment starts at {seg.start}, before time 0")
         length = seg.end - seg.start
+        placed, pools = set(), []
         for pl in seg.placements:
-            rate = pl.per_task_rate
-            if rate == 0:
-                continue
+            lo, hi, rate = pl.machine_lo, pl.machine_hi, pl.per_task_rate
+            if not (pl.count >= 1 and rate >= 0):
+                raise LpError(f"pool of count {pl.count} at rate {rate}"
+                              ": needs count >= 1 and rate >= 0")
+            if lo <= hi and not (1 <= lo and hi <= m):
+                raise LpError(f"pool on machines {lo}..{hi}, not 1..{m}")
+            got = rate * length
+            tasks = []
             for job_id, cnt in pl.members:
+                if not (job_id in weights and cnt >= 1):
+                    raise LpError(f"pool member ({job_id}, {cnt}) is not >= 1 task"
+                                  " of a job of the instance")
+                if job_id in placed:
+                    raise LpError(f"job {job_id} split across pools in one segment")
+                placed.add(job_id)
+                if rate == 0:  # a pool at rate 0 runs nothing
+                    continue
                 alive = [
                     v for v, _ in job_tasks.get(job_id, ()) if remaining[v] > 0
                 ]
@@ -551,8 +546,7 @@ def schedule_to_primal(source, instance: Instance, slot=None) -> PrimalSolution:
                         f"pool of job {job_id} covers {cnt} tasks, "
                         f"{len(alive)} alive"
                     )
-                seg_alive[(si, job_id)] = alive
-                got = rate * length
+                tasks += alive
                 for v in alive:
                     if got >= remaining[v] - done_slack[v]:
                         t_done = seg.start + min(remaining[v] / rate, length)
@@ -563,9 +557,11 @@ def schedule_to_primal(source, instance: Instance, slot=None) -> PrimalSolution:
                         remaining[v] = remaining[v] - got
                 curve = work_curve[job_id]
                 if curve[-1][0] < seg.start:  # idle gap: keep W flat
-                    curve.append((seg.start, cum_work[job_id]))
-                cum_work[job_id] = cum_work[job_id] + got
-                curve.append((seg.end, cum_work[job_id]))
+                    curve.append((seg.start, curve[-1][1]))
+                curve.append((seg.end, curve[-1][1] + got))
+            if rate != 0 and lo <= hi:
+                pools.append((pl, tasks))
+        plan.append((seg, pools))
     for v, slack in done_slack.items():
         if not remaining[v] <= slack:
             raise LpError(f"task {v} not finished by the given schedule")
@@ -612,13 +608,10 @@ def schedule_to_primal(source, instance: Instance, slot=None) -> PrimalSolution:
     opened = []  # opened keys, in x's order
     x = {}
     high = -1  # highest slot that an earlier segment wrote
-    for si, seg in enumerate(segments):
+    for si, (seg, pools) in enumerate(plan):
         seg_high = high
-        below = int(segments[si + 1].start / slot) if si + 1 < len(segments) else inf
-        for pl in seg.placements:
-            if pl.per_task_rate == 0 or pl.machine_lo > pl.machine_hi:
-                continue
-            tasks = [v for job_id, _ in pl.members for v in seg_alive[(si, job_id)]]
+        below = int(plan[si + 1][0].start / slot) if si + 1 < len(plan) else inf
+        for pl, tasks in pools:
             machines = range(pl.machine_lo, pl.machine_hi + 1)
             for i in machines:
                 if i not in speeds:
@@ -813,11 +806,7 @@ def brute_force_opt(instance: Instance, grid: int = 2):
     if instance.has_releases():
         raise LpError("brute force handles release time 0 only")
 
-    speeds = sorted(
-        (coerce(int(sp) if float(sp).is_integer() else float(sp), True)
-         for sp in instance.machine_speeds(m)),
-        reverse=True,
-    )
+    speeds = [coerce(sp, True) for sp in instance.machine_speeds(m)]  # fastest first
     quantum = coerce(1, True) / grid
     zero = coerce(0, True)
     weights = {j.job_id: float(j.weight) for j in instance.jobs}

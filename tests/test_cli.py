@@ -19,6 +19,7 @@ from bagsched.cli import main
 from bagsched.instances import instance_from_dict, instance_to_dict
 from bagsched.lp import LpError, check_lp_solution, solution_objective
 from bagsched.numutil import EVENT_REL
+from bagsched.report import AnalysisError
 from bagsched.sim import simulate, write_trace
 
 
@@ -468,13 +469,52 @@ def test_emit_lp_and_solution_flow(tmp_path, capsys):
     capsys.readouterr()
     assert run_cli("emit-lp", str(inst), "--horizon", "2",
                    "--solution", str(good)) == 0
-    out = capsys.readouterr().out
-    assert "objective" in out
+    assert "objective" in capsys.readouterr().err  # the LP is on stdout
 
     bad = tmp_path / "bad.sol"
     bad.write_text("x_1_1_0 0.25\nC_1 0.25\nU_1_0 1\n")
     assert run_cli("emit-lp", str(inst), "--horizon", "2",
                    "--solution", str(bad)) == 1
+
+
+def test_emit_lp_reports_beside_the_lp_on_stdout(tmp_path, capsys):
+    # the LP on stdout once ended with its solution's report line; with the
+    # LP in a file, the report stays on stdout
+    inst = gen_instance(tmp_path, "lower", "--k", "1")
+    sol = tmp_path / "s.sol"
+    sol.write_text("x_1_1_0 1\nC_1 1\nU_1_0 1\n")
+    for out in ([], ["--out", "-"]):
+        assert run_cli("emit-lp", str(inst), "--horizon", "1", "--solution", str(sol),
+                       *out) == 0
+        captured = capsys.readouterr()
+        assert captured.out.endswith("End\n")
+        assert captured.err == "solution objective=2.0 violations=0\n"
+    assert run_cli("emit-lp", str(inst), "--horizon", "1", "--solution", str(sol),
+                   "--out", str(tmp_path / "m.lp")) == 0
+    assert capsys.readouterr() == ("solution objective=2.0 violations=0\n", "")
+
+
+@pytest.mark.parametrize("realize", [[], ["--realize"]])
+def test_simulate_reports_beside_a_trace_on_stdout(tmp_path, capsys, realize):
+    # the trace on stdout once had "realized ..." and "objective=..." lines
+    # around it
+    inst = gen_instance(tmp_path, "lower", "--k", "2")
+    assert run_cli("simulate", str(inst), "--gamma", "4", *realize, "--out", "-") == 0
+    captured = capsys.readouterr()
+    records = [json.loads(line) for line in captured.out.splitlines()]
+    assert records[0]["type"] == "meta"
+    assert "objective=" in captured.err
+    assert ("realized " in captured.err) == bool(realize)
+
+
+def test_verify_reports_beside_a_certificate_on_stdout(tmp_path, capsys):
+    # the report once came before the certificate JSON on stdout
+    inst = gen_instance(tmp_path, "lower", "--k", "2")
+    assert run_cli("verify", str(inst), "--family", "single", "--gamma", "4",
+                   "--out", "-") == 0
+    captured = capsys.readouterr()
+    assert json.loads(captured.out)["feasible"] is True
+    assert "feasible=True" in captured.err and "certified_ratio=" in captured.err
 
 
 @pytest.mark.parametrize("value", ["abc", "nan", "inf", "-Infinity", "1e400"])
@@ -506,6 +546,29 @@ def test_bench_csv_contract(tmp_path, capsys):
     assert lines[0] == "K,n,seed,gamma,makespan,objective,lp_lb,dual_lb,ratio"
     # 2 lower-bound rows (K=1,2) + 2 K-values * 2 seeds random rows
     assert len(lines) == 1 + 2 + 4
+
+
+def test_bench_rows_run_by_k_then_seed(tmp_path):
+    # rows were sorted on the seed's text, so seed 10 came before seed 2
+    out = tmp_path / "b.csv"
+    assert run_cli("bench", "--k-min", "1", "--k-max", "2", "--seeds", "10,2",
+                   "--jobs", "2", "--max-tasks", "2", "--out", str(out)) == 0
+    rows = [line.split(",")[:3] for line in out.read_text().splitlines()[1:]]
+    assert [(k, seed) for k, _, seed in rows] == [
+        ("1", ""), ("1", "2"), ("1", "10"), ("2", ""), ("2", "2"), ("2", "10")]
+
+
+def test_bench_leaves_the_bounds_empty_without_a_certified_ratio(tmp_path, monkeypatch):
+    def refused(trace, instance):
+        raise AnalysisError("refused")
+
+    monkeypatch.setattr(cli, "build_weaker_duals", refused)
+    out = tmp_path / "b.csv"
+    assert run_cli("bench", "--family", "random", "--k-min", "1", "--k-max", "1",
+                   "--seeds", "0", "--jobs", "2", "--max-tasks", "2",
+                   "--out", str(out)) == 0
+    (row,) = out.read_text().splitlines()[1:]
+    assert row.startswith("1,") and row.endswith(",,,")
 
 
 def test_bench_empty_seeds_header_only(tmp_path):
@@ -922,10 +985,15 @@ def test_every_input_file_ends_in_a_documented_exit(case, exact):
                 code = main(argv + ["--exact"] * exact)
             allowed = (0, 1, 2, 3) if kind == "solution" else (0, 2, 3)
             assert code in allowed, err.getvalue()
-            refusal = {0: "", 1: "  ", 2: "error: ", 3: "precondition: "}[code]
+            # with the LP on stdout, emit-lp's report line goes to stderr,
+            # before the violated rows
+            refusal = {0: "", 1: "solution objective=", 2: "error: ",
+                       3: "precondition: "}[code]
             if kind == "solution" and code == 2:
                 refusal = "solution parse error: bad solution line: "
             assert err.getvalue().startswith(refusal), err.getvalue()
+            if code == 1:
+                assert err.getvalue().splitlines()[1].startswith("  "), err.getvalue()
             assert "Error" not in err.getvalue() and "Traceback" not in err.getvalue()
 
 

@@ -4,6 +4,7 @@ import hashlib
 import json
 import math
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -26,6 +27,7 @@ from bagsched import (
     rank_bands,
     schedule_to_primal,
     simulate,
+    validate_ica,
     with_speedup,
 )
 from bagsched.duals import general_threshold, halving_spans
@@ -200,6 +202,40 @@ def test_single_job_rejections():
     trace = simulate(with_speedup(loose, 4.0))
     with pytest.raises(AnalysisError):
         build_single_job_duals(trace, with_speedup(loose, 4.0))
+
+
+def test_each_certificate_validates_the_profile_once():
+    # rank_bands and classify_blocks once called validate_ica and then
+    # thresholds, which validates the profile again. The calls are counted
+    # on the function's code, whatever name a module imported it under
+    calls = []
+
+    def note(frame, event, _):
+        if event == "call":
+            calls.append(frame.f_code)
+
+    for build, gamma in ((build_single_job_duals, single_gamma(3)),
+                         (build_general_duals, general_gamma(3))):
+        trace, sped = run(gen_lower_bound(3), gamma)
+        calls.clear()
+        sys.setprofile(note)
+        try:
+            build(trace, sped)
+        finally:
+            sys.setprofile(None)
+        assert calls.count(validate_ica.__code__) == 1
+
+
+def test_a_profile_without_the_growth_conditions_is_refused():
+    loose = with_speedup(make_instance([(64, 1), (1, 100)], [make_job(1, 1, [(64, 1)])]),
+                         general_gamma(2))
+    trace = simulate(loose)
+    with pytest.raises(AnalysisError) as err:
+        rank_bands(loose)
+    assert str(err.value) == "rank bands require the capacity growth conditions"
+    with pytest.raises(AnalysisError) as err:
+        classify_blocks(trace, loose)
+    assert str(err.value) == "block classification requires the capacity growth conditions"
 
 
 def test_rank_bands_need_integral_blend():

@@ -1070,6 +1070,14 @@ def test_solution_roundtrip_slot_one():
         primal.objective, rel=1e-9)
 
 
+def test_solution_export_needs_unit_slots():
+    inst = make_instance([(1, 1)], [make_job(1, 1.0, [4]), make_job(2, 2.0, [3])])
+    primal = schedule_to_primal(simulate(inst), inst, slot=0.5)
+    with pytest.raises(LpError) as err:
+        primal_to_solution_values(primal)
+    assert str(err.value) == "solution export needs unit slots, got 0.5"
+
+
 def wspt_slices(order, speed=1.0):
     """Sequential single-machine schedule as hand-built slices."""
     slices = []
@@ -1103,7 +1111,7 @@ MALFORMED = {  # kind -> (change to the first segment, LpError message)
 
 @pytest.mark.parametrize("kind", MALFORMED)
 def test_a_malformed_slice_list_is_refused(kind):
-    # each segment of a hand-built slice list is checked as it is flattened;
+    # each segment of a hand-built slice list is checked as it is read;
     # a machine past m once died with IndexError, and an empty pool with
     # ZeroDivisionError, and a member naming no job of the instance with
     # KeyError. The slices run two jobs on machine 1 of 2.
@@ -1123,6 +1131,18 @@ def test_a_malformed_slice_list_is_refused(kind):
         schedule_to_primal([dataclasses.replace(first, segments=[seg])] + rest, inst)
     assert str(err.value) == message
 
+
+
+def test_a_slice_list_is_checked_in_time_order():
+    # two bad segments given out of time order: [3, 7) at a negative rate
+    # comes first in the list, [0, 3) with a member of no job second. The
+    # embedding reads segments in time order, so it names the earlier fault
+    inst, (first, second) = _two_job_slices({"members": ((3, 1),)})
+    (pl,) = second.segments[0].placements
+    seg = second.segments[0]._replace(placements=(pl._replace(per_task_rate=-1.0),))
+    with pytest.raises(LpError) as err:
+        schedule_to_primal([dataclasses.replace(second, segments=[seg]), first], inst)
+    assert str(err.value) == "pool member (3, 1) is not >= 1 task of a job of the instance"
 
 
 def _two_job_slices(change=None):
@@ -1211,6 +1231,16 @@ def test_brute_force_examples():
     assert brute_force_opt(sym, grid=1) == pytest.approx(1.0)
 
     assert brute_force_opt(gen_lower_bound(1), grid=1) == pytest.approx(1.0)
+
+
+def test_brute_force_reads_exact_speeds_exactly():
+    # a machine of speed 1/3 runs a task of size 1 in exactly three time
+    # units; read through a float, three quanta left about 5e-17 of work,
+    # and grids 1 and 2 gave 4.0 and 3.5
+    inst = make_instance([(Fraction(1, 3), 1)], [make_job(1, 1, [1], exact=True)],
+                         exact=True)
+    assert brute_force_opt(inst, grid=1) == 3.0
+    assert brute_force_opt(inst, grid=2) == 3.0
 
 
 def test_brute_force_caps():

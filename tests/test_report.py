@@ -4,6 +4,7 @@ import json
 import math
 from fractions import Fraction
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -56,6 +57,14 @@ def test_certificate_serialization():
     assert names == {"alpha", "extra"}
     table = cert.min_slack_table()
     assert any(row[0] == "alpha" for row in table)
+
+
+def test_a_certificate_has_no_record_of_an_unknown_name():
+    cert = DualCertificate(family="weaker", gamma=4.0, gamma_required=2.0,
+                           alpha_total=1.0, beta_total=0.25, checks=[CheckRecord("alpha")])
+    assert cert.check("alpha").name == "alpha"
+    with pytest.raises(KeyError):
+        cert.check("beta")
 
 
 def test_gamma_ok_at_the_threshold_tolerance():
