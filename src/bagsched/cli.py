@@ -122,11 +122,13 @@ def cmd_simulate(args) -> int:
             # slice's largest quota, with no absolute floor
             got = {}
             for seg in realize_slice(iv.profile, instance, iv).segments:
+                span = seg.end - seg.start
                 for pl in seg.placements:
-                    work = pl.per_task_rate * (seg.end - seg.start)
+                    work = pl.per_task_rate * span
                     for job, _ in pl.members:
                         got[job] = got.get(job, 0) + work
-            want = {j.job_id: j.rate * iv.length() for j in iv.jobs}
+            length = iv.length()
+            want = {j.job_id: j.rate * length for j in iv.jobs}
             tol = scaled_tol(max(want.values(), default=0), WORK_REL)
             for job, quota in want.items():
                 if not abs(got.get(job, 0) - quota) <= tol:

@@ -766,7 +766,7 @@ def primal_to_solution_values(primal: PrimalSolution) -> dict:
 
     Requires slot == 1 so the names line up with emit_lp's unit grid.
     """
-    if float(primal.slot) != 1.0:
+    if primal.slot != 1:
         raise LpError(f"solution export needs unit slots, got {primal.slot}")
     values = {}
     for (i, v, s), amt in primal.x.items():

@@ -152,8 +152,10 @@ def assign_rates(alive, instance: Instance) -> RateProfile:
     gamma = instance.speedup
     if not entries:
         return RateProfile(gamma=gamma, blocks=())
-    # ties go to the lower job id
-    entries.sort(key=itemgetter(0, 1), reverse=True)
+    # share descending, ties to the lower job id, by two stable sorts: a
+    # (share, -job_id) key would compare exact shares by == and then by <
+    entries.sort(key=itemgetter(1), reverse=True)
+    entries.sort(key=itemgetter(0), reverse=True)
     # runs of exactly equal share; a run freezes atomically
     runs = []  # (share, members, task count, share * task count)
     share, _, a = entries[0]

@@ -35,19 +35,32 @@ is re-placed.
 A segment thus costs, per run, one division for its drain time, at most
 one for a catch at its head and one product for the work it delivers; per
 pool, one comparison for its run's least quota and one subtraction; one
-addition per member in float mode; and one placement and capacity lookup
-per re-placed pool. The least quota of a run drains first, at the time its
+addition per member in float mode; one product and one sum to map an
+exact segment's end back; and one placement and capacity lookup per
+re-placed pool. The least quota of a run drains first, at the time its
 pools' own divisions give, because float rounding is monotone: for a rate
 r > 0, q <= q' implies fl(q / r) <= fl(q' / r), so the least fl(q / r)
 over the run is fl(min q / r). Every value that reaches an output is thus
 computed by the same float operations, in the same order, as a placement
 derived afresh in every segment.
 
-An exact slice adds no work per member: its work is each job's quota. It
-has no slack, no segment takes a pool below zero (dt is at most a run's
-least quota over its rate), a pool drops only at quota 0, pools merge only
-at equal quotas, and the slice raises unless every quota is left at 0; so
-each member's delivered work sums to its quota exactly.
+An exact slice adds no work per member: its work is each job's quota,
+rate * length. It has no slack, no segment takes a pool below zero (dt is
+at most a run's least quota over its rate), a pool drops only at quota 0,
+pools merge only at equal quotas, and the slice raises unless every quota
+is left at 0; so each member's delivered work sums to its quota exactly.
+
+An exact slice also runs on slice-normalized time u = (t - start) / length,
+from 0 to 1: a pool's quota in it is its members' rate, not
+rate * length, a drain or catch time is a quota over a rate, and a
+segment delivers rate * du. Its subtractions, divisions and compares thus
+work on numbers the size of the instance's rates, not on the denominators
+of the slice's start and length, which grow with every event of the run.
+Scaling every quota and time by 1 / length changes no decision
+(drain < dt, equal quotas, quota > 0), and after the loop each boundary
+maps back once, as start + u * length, with u = 1 as end itself: the
+value the chain t + dt gives. So the segments and the work are the same
+Rationals. A float slice runs on t itself.
 
 Time tests are relative with no absolute floor, so that scaling every size
 and release by a power of two scales every time by it: a job is admitted
@@ -67,7 +80,7 @@ from operator import attrgetter
 from typing import NamedTuple
 
 from .instances import Instance, InstanceError, instance_to_dict
-from .numutil import EVENT_REL, REL_TOL, json_number, scaled_tol, tie_leq
+from .numutil import EVENT_REL, REL_TOL, coerce, json_number, scaled_tol, tie_leq
 from .rates import AliveJob, RateProfile, assign_rates, star_witness
 
 
@@ -316,16 +329,21 @@ def realize_slice(profile: RateProfile, instance: Instance, interval) -> Schedul
     new = tuple.__new__  # a record without the NamedTuple's Python-level __new__
 
     # one pass over the members: the work of every alive job, and the
-    # pools of equal quota, quota descending. An exact slice delivers each
-    # quota in full (see the module notes), so its work is the quota.
+    # pools of equal quota, quota descending. An exact slice runs on
+    # slice-normalized time, where a quota is the rate, and delivers each
+    # quota in full (see the module notes), so its work is rate * length.
     exact = instance.exact
     work = {}
     pools = []
     member_count = 0
     for mem in profile.members():
         member_count += 1
-        quota = mem.rate * length
-        work[mem.job_id] = quota if exact else zero
+        if exact:
+            quota = mem.rate
+            work[mem.job_id] = quota * length
+        else:
+            quota = mem.rate * length
+            work[mem.job_id] = zero
         if quota == 0:
             continue
         if pools and pools[-1].quota == quota:
@@ -346,7 +364,9 @@ def realize_slice(profile: RateProfile, instance: Instance, interval) -> Schedul
 
     # at most two events (a merge and a drain) per pool, plus slack
     max_segments = 4 * len(profile.blocks) + 4 * member_count + 8
-    t = start
+    # the loop's time: t itself in a float slice, (t - start) / length from
+    # 0 to 1 in an exact one (see the module notes)
+    t, stop = (zero, coerce(1, True)) if exact else (start, end)
     segments = []
     stale = range(len(pools))  # pools to re-place, ascending
     while pools:
@@ -387,7 +407,7 @@ def realize_slice(profile: RateProfile, instance: Instance, interval) -> Schedul
         # the next event: a run of equal rates drains, or a faster run
         # catches the pool ahead of it. A run's rate is its head's, and its
         # least quota drains first (see the module notes)
-        dt = end - t
+        dt = stop - t
         least = None  # least quota of the run so far, if the run drains
         ahead_quota = None
         for pool in pools:
@@ -451,8 +471,15 @@ def realize_slice(profile: RateProfile, instance: Instance, interval) -> Schedul
             kept.append(pool)
             ahead_quota = quota
         pools = kept
-        if t >= end or (near is not None and end - t <= near):
+        if t >= stop or (near is not None and stop - t <= near):
             break
+    if exact:  # map each boundary back once; u = 1 is end itself
+        at = start
+        for i, seg in enumerate(segments):
+            u = seg.end
+            to = end if u == stop else start + u * length
+            segments[i] = new(Segment, (at, to, seg.placements))
+            at = to
 
     slack = scaled_tol(quota_scale, REL_TOL)
     if any(pool.quota > slack for pool in pools):

@@ -1078,6 +1078,20 @@ def test_solution_export_needs_unit_slots():
     assert str(err.value) == "solution export needs unit slots, got 0.5"
 
 
+def test_solution_export_refuses_a_slot_that_only_rounds_to_one():
+    # an exact slot 10^-17 above 1 rounds to 1.0 as a float, yet it is not
+    # a unit slot; slots 1 and 1.0 are
+    inst = make_instance([(1, 1)], [make_job(1, 1.0, [4]), make_job(2, 2.0, [3])])
+    primal = schedule_to_primal(simulate(inst), inst, slot=1)
+    values = primal_to_solution_values(dataclasses.replace(primal, slot=1.0))
+    assert primal_to_solution_values(dataclasses.replace(primal, slot=1)) == values
+    near = Fraction(10 ** 17 + 1, 10 ** 17)
+    assert float(near) == 1.0
+    with pytest.raises(LpError) as err:
+        primal_to_solution_values(dataclasses.replace(primal, slot=near))
+    assert str(err.value) == f"solution export needs unit slots, got {near}"
+
+
 def wspt_slices(order, speed=1.0):
     """Sequential single-machine schedule as hand-built slices."""
     slices = []

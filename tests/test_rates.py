@@ -293,6 +293,12 @@ def _rate_cases(draw):
 # water levels near 1e-6 that differ by 6e-8 relative: an absolute tie
 # slack of 1e-12 would freeze them as one over-full block
 @example(([(1, 64000000.0, 1), (2, 64000004.0, 1)], [(64.0, 2)], 1.0, False))
+# exactly tied shares admitted out of job-id order: a run lists its members
+# by ascending job id
+@example(([(5, 4.0, 2), (2, 1.0, 1), (4, 2.0, 1), (1, 1.0, 1), (3, 6.0, 3)],
+          [(3.0, 2), (1.0, 3)], 1.0, False))
+@example(([(5, Fraction(4), 2), (2, Fraction(1), 1), (4, Fraction(2), 1), (1, Fraction(1), 1),
+           (3, Fraction(6), 3)], [(Fraction(3), 2), (Fraction(1), 3)], Fraction(1), True))
 def test_assign_rates_matches_first_definition(case):
     alive, classes, gamma, exact = case
     inst = alive_instance(classes, gamma, exact=exact)

@@ -543,6 +543,10 @@ REALIZE_RUN_CASES = {
     # segment ends an ulp below 6.87, close enough to end the slice
     "ends-an-ulp-early": ([(2, 1)], [(1, 2 + Fraction(1, 2 ** 34))],
                           (Fraction(8, 5), Fraction(687, 100))),
+    # the pool on the fast machine catches the one behind it half way
+    # through a slice that starts at 3/7, and the merged pool drains
+    "catch-after-0": ([(2, 1), (1, 1)], [(1, Fraction(3, 2)), (1, 1)],
+                      (Fraction(3, 7), Fraction(11, 5))),
 }
 
 
@@ -555,6 +559,9 @@ REALIZE_RUN_CASES = {
 @example(_one_block_case(False, *REALIZE_RUN_CASES["inside-drains"]))
 @example(_one_block_case(True, *REALIZE_RUN_CASES["inside-drains"]))
 @example(_one_block_case(False, *REALIZE_RUN_CASES["ends-an-ulp-early"]))
+@example(_one_block_case(True, *REALIZE_RUN_CASES["ends-an-ulp-early"]))
+@example(_one_block_case(False, *REALIZE_RUN_CASES["catch-after-0"]))
+@example(_one_block_case(True, *REALIZE_RUN_CASES["catch-after-0"]))
 def test_realize_slice_matches_first_definition(case):
     # per-pool cached rates and gaps must give the segments, placements and
     # work of a realization that re-derives them every segment, bit for bit
@@ -572,6 +579,21 @@ def test_realize_slice_matches_first_definition(case):
     assert _bits(segments) == _bits(want[0])
     assert _bits(got.work) == _bits(want[1])
     assert (got.start, got.end) == (start, end)
+
+
+def test_exact_run_realizes_as_first_defined_at_run_sized_denominators():
+    # an exact run's interval ends carry denominators that grow with every
+    # event; every slice of it realizes as first defined, bit for bit
+    inst = with_speedup(instance_from_dict(instance_to_dict(
+        gen_random_ica(3, 20, 4, 0)), exact=True), 18)
+    trace = simulate(inst)
+    assert trace.intervals[-1].end.denominator > 2 ** 500
+    for iv in trace.intervals:
+        got = realize_slice(iv.profile, inst, iv)
+        segments, work = first_realize_slice(iv.profile, inst, iv.start, iv.end)
+        assert _bits([(seg.start, seg.end, tuple(tuple(pl) for pl in seg.placements))
+                      for seg in got.segments]) == _bits(segments)
+        assert _bits(got.work) == _bits(work)
 
 
 def _intervals_seen(intervals):
