@@ -100,6 +100,39 @@ def _load_any(path, exact=False):
         return instance_from_dict(json.load(fh), exact=exact)
 
 
+def _delivered(sl, length) -> dict:
+    """job_id -> the per-task work a slice's segments deliver to it, over
+    the slice's length: the sum of per_task_rate * du in normalized time
+    u = (t - start) / length. Each segment end maps to u once, and a run of
+    consecutive segments that hold the same placement object adds its rate
+    times the run's span once per member. A segment that does not start
+    where the one before ended ends every run and is measured from its own
+    start."""
+    start = sl.start
+    got = {}
+    held = {}  # id(placement) -> (placement, u where its run began)
+
+    def close(runs, u):
+        for pl, u0 in runs:
+            work = pl.per_task_rate * (u - u0)
+            for job, _ in pl.members:
+                got[job] = got.get(job, 0) + work
+
+    at, u = start, start - start  # the last segment's end, and its u
+    for seg in sl.segments:
+        if seg.start != at:
+            close(held.values(), u)
+            held = {}
+            u = (seg.start - start) / length
+        runs = {id(pl): held.pop(id(pl), None) or (pl, u) for pl in seg.placements}
+        close(held.values(), u)
+        held = runs
+        at = seg.end
+        u = (at - start) / length
+    close(held.values(), u)
+    return got
+
+
 def cmd_simulate(args) -> int:
     instance = _load_any(args.instance, exact=args.exact)
     if args.preprocess:
@@ -117,24 +150,19 @@ def cmd_simulate(args) -> int:
     report = sys.stderr if args.out == "-" else sys.stdout
     if args.realize:
         for index, iv in enumerate(trace.intervals):
-            # the per-task work the segments deliver to each job, against its
-            # quota: exactly in exact mode, else within WORK_REL of the
-            # slice's largest quota, with no absolute floor
-            got = {}
-            for seg in realize_slice(iv.profile, instance, iv).segments:
-                span = seg.end - seg.start
-                for pl in seg.placements:
-                    work = pl.per_task_rate * span
-                    for job, _ in pl.members:
-                        got[job] = got.get(job, 0) + work
+            # the per-task work the segments deliver to each job, in the
+            # slice's normalized time, against its rate: exactly in exact
+            # mode, else within WORK_REL of the slice's largest rate, with
+            # no absolute floor
             length = iv.length()
-            want = {j.job_id: j.rate * length for j in iv.jobs}
+            got = _delivered(realize_slice(iv.profile, instance, iv), length)
+            want = {j.job_id: j.rate for j in iv.jobs}
             tol = scaled_tol(max(want.values(), default=0), WORK_REL)
-            for job, quota in want.items():
-                if not abs(got.get(job, 0) - quota) <= tol:
+            for job, rate in want.items():
+                if not abs(got.get(job, 0) - rate) <= tol:
                     print(f"realize: interval {index} [{iv.start}, {iv.end}): "
-                          f"job {job} got work {got.get(job, 0)}, expected {quota}",
-                          file=sys.stderr)
+                          f"job {job} got work {got[job] * length if job in got else 0}, "
+                          f"expected {rate * length}", file=sys.stderr)
                     return EXIT_INFEASIBLE
         print(f"realized {len(trace.intervals)} intervals", file=report)
     if args.out:

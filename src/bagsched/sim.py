@@ -23,16 +23,23 @@ pooled entry.
 
 Adjacent pools of equal per-task rate form a run, as pools on machines of
 one speed do, and pools past the last machine at rate 0. Each pool's
-record keeps its placement, its per-task rate, the capacity of the
-machines through it, and its rate gap to the pool ahead as the two tests
-the event search makes of it: a zero gap continues the run ahead, and a
-positive gap lets the pool catch up with the pool ahead. The placement,
-rate and capacity are refreshed only when the pool is re-placed: when
-pools merge into it, or when a drained pool ahead of it shifts its
-position. The gap is refreshed only when the pool or the pool ahead of it
-is re-placed.
+record keeps its members, a tuple of (job_id, count) pairs in job-id
+order that its placements share, its placement, its per-task rate, the
+capacity of the machines through it, and its rate gap to the pool ahead as
+the two tests the event search makes of it: a zero gap continues the run
+ahead, and a positive gap lets the pool catch up with the pool ahead. A
+pool is stale when it is new, when pools merge into it (a merge sorts the
+two member tuples together; a profile that lists a job twice is refused),
+or when a drained pool ahead of it shifts its position. Each segment makes
+one walk over its pools before it delivers: it re-places a stale pool
+behind the pool ahead and sets its gap, refreshes the gap of a pool whose
+pool ahead it has just re-placed, collects each pool's placement for the
+segment, and takes the event search's step for the pool. The placement,
+rate, capacity and gap are thus refreshed only when the pool or, for the
+gap, the pool ahead of it is re-placed.
 
-A segment thus costs, per run, one division for its drain time, at most
+A segment thus costs two walks over its pools, the one above and the
+delivery, and, per run, one division for its drain time, at most
 one for a catch at its head and one product for the work it delivers; per
 pool, one comparison for its run's least quota and one subtraction; one
 addition per member in float mode; one product and one sum to map an
@@ -81,7 +88,7 @@ from typing import NamedTuple
 
 from .instances import Instance, InstanceError, instance_to_dict
 from .numutil import EVENT_REL, REL_TOL, coerce, json_number, scaled_tol, tie_leq
-from .rates import AliveJob, RateProfile, assign_rates, star_witness
+from .rates import AliveJob, RateError, RateProfile, assign_rates, star_witness
 
 
 class LivelockError(RuntimeError):
@@ -281,17 +288,19 @@ class ScheduleSlice:
 
 class _Pool:
     """Tasks of equal quota that deplete together, with the values the
-    segment loop reads off it (see the module notes for when each is
-    refreshed)."""
+    segment loop reads off it. Each segment's walk re-places the pool if it
+    is stale, else refreshes its gap if the pool ahead was just re-placed
+    (see the module notes)."""
 
-    __slots__ = ("quota", "count", "members", "placement", "rate", "cap_hi",
+    __slots__ = ("quota", "count", "members", "stale", "placement", "rate", "cap_hi",
                  "head", "gap", "drain_rate")
 
     def __init__(self, quota, count, members):
         self.quota = quota        # per-task quota left
         self.count = count        # tasks in the pool
-        self.members = members    # job_id -> task count
-        self.placement = None     # None until placed and once the members change
+        self.members = members    # (job_id, task count) pairs, job_id ascending
+        self.stale = True         # new, merged into or shifted: re-place it in the next walk
+        self.placement = None     # the current placement, set when re-placed
         self.rate = 0             # per-task rate of the placement
         self.cap_hi = None        # capacity of the machines through this pool
         self.head = True          # first of its run: its rate differs from the pool ahead
@@ -299,21 +308,15 @@ class _Pool:
         self.drain_rate = None    # the rate, if positive
 
 
-def _set_gap(pool, gap):
-    """Record a pool's rate gap to the pool ahead as the two tests the
-    event search makes of it."""
-    pool.head = gap != 0
-    pool.gap = gap if gap > 0 else None
-
-
 def realize_slice(profile: RateProfile, instance: Instance, interval) -> ScheduleSlice:
     """Realize one interval of fluid rates as machine segments.
 
     `interval` is an (start, end) pair or any object with start/end. Raises
     InfeasibleSliceError, with star_witness's overfull prefix, when the
-    quotas cannot fit (never for profiles that pass star_witness), and
-    InstanceError for a float slice whose quotas are deep subnormal; the
-    exact mode runs it.
+    quotas cannot fit (never for profiles that pass star_witness),
+    InstanceError for a float slice whose quotas are deep subnormal (the
+    exact mode runs it), and RateError for a profile that lists a job
+    twice.
     """
     if hasattr(interval, "start"):
         start, end = interval.start, interval.end
@@ -349,9 +352,15 @@ def realize_slice(profile: RateProfile, instance: Instance, interval) -> Schedul
         if pools and pools[-1].quota == quota:
             last = pools[-1]
             last.count += mem.count
-            last.members[mem.job_id] = last.members.get(mem.job_id, 0) + mem.count
+            last.members = tuple(sorted(last.members + ((mem.job_id, mem.count),)))
         else:
-            pools.append(_Pool(quota, mem.count, {mem.job_id: mem.count}))
+            pools.append(_Pool(quota, mem.count, ((mem.job_id, mem.count),)))
+    if len(work) < member_count:
+        seen = set()
+        for mem in profile.members():
+            if mem.job_id in seen:
+                raise RateError(f"job {mem.job_id} is listed twice in the profile")
+            seen.add(mem.job_id)
     quota_scale = pools[0].quota if pools else zero
     tol = scaled_tol(quota_scale, EVENT_REL)
     if pools and not (exact or tol):  # see the module notes
@@ -368,49 +377,50 @@ def realize_slice(profile: RateProfile, instance: Instance, interval) -> Schedul
     # 0 to 1 in an exact one (see the module notes)
     t, stop = (zero, coerce(1, True)) if exact else (start, end)
     segments = []
-    stale = range(len(pools))  # pools to re-place, ascending
     while pools:
         if len(segments) >= max_segments:
             raise LivelockError(
                 f"realization of [{start}, {end}) did not terminate "
                 f"within {max_segments} segments"
             )
-        # re-place the stale pools, each behind a current one, and refresh
-        # the rate gaps they change: their own and the next pool's
-        for i in stale:
-            pool = pools[i]
-            count = pool.count
-            if i:
-                ahead = pools[i - 1]
-                pos = ahead.placement.position_lo + ahead.count
-                cap_lo = ahead.cap_hi
-            else:
-                pos, cap_lo = 0, cap_zero
-            hi = pos + count
-            if hi > m:
-                hi = m
-            cap_hi = pool.cap_hi = capacity(hi)
-            rate = pool.rate = gamma * (cap_hi - cap_lo) / count
-            pool.drain_rate = rate if rate > 0 else None
-            old = pool.placement
-            # members, count, position_lo, machine_lo, machine_hi, per_task_rate
-            pool.placement = new(Placement, (
-                old.members if old is not None else tuple(sorted(pool.members.items())),
-                count, pos, pos + 1 if pos < m else m + 1, hi, rate))
-            if i:
-                _set_gap(pool, ahead.rate - rate)
-            else:
-                pool.head, pool.gap = True, None
-            if i + 1 < len(pools):
-                behind = pools[i + 1]
-                _set_gap(behind, rate - behind.rate)
-        # the next event: a run of equal rates drains, or a faster run
-        # catches the pool ahead of it. A run's rate is its head's, and its
-        # least quota drains first (see the module notes)
+        # one walk over the pools: re-place a stale pool behind the pool
+        # ahead, refresh the rate gap of a pool whose pool ahead was just
+        # re-placed, collect the placements and search for the next event:
+        # a run of equal rates drains, or a faster run catches the pool
+        # ahead of it. A run's rate is its head's, and its least quota
+        # drains first (see the module notes)
         dt = stop - t
+        placements = []
         least = None  # least quota of the run so far, if the run drains
-        ahead_quota = None
+        ahead = None
+        moved = False  # whether the pool ahead was re-placed in this walk
         for pool in pools:
+            refresh = moved
+            moved = pool.stale
+            if moved:
+                pool.stale = False
+                count = pool.count
+                if ahead is None:
+                    pos, cap_lo = 0, cap_zero
+                    pool.head, pool.gap = True, None
+                else:
+                    pos = ahead.placement.position_lo + ahead.count
+                    cap_lo = ahead.cap_hi
+                    refresh = True
+                hi = pos + count
+                if hi > m:
+                    hi = m
+                cap_hi = pool.cap_hi = capacity(hi)
+                rate = pool.rate = gamma * (cap_hi - cap_lo) / count
+                pool.drain_rate = rate if rate > 0 else None
+                # members, count, position_lo, machine_lo, machine_hi, per_task_rate
+                pool.placement = new(Placement, (
+                    pool.members, count, pos, pos + 1 if pos < m else m + 1, hi, rate))
+            if refresh:
+                gap = ahead.rate - pool.rate
+                pool.head = gap != 0
+                pool.gap = gap if gap > 0 else None
+            placements.append(pool.placement)
             quota = pool.quota
             if pool.head:
                 if least is not None:
@@ -421,7 +431,7 @@ def realize_slice(profile: RateProfile, instance: Instance, interval) -> Schedul
                 # per-block rounding can leave adjacent quotas inverted by
                 # an ulp; a non-positive lead is not a catch event
                 if gap is not None:
-                    lead = ahead_quota - quota
+                    lead = ahead.quota - quota
                     if lead > 0:
                         catch = lead / gap
                         if catch < dt:
@@ -430,7 +440,7 @@ def realize_slice(profile: RateProfile, instance: Instance, interval) -> Schedul
                 least = quota if run_rate is not None else None
             elif least is not None and quota < least:
                 least = quota
-            ahead_quota = quota
+            ahead = pool
         if least is not None:
             drain = least / run_rate
             if drain < dt:
@@ -438,20 +448,19 @@ def realize_slice(profile: RateProfile, instance: Instance, interval) -> Schedul
         if dt <= 0:
             break
         seg_end = t + dt
-        segments.append(new(Segment, (t, seg_end, tuple([p.placement for p in pools]))))
+        segments.append(new(Segment, (t, seg_end, tuple(placements))))
         t = seg_end
         # deliver the segment's work, one product per run, drop drained
         # pools and merge equalized neighbours; a merged pool, and every
         # pool behind a dropped one, goes stale
         kept = []
-        stale = []
         dropped = False
         for pool in pools:
             if pool.head:
                 done = pool.rate * dt
             quota = pool.quota = pool.quota - done
             if not exact:
-                for job in pool.members:
+                for job, _ in pool.members:
                     work[job] = work[job] + done
             if not quota > tol:
                 dropped = True
@@ -459,15 +468,11 @@ def realize_slice(profile: RateProfile, instance: Instance, interval) -> Schedul
             if kept and (ahead_quota == quota or (tol and -tol <= ahead_quota - quota <= tol)):
                 target = kept[-1]
                 target.count += pool.count
-                for job, cnt in pool.members.items():
-                    target.members[job] = target.members.get(job, 0) + cnt
-                if target.placement is not None:
-                    target.placement = None
-                    if not stale or stale[-1] != len(kept) - 1:
-                        stale.append(len(kept) - 1)
+                target.members = tuple(sorted(target.members + pool.members))
+                target.stale = True
                 continue
             if dropped:
-                stale.append(len(kept))
+                pool.stale = True
             kept.append(pool)
             ahead_quota = quota
         pools = kept

@@ -188,6 +188,35 @@ def test_simulate_realize_checks_what_the_segments_deliver(tmp_path, monkeypatch
     assert f"job {job} got work 0, expected " in err
 
 
+@pytest.mark.parametrize("edge", ["start", "end"])
+def test_simulate_realize_checks_exact_work_exactly(tmp_path, monkeypatch, capsys, edge):
+    # the last segment of each slice starts or ends 10^-30 late, far inside
+    # WORK_REL: its jobs get that much less or more work than their quotas,
+    # a segment that does not start where the one before ended being
+    # measured from its own start, and the exact check names the first job
+    from fractions import Fraction
+
+    path = _tiny_instance(tmp_path)
+    argv = ("simulate", str(path), "--gamma", "8", "--realize", "--exact")
+    realize = cli.realize_slice
+    late = []
+
+    def moved(profile, instance, interval):
+        sl = realize(profile, instance, interval)
+        last = sl.segments[-1]
+        sl.segments[-1] = last._replace(**{edge: getattr(last, edge) + Fraction(1, 10 ** 30)})
+        late.append(min(job for pl in last.placements if pl.per_task_rate
+                        for job, _ in pl.members))
+        return sl
+
+    monkeypatch.setattr(cli, "realize_slice", moved)
+    capsys.readouterr()
+    assert run_cli(*argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("realize: interval 0 [")
+    assert f"job {late[0]} got work " in err
+
+
 def test_jobs_of_the_other_mode_are_a_precondition(tmp_path, monkeypatch,
                                                    capsys):
     # a loader that hands `simulate --exact` float jobs gets exit 3, not a

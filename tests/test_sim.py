@@ -547,6 +547,13 @@ REALIZE_RUN_CASES = {
     # through a slice that starts at 3/7, and the merged pool drains
     "catch-after-0": ([(2, 1), (1, 1)], [(1, Fraction(3, 2)), (1, 1)],
                       (Fraction(3, 7), Fraction(11, 5))),
+    # the pool on the 4-machine catches the one behind it, the merged pool
+    # catches the next one behind, and then the pool on the 8-machine
+    # catches the three: one pool is merged into twice, re-placed with the
+    # pool behind it kept, and then merged into the pool ahead of it
+    "merge-chain": ([(8, 1), (4, 1), (2, 1), (1, 1)],
+                    [(1, Fraction(9, 2)), (1, 2), (1, Fraction(3, 2)), (1, 1)],
+                    (Fraction(1, 4), Fraction(5, 4))),
 }
 
 
@@ -562,6 +569,8 @@ REALIZE_RUN_CASES = {
 @example(_one_block_case(True, *REALIZE_RUN_CASES["ends-an-ulp-early"]))
 @example(_one_block_case(False, *REALIZE_RUN_CASES["catch-after-0"]))
 @example(_one_block_case(True, *REALIZE_RUN_CASES["catch-after-0"]))
+@example(_one_block_case(False, *REALIZE_RUN_CASES["merge-chain"]))
+@example(_one_block_case(True, *REALIZE_RUN_CASES["merge-chain"]))
 def test_realize_slice_matches_first_definition(case):
     # per-pool cached rates and gaps must give the segments, placements and
     # work of a realization that re-derives them every segment, bit for bit
@@ -594,6 +603,40 @@ def test_exact_run_realizes_as_first_defined_at_run_sized_denominators():
         assert _bits([(seg.start, seg.end, tuple(tuple(pl) for pl in seg.placements))
                       for seg in got.segments]) == _bits(segments)
         assert _bits(got.work) == _bits(work)
+
+
+def test_float_run_realizes_as_first_defined_through_many_merges():
+    # a float run at its weaker threshold realizes slices of about 17 pools
+    # in which nearly every segment merges two of them, far past the pools
+    # the drawn cases reach; every slice realizes as first defined, bit for
+    # bit
+    from support import weaker_gamma
+
+    inst = gen_random_ica(3, 32, 4, 0)
+    inst = with_speedup(inst, weaker_gamma(inst))
+    most = 0
+    for iv in simulate(inst).intervals:
+        got = realize_slice(iv.profile, inst, iv)
+        segments, work = first_realize_slice(iv.profile, inst, iv.start, iv.end)
+        assert _bits([(seg.start, seg.end, tuple(tuple(pl) for pl in seg.placements))
+                      for seg in got.segments]) == _bits(segments)
+        assert _bits(got.work) == _bits(work)
+        most = max(most, len(got.segments))
+    assert most >= 16
+
+
+def test_a_profile_that_lists_a_job_twice_is_refused():
+    # pools merge by concatenating their members, which counts on every
+    # job being listed once; a job listed twice is named, in both modes
+    from bagsched.rates import RateError
+
+    for exact in (False, True):
+        profile, inst, interval = _one_block_case(
+            exact, [(2, 2)], [(1, 1), (1, Fraction(1, 2)), (1, Fraction(1, 4))], (0, 1))
+        block = profile.blocks[0]
+        twice = replace(block, members=block.members + (block.members[1],))
+        with pytest.raises(RateError, match="job 2 is listed twice"):
+            realize_slice(replace(profile, blocks=(twice,)), inst, interval)
 
 
 def _intervals_seen(intervals):
